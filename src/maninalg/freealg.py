@@ -164,11 +164,6 @@ class NCPoly:
         return out.replace("+ -", "- ")
 
 
-def multiply(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Concatenation product with exact coefficient arithmetic."""
-    return p * q
-
-
 def word_basis(gens, d: int):
     """All degree-d words over the ordered generator list, lex order."""
     return list(itertools.product(gens, repeat=d))

@@ -42,7 +42,7 @@ class IdealSlice:
         return self.echelon.rank
 
     def subspace(self) -> Subspace:
-        """Dense echelon basis; only sensible for small g^d."""
+        """The slice as a Subspace of the g^d-dimensional word space."""
         return self.echelon.dense_basis(self.generator_count ** self.degree)
 
 
@@ -68,14 +68,14 @@ class PresentedAlgebra:
     def from_polys(gens, relation_polys) -> "PresentedAlgebra":
         gens = tuple(gens)
         pos = {g: i for i, g in enumerate(gens)}
-        rows = []
+        ech = SparseEchelon()
         for p in relation_polys:
             if p.is_zero():
                 continue
             if not p.is_homogeneous(2):
                 raise NonHomogeneous("relations must be homogeneous of degree 2")
-            rows.append(_densify(sparse_coords(p, 2, pos, len(gens)), len(gens) ** 2))
-        return PresentedAlgebra(gens, Subspace.from_rows(rows, len(gens) ** 2))
+            ech.insert(sparse_coords(p, 2, pos, len(gens)))
+        return PresentedAlgebra(gens, ech.dense_basis(len(gens) ** 2))
 
     def slice(self, d: int) -> IdealSlice:
         with self._lock:
@@ -102,13 +102,6 @@ class PresentedAlgebra:
         return reduces_to_zero(p, self.slice(d), self.gen_pos)
 
 
-def _densify(sparse: dict, size: int) -> list:
-    row = [0] * size
-    for i, c in sparse.items():
-        row[i] = c
-    return row
-
-
 def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
     """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}."""
     gens = tuple(gens)
@@ -119,14 +112,12 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
     if size > word_budget():
         raise BudgetExceeded(f"word space of size {size} exceeds budget "
                              f"{word_budget()} (override with MANIN_BUDGET)")
-    rel_rows = [{j: x for j, x in enumerate(row) if x}
-                for row in relations.basis.data]
     ech = SparseEchelon()
     for left_len in range(d - 1):
         right_len = d - 2 - left_len
         left_size, right_size = g ** left_len, g ** right_len
         for lead in range(left_size):
-            for rel in rel_rows:
+            for rel in relations.rows.values():
                 base = {}
                 for mid, c in rel.items():
                     base[(lead * g * g + mid) * right_size] = c

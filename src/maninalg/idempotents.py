@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ONE, QMatrix, ZERO, column_space, format_rat, rat, rref, row_space
+from .linalg import ONE, QMatrix, ZERO, column_space, format_rat, rat, row_space
 from .tensor import TensorOperator, flatten_index, swap_operator
 
 
@@ -283,12 +283,11 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     E = sum e_{c_i} r_i is idempotent and rowspace(E) = rowspace(R), so it
     presents the same quadratic algebra as R.
     """
-    echelon, rank = rref(R)
     size = R.cols
     out = QMatrix.zero(size, size)
-    for r in range(rank):
-        lead = next(j for j, x in enumerate(echelon.data[r]) if x)
-        out.data[lead] = echelon.data[r][:]
+    for lead, row in row_space(R).rows.items():
+        for j, x in row.items():
+            out.data[lead][j] = x
     n = round(size ** 0.5)
     if n * n == size:
         return TensorOperator(n, n, 2, out)

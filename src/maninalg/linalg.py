@@ -1,11 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always stored in
-lowest terms with positive denominator).  Matrices are dense and row-major;
-pivoting picks the first nonzero entry, which is always safe in exact
-arithmetic.  Row spaces are represented by :class:`Subspace`, whose basis is
-kept in reduced row-echelon form so that two subspaces are equal iff their
-bases are identical.
+lowest terms with positive denominator).  :class:`QMatrix` is a dense
+row-major matrix for products, traces and small Gram systems.  All row
+reduction goes through one engine, the sparse :class:`SparseEchelon`; a row
+space is a :class:`Subspace`, which keeps the engine's reduced row-echelon
+rows so that two subspaces are equal iff their rows are identical.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ class AmbientMismatch(ValueError):
     """Raised when two objects live in different ambient dimensions."""
 
 
+class InvalidRational(ValueError):
+    """A value that is not an exact rational number."""
+
+
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
@@ -29,8 +33,12 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise InvalidRational(f"rational {x!r} has a zero denominator") from None
+    raise InvalidRational(f"cannot interpret {x!r} as an exact rational "
+                          "(give an integer or a 'p/q' string)")
 
 
 def format_rat(x: Fraction) -> str:
@@ -172,7 +180,7 @@ class QMatrix:
         return out
 
     def rank(self) -> int:
-        return rref(self)[1]
+        return Subspace.from_matrix(self).dim
 
     def to_strings(self):
         return [[format_rat(x) for x in row] for row in self.data]
@@ -186,60 +194,28 @@ class QMatrix:
             raise ValueError("shape mismatch")
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, int]:
-    """Reduced row-echelon form and rank; the row space is preserved.
-
-    The returned matrix has the shape of the input, zero rows at the bottom,
-    pivots equal to 1 and cleared pivot columns.
-    """
-    data = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    piv_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(piv_row, nrows):
-            if data[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        data[piv_row], data[sel] = data[sel], data[piv_row]
-        inv = ONE / data[piv_row][col]
-        if inv != 1:
-            data[piv_row] = [x * inv for x in data[piv_row]]
-        prow = data[piv_row]
-        for r in range(nrows):
-            if r != piv_row and data[r][col]:
-                c = data[r][col]
-                data[r] = [x - c * y for x, y in zip(data[r], prow)]
-        piv_row += 1
-        if piv_row == nrows:
-            break
-    return QMatrix(nrows, ncols, data), piv_row
-
-
 class Subspace:
-    """A subspace of Q^ambient_dim, stored as an echelonized row basis.
+    """A subspace of Q^ambient_dim, stored as its reduced row-echelon basis.
 
-    The basis matrix is in reduced row-echelon form with no zero rows, so
-    equality of subspaces is literal equality of bases.
+    ``rows`` maps each lead index to its basis row, a sparse dict
+    index -> Fraction with lead coefficient 1 and every other lead column
+    cleared; leads ascend.  The reduced row-echelon basis of a subspace is
+    unique, so two subspaces are equal iff their rows are.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: QMatrix):
+    def __init__(self, ambient_dim: int, rows: dict):
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        if basis.cols != ambient_dim:
-            raise AmbientMismatch("basis width differs from ambient dimension")
+        self.rows = rows
+        self._basis = None
 
     @staticmethod
     def from_rows(rows, ambient_dim: int) -> "Subspace":
-        rows = [list(r) for r in rows]
-        if not rows:
-            return Subspace(ambient_dim, QMatrix(0, ambient_dim, []))
-        echelon, rank = rref(QMatrix(len(rows), ambient_dim, rows))
-        return Subspace(ambient_dim, QMatrix(rank, ambient_dim, echelon.data[:rank]))
+        ech = SparseEchelon()
+        for row in rows:
+            ech.insert(_sparse(row, ambient_dim))
+        return ech.dense_basis(ambient_dim)
 
     @staticmethod
     def from_matrix(m: QMatrix) -> "Subspace":
@@ -248,64 +224,83 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, QMatrix(0, ambient_dim, []))
+        return Subspace(ambient_dim, {})
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> QMatrix:
+        """The basis rows as a dense dim x ambient_dim matrix."""
+        if self._basis is None:
+            dense = []
+            for row in self.rows.values():
+                v = [ZERO] * self.ambient_dim
+                for j, c in row.items():
+                    v[j] = c
+                dense.append(v)
+            self._basis = QMatrix(len(dense), self.ambient_dim, dense)
+        return self._basis
+
+    def _reduces_to_zero(self, row: dict) -> bool:
+        # The basis rows are fully reduced, so subtracting one of them never
+        # touches another lead column: one pass over the leads of row is enough.
+        row = dict(row)
+        for lead in [j for j in row if j in self.rows]:
+            c = row[lead]
+            for j, x in self.rows[lead].items():
+                nv = row.get(j, ZERO) - c * x
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+        return not row
 
     def contains(self, vector) -> bool:
-        vector = [rat(x) for x in vector]
-        if len(vector) != self.ambient_dim:
-            raise AmbientMismatch("vector lives in a different ambient space")
-        v = vector[:]
-        for row in self.basis.data:
-            lead = next(j for j, x in enumerate(row) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [x - c * y for x, y in zip(v, row)]
-        return not any(v)
+        return self._reduces_to_zero(_sparse(vector, self.ambient_dim))
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self.contains(row) for row in other.basis.data)
+        return all(self._reduces_to_zero(row) for row in other.rows.values())
+
+    def annihilator(self) -> "Subspace":
+        """{v : r . v = 0 for every basis row r}.
+
+        Each free column f gives the null vector e_f - sum_r r[f] e_lead(r).
+        """
+        free = {f: {f: ONE} for f in range(self.ambient_dim) if f not in self.rows}
+        for lead, row in self.rows.items():
+            for j, c in row.items():
+                if j != lead:
+                    free[j][lead] = -c
+        ech = SparseEchelon()
+        for v in free.values():
+            ech.insert(v)
+        return ech.dense_basis(self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return self.basis == other.basis
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim,
+                     tuple(tuple(sorted(row.items())) for row in self.rows.values())))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    """Exact subspace equality; raises AmbientMismatch on unequal ambients."""
-    return a == b
-
-
-def kernel(m: QMatrix) -> Subspace:
-    """Echelonized basis of the right null space {v : m v = 0}."""
-    echelon, rank = rref(m)
-    pivot_cols = []
-    for row in echelon.data[:rank]:
-        pivot_cols.append(next(j for j, x in enumerate(row) if x))
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivot_cols):
-            v[p] = -echelon.data[r][f]
-        basis.append(v)
-    return Subspace.from_rows(basis, m.cols)
+def _sparse(vector, ambient_dim: int) -> dict:
+    """Nonzero entries of a dense vector as index -> Fraction."""
+    vector = [rat(x) for x in vector]
+    if len(vector) != ambient_dim:
+        raise AmbientMismatch("vector lives in a different ambient space")
+    return {j: x for j, x in enumerate(vector) if x}
 
 
 def row_space(m: QMatrix) -> Subspace:
@@ -316,41 +311,28 @@ def column_space(m: QMatrix) -> Subspace:
     return Subspace.from_matrix(m.transpose())
 
 
-def solve_right(m: QMatrix, rhs) -> list | None:
-    """One solution x of m x = rhs, or None if inconsistent."""
-    rhs = [rat(x) for x in rhs]
-    if len(rhs) != m.rows:
-        raise AmbientMismatch("right-hand side has wrong length")
-    aug = QMatrix(m.rows, m.cols + 1, [row + [b] for row, b in zip(m.data, rhs)])
-    echelon, rank = rref(aug)
-    x = [ZERO] * m.cols
-    for row in echelon.data[:rank]:
-        lead = next(j for j, v in enumerate(row) if v)
-        if lead == m.cols:
-            return None
-        x[lead] = row[m.cols]
-    return x
-
-
 def invert(m: QMatrix) -> QMatrix | None:
     """Exact inverse, or None if singular."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = QMatrix(n, 2 * n, [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.data)])
-    echelon, rank = rref(aug)
-    if rank < n or any(echelon.data[i][i] != 1 for i in range(n)):
+    aug = Subspace.from_rows(
+        (row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.data)),
+        2 * n)
+    # [m | 1] always has rank n; m is invertible iff every lead lies in m's block
+    if list(aug.rows) != list(range(n)):
         return None
-    return QMatrix(n, n, [row[n:] for row in echelon.data])
+    return QMatrix(n, n, [[row.get(n + j, ZERO) for j in range(n)]
+                          for row in aug.rows.values()])
 
 
 class SparseEchelon:
     """Incremental row reduction with sparse rows (dict index -> Fraction).
 
-    Used for large word spaces where dense elimination is not affordable.
-    Pivot rows are normalized to leading coefficient 1; the lead of a pivot
-    row is its minimal index, so reduction proceeds strictly left to right
-    and terminates in one ascending sweep.
+    This is the one elimination engine of the package.  Pivot rows are
+    normalized to leading coefficient 1; the lead of a pivot row is its
+    minimal index, so reduction proceeds strictly left to right and
+    terminates in one ascending sweep.
     """
 
     __slots__ = ("pivots",)
@@ -395,8 +377,8 @@ class SparseEchelon:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
-    def reduced_rows(self) -> list[dict]:
-        """Fully back-substituted pivot rows, ascending by lead index."""
+    def reduced_rows(self) -> dict:
+        """Fully back-substituted pivot rows keyed by lead, leads ascending."""
         leads = sorted(self.pivots)
         reduced: dict[int, dict] = {}
         for lead in reversed(leads):
@@ -416,16 +398,8 @@ class SparseEchelon:
                     else:
                         row.pop(jj, None)
             reduced[lead] = row
-        return [reduced[lead] for lead in leads]
+        return {lead: reduced[lead] for lead in leads}
 
     def dense_basis(self, ambient_dim: int) -> Subspace:
-        rows = []
-        for row in self.reduced_rows():
-            v = [ZERO] * ambient_dim
-            for j, c in row.items():
-                v[j] = c
-            rows.append(v)
-        if not rows:
-            return Subspace.zero(ambient_dim)
-        # reduced_rows already yields a reduced row-echelon basis
-        return Subspace(ambient_dim, QMatrix(len(rows), ambient_dim, rows))
+        """The span as a Subspace of Q^ambient_dim."""
+        return Subspace(ambient_dim, self.reduced_rows())

@@ -8,15 +8,18 @@ For an idempotent A on C^n (x) C^n the variants are
 * ``Xistar`` generators psi^i, relations (1 - A)(Psi* (x) Psi*) = 0.
 
 Degree-k components are computed either as quotients by the ideal slice or
-as the intersection subspaces V_k, W_k and their left analogues; the two
-realizations are dual to each other.
+as the intersection subspaces V_k, W_k and their left analogues.  The two
+realizations are dual: V_k is the annihilator of the degree-k slice of the
+ideal of X, Vbar_k of Xstar, W_k of Xistar and Wbar_k of Xi.  Both come
+from the same sparse slice echelon (``ideals.build_slice``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import QMatrix, SparseEchelon, Subspace, kernel, row_space
+from .ideals import build_slice
+from .linalg import QMatrix, Subspace, row_space
 from .tensor import TensorOperator, check_budget, multi_indices
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
@@ -51,34 +54,10 @@ def relation_space(alg: QuadAlgebra) -> Subspace:
     return row_space(one - A)
 
 
-def _relation_rows(alg: QuadAlgebra):
-    """Rows spanning the degree-2 relation space, as sparse dicts."""
-    basis = relation_space(alg).basis
-    return [{j: x for j, x in enumerate(row) if x} for row in basis.data]
-
-
-def _slice_rows(alg: QuadAlgebra, k: int):
-    """Sparse rows spanning the degree-k ideal slice
-    sum_a (relation space embedded at legs (a, a+1))."""
-    n = alg.n
-    rel_rows = _relation_rows(alg)
-    size = n ** k
-    for a in range(k - 1):
-        left, right = n ** a, n ** (k - 2 - a)
-        for lead in range(left):
-            for rel in rel_rows:
-                for trail in range(right):
-                    yield {(lead * n * n + mid) * right + trail: c
-                           for mid, c in rel.items()}
-
-
 def ideal_slice_dim(alg: QuadAlgebra, k: int) -> int:
     if k < 2:
         return 0
-    ech = SparseEchelon()
-    for row in _slice_rows(alg, k):
-        ech.insert(row)
-    return ech.rank
+    return build_slice(relation_space(alg), k).dim
 
 
 def graded_dimension(alg: QuadAlgebra, k: int) -> int:
@@ -93,6 +72,8 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
 
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
+    if max_degree < 0:
+        raise ValueError(f"max degree must be non-negative, got {max_degree}")
     return [graded_dimension(alg, k) for k in range(max_degree + 1)]
 
 
@@ -113,76 +94,27 @@ def graded_component(alg: QuadAlgebra, k: int) -> GradedComponent:
     if k < 2:
         dims = 1 if k == 0 else n
         basis = tuple(multi_indices(n, k))
-        return GradedComponent(k, dims, 0, basis,
-                               Subspace.from_rows(QMatrix.identity(n ** k).data, n ** k))
-    ech = SparseEchelon()
-    for row in _slice_rows(alg, k):
-        ech.insert(row)
-    pivots = set(ech.pivots)
+        return GradedComponent(k, dims, 0, basis, Subspace.zero(n ** k).annihilator())
+    slice_ = build_slice(relation_space(alg), k)
+    pivots = slice_.echelon.pivots
     basis = tuple(idx for pos, idx in enumerate(multi_indices(n, k))
                   if pos not in pivots)
-    sub = component_subspaces(alg.idempotent, k)[_VARIANT_SUBSPACE[alg.variant]]
-    return GradedComponent(k, n ** k - ech.rank, ech.rank, basis, sub)
-
-
-_VARIANT_SUBSPACE = {"X": 0, "Xstar": 1, "Xistar": 2, "Xi": 3}
-
-
-def _stacked(op_rows, size: int) -> QMatrix:
-    return QMatrix(len(op_rows), size, op_rows)
+    return GradedComponent(k, n ** k - slice_.dim, slice_.dim, basis,
+                           slice_.subspace().annihilator())
 
 
 def component_subspaces(E: TensorOperator, k: int):
     """(V_k, Vbar_k, W_k, Wbar_k) for the idempotent E.
 
     V_k is the joint right kernel of the embedded copies of E at adjacent
-    legs, Vbar_k the joint left kernel; W uses S = 1 - E.  For k < 2 all
-    four are the full space.
+    legs, Vbar_k the joint left kernel; W uses S = 1 - E.  Each is the
+    annihilator of a degree-k ideal slice: of X, Xstar, Xistar and Xi in
+    that order.  For k < 2 all four are the full space.
     """
-    n = E.row_dim
-    size = n ** k
+    size = E.row_dim ** k
     check_budget(size)
     if k < 2:
-        full = Subspace.from_rows(QMatrix.identity(size).data, size)
+        full = Subspace.zero(size).annihilator()
         return full, full, full, full
-    S = TensorOperator.identity(n, 2) - E
-    out = []
-    for op in (E, S):
-        rows = []
-        rows_t = []
-        for a in range(k - 1):
-            emb = _embedded_rows(op, k, a)
-            rows.extend(emb)
-            rows_t.extend(_transpose_rows(emb, size))
-        out.append(kernel(_stacked(rows, size)))
-        out.append(kernel(_stacked(rows_t, size)))
-    v_k, vbar_k, w_k, wbar_k = out
-    return v_k, vbar_k, w_k, wbar_k
-
-
-def _embedded_rows(op: TensorOperator, k: int, a: int):
-    """Dense rows of op^{(a+1, a+2)} on n^k without building the operator."""
-    n = op.row_dim
-    size = n ** k
-    left, right = n ** a, n ** (k - 2 - a)
-    rows = []
-    for row_pos in range(size):
-        trail = row_pos % right
-        mid = (row_pos // right) % (n * n)
-        lead = row_pos // (right * n * n)
-        src = op.matrix.data[mid]
-        dense = [0] * size
-        for col_mid, x in enumerate(src):
-            if x:
-                dense[(lead * n * n + col_mid) * right + trail] = x
-        rows.append(dense)
-    return rows
-
-
-def _transpose_rows(rows, size: int):
-    out = [[0] * size for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                out[j][i] = x
-    return out
+    return tuple(build_slice(relation_space(QuadAlgebra(E, variant)), k).subspace().annihilator()
+                 for variant in ("X", "Xstar", "Xistar", "Xi"))

@@ -262,20 +262,15 @@ def compose_chain(M, k: int):
 
 
 def reversed_chain(M, k: int):
-    """M^{(k)} ... M^{(1)}: entry (I, J) is M^{i_k}_{j_k} ... M^{i_1}_{j_1}."""
-    grid = poly_matrix(M.matrix.data if isinstance(M, TensorOperator) else
-                       M.data if isinstance(M, QMatrix) else M)
-    n, m = len(grid), len(grid[0])
-    check_budget(max(n, m) ** k)
-    out = []
-    for row_index in multi_indices(n, k):
-        row = []
-        for col_index in multi_indices(m, k):
-            word = NCPoly.one()
-            for i, j in reversed(list(zip(row_index, col_index))):
-                word = word * grid[i - 1][j - 1]
-                if word.is_zero():
-                    break
-            row.append(word)
-        out.append(row)
-    return out
+    """M^{(k)} ... M^{(1)}: entry (I, J) is M^{i_k}_{j_k} ... M^{i_1}_{j_1},
+    which is entry (reversed I, reversed J) of compose_chain(M, k)."""
+    chain = compose_chain(M, k)
+    rows = _reversed_positions(len(chain), k)
+    cols = _reversed_positions(len(chain[0]), k)
+    return [[chain[r][c] for c in cols] for r in rows]
+
+
+def _reversed_positions(size: int, k: int) -> list:
+    """Flat positions of the reversed multi-indices, in the order of size = n^k."""
+    n = round(size ** (1 / k)) if k else 1
+    return [flatten_index(index[::-1], n) for index in multi_indices(n, k)]

@@ -150,6 +150,18 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--family", "Aq", "--n", "2", "--q", "1/0"],
+    ["catalog", "--family", "Aq", "--n", "2", "--params", '{"q": 2.5}'],
+    ["dims", "--family", "A_n", "--n", "2", "--variant", "X", "--max-degree", "-3"],
+], ids=["zero-denominator", "float-parameter", "negative-max-degree"])
+def test_malformed_input_is_input_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_unknown_suite_is_input_error(capsys):
     assert main(["verify-suite", "--suite", "nope"]) == 2
     capsys.readouterr()

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from maninalg.freealg import (Gen, NCPoly, NonHomogeneous,
                               degree_component_vector, gen, matrix_gen,
-                              multiply, parse_poly, parse_poly_matrix,
-                              word_basis)
+                              parse_poly, parse_poly_matrix, word_basis)
 
 A, B = Gen("a"), Gen("b")
 M11, M12, M21, M22 = (matrix_gen("M", i, j)
@@ -16,12 +15,12 @@ M11, M12, M21, M22 = (matrix_gen("M", i, j)
 
 def test_one_is_neutral():
     p = NCPoly({(A, B): Fraction(2), (B,): Fraction(-1, 3)})
-    assert multiply(NCPoly.one(), p) == p
-    assert multiply(p, NCPoly.one()) == p
+    assert NCPoly.one() * p == p
+    assert p * NCPoly.one() == p
 
 
 def test_generator_product_is_a_word():
-    p = multiply(NCPoly.generator(M11), NCPoly.generator(M22))
+    p = NCPoly.generator(M11) * NCPoly.generator(M22)
     assert p == NCPoly({(M11, M22): 1})
 
 

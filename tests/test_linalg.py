@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maninalg.linalg import (AmbientMismatch, QMatrix, SparseEchelon, Subspace,
-                             invert, kernel, rref, solve_right, subspace_equal)
+from maninalg.linalg import (AmbientMismatch, InvalidRational, QMatrix, SparseEchelon,
+                             Subspace, invert, rat)
+
+import dense_reference as dense
+from dense_reference import kernel, rref
 
 
 def F(x):
@@ -62,35 +65,64 @@ def test_rank_of_transpose(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
-    assert rref(m)[1] + kernel(m).dim == m.cols
+    assert rref(m)[1] + kernel(m).rows == m.cols
 
 
 def test_kernel_zero_matrix():
-    assert kernel(QMatrix.zero(2, 2)).dim == 2
+    assert kernel(QMatrix.zero(2, 2)).rows == 2
 
 
 def test_kernel_identity():
-    assert kernel(QMatrix.identity(3)).dim == 0
+    assert kernel(QMatrix.identity(3)).rows == 0
 
 
 def test_kernel_hand_solved():
     k = kernel(QMatrix.from_rows([[1, 1]]))
-    assert k.basis.data == [[F(1), F(-1)]]
+    assert k.data == [[F(1), F(-1)]]
+    assert Subspace.from_rows([[1, 1]], 2).annihilator().basis == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_annihilator_matches_dense_kernel(m):
+    ann = Subspace.from_matrix(m).annihilator()
+    assert ann.basis == kernel(m)
+    assert ann.annihilator() == Subspace.from_matrix(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_invert_matches_dense_reference(m):
+    size = min(m.rows, m.cols)
+    m = QMatrix.from_rows([row[:size] for row in m.data[:size]])
+    assert invert(m) == dense.invert(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.lists(small_rationals, min_size=4, max_size=4))
+def test_contains_matches_dense_rank(m, coeffs):
+    sub = Subspace.from_matrix(m)
+    v = coeffs[:m.cols]
+    assert sub.contains(v) == (rref(QMatrix.from_rows(m.data + [v]))[1] == rref(m)[1])
+    in_span = m.vecmat(coeffs[:m.rows])
+    assert sub.contains(in_span)
+    assert sub.contains_space(Subspace.from_rows([in_span], m.cols))
 
 
 def test_subspace_equality_up_to_scaling():
     a = Subspace.from_rows([[1, 0]], 2)
     b = Subspace.from_rows([[2, 0]], 2)
     c = Subspace.from_rows([[0, 1]], 2)
-    assert subspace_equal(a, b)
-    assert not subspace_equal(a, c)
+    assert a == b
+    assert not a == c
+    assert hash(a) == hash(b)
 
 
 def test_subspace_ambient_mismatch():
     a = Subspace.from_rows([[1, 0]], 2)
     b = Subspace.from_rows([[1, 0, 0]], 3)
     with pytest.raises(AmbientMismatch):
-        subspace_equal(a, b)
+        a == b
 
 
 def test_hecke_rowspace_matches_q_antisymmetrizer():
@@ -99,21 +131,16 @@ def test_hecke_rowspace_matches_q_antisymmetrizer():
     from maninalg.idempotents import hecke_minus, q_antisymmetrizer
     a = Subspace.from_matrix(q_antisymmetrizer(2, 2).matrix)
     b = Subspace.from_matrix(hecke_minus(2, 2).matrix)
-    assert subspace_equal(a, b)
+    assert a == b
 
 
-def test_solve_and_invert():
+def test_invert():
     m = QMatrix.from_rows([[1, 2], [3, 5]])
-    x = solve_right(m, [1, 2])
-    assert m.matvec(x) == [F(1), F(2)]
     inv = invert(m)
     assert inv * m == QMatrix.identity(2)
     assert invert(QMatrix.from_rows([[1, 2], [2, 4]])) is None
-
-
-def test_solve_inconsistent():
-    m = QMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve_right(m, [0, 1]) is None
+    # singular although [m | 1] reduces to rank 2 with a lead in the right block
+    assert invert(QMatrix.from_rows([[0, 0], [0, 1]])) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,8 +149,8 @@ def test_sparse_echelon_matches_dense_rank(m):
     ech = SparseEchelon()
     for row in m.data:
         ech.insert({j: x for j, x in enumerate(row) if x})
-    assert ech.rank == rref(m)[1]
-    assert ech.dense_basis(m.cols) == Subspace.from_matrix(m)
+    assert ech.rank == rref(m)[1] == m.rank()
+    assert ech.dense_basis(m.cols).basis == dense.row_basis(m.data, m.cols)
 
 
 def test_sparse_echelon_membership():
@@ -139,6 +166,12 @@ def test_rational_substrate_invariants():
     # the scalar substrate relies on
     x = Fraction(6, -4)
     assert x.numerator == -3 and x.denominator == 2
-    from maninalg.linalg import format_rat, rat
+    from maninalg.linalg import format_rat
     assert rat("-3/2") == x and format_rat(x) == "-3/2"
     assert format_rat(rat("7")) == "7"
+
+
+@pytest.mark.parametrize("bad", ["1/0", " 3/0 ", 2.5, None, [1]])
+def test_rat_rejects_non_rationals(bad):
+    with pytest.raises(InvalidRational):
+        rat(bad)

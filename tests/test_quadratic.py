@@ -10,6 +10,8 @@ from maninalg.quadratic import (QuadAlgebra, component_subspaces,
 from maninalg.suites import generic_parameter_matrix
 from maninalg.tensor import BudgetExceeded, flatten_index
 
+import dense_reference as dense
+
 F = Fraction
 
 
@@ -73,12 +75,38 @@ def test_symplectic_degree_three_vanishes():
 
 
 def test_component_subspaces_degree_two():
-    from maninalg.linalg import kernel
     E = idem.orthogonal_idempotent(3)
     v2, vbar2, w2, wbar2 = component_subspaces(E, 2)
-    assert v2 == kernel(E.matrix)
+    assert v2.basis == dense.kernel(E.matrix)
     S = idem.TensorOperator.identity(3, 2) - E
-    assert w2 == kernel(S.matrix)
+    assert w2.basis == dense.kernel(S.matrix)
+
+
+def _differential_cases():
+    families = {
+        "antisymmetrizer": idem.antisymmetrizer,
+        "hecke_minus_q2": lambda n: idem.hecke_minus(n, 2),
+        "hecke_minus_q-1/2": lambda n: idem.hecke_minus(n, F(-1, 2)),
+        "multiparam": lambda n: idem.parameterized_antisymmetrizer(
+            generic_parameter_matrix(n)),
+    }
+    for name, build in families.items():
+        for n, k in ((2, 3), (2, 4), (3, 3), (3, 4)):
+            yield pytest.param(build(n), k, id=f"{name}-n{n}-k{k}")
+    for k in (3, 4):
+        yield pytest.param(idem.orthogonal_idempotent(3), k, id=f"orthogonal-n3-k{k}")
+        # left and right sides differ here (dim W_3 != dim Wbar_3), so a
+        # transposed slice would show
+        yield pytest.param(idem.fourparam_idempotent(1, 2, 1, 1), k,
+                           id=f"fourparam-n3-k{k}")
+    for k in (2, 3):
+        yield pytest.param(idem.symplectic_idempotent(4), k, id=f"symplectic-n4-k{k}")
+
+
+@pytest.mark.parametrize("E, k", _differential_cases())
+def test_component_subspaces_match_dense_joint_kernels(E, k):
+    sparse = component_subspaces(E, k)
+    assert tuple(s.basis for s in sparse) == dense.joint_kernels(E, k)
 
 
 def test_grassmann_degree_three_dies_on_two_letters():

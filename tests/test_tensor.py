@@ -4,9 +4,10 @@ from maninalg.freealg import NCPoly, generator_matrix, matrix_gen
 from maninalg.idempotents import antisymmetrizer, permutation_op
 from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
+from maninalg.freealg import poly_matrix
 from maninalg.tensor import (BudgetExceeded, TensorOperator, compose_chain,
                              embed, embed_pair, flatten_index, multi_indices,
-                             perm_action, perm_rep, swap_operator,
+                             perm_action, perm_rep, reversed_chain, swap_operator,
                              unflatten_index)
 
 
@@ -102,6 +103,37 @@ def test_compose_chain_entry_is_a_word():
     col = flatten_index((1, 2), 2)
     assert chain[row][col] == NCPoly(
         {(matrix_gen("M", 1, 1), matrix_gen("M", 2, 2)): 1})
+
+
+def _reversed_chain_reference(M, k):
+    # the product of the chain taken right to left, entry by entry
+    grid = poly_matrix(M)
+    out = []
+    for row_index in multi_indices(len(grid), k):
+        row = []
+        for col_index in multi_indices(len(grid[0]), k):
+            word = NCPoly.one()
+            for i, j in reversed(list(zip(row_index, col_index))):
+                word = word * grid[i - 1][j - 1]
+            row.append(word)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_reversed_chain_matches_right_to_left_product(n, m):
+    M = generator_matrix("M", n, m)
+    for k in (1, 2, 3):
+        assert reversed_chain(M, k) == _reversed_chain_reference(M, k)
+    # entry (12, 21) is M^2_1 M^1_2, the reverse of compose_chain's word
+    words = reversed_chain(M, 2)
+    assert words[flatten_index((1, 2), n)][flatten_index((2, 1), m)] == NCPoly(
+        {(matrix_gen("M", 2, 1), matrix_gen("M", 1, 2)): 1})
+
+
+def test_reversed_chain_needs_arity_one():
+    with pytest.raises(ValueError):
+        reversed_chain(swap_operator(2), 2)
 
 
 def test_budget_guard(monkeypatch):
