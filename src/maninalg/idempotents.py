@@ -273,7 +273,7 @@ def sl2_brackets() -> dict:
 def is_idempotent(E: TensorOperator) -> bool:
     if not E.square:
         raise ValueError("idempotency needs a square operator")
-    return (E * E).matrix == E.matrix
+    return E * E == E
 
 
 def make_idempotent(R: QMatrix) -> TensorOperator:
@@ -343,9 +343,24 @@ class IdempotentSpec:
         return {"family": self.family, "n": self.n, "params": params}
 
     @staticmethod
-    def from_json(doc: dict) -> "IdempotentSpec":
-        return IdempotentSpec(doc["family"], int(doc.get("n", 0)),
-                              dict(doc.get("params", {})))
+    def from_json(doc) -> "IdempotentSpec":
+        if not isinstance(doc, dict):
+            raise InvalidParameter("an idempotent spec must be a JSON object")
+        family, n, params = doc.get("family"), doc.get("n", 0), doc.get("params", {})
+        if not isinstance(family, str):
+            raise InvalidParameter("an idempotent spec needs a string 'family'")
+        if isinstance(n, bool) or not isinstance(n, (int, str)):
+            raise InvalidParameter(f"spec 'n' must be an integer, got {n!r}")
+        if not isinstance(params, dict):
+            raise InvalidParameter("spec 'params' must be a JSON object")
+        return IdempotentSpec(family, int(n), dict(params))
+
+    def param(self, key: str):
+        try:
+            return self.params[key]
+        except KeyError:
+            raise InvalidParameter(
+                f"family {self.family} needs the parameter {key!r}") from None
 
 
 FAMILIES = (
@@ -356,9 +371,15 @@ FAMILIES = (
 # families whose build() output is an idempotent (P_n and Pq are involutions)
 IDEMPOTENT_FAMILIES = tuple(f for f in FAMILIES if f not in ("P_n", "Pq"))
 
+# families whose size is the spec's n rather than a parameter
+SIZED_FAMILIES = ("A_n", "S_n", "P_n", "Aq", "Pq", "RhatPlus", "RhatMinus",
+                  "B_n", "Btilde_n")
+
 
 def build(spec: IdempotentSpec) -> TensorOperator:
-    family, n, params = spec.family, spec.n, spec.params
+    family, n, param = spec.family, spec.n, spec.param
+    if family in SIZED_FAMILIES and n < 1:
+        raise InvalidParameter(f"family {family} needs a local dimension n >= 1, got {n}")
     if family == "A_n":
         return antisymmetrizer(n)
     if family == "S_n":
@@ -366,31 +387,31 @@ def build(spec: IdempotentSpec) -> TensorOperator:
     if family == "P_n":
         return permutation_op(n)
     if family == "Aq":
-        return q_antisymmetrizer(n, params["q"])
+        return q_antisymmetrizer(n, param("q"))
     if family == "Pq":
-        return q_permutation_op(n, params["q"])
+        return q_permutation_op(n, param("q"))
     if family == "Aqhat":
-        return parameterized_antisymmetrizer(params["qhat"])
+        return parameterized_antisymmetrizer(param("qhat"))
     if family == "Atilde_qhat":
-        return twisted_antisymmetrizer(params["qhat"])
+        return twisted_antisymmetrizer(param("qhat"))
     if family == "RhatPlus":
-        return hecke_plus(n, params["q"])
+        return hecke_plus(n, param("q"))
     if family == "RhatMinus":
-        return hecke_minus(n, params["q"])
+        return hecke_minus(n, param("q"))
     if family == "B_n":
         return orthogonal_idempotent(n)
     if family == "Btilde_n":
         return symplectic_idempotent(n)
     if family == "FourParam":
-        return fourparam_idempotent(params["a"], params["b"], params["c"],
-                                    params.get("kappa", 0))
+        return fourparam_idempotent(param("a"), param("b"), param("c"),
+                                    spec.params.get("kappa", 0))
     if family == "Lie":
         brackets = {}
-        for i, j, k, cval in params["brackets"]:
+        for i, j, k, cval in param("brackets"):
             brackets.setdefault((int(i), int(j)), {})[int(k)] = rat(cval)
-        return lie_idempotent(brackets, int(params["dim"]))
+        return lie_idempotent(brackets, int(param("dim")))
     if family == "Custom":
-        m = QMatrix.from_strings(params["matrix"])
+        m = QMatrix.from_strings(param("matrix"))
         if m.rows != m.cols:
             raise InvalidParameter("custom operator must be square")
         loc = round(m.rows ** 0.5)

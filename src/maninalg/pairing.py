@@ -31,8 +31,8 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
 from .linalg import ONE, QMatrix, ZERO, invert, rat
 from .permutations import Perm, all_perms, inv, mu, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, embed, embed_pair, flatten_index,
-                     multi_indices, swap_operator)
+from .tensor import (TensorOperator, check_budget, embed, embed_pair,
+                     flatten_index, multi_indices, swap_operator)
 
 DEFAULT_GROUP_CAP = 100000
 
@@ -93,15 +93,32 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     d = right.dim
     if d == 0:
         return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
-    v_cols = right.basis.transpose()              # size x d
-    xi_rows = left.basis                          # d x size
-    gram = xi_rows * v_cols                       # d x d
+    vs = list(right.rows.values())                # sparse basis vectors v_a
+    xis = list(left.rows.values())                # sparse basis covectors xi^b
+    gram = QMatrix(d, d, [[_dot(xi, v) for v in vs] for xi in xis])
     gram_inv = invert(gram)
     if gram_inv is None:
         return NotExists(kind, k, "degenerate natural pairing",
                          {"dim": d, "gram_rank": gram.rank()})
-    op = v_cols * gram_inv * xi_rows
-    return PairingOperator(kind, k, E, TensorOperator(n, n, k, op), "generic")
+    # op = sum_a v_a w_a with the dual covector w_a = sum_b gram_inv[a][b] xi^b
+    out = {}
+    for v, coeffs in zip(vs, gram_inv.data):
+        w = {}
+        for g, xi in zip(coeffs, xis):
+            if g:
+                for j, x in xi.items():
+                    w[j] = w[j] + g * x if j in w else g * x
+        for i, vi in v.items():
+            row = out.setdefault(i, {})
+            for j, x in w.items():
+                row[j] = row[j] + vi * x if j in row else vi * x
+    return PairingOperator(kind, k, E, TensorOperator(n, n, k, out), "generic")
+
+
+def _dot(a: dict, b: dict):
+    if len(b) < len(a):
+        a, b = b, a
+    return sum((x * b[j] for j, x in a.items() if j in b), ZERO)
 
 
 # --- group average -------------------------------------------------------------
@@ -194,18 +211,18 @@ def hecke_basis_change(n: int, k: int, q) -> TensorOperator:
     repeated digit carry 1.
     """
     q = rat(q)
-    size = n ** k
-    out = QMatrix.zero(size)
+    check_budget(n ** k)
+    out = {}
     norm = q_factorial(k, q) / factorial(k)
     shift = Fraction(k * (k - 1), 2)
     for pos, index in enumerate(multi_indices(n, k)):
         if len(set(index)) < k:
-            out.data[pos][pos] = ONE
+            out[pos] = {pos: ONE}
         else:
             ranks = sorted(range(k), key=lambda t: index[t])
             sigma = Perm(tuple(t + 1 for t in ranks)).inverse()
             # index[t] = sorted(index)[sigma(t+1)-1]
-            out.data[pos][pos] = norm * q ** (2 * inv(sigma) - shift)
+            out[pos] = {pos: norm * q ** (2 * inv(sigma) - shift)}
     return TensorOperator(n, n, k, out)
 
 
@@ -262,8 +279,8 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     rows = check_parameter_matrix(qhat)
     n = len(rows)
     source = parameterized_antisymmetrizer(rows)
-    size = n ** k
-    out = QMatrix.zero(size)
+    check_budget(n ** k)
+    out = {}
     kfact = factorial(k)
     if kind == "A":
         for I in itertools.combinations(range(1, n + 1), k):
@@ -273,9 +290,8 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
                 tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
                 arranged.append((flatten_index(tup, n), sigma.sign(), mu(qII, sigma)))
             for row_pos, s_sign, s_mu in arranged:
-                orow = out.data[row_pos]
-                for col_pos, t_sign, t_mu in arranged:
-                    orow[col_pos] = Fraction(s_sign * t_sign, kfact) * s_mu / t_mu
+                out[row_pos] = {col_pos: Fraction(s_sign * t_sign, kfact) * s_mu / t_mu
+                                for col_pos, t_sign, t_mu in arranged}
     elif kind == "S":
         for I in itertools.combinations_with_replacement(range(1, n + 1), k):
             qII = restrict_parameter_matrix(rows, I)
@@ -288,9 +304,8 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
                     arranged[pos] = mu(qII, sigma)
             factor = Fraction(nu, kfact)
             for row_pos, s_mu in arranged.items():
-                orow = out.data[row_pos]
-                for col_pos, t_mu in arranged.items():
-                    orow[col_pos] = factor * s_mu / t_mu
+                out[row_pos] = {col_pos: factor * s_mu / t_mu
+                                for col_pos, t_mu in arranged.items()}
     else:
         raise ValueError("kind must be 'S' or 'A'")
     return PairingOperator(kind, k, source, TensorOperator(n, n, k, out),
@@ -359,12 +374,8 @@ def fourparam_A3(a, b, c, kappa):
     w1cov[flatten_index((1, 1, 1), 3)] = -kappa / b
     w1cov[flatten_index((2, 2, 2), 3)] = -kappa / c
     w1cov[flatten_index((3, 3, 3), 3)] = -kappa / a
-    op = QMatrix.zero(27)
-    for r, x in enumerate(w1):
-        if x:
-            for s, y in enumerate(w1cov):
-                if y:
-                    op.data[r][s] = x * y
+    op = {r: {s: x * y for s, y in enumerate(w1cov) if y}
+          for r, x in enumerate(w1) if x}
     return PairingOperator("A", 3, source, TensorOperator(3, 3, 3, op),
                            "closed_form")
 
@@ -397,17 +408,7 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
 
     v_k, vbar_k, w_k, wbar_k = component_subspaces(E, k)
     right, left = (v_k, vbar_k) if p.kind == "S" else (w_k, wbar_k)
-    fixed = True
-    for row in right.basis.data:            # columns pi with op pi = pi
-        if op.matrix.matvec(row) != list(row):
-            fixed = False
-            break
-    if fixed:
-        for row in left.basis.data:         # covectors xi with xi op = xi
-            if op.matrix.vecmat(row) != list(row):
-                fixed = False
-                break
-    report["fixed_vectors"] = fixed
+    report["fixed_vectors"] = fixes_subspaces(op, right, left)
 
     report["idempotent"] = (op * op) == op
 
@@ -442,11 +443,21 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     return report
 
 
+def fixes_subspaces(op: TensorOperator, right, left) -> bool:
+    """op pi = pi for every basis vector pi of the Subspace right, and
+    xi op = xi for every basis covector xi of left, on sparse rows."""
+    columns = op.transpose()
+    return (all(columns.vecmat(pi) == pi for pi in right.rows.values())
+            and all(op.vecmat(xi) == xi for xi in left.rows.values()))
+
+
 def corrupt(p: PairingOperator, row: int = 0, col: int = 0) -> PairingOperator:
     """Perturb one entry; a negative control for verify_axioms."""
-    m = p.operator.matrix.copy()
-    m.data[row][col] += 1
+    rows = dict(p.operator.rows)
+    target = dict(rows.get(row, {}))
+    target[col] = target.get(col, ZERO) + 1
+    rows[row] = target
     return PairingOperator(p.kind, p.arity, p.source,
                            TensorOperator(p.operator.row_dim,
-                                          p.operator.col_dim, p.arity, m),
+                                          p.operator.col_dim, p.arity, rows),
                            p.provenance)

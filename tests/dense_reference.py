@@ -1,16 +1,19 @@
-"""Dense Gauss-Jordan elimination, the oracle for the sparse engine.
+"""Dense oracles for the sparse engines.
 
-The library reduces rows only with ``linalg.SparseEchelon``.  This module
-keeps an independent dense route, written directly on ``QMatrix`` grids, so
-that tests can check the sparse results against it: row-echelon forms,
-kernels, inverses and the intersection subspaces of ``quadratic``, which
-are computed here as joint kernels of the stacked embedded operators.
+The library reduces rows only with ``linalg.SparseEchelon`` and stores
+tensor operators as sparse rows.  This module keeps independent dense
+routes, written directly on ``QMatrix`` grids, so that tests can check the
+sparse results against them: row-echelon forms, kernels, inverses, the
+intersection subspaces of ``quadratic`` (computed here as joint kernels of
+the stacked embedded operators), the embeddings of ``tensor`` and the
+fixed-vector check of ``pairing.verify_axioms``.  Dense operator products,
+sums and transposes are those of ``QMatrix`` itself.
 """
 
 from __future__ import annotations
 
 from maninalg.linalg import ONE, ZERO, QMatrix
-from maninalg.tensor import TensorOperator
+from maninalg.tensor import TensorOperator, flatten_index, multi_indices, unflatten_index
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
@@ -116,3 +119,45 @@ def joint_kernels(E: TensorOperator, k: int) -> tuple:
         out.append(kernel(QMatrix(len(right), size, right)))
         out.append(kernel(QMatrix(len(left), size, left)))
     return tuple(out)
+
+
+def embed(op: TensorOperator, total_arity: int, start_leg: int) -> QMatrix:
+    """Dense matrix of op at legs start_leg .. start_leg + arity - 1."""
+    n, ell = op.row_dim, op.arity
+    dense = op.matrix.data
+    size = n ** total_arity
+    out = QMatrix.zero(size, size)
+    n_l, n_mid = n ** (start_leg - 1), n ** ell
+    n_r = n ** (total_arity - ell - start_leg + 1)
+    for col_mid in range(n_mid):
+        nz = [(r, dense[r][col_mid]) for r in range(n_mid) if dense[r][col_mid]]
+        for a in range(n_l):
+            for b in range(n_r):
+                col = (a * n_mid + col_mid) * n_r + b
+                for r, x in nz:
+                    out.data[(a * n_mid + r) * n_r + b][col] = x
+    return out
+
+
+def embed_pair(op: TensorOperator, total_arity: int, leg_a: int, leg_b: int) -> QMatrix:
+    """Dense matrix of the arity-2 op at legs (leg_a, leg_b)."""
+    n = op.row_dim
+    dense = op.matrix.data
+    size = n ** total_arity
+    out = QMatrix.zero(size, size)
+    for col_index in multi_indices(n, total_arity):
+        col = flatten_index(col_index, n)
+        src = flatten_index((col_index[leg_a - 1], col_index[leg_b - 1]), n)
+        for r in range(n * n):
+            x = dense[r][src]
+            if x:
+                row_index = list(col_index)
+                row_index[leg_a - 1], row_index[leg_b - 1] = unflatten_index(r, n, 2)
+                out.data[flatten_index(tuple(row_index), n)][col] = x
+    return out
+
+
+def fixes_subspaces(m: QMatrix, right, left) -> bool:
+    """m pi = pi for each dense basis row pi of right, xi m = xi for each of left."""
+    return (all(m.matvec(row) == list(row) for row in right.basis.data)
+            and all(m.vecmat(row) == list(row) for row in left.basis.data))

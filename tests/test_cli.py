@@ -150,16 +150,35 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["catalog", "--family", "Aq", "--n", "2", "--q", "1/0"],
-    ["catalog", "--family", "Aq", "--n", "2", "--params", '{"q": 2.5}'],
-    ["dims", "--family", "A_n", "--n", "2", "--variant", "X", "--max-degree", "-3"],
-], ids=["zero-denominator", "float-parameter", "negative-max-degree"])
-def test_malformed_input_is_input_error(argv, capsys):
+# Each row: argv (SPEC stands for a spec file holding spec_text), the spec
+# file's text or None, and a phrase the error line must contain.
+@pytest.mark.parametrize("argv, spec_text, phrase", [
+    (["catalog", "--family", "Aq", "--n", "2", "--q", "1/0"], None, "zero denominator"),
+    (["catalog", "--family", "Aq", "--n", "2", "--params", '{"q": 2.5}'], None, "2.5"),
+    (["dims", "--family", "A_n", "--n", "2", "--variant", "X", "--max-degree", "-3"],
+     None, "max degree"),
+    (["catalog", "--spec", "SPEC"], '["A_n", 2]', "JSON object"),
+    (["catalog", "--spec", "SPEC"], '{"n": 2}', "'family'"),
+    (["check-idempotent", "--spec", "SPEC"], '{"family": "A_n", "n": null}', "'n'"),
+    (["check-idempotent", "--family", "A_n", "--n", "-1"], None, "A_n needs a local dimension"),
+    (["catalog", "--family", "RhatMinus"], None, "RhatMinus needs a local dimension"),
+    (["catalog", "--family", "Custom"], None, "Custom needs the parameter 'matrix'"),
+    (["catalog", "--family", "Aq", "--n", "2"], None, "Aq needs the parameter 'q'"),
+    (["pairing", "--family", "FourParam", "--a", "1", "--b", "1", "--k", "3",
+      "--kind", "A", "--method", "closed"], None, "FourParam needs the parameter 'c'"),
+], ids=["zero-denominator", "float-parameter", "negative-max-degree", "spec-is-a-list",
+        "spec-without-family", "spec-null-n", "negative-n", "missing-n",
+        "custom-without-matrix", "missing-q", "fourparam-without-c"])
+def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsys):
+    if spec_text is not None:
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text)
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert phrase in captured.err
 
 
 def test_unknown_suite_is_input_error(capsys):

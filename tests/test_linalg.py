@@ -175,3 +175,27 @@ def test_rational_substrate_invariants():
 def test_rat_rejects_non_rationals(bad):
     with pytest.raises(InvalidRational):
         rat(bad)
+
+
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 7), st.one_of(
+        st.integers(-3, 3).map(Fraction),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))), max_size=5),
+    max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows)
+def test_subspace_rows_are_reduced_row_echelon(rows):
+    # Subspace equality compares rows, which is sound only for the unique
+    # reduced row-echelon basis; check that the engine always produces it
+    ech = SparseEchelon()
+    for row in rows:
+        ech.insert(row)
+    sub = ech.dense_basis(8)
+    leads = list(sub.rows)
+    assert leads == sorted(leads)
+    for lead, row in sub.rows.items():
+        assert min(row) == lead and row[lead] == 1
+        assert all(x for x in row.values()), "stored zero"
+        assert not any(j in sub.rows for j in row if j != lead), "lead column not cleared"

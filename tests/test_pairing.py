@@ -4,12 +4,13 @@ from math import comb, factorial
 
 import pytest
 
+import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.linalg import row_space
 from maninalg.pairing import (BraidRelationFailed, GroupEnumerationExceeded,
                               NotExists, PairingOperator, brauer_pairing,
-                              closed_form_multiparam, corrupt, fourparam_A3,
-                              generic_pairing, group_average,
+                              closed_form_multiparam, corrupt, fixes_subspaces,
+                              fourparam_A3, generic_pairing, group_average,
                               hecke_basis_change, hecke_pairing, q_factorial,
                               q_int, verify_axioms)
 from maninalg.permutations import all_perms, inv
@@ -256,3 +257,72 @@ def test_jucys_murphy_elements_commute():
             y2 = jucys_murphy(n, 3, 2, twisted)
             y3 = jucys_murphy(n, 3, 3, twisted)
             assert y2 * y3 == y3 * y2
+
+
+def suite_size_operators():
+    q = F(2)
+    for n in (2, 3):
+        for k in (2, 3):
+            for kind in ("S", "A"):
+                yield hecke_pairing(q, n, k, kind)
+    for n in (3, 4):
+        for k in (2, 3):
+            yield brauer_pairing("so", n, k)
+    for k in (2, 3):
+        yield brauer_pairing("sp", 4, k)
+
+
+def fixed_subspaces(p):
+    v, vbar, w, wbar = component_subspaces(p.source, p.arity)
+    return (v, vbar) if p.kind == "S" else (w, wbar)
+
+
+def test_sparse_fixed_vector_check_matches_dense():
+    outcomes = set()
+    for p in suite_size_operators():
+        right, left = fixed_subspaces(p)
+        assert fixes_subspaces(p.operator, right, left)
+        assert dense.fixes_subspaces(p.operator.matrix, right, left)
+        size = p.source.row_dim ** p.arity
+        cells = [(r, c) for r in range(size) for c in range(size)]
+        for r, c in cells[::max(1, len(cells) // 60)] + [(size - 1, size - 1)]:
+            bad = corrupt(p, r, c).operator
+            fast = fixes_subspaces(bad, right, left)
+            assert fast == dense.fixes_subspaces(bad.matrix, right, left), (p.provenance, r, c)
+            outcomes.add(fast)
+    assert outcomes == {True, False}
+
+
+@pytest.fixture
+def no_dense_views(monkeypatch):
+    """Make the dense view of every operator of arity >= 3 raise."""
+    view = TensorOperator.matrix
+
+    def guarded(op):
+        if op.arity >= 3:
+            raise AssertionError(f"dense view of an arity-{op.arity} operator")
+        return view.fget(op)
+    monkeypatch.setattr(TensorOperator, "matrix", property(guarded))
+
+
+def test_pairing_routes_and_axioms_build_no_dense_views(no_dense_views):
+    q = F(2)
+    with pytest.raises(AssertionError):
+        TensorOperator.identity(2, 3).matrix
+    E = idem.antisymmetrizer(2)
+    routes = [generic_pairing(idem.symplectic_idempotent(4), 3, "A"),
+              hecke_pairing(q, 3, 3, "A"), brauer_pairing("sp", 4, 3),
+              closed_form_multiparam(generic_parameter_matrix(3), 3, "S"),
+              fourparam_A3(1, 1, 1, 1)]
+    for k in (3, 4):
+        routes += [generic_pairing(idem.hecke_minus(2, q), k, "S"),
+                   group_average(E, k, "S"), group_average(E, k, "A"),
+                   hecke_pairing(q, 2, k, "S"), brauer_pairing("so", 3, k)]
+    for p in routes:
+        assert verify_axioms(p)["pass"], p.provenance
+        assert not verify_axioms(corrupt(p, 1, 0))["pass"], p.provenance
+    s3, a3 = group_average(E, 3, "S"), group_average(E, 3, "A")
+    lower = [group_average(E, 2, "S"), group_average(E, 2, "A")]
+    assert verify_axioms(s3, partner=a3, lower=lower)["pass"]
+    assert hecke_basis_change(2, 3, q) * hecke_pairing(q, 2, 3, "A").operator == \
+        closed_form_multiparam(idem.uniform_parameter_matrix(2, q), 3, "A").operator

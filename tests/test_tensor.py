@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as dense
 from maninalg.freealg import NCPoly, generator_matrix, matrix_gen
 from maninalg.idempotents import antisymmetrizer, permutation_op
 from maninalg.linalg import QMatrix
@@ -163,3 +168,121 @@ def test_embed_pair_matches_conjugated_adjacent_embedding():
     op = rank_one_contraction(2)
     move = perm_action(Perm((1, 3, 2)), 2)
     assert embed_pair(op, 3, 1, 3) == move * embed(op, 3, 1) * move
+
+
+# --- sparse rows against the dense oracle ------------------------------------
+
+scalars = st.one_of(st.integers(-3, 3).map(Fraction),
+                    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+
+
+def random_operator(data, n: int, k: int) -> TensorOperator:
+    """A random operator with up to 40 entries, zeros included on purpose."""
+    size = n ** k
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), scalars,
+        max_size=40))
+    rows = {}
+    for (i, j), x in cells.items():
+        rows.setdefault(i, {})[j] = x
+    return TensorOperator(n, n, k, rows)
+
+
+def assert_canonical(op: TensorOperator):
+    assert all(op.rows.values()), "empty row stored"
+    assert all(x for row in op.rows.values() for x in row.values()), "zero stored"
+    assert all(isinstance(x, Fraction) for row in op.rows.values() for x in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 4)), st.data())
+def test_arithmetic_matches_dense(shape, data):
+    n, k = shape
+    a, b = random_operator(data, n, k), random_operator(data, n, k)
+    c = data.draw(scalars)
+    A, B = a.matrix, b.matrix
+    results = {"mul": (a * b, A * B), "add": (a + b, A + B), "sub": (a - b, A - B),
+               "scale": (a.scale(c), A.scale(c)), "transpose": (a.transpose(), A.transpose())}
+    for name, (sparse, expected) in results.items():
+        assert_canonical(sparse)
+        assert sparse.matrix == expected, name
+        assert TensorOperator(n, n, k, expected) == sparse, name
+    assert a.trace() == A.trace()
+    assert a.is_zero() == A.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_embed_matches_dense_at_every_leg(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    ell = data.draw(st.integers(1, k))
+    op = random_operator(data, n, ell)
+    for a in range(1, k - ell + 2):
+        out = embed(op, k, a)
+        assert_canonical(out)
+        assert out.matrix == dense.embed(op, k, a), a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_embed_pair_matches_dense_at_every_leg_pair(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(2, 4))
+    op = random_operator(data, n, 2)
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            if a != b:
+                out = embed_pair(op, k, a, b)
+                assert_canonical(out)
+                assert out.matrix == dense.embed_pair(op, k, a, b), (a, b)
+
+
+def _simple(a: int, k: int) -> Perm:
+    images = list(range(1, k + 1))
+    images[a - 1], images[a] = images[a], images[a - 1]
+    return Perm(tuple(images))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.sampled_from((1, -1)), st.data())
+def test_equal_operators_from_different_routes_hash_equal(n, k, sign, data):
+    # rho is a representation, so the product along any word in the adjacent
+    # flips equals perm_rep of the word's permutation, which uses one fixed
+    # reduced word, and the direct action
+    word = data.draw(st.lists(st.integers(1, k - 1), max_size=6))
+    P = swap_operator(n).scale(sign)
+    along_word = TensorOperator.identity(n, k)
+    p = Perm.identity(k)
+    for a in word:
+        along_word = along_word * embed(P, k, a)
+        p = p * _simple(a, k)
+    for other in (perm_rep(p, n, sign), perm_action(p, n).scale(p.sign() if sign < 0 else 1)):
+        assert along_word == other
+        assert hash(along_word) == hash(other)
+    a = random_operator(data, n, k)
+    for zero in (a - a, a.scale(0), TensorOperator(n, n, k, QMatrix.zero(n ** k))):
+        assert zero == TensorOperator.zero(n, k)
+        assert hash(zero) == hash(TensorOperator.zero(n, k))
+    b = random_operator(data, n, k)
+    for same in ((a + b) - b, TensorOperator(n, n, k, a.matrix)):
+        assert same == a and hash(same) == hash(a)
+
+
+def test_constructor_rejects_entries_outside_the_grid():
+    with pytest.raises(ValueError):
+        TensorOperator(2, 2, 2, {4: {0: 1}})
+    with pytest.raises(ValueError):
+        TensorOperator(2, 2, 2, {0: {4: 1}})
+    with pytest.raises(ValueError):
+        TensorOperator(2, 2, 2, QMatrix.zero(4, 3))
+    assert TensorOperator(2, 2, 2, {4: {0: 0}}).is_zero()   # zeros are dropped
+
+
+def test_constructors_check_the_budget_first(monkeypatch):
+    monkeypatch.setenv("MANIN_BUDGET", "8")
+    for build in (lambda: TensorOperator.identity(2, 4), lambda: TensorOperator.zero(2, 4),
+                  lambda: perm_action(Perm((2, 1, 3, 4)), 2),
+                  lambda: embed_pair(swap_operator(2), 4, 1, 3)):
+        with pytest.raises(BudgetExceeded):
+            build()
