@@ -28,12 +28,16 @@ from .tensor import TensorOperator
 
 
 def operator_to_json(spec_name: str, op: TensorOperator) -> dict:
+    grid = [["0"] * op.col_dim ** op.arity for _ in range(op.row_dim ** op.arity)]
+    for i, row in op.rows.items():
+        for j, x in row.items():
+            grid[i][j] = format_rat(x)
     return {
         "name": spec_name,
         "local_rows": op.row_dim,
         "local_cols": op.col_dim,
         "arity": op.arity,
-        "matrix": op.matrix.to_strings(),
+        "matrix": grid,
     }
 
 
@@ -55,7 +59,10 @@ def load_spec(args) -> idem.IdempotentSpec:
         if value is not None:
             params[key] = value
     if getattr(args, "params", None):
-        params.update(json.loads(args.params))
+        extra = json.loads(args.params)
+        if not isinstance(extra, dict):
+            raise ValueError(f"--params must be a JSON object, got {args.params!r}")
+        params.update(extra)
     return idem.IdempotentSpec(args.family, args.n or 0, params)
 
 
@@ -95,7 +102,7 @@ def cmd_check_idempotent(args) -> int:
     spec = load_spec(args)
     op = idem.build(spec)
     ok = idem.is_idempotent(op)
-    rank = op.matrix.rank()
+    rank = op.row_space().dim
     trace = op.trace()
     emit({"family": spec.family, "idempotent": ok, "rank": rank,
           "trace": format_rat(trace),
@@ -129,7 +136,7 @@ def cmd_dims(args) -> int:
 
 def cmd_manin_check(args) -> int:
     pair = load_pair(args.pair)
-    with open(args.matrix) as fh:
+    with open(args.matrix_file) as fh:
         M = parse_poly_matrix(fh.read())
     with open(args.relations) as fh:
         rel_polys = [parse_poly(line) for line in fh
@@ -199,7 +206,7 @@ def build_pairing(spec, k: int, kind: str, method: str):
 
 def cmd_minor(args) -> int:
     pair = load_pair(args.pair)
-    with open(args.matrix) as fh:
+    with open(args.matrix_file) as fh:
         M = parse_poly_matrix(fh.read())
     if len(M) != pair.n or len(M[0]) != pair.m:
         raise ValueError("matrix shape does not match the pair")
@@ -228,10 +235,11 @@ def cmd_scenario(args) -> int:
     else:
         with open(args.sc) as fh:
             doc = json.load(fh)
-        brackets = {}
-        for i, j, k, c in doc["brackets"]:
-            brackets.setdefault((int(i), int(j)), {})[int(k)] = rat(c)
-        _, report = lie_seed(brackets, int(doc["dim"]))
+        if not isinstance(doc, dict):
+            raise ValueError("a Lie scenario file must be a JSON object "
+                             "with 'dim' and 'brackets'")
+        _, report = lie_seed(idem.parse_brackets(doc.get("brackets")),
+                             idem.parse_integer(doc.get("dim"), "'dim'"))
     emit(report.to_json())
     return 0 if report.passed else 1
 
@@ -275,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manin-check", help="Manin predicate over a presented algebra")
     p.add_argument("--pair", required=True, help="JSON file with 'A' and 'B' specs")
-    p.add_argument("--matrix", required=True, help="matrix file (';' separated)")
+    p.add_argument("--matrix", dest="matrix_file", required=True,
+                   help="matrix file (';' separated)")
     p.add_argument("--relations", required=True, help="one relation per line")
     p.set_defaults(fn=cmd_manin_check)
 
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minor", help="minor operator of a matrix")
     p.add_argument("--pair", required=True)
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", dest="matrix_file", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=("S", "A"), required=True)
     p.set_defaults(fn=cmd_minor)

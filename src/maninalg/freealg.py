@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import ONE, ZERO, format_rat, rat
+from .linalg import ONE, ZERO, QMatrix, format_rat, rat
 
 
 class NonHomogeneous(ValueError):
@@ -245,35 +245,56 @@ def poly_mat_transpose(a) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def scalar_times_poly_mat(m, p) -> list:
-    """QMatrix m times NCPoly matrix p."""
+def poly_grid_product(grid, left=None, right=None) -> list:
+    """left * grid * right for a grid of NCPoly entries.
+
+    Each side is None, a QMatrix or a TensorOperator, whose sparse ``rows``
+    are read directly.  Every output entry is summed into one word ->
+    Fraction dict, so no intermediate polynomial is built.
+    """
+    if left is not None:
+        grid = _rows_times_grid(left, grid)
+    if right is not None:
+        # grid * right = (right^T * grid^T)^T
+        grid = poly_mat_transpose(_rows_times_grid(right.transpose(),
+                                                   poly_mat_transpose(grid)))
+    return grid
+
+
+def _rows_times_grid(op, grid) -> list:
+    """op * grid for op a QMatrix or a TensorOperator."""
+    if isinstance(op, QMatrix):
+        rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(op.data)}
+        nrows, ncols = op.rows, op.cols
+    else:
+        rows, nrows, ncols = op.rows, op.row_dim ** op.arity, op.col_dim ** op.arity
+    if ncols != len(grid):
+        raise ValueError("inner dimensions differ")
     out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(len(p[0])):
-            acc = NCPoly.zero()
-            for k in range(m.cols):
-                c = m.data[i][k]
-                if c and p[k][j]:
-                    acc = acc + p[k][j].scale(c)
-            row.append(acc)
-        out.append(row)
+    for i in range(nrows):
+        acc = [{} for _ in grid[0]]
+        for k, c in rows.get(i, {}).items():
+            for sums, p in zip(acc, grid[k]):
+                for word, x in p.terms.items():
+                    sums[word] = sums[word] + c * x if word in sums else c * x
+        out.append([_from_sums(sums) for sums in acc])
     return out
+
+
+def _from_sums(sums: dict) -> NCPoly:
+    p = NCPoly()
+    p.terms = {word: x for word, x in sums.items() if x}
+    return p
+
+
+def scalar_times_poly_mat(m, p) -> list:
+    """The operator m (a QMatrix or a TensorOperator) times NCPoly matrix p."""
+    return poly_grid_product(p, left=m)
 
 
 def poly_mat_times_scalar(p, m) -> list:
-    out = []
-    for i in range(len(p)):
-        row = []
-        for j in range(m.cols):
-            acc = NCPoly.zero()
-            for k in range(m.rows):
-                c = m.data[k][j]
-                if c and p[i][k]:
-                    acc = acc + p[i][k].scale(c)
-            row.append(acc)
-        out.append(row)
-    return out
+    """NCPoly matrix p times the operator m (a QMatrix or a TensorOperator)."""
+    return poly_grid_product(p, right=m)
 
 
 # --- text form ---------------------------------------------------------------

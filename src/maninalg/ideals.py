@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 
 from .freealg import Gen, NCPoly, NonHomogeneous, sparse_coords
@@ -50,8 +49,7 @@ class PresentedAlgebra:
     """A free algebra with a fixed generator order and degree-2 relations.
 
     ``relations`` is a Subspace of the g^2-dimensional degree-2 word space in
-    the lex coordinates of ``gens``.  Slices are cached; the cache is guarded
-    by a lock so instances can be shared across threads.
+    the lex coordinates of ``gens``.  Slices are cached per degree.
     """
 
     def __init__(self, gens, relations: Subspace):
@@ -62,7 +60,6 @@ class PresentedAlgebra:
             raise ValueError("relations must live in the degree-2 word space")
         self.relations = relations
         self._slices: dict[int, IdealSlice] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def from_polys(gens, relation_polys) -> "PresentedAlgebra":
@@ -78,14 +75,10 @@ class PresentedAlgebra:
         return PresentedAlgebra(gens, ech.dense_basis(len(gens) ** 2))
 
     def slice(self, d: int) -> IdealSlice:
-        with self._lock:
-            cached = self._slices.get(d)
-        if cached is not None:
-            return cached
-        built = build_slice_from_subspace(self.gens, self.relations, d)
-        with self._lock:
-            self._slices.setdefault(d, built)
-            return self._slices[d]
+        cached = self._slices.get(d)
+        if cached is None:
+            cached = self._slices[d] = build_slice_from_subspace(self.gens, self.relations, d)
+        return cached
 
     def coords(self, p: NCPoly, d: int) -> dict:
         return sparse_coords(p, d, self.gen_pos, len(self.gens))

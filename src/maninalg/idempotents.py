@@ -8,7 +8,8 @@ idempotent attached to a Lie algebra's structure constants.
 
 Two idempotents are left equivalent iff their row spaces agree, right
 equivalent iff their column spaces agree; left-equivalent idempotents
-present the same quadratic algebra.
+present the same quadratic algebra.  Constructors write the sparse rows of
+their operators directly.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ONE, QMatrix, ZERO, column_space, format_rat, rat, row_space
-from .tensor import TensorOperator, flatten_index, swap_operator
+from .linalg import ONE, QMatrix, ZERO, format_rat, rat, row_space
+from .tensor import TensorOperator, flatten_index, multi_indices, swap_operator
 
 
 class InvalidParameter(ValueError):
@@ -28,13 +29,45 @@ def sgn(k: int) -> int:
     return (k > 0) - (k < 0)
 
 
+def rational_grid(value, what: str) -> list:
+    """Rows of rationals from a QMatrix or a list of lists."""
+    if isinstance(value, QMatrix):
+        return [row[:] for row in value.data]
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in value)):
+        raise InvalidParameter(f"{what} must be a list of lists, got {value!r}")
+    return [[rat(x) for x in row] for row in value]
+
+
+def parse_integer(value, what: str) -> int:
+    """An integer given as a JSON number or an integer string."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+
+
+def parse_brackets(rows) -> dict:
+    """Structure constants from [i, j, k, c] rows: [x^i, x^j] = ... + c x^k."""
+    if not isinstance(rows, list):
+        raise InvalidParameter(f"'brackets' must be a list of [i, j, k, c] rows, got {rows!r}")
+    brackets = {}
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4):
+            raise InvalidParameter(f"bracket row {row!r} is not an [i, j, k, c] list")
+        i, j, k = (parse_integer(x, "a bracket index") for x in row[:3])
+        brackets.setdefault((i, j), {})[k] = rat(row[3])
+    return brackets
+
+
 def check_parameter_matrix(qhat) -> list:
     """Validate q_ii = 1, q_ij = q_ji^{-1}, entries nonzero; return rows."""
-    rows = [[rat(x) for x in row] for row in
-            (qhat.data if isinstance(qhat, QMatrix) else qhat)]
+    rows = rational_grid(qhat, "a parameter matrix")
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidParameter("parameter matrix must be square")
+    if not rows or any(len(r) != n for r in rows):
+        raise InvalidParameter("parameter matrix must be square and non-empty")
     for i in range(n):
         if rows[i][i] != 1:
             raise InvalidParameter("parameter matrix needs unit diagonal")
@@ -100,11 +133,9 @@ def parameterized_permutation_op(qhat) -> TensorOperator:
     """P_qhat with entries (P)^{kl}_{ij} = q_ij d^k_j d^l_i."""
     rows = check_parameter_matrix(qhat)
     n = len(rows)
-    out = QMatrix.zero(n * n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.data[flatten_index((j, i), n)][flatten_index((i, j), n)] = rows[i - 1][j - 1]
-    return TensorOperator(n, n, 2, out)
+    return TensorOperator(n, n, 2, {
+        flatten_index((j, i), n): {flatten_index((i, j), n): rows[i - 1][j - 1]}
+        for i in range(1, n + 1) for j in range(1, n + 1)})
 
 
 def parameterized_antisymmetrizer(qhat) -> TensorOperator:
@@ -115,18 +146,12 @@ def parameterized_antisymmetrizer(qhat) -> TensorOperator:
 
 def twisted_antisymmetrizer(qhat) -> TensorOperator:
     """A~_qhat from the cross-relation-only presentation: the flip picks up
-    a sign (-1)^{delta_ij} so the squares psi_i^2 stay free."""
-    rows = check_parameter_matrix(qhat)
-    n = len(rows)
-    out = QMatrix.zero(n * n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c = rows[i - 1][j - 1]
-            if i == j:
-                c = -c
-            out.data[flatten_index((j, i), n)][flatten_index((i, j), n)] = c
-    base = TensorOperator(n, n, 2, out)
-    return (TensorOperator.identity(n, 2) - base).scale(Fraction(1, 2))
+    a sign (-1)^{delta_ij} so the squares psi_i^2 stay free, that is
+    A~_qhat = A_qhat + sum_i E_ii (x) E_ii."""
+    base = parameterized_antisymmetrizer(qhat)
+    n = base.row_dim
+    squares = [flatten_index((i, i), n) for i in range(1, n + 1)]
+    return base + TensorOperator(n, n, 2, {d: {d: ONE} for d in squares})
 
 
 def hecke_r_matrix(n: int, q) -> TensorOperator:
@@ -134,21 +159,14 @@ def hecke_r_matrix(n: int, q) -> TensorOperator:
     q = rat(q)
     if q in (0, 1, -1):
         raise InvalidParameter("q must avoid {0, 1, -1}")
-    out = QMatrix.zero(n * n)
     qi = 1 / q
-
-    def put(row_pair, col_pair, value):
-        out.data[flatten_index(row_pair, n)][flatten_index(col_pair, n)] += value
-
-    for i in range(1, n + 1):
-        put((i, i), (i, i), qi)
+    out = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j:
-                put((i, j), (j, i), ONE)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            put((i, j), (i, j), qi - q)
+            # the flip e_j (x) e_i -> e_i (x) e_j, scaled by q^{-1} when i == j
+            row = out[flatten_index((i, j), n)] = {flatten_index((j, i), n): qi if i == j else ONE}
+            if i < j:
+                row[flatten_index((i, j), n)] = qi - q
     return TensorOperator(n, n, 2, out)
 
 
@@ -170,12 +188,8 @@ def hecke_minus(n: int, q) -> TensorOperator:
 
 def rank_one_contraction(n: int) -> TensorOperator:
     """Q_n: e_k (x) e_l -> delta_{l,k'} sum_i e_i (x) e_{i'}, i' = n+1-i."""
-    out = QMatrix.zero(n * n)
-    for k in range(1, n + 1):
-        col = flatten_index((k, n + 1 - k), n)
-        for i in range(1, n + 1):
-            out.data[flatten_index((i, n + 1 - i), n)][col] = ONE
-    return TensorOperator(n, n, 2, out)
+    cols = [flatten_index((k, n + 1 - k), n) for k in range(1, n + 1)]
+    return TensorOperator(n, n, 2, {row: dict.fromkeys(cols, ONE) for row in cols})
 
 
 def twisted_rank_one_contraction(n: int) -> TensorOperator:
@@ -183,12 +197,10 @@ def twisted_rank_one_contraction(n: int) -> TensorOperator:
     if n % 2:
         raise InvalidParameter("the symplectic contraction needs even n")
     eps = lambda i: 1 if i <= n // 2 else -1
-    out = QMatrix.zero(n * n)
-    for k in range(1, n + 1):
-        col = flatten_index((k, n + 1 - k), n)
-        for i in range(1, n + 1):
-            out.data[flatten_index((i, n + 1 - i), n)][col] = rat(eps(i) * eps(k))
-    return TensorOperator(n, n, 2, out)
+    return TensorOperator(n, n, 2, {
+        flatten_index((i, n + 1 - i), n): {flatten_index((k, n + 1 - k), n): eps(i) * eps(k)
+                                           for k in range(1, n + 1)}
+        for i in range(1, n + 1)})
 
 
 def orthogonal_idempotent(n: int) -> TensorOperator:
@@ -210,16 +222,15 @@ def fourparam_idempotent(a, b, c, kappa) -> TensorOperator:
     amat = [[ONE, a, 1 / c], [1 / a, ONE, b], [c, 1 / b, ONE]]
     eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
            (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
-    P = QMatrix.zero(9)
+    P = {}
     for i in range(1, 4):
         for j in range(1, 4):
-            row = flatten_index((i, j), 3)
             aji = amat[j - 1][i - 1]
-            P.data[row][flatten_index((j, i), 3)] += aji * aji
+            row = P[flatten_index((i, j), 3)] = {flatten_index((j, i), 3): aji * aji}
             for k in range(1, 4):
-                e = eps.get((i, j, k), 0)
-                if e:
-                    P.data[row][flatten_index((k, k), 3)] += kappa * aji * e
+                # eps vanishes for i == j, so (k, k) is never the flip column (j, i)
+                if (i, j, k) in eps:
+                    row[flatten_index((k, k), 3)] = kappa * aji * eps[(i, j, k)]
     E = (TensorOperator.identity(3, 2) - TensorOperator(3, 3, 2, P)).scale(Fraction(1, 2))
     if not is_idempotent(E):
         raise InvalidParameter("parameters fail to square the flip to one")
@@ -232,6 +243,8 @@ def lie_structure_operator(brackets, dim: int) -> TensorOperator:
     brackets maps (i, j) -> {k: C^{ij}_k}; antisymmetry in (i, j) is
     required.  Entries: (C_g)^{ij}_{kl} = C^{ij}_k d_{ln} + C^{ij}_l d_{kn}.
     """
+    if dim < 1:
+        raise InvalidParameter(f"a Lie algebra needs dim >= 1, got {dim}")
     n = dim + 1
     table = {}
     for (i, j), comps in brackets.items():
@@ -244,12 +257,12 @@ def lie_structure_operator(brackets, dim: int) -> TensorOperator:
     for (i, j, k), v in table.items():
         if table.get((j, i, k), ZERO) != -v:
             raise InvalidParameter("structure constants must be antisymmetric")
-    out = QMatrix.zero(n * n)
+    out = {}
     for (i, j, k), v in table.items():
-        if v:
-            row = flatten_index((i, j), n)
-            out.data[row][flatten_index((k, n), n)] += v
-            out.data[row][flatten_index((n, k), n)] += v
+        # k <= dim < n, so the columns (k, n) and (n, k) differ
+        row = out.setdefault(flatten_index((i, j), n), {})
+        row[flatten_index((k, n), n)] = v
+        row[flatten_index((n, k), n)] = v
     return TensorOperator(n, n, 2, out)
 
 
@@ -284,41 +297,42 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     presents the same quadratic algebra as R.
     """
     size = R.cols
-    out = QMatrix.zero(size, size)
-    for lead, row in row_space(R).rows.items():
-        for j, x in row.items():
-            out.data[lead][j] = x
+    rows = row_space(R).rows
     n = round(size ** 0.5)
     if n * n == size:
-        return TensorOperator(n, n, 2, out)
-    return TensorOperator(size, size, 1, out)
+        return TensorOperator(n, n, 2, rows)
+    return TensorOperator(size, size, 1, rows)
 
 
 def left_equivalent(E1: TensorOperator, E2: TensorOperator) -> bool:
     """Row spaces agree (same X- and Xi-algebra)."""
     _check_equiv_args(E1, E2)
-    return row_space(E1.matrix) == row_space(E2.matrix)
+    return E1.row_space() == E2.row_space()
 
 
 def right_equivalent(E1: TensorOperator, E2: TensorOperator) -> bool:
     """Column spaces agree (same dual algebras)."""
     _check_equiv_args(E1, E2)
-    return column_space(E1.matrix) == column_space(E2.matrix)
+    return E1.transpose().row_space() == E2.transpose().row_space()
 
 
 def _check_equiv_args(E1, E2):
     if not (is_idempotent(E1) and is_idempotent(E2)):
         raise ValueError("equivalence is defined for idempotents")
-    if E1.matrix.rows != E2.matrix.rows:
+    if E1.row_dim ** E1.arity != E2.row_dim ** E2.arity:
         raise ValueError("idempotents live in different ambients")
 
 
 def conjugate(E: TensorOperator, sigma) -> TensorOperator:
-    """(sigma (x) sigma) E (sigma^{-1} (x) sigma^{-1}) for a Perm sigma."""
-    s = sigma.matrix()
-    s2 = s.kron(s)
-    si = sigma.inverse().matrix()
-    return TensorOperator(E.row_dim, E.col_dim, 2, s2 * E.matrix * si.kron(si))
+    """(sigma (x) sigma) E (sigma^{-1} (x) sigma^{-1}) for a Perm sigma:
+    entry ((i, j), (k, l)) of E moves to ((sigma i, sigma j), (sigma k, sigma l))."""
+    n = E.row_dim
+    if E.arity != 2 or not E.square or sigma.size != n:
+        raise ValueError("conjugation needs an arity-2 square operator and a "
+                         "permutation of its local basis")
+    moved = [flatten_index((sigma(i), sigma(j)), n) for i, j in multi_indices(n, 2)]
+    return TensorOperator(n, n, 2, {moved[r]: {moved[c]: x for c, x in row.items()}
+                                    for r, row in E.rows.items()})
 
 
 # --- named catalog ------------------------------------------------------------
@@ -349,11 +363,9 @@ class IdempotentSpec:
         family, n, params = doc.get("family"), doc.get("n", 0), doc.get("params", {})
         if not isinstance(family, str):
             raise InvalidParameter("an idempotent spec needs a string 'family'")
-        if isinstance(n, bool) or not isinstance(n, (int, str)):
-            raise InvalidParameter(f"spec 'n' must be an integer, got {n!r}")
         if not isinstance(params, dict):
             raise InvalidParameter("spec 'params' must be a JSON object")
-        return IdempotentSpec(family, int(n), dict(params))
+        return IdempotentSpec(family, parse_integer(n, "spec 'n'"), dict(params))
 
     def param(self, key: str):
         try:
@@ -406,12 +418,10 @@ def build(spec: IdempotentSpec) -> TensorOperator:
         return fourparam_idempotent(param("a"), param("b"), param("c"),
                                     spec.params.get("kappa", 0))
     if family == "Lie":
-        brackets = {}
-        for i, j, k, cval in param("brackets"):
-            brackets.setdefault((int(i), int(j)), {})[int(k)] = rat(cval)
-        return lie_idempotent(brackets, int(param("dim")))
+        return lie_idempotent(parse_brackets(param("brackets")),
+                              parse_integer(param("dim"), "'dim'"))
     if family == "Custom":
-        m = QMatrix.from_strings(param("matrix"))
+        m = QMatrix.from_rows(rational_grid(param("matrix"), "custom 'matrix'"))
         if m.rows != m.cols:
             raise InvalidParameter("custom operator must be square")
         loc = round(m.rows ** 0.5)

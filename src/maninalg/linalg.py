@@ -307,10 +307,6 @@ def row_space(m: QMatrix) -> Subspace:
     return Subspace.from_matrix(m)
 
 
-def column_space(m: QMatrix) -> Subspace:
-    return Subspace.from_matrix(m.transpose())
-
-
 def invert(m: QMatrix) -> QMatrix | None:
     """Exact inverse, or None if singular."""
     if m.rows != m.cols:

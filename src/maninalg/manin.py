@@ -12,16 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .freealg import (NCPoly, generator_matrix, matrix_gen, poly_mat_mul,
-                      poly_mat_sub, poly_mat_times_scalar, poly_mat_transpose,
-                      scalar_times_poly_mat)
+from .freealg import (NCPoly, generator_matrix, matrix_gen, poly_grid_product,
+                      poly_mat_mul, poly_mat_sub, poly_mat_transpose, sparse_coords)
 from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
 from .ideals import PresentedAlgebra
-from .linalg import QMatrix, SparseEchelon, Subspace, rat
+from .linalg import QMatrix, SparseEchelon, Subspace, invert, rat
 from .permutations import Perm
-from .tensor import TensorOperator, compose_chain, reversed_chain, swap_operator
+from .tensor import TensorOperator, compose_chain, swap_operator
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,8 @@ def manin_defect(pair: ManinPair, M) -> list:
     n, m = pair.n, pair.m
     if len(M) != n or any(len(row) != m for row in M):
         raise ValueError("matrix shape does not match the pair")
-    chain = compose_chain(M, 2)
-    one_minus_b = QMatrix.identity(m * m) - pair.B.matrix
-    return poly_mat_times_scalar(scalar_times_poly_mat(pair.A.matrix, chain),
-                                 one_minus_b)
+    return poly_grid_product(compose_chain(M, 2), pair.A,
+                             TensorOperator.identity(m, 2) - pair.B)
 
 
 def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelations:
@@ -91,7 +88,6 @@ def span_of_polys(polys, gens, degree: int) -> Subspace:
     pos = {g: i for i, g in enumerate(gens)}
     g = len(gens)
     ech = SparseEchelon()
-    from .freealg import sparse_coords
     for p in polys:
         if p.is_zero():
             continue
@@ -163,12 +159,12 @@ def _conjugate_any(E: TensorOperator, g) -> TensorOperator:
     if isinstance(g, Perm):
         return conjugate(E, g)
     if isinstance(g, QMatrix):
-        from .linalg import invert
         gi = invert(g)
         if gi is None:
             raise ValueError("transport needs an invertible operator")
-        return TensorOperator(E.row_dim, E.col_dim, 2,
-                              g.kron(g) * E.matrix * gi.kron(gi))
+        n = E.row_dim
+        return (TensorOperator(n, n, 2, g.kron(g)) * E
+                * TensorOperator(n, n, 2, gi.kron(gi)))
     raise TypeError("transport takes a Perm or a QMatrix")
 
 
@@ -184,20 +180,18 @@ def rll_matches_double_qmanin(n: int, m: int, q) -> bool:
         raise InvalidParameter("q must avoid {0, 1, -1}")
     gens = tuple(matrix_gen("L", i, j)
                  for i in range(1, n + 1) for j in range(1, m + 1))
-    L = generator_matrix("L", n, m)
-    c12 = compose_chain(L, 2)
-    c21 = reversed_chain(L, 2)
+    c12 = compose_chain(generator_matrix("L", n, m), 2)
+    # L^{(2)} L^{(1)} = P_n (L^{(1)} L^{(2)}) P_m entrywise, so every product
+    # with the reversed chain is a product with c12 and the flips folded in
+    p_n, p_m = swap_operator(n), swap_operator(m)
     # the exchange relation uses the Yang-Baxter form R = P * R^(hat)
-    r_n = swap_operator(n).matrix * hecke_r_matrix(n, q).matrix
-    r_m = swap_operator(m).matrix * hecke_r_matrix(m, q).matrix
-    rll = poly_mat_sub(scalar_times_poly_mat(r_n, c12),
-                       poly_mat_times_scalar(c21, r_m))
-    aq_s = poly_mat_times_scalar(
-        scalar_times_poly_mat(q_antisymmetrizer(n, q).matrix, c12),
-        q_symmetrizer(m, q).matrix)
-    sq_a = poly_mat_times_scalar(
-        scalar_times_poly_mat(q_symmetrizer(n, q).matrix, c21),
-        q_antisymmetrizer(m, q).matrix)
+    r_n = p_n * hecke_r_matrix(n, q)
+    r_m = p_m * hecke_r_matrix(m, q)
+    rll = poly_mat_sub(poly_grid_product(c12, left=r_n),
+                       poly_grid_product(c12, p_n, p_m * r_m))
+    aq_s = poly_grid_product(c12, q_antisymmetrizer(n, q), q_symmetrizer(m, q))
+    sq_a = poly_grid_product(c12, q_symmetrizer(n, q) * p_n,
+                             p_m * q_antisymmetrizer(m, q))
     span_rll = span_of_polys([e for row in rll for e in row], gens, 2)
     span_two = span_of_polys([e for row in aq_s + sq_a for e in row], gens, 2)
     return span_rll == span_two

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import (NCPoly, poly_matrix, poly_mat_times_scalar,
-                      scalar_times_poly_mat)
+from .freealg import NCPoly, poly_grid_product, poly_matrix
 from .ideals import IdealSlice, PresentedAlgebra, reduces_to_zero
 from .linalg import ONE, rat
 from .permutations import Perm, all_perms, mu
-from .tensor import TensorOperator, compose_chain
+from .tensor import TensorOperator, compose_chain, flatten_index
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class MinorOperator:
     entries: tuple  # tuple of tuples of NCPoly
 
     def entry(self, row_index, col_index) -> NCPoly:
-        from .tensor import flatten_index
         return self.entries[flatten_index(row_index, self.left.row_dim)][
             flatten_index(col_index, self.right.col_dim)]
 
@@ -42,20 +40,18 @@ def minor_operator(T: TensorOperator, Ttilde: TensorOperator, M, k: int) -> Mino
         raise ValueError("operator arities must equal k")
     if T.col_dim != n or Ttilde.row_dim != m:
         raise ValueError("operator local dims do not match the matrix")
-    chain = compose_chain(M, k)
-    grid = poly_mat_times_scalar(scalar_times_poly_mat(T.matrix, chain),
-                                 Ttilde.matrix)
+    grid = poly_grid_product(compose_chain(M, k), T, Ttilde)
     return MinorOperator(k, T, Ttilde, tuple(tuple(row) for row in grid))
 
 
 def s_minor(M, s_op: TensorOperator, k: int) -> list:
     """Min_{S~(k)} M = M^{(1)} ... M^{(k)} S~_(k)."""
-    return poly_mat_times_scalar(compose_chain(M, k), s_op.matrix)
+    return poly_grid_product(compose_chain(M, k), right=s_op)
 
 
 def a_minor(M, a_op: TensorOperator, k: int) -> list:
     """Min^{A(k)} M = A_(k) M^{(1)} ... M^{(k)}."""
-    return scalar_times_poly_mat(a_op.matrix, compose_chain(M, k))
+    return poly_grid_product(compose_chain(M, k), left=a_op)
 
 
 def det_qhat(qhat, M) -> NCPoly:

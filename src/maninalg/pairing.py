@@ -137,6 +137,8 @@ def group_average(E: TensorOperator, k: int, kind: str,
     generated by (+P)^{(a,a+1)} (kind S) or (-P)^{(a,a+1)} (kind A) is
     enumerated with a cap and averaged.
     """
+    if k < 1:
+        raise ValueError("arity starts at 1")
     n = E.row_dim
     P = TensorOperator.identity(n, 2) - E.scale(2)
     if not braid_relation_holds(P):
@@ -185,6 +187,8 @@ def q_factorial(k: int, q: Fraction) -> Fraction:
 def hecke_pairing(q, n: int, k: int, kind: str) -> PairingOperator:
     """S_(k) / A_(k) for the idempotent R^(hat)_- via the q-symmetrizer
     recursion; the base case k = 2 returns the R-matrix split itself."""
+    if k < 1:
+        raise ValueError("arity starts at 1")
     q = rat(q)
     if q in (0, 1, -1):
         raise InvalidParameter("q must avoid {0, 1, -1}")
@@ -276,6 +280,8 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     S-entries on rearrangements of a weakly increasing I:
     (nu_I / k!) mu(q_II, sigma) / mu(q_II, tau).
     """
+    if k < 1:
+        raise ValueError("arity starts at 1")
     rows = check_parameter_matrix(qhat)
     n = len(rows)
     source = parameterized_antisymmetrizer(rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import build_slice
-from .linalg import QMatrix, Subspace, row_space
+from .linalg import Subspace
 from .tensor import TensorOperator, check_budget, multi_indices
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
@@ -43,15 +43,15 @@ class QuadAlgebra:
 
 def relation_space(alg: QuadAlgebra) -> Subspace:
     """The degree-2 relation subspace inside the n^2-dimensional word space."""
-    A = alg.idempotent.matrix
-    one = QMatrix.identity(A.rows)
+    A = alg.idempotent
     if alg.variant == "X":
-        return row_space(A)
-    if alg.variant == "Xi":
-        return row_space((one - A).transpose())
+        return A.row_space()
     if alg.variant == "Xstar":
-        return row_space(A.transpose())
-    return row_space(one - A)
+        return A.transpose().row_space()
+    S = TensorOperator.identity(A.row_dim, 2) - A
+    if alg.variant == "Xi":
+        return S.transpose().row_space()
+    return S.row_space()
 
 
 def ideal_slice_dim(alg: QuadAlgebra, k: int) -> int:

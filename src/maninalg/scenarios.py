@@ -66,6 +66,8 @@ def bcd_report(family: str, n: int) -> ScenarioReport:
     """
     if family not in ("B", "C", "D"):
         raise ValueError("family must be 'B', 'C' or 'D'")
+    if n < 1:
+        raise ValueError(f"type {family} needs n >= 1, got n = {n}")
     if family == "B" and n % 2 == 0:
         raise ValueError("type B needs odd n")
     if family in ("C", "D") and n % 2:

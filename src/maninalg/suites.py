@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from . import idempotents as idem
-from .freealg import Gen, NCPoly, generator_matrix, poly_mat_mul, scalar_times_poly_mat
+from .freealg import Gen, NCPoly, generator_matrix, poly_grid_product, poly_mat_mul
 from .ideals import PresentedAlgebra, free_presentation
 from .manin import (ManinPair, cross_commutators, is_manin, product_is_manin,
                     double_manin_matches_commutators, rll_matches_double_qmanin,
@@ -30,7 +30,7 @@ from .permutations import (NonReducedWord, all_perms, inv,
 from .quadratic import QuadAlgebra, graded_dimension
 from .scenarios import (bcd_report, fourparam_report, lie_seed,
                         orthogonal_dim_formula, symplectic_dim_formula)
-from .tensor import TensorOperator, embed
+from .tensor import TensorOperator, embed, flatten_index, swap_operator
 
 Q = Fraction
 GENERIC_VALUES = (Q(2), Q(3), Q(1, 2), Q(1, 3))
@@ -79,7 +79,7 @@ def check_catalog():
     for name, E in catalog_instances():
         if not idem.is_idempotent(E):
             bad.append(f"{name}: not idempotent")
-        if Fraction(E.matrix.rank()) != E.trace():
+        if E.row_space().dim != E.trace():
             bad.append(f"{name}: rank != trace")
     return not bad, "; ".join(bad) or f"{len(catalog_instances())} instances"
 
@@ -260,7 +260,6 @@ def check_brauer_traces():
 
 def check_brauer_defining_relations():
     """The diagram-algebra relations hold under both representations."""
-    from .tensor import swap_operator
     bad = []
     for n in (3, 4):
         P = swap_operator(n)
@@ -420,15 +419,9 @@ def _tensor_product_setup():
 
 
 def _polys_from_relations(uni):
-    out = []
     g = len(uni.gens)
-    for row in uni.space.basis.data:
-        terms = {}
-        for pos, c in enumerate(row):
-            if c:
-                terms[(uni.gens[pos // g], uni.gens[pos % g])] = c
-        out.append(NCPoly(terms))
-    return out
+    return [NCPoly({(uni.gens[pos // g], uni.gens[pos % g]): c for pos, c in row.items()})
+            for row in uni.space.rows.values()]
 
 
 def check_cauchy_binet_det():
@@ -516,7 +509,7 @@ def check_minor_transport():
                                      "A").operator
         G = hecke_basis_change(n, 2, q)
         lhs = a_minor(M, Acf, 2)
-        rhs = scalar_times_poly_mat(G.matrix, a_minor(M, Ah, 2))
+        rhs = poly_grid_product(a_minor(M, Ah, 2), left=G)
         if not verify_matrix_identity(lhs, rhs, alg):
             bad.append(f"n={n}")
     return not bad, "; ".join(bad) or "minor operators transport through G_[2]"
@@ -524,7 +517,6 @@ def check_minor_transport():
 
 def check_minor_entry_agreement():
     """Shared-basis entries of the two A-minor operators coincide."""
-    from .tensor import flatten_index
     q = Q(2)
     bad = []
     for n in (2, 3):
@@ -534,27 +526,17 @@ def check_minor_entry_agreement():
         Acf = closed_form_multiparam(idem.uniform_parameter_matrix(n, q), 2,
                                      "A").operator
         Atld = closed_form_multiparam(phat, 2, "A").operator
-        min_h = a_minor(M, Ah, 2)
-        min_c = a_minor(M, Acf, 2)
+        # entry (I, J) of (2 A') Min Atilde contracts a minor grid with row I
+        # of 2 A' and column J of Atilde
+        two_acf = Acf.scale(2)
+        min_h = poly_grid_product(a_minor(M, Ah, 2), two_acf, Atld)
+        min_c = poly_grid_product(a_minor(M, Acf, 2), two_acf, Atld)
         for I in itertools.combinations(range(1, n + 1), 2):
-            w_i = [2 * Acf.matrix.data[flatten_index(I, n)][j]
-                   for j in range(n * n)]
             for J in itertools.combinations(range(1, n + 1), 2):
-                w_j = [Atld.matrix.data[i][flatten_index(J, n)]
-                       for i in range(n * n)]
-                if _contract(min_h, w_i, w_j) != _contract(min_c, w_i, w_j):
+                i, j = flatten_index(I, n), flatten_index(J, n)
+                if min_h[i][j] != min_c[i][j]:
                     bad.append(f"n={n} I={I} J={J}")
     return not bad, "; ".join(bad) or "basis entries coincide"
-
-
-def _contract(grid, left, right):
-    acc = NCPoly.zero()
-    for r, cr in enumerate(left):
-        if cr:
-            for s, cs in enumerate(right):
-                if cs and grid[r][s]:
-                    acc = acc + grid[r][s].scale(cr * cs)
-    return acc
 
 
 def check_inversion_generating_function():

@@ -15,9 +15,9 @@ what makes the pairing operators cheap: an arity-2 operator embedded in the
 k-th tensor power has at most n^2 entries per row.
 
 ``matrix`` is a dense :class:`QMatrix` view, built on first use and kept.
-It serves small consumers (arity-2 relation spaces, the scalar grids of the
-Manin-matrix and minor code, JSON output); the operator arithmetic never
-reads it.
+No code of the package reads it: relation spaces, minors, Manin checks and
+JSON output all work on ``rows``.  The view is kept for callers outside
+the package (benchmarks, tests, demos) that want a dense grid.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 
 from .freealg import NCPoly, poly_matrix
-from .linalg import ONE, ZERO, QMatrix, rat
+from .linalg import ONE, ZERO, QMatrix, SparseEchelon, Subspace, rat
 from .permutations import Perm, reduced_word
 
 DEFAULT_TENSOR_BUDGET = 4096
@@ -126,6 +126,13 @@ class TensorOperator:
         m = n if m is None else m
         check_budget(max(n, m) ** arity)
         return _make(n, m, arity, {})
+
+    def row_space(self) -> Subspace:
+        """The span of the rows inside the col_dim^arity-dimensional space."""
+        ech = SparseEchelon()
+        for i in sorted(self.rows):
+            ech.insert(self.rows[i])
+        return ech.dense_basis(self.col_dim ** self.arity)
 
     def entry(self, row_index, col_index):
         row = self.rows.get(flatten_index(row_index, self.row_dim))
@@ -368,14 +375,7 @@ def compose_chain(M, k: int):
     Returns the n^k x m^k grid of NCPoly entries: entry (I, J) is the word
     M^{i_1}_{j_1} M^{i_2}_{j_2} ... M^{i_k}_{j_k}.
     """
-    if isinstance(M, TensorOperator):
-        if M.arity != 1:
-            raise ValueError("compose_chain expects an arity-1 operator")
-        grid = poly_matrix(M.matrix.data)
-    elif isinstance(M, QMatrix):
-        grid = poly_matrix(M.data)
-    else:
-        grid = poly_matrix(M)
+    grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
     n = len(grid)
     m = len(grid[0])
     check_budget(max(n, m) ** k)
@@ -391,18 +391,3 @@ def compose_chain(M, k: int):
             row.append(word)
         out.append(row)
     return out
-
-
-def reversed_chain(M, k: int):
-    """M^{(k)} ... M^{(1)}: entry (I, J) is M^{i_k}_{j_k} ... M^{i_1}_{j_1},
-    which is entry (reversed I, reversed J) of compose_chain(M, k)."""
-    chain = compose_chain(M, k)
-    rows = _reversed_positions(len(chain), k)
-    cols = _reversed_positions(len(chain[0]), k)
-    return [[chain[r][c] for c in cols] for r in rows]
-
-
-def _reversed_positions(size: int, k: int) -> list:
-    """Flat positions of the reversed multi-indices, in the order of size = n^k."""
-    n = round(size ** (1 / k)) if k else 1
-    return [flatten_index(index[::-1], n) for index in multi_indices(n, k)]

@@ -5,13 +5,15 @@ tensor operators as sparse rows.  This module keeps independent dense
 routes, written directly on ``QMatrix`` grids, so that tests can check the
 sparse results against them: row-echelon forms, kernels, inverses, the
 intersection subspaces of ``quadratic`` (computed here as joint kernels of
-the stacked embedded operators), the embeddings of ``tensor`` and the
-fixed-vector check of ``pairing.verify_axioms``.  Dense operator products,
-sums and transposes are those of ``QMatrix`` itself.
+the stacked embedded operators), the embeddings of ``tensor``, the
+fixed-vector check of ``pairing.verify_axioms`` and the products of NCPoly
+grids with scalar matrices (``freealg.poly_grid_product``).  Dense operator
+products, sums and transposes are those of ``QMatrix`` itself.
 """
 
 from __future__ import annotations
 
+from maninalg.freealg import NCPoly
 from maninalg.linalg import ONE, ZERO, QMatrix
 from maninalg.tensor import TensorOperator, flatten_index, multi_indices, unflatten_index
 
@@ -161,3 +163,35 @@ def fixes_subspaces(m: QMatrix, right, left) -> bool:
     """m pi = pi for each dense basis row pi of right, xi m = xi for each of left."""
     return (all(m.matvec(row) == list(row) for row in right.basis.data)
             and all(m.vecmat(row) == list(row) for row in left.basis.data))
+
+
+def scalar_times_poly_mat(m: QMatrix, p) -> list:
+    """The QMatrix m times the NCPoly grid p, one dense sum per entry."""
+    out = []
+    for i in range(m.rows):
+        row = []
+        for j in range(len(p[0])):
+            acc = NCPoly.zero()
+            for k in range(m.cols):
+                c = m.data[i][k]
+                if c and p[k][j]:
+                    acc = acc + p[k][j].scale(c)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def poly_mat_times_scalar(p, m: QMatrix) -> list:
+    """The NCPoly grid p times the QMatrix m, one dense sum per entry."""
+    out = []
+    for i in range(len(p)):
+        row = []
+        for j in range(m.cols):
+            acc = NCPoly.zero()
+            for k in range(m.rows):
+                c = m.data[k][j]
+                if c and p[i][k]:
+                    acc = acc + p[i][k].scale(c)
+            row.append(acc)
+        out.append(row)
+    return out

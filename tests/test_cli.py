@@ -166,9 +166,49 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
     (["catalog", "--family", "Aq", "--n", "2"], None, "Aq needs the parameter 'q'"),
     (["pairing", "--family", "FourParam", "--a", "1", "--b", "1", "--k", "3",
       "--kind", "A", "--method", "closed"], None, "FourParam needs the parameter 'c'"),
+    (["scenario", "bcd", "--family", "D", "--n", "0"], None, "n >= 1"),
+    (["scenario", "bcd", "--family", "B", "--n", "-1"], None, "n >= 1"),
+    (["scenario", "lie", "--sc", "SPEC"], '[3, []]', "JSON object"),
+    (["scenario", "lie", "--sc", "SPEC"], '{"dim": null, "brackets": []}', "'dim'"),
+    (["scenario", "lie", "--sc", "SPEC"], '{"dim": 3, "brackets": [[1, 2, 3]]}',
+     "[i, j, k, c]"),
+    (["scenario", "lie", "--sc", "SPEC"], '{"dim": 3, "brackets": [[1, 2, null, "1"]]}',
+     "bracket index"),
+    (["scenario", "lie", "--sc", "SPEC"], '{"dim": 3}', "'brackets'"),
+    (["catalog", "--family", "Lie", "--params", '{"dim": 3, "brackets": [5]}'], None,
+     "[i, j, k, c]"),
+    (["catalog", "--family", "A_n", "--n", "2", "--params", "[1, 2]"], None,
+     "--params must be a JSON object"),
+    (["catalog", "--family", "A_n", "--n", "2", "--params", "5"], None,
+     "--params must be a JSON object"),
+    (["catalog", "--spec", "SPEC"], '{"family": "Aqhat", "params": {"qhat": 5}}',
+     "list of lists"),
+    (["catalog", "--spec", "SPEC"], '{"family": "Aqhat", "params": {"qhat": ["1", "2"]}}',
+     "list of lists"),
+    (["catalog", "--spec", "SPEC"], '{"family": "Custom", "params": {"matrix": [1, 0]}}',
+     "list of lists"),
+    (["catalog", "--family", "Aqhat", "--params", '{"qhat": []}'], None, "non-empty"),
+    (["pairing", "--family", "A_n", "--n", "2", "--k", "0", "--kind", "S",
+      "--method", "generic"], None, "arity starts at 1"),
+    (["pairing", "--family", "A_n", "--n", "2", "--k", "0", "--kind", "S",
+      "--method", "group"], None, "arity starts at 1"),
+    (["pairing", "--family", "RhatMinus", "--n", "2", "--q", "2", "--k", "0", "--kind", "S",
+      "--method", "hecke"], None, "arity starts at 1"),
+    (["pairing", "--family", "RhatMinus", "--n", "2", "--q", "2", "--k", "-1", "--kind", "A",
+      "--method", "hecke"], None, "arity starts at 1"),
+    (["pairing", "--family", "B_n", "--n", "3", "--k", "0", "--kind", "S",
+      "--method", "brauer"], None, "arity starts at 1"),
+    (["pairing", "--family", "A_n", "--n", "2", "--k", "0", "--kind", "A",
+      "--method", "closed"], None, "arity starts at 1"),
 ], ids=["zero-denominator", "float-parameter", "negative-max-degree", "spec-is-a-list",
         "spec-without-family", "spec-null-n", "negative-n", "missing-n",
-        "custom-without-matrix", "missing-q", "fourparam-without-c"])
+        "custom-without-matrix", "missing-q", "fourparam-without-c",
+        "bcd-zero-n", "bcd-negative-n", "lie-not-an-object", "lie-null-dim",
+        "lie-short-bracket-row", "lie-null-bracket-index", "lie-without-brackets",
+        "lie-spec-bracket-not-a-row", "params-is-a-list", "params-is-a-number",
+        "qhat-is-a-number", "qhat-is-flat", "custom-matrix-is-flat", "qhat-is-empty",
+        "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
+        "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0"])
 def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsys):
     if spec_text is not None:
         spec = tmp_path / "spec.json"

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from maninalg.freealg import (Gen, NCPoly, NonHomogeneous,
-                              degree_component_vector, gen, matrix_gen,
-                              parse_poly, parse_poly_matrix, word_basis)
+                              degree_component_vector, gen, generator_matrix,
+                              matrix_gen, parse_poly, parse_poly_matrix,
+                              poly_grid_product, poly_mat_times_scalar,
+                              scalar_times_poly_mat, word_basis)
+from maninalg.idempotents import antisymmetrizer, q_symmetrizer
+from maninalg.linalg import ZERO, QMatrix
+from maninalg.tensor import TensorOperator, compose_chain
 
 A, B = Gen("a"), Gen("b")
 M11, M12, M21, M22 = (matrix_gen("M", i, j)
@@ -104,3 +110,78 @@ def test_parse_matrix():
     assert grid[0][1].is_zero()
     with pytest.raises(ValueError):
         parse_poly_matrix("x[1]; 0\nx[2]\n")
+
+
+# Words of length 1-2 over two letters collide often, so sums cancel often.
+grid_polys = st.builds(
+    lambda terms: NCPoly({tuple(w): c for w, c in terms}),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([A, B]), min_size=1, max_size=2),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+        max_size=3))
+scalars = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
+                           Fraction(1, 2), Fraction(-2, 3), Fraction(3)])
+
+
+@st.composite
+def grid_product_cases(draw):
+    """An r x c NCPoly grid with an R x r left and a c x C right QMatrix."""
+    r, c, R, C = (draw(st.integers(1, 4)) for _ in range(4))
+    grid = [[draw(grid_polys) for _ in range(c)] for _ in range(r)]
+    left = [[draw(scalars) for _ in range(r)] for _ in range(R)]
+    right = [[draw(scalars) for _ in range(C)] for _ in range(c)]
+    if r > 1 and draw(st.booleans()):
+        # a repeated grid row, and a left row that takes their difference
+        grid[-1] = list(grid[0])
+        left[0] = [Fraction(1)] + [ZERO] * (r - 2) + [Fraction(-1)]
+    if draw(st.booleans()):
+        left[-1] = [ZERO] * r
+        right[-1] = [ZERO] * C
+    return grid, QMatrix(R, r, left), QMatrix(c, C, right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_product_cases())
+def test_grid_product_matches_dense_loops(case):
+    grid, left, right = case
+    want_left = dense.scalar_times_poly_mat(left, grid)
+    want_right = dense.poly_mat_times_scalar(grid, right)
+    want_both = dense.poly_mat_times_scalar(want_left, right)
+    # arity-1 operators may be rectangular: R x r and c x C
+    left_op = TensorOperator(left.rows, left.cols, 1, left)
+    right_op = TensorOperator(right.rows, right.cols, 1, right)
+    assert poly_grid_product(grid, left=left) == want_left
+    assert poly_grid_product(grid, left=left_op) == want_left
+    assert scalar_times_poly_mat(left, grid) == want_left
+    assert poly_grid_product(grid, right=right) == want_right
+    assert poly_grid_product(grid, right=right_op) == want_right
+    assert poly_mat_times_scalar(grid, right) == want_right
+    assert poly_grid_product(grid, left, right) == want_both
+    assert poly_grid_product(grid, left_op, right_op) == want_both
+    # equality above already rules out stored zero coefficients; say it
+    for row in poly_grid_product(grid, left_op, right_op):
+        assert all(all(p.terms.values()) for p in row)
+
+
+def test_grid_product_cancels_to_zero_entries():
+    a = NCPoly.generator(A)
+    grid = [[a, a.scale(2)], [a, a.scale(2)]]
+    diff = QMatrix(1, 2, [[1, -1]])
+    assert poly_grid_product(grid, left=diff) == [[NCPoly.zero(), NCPoly.zero()]]
+    assert poly_grid_product(grid, right=QMatrix(2, 1, [[2], [-1]])) == [[NCPoly.zero()]] * 2
+
+
+def test_grid_product_with_rectangular_arity_two_operators():
+    # the 2 x 3 chain M^(1) M^(2) is a 4 x 9 grid: a 2-operator on the left,
+    # a 3-operator on the right
+    chain = compose_chain(generator_matrix("M", 2, 3), 2)
+    A2, S3 = antisymmetrizer(2), q_symmetrizer(3, Fraction(2, 3))
+    want = dense.poly_mat_times_scalar(dense.scalar_times_poly_mat(A2.matrix, chain),
+                                       S3.matrix)
+    assert poly_grid_product(chain, A2, S3) == want
+    assert poly_grid_product(chain, A2.matrix, S3.matrix) == want
+    with pytest.raises(ValueError):
+        poly_grid_product(chain, S3)
+    with pytest.raises(ValueError):
+        poly_grid_product(chain, right=A2)

@@ -6,17 +6,21 @@ import pytest
 
 import dense_reference as dense
 from maninalg import idempotents as idem
-from maninalg.linalg import row_space
+from maninalg.cli import main as cli_main
+from maninalg.freealg import generator_matrix, poly_grid_product
+from maninalg.linalg import QMatrix, row_space
+from maninalg.manin import ManinPair, is_manin, transport, universal_relations
+from maninalg.minors import a_minor, minor_operator, s_minor
 from maninalg.pairing import (BraidRelationFailed, GroupEnumerationExceeded,
                               NotExists, PairingOperator, brauer_pairing,
                               closed_form_multiparam, corrupt, fixes_subspaces,
                               fourparam_A3, generic_pairing, group_average,
                               hecke_basis_change, hecke_pairing, q_factorial,
                               q_int, verify_axioms)
-from maninalg.permutations import all_perms, inv
-from maninalg.quadratic import component_subspaces
-from maninalg.suites import generic_parameter_matrix
-from maninalg.tensor import TensorOperator, perm_rep
+from maninalg.permutations import Perm, all_perms, inv
+from maninalg.quadratic import VARIANTS, QuadAlgebra, component_subspaces, relation_space
+from maninalg.suites import generic_parameter_matrix, run_suite
+from maninalg.tensor import TensorOperator, compose_chain, perm_rep
 
 F = Fraction
 
@@ -295,20 +299,17 @@ def test_sparse_fixed_vector_check_matches_dense():
 
 @pytest.fixture
 def no_dense_views(monkeypatch):
-    """Make the dense view of every operator of arity >= 3 raise."""
-    view = TensorOperator.matrix
-
+    """Make the dense view of every operator, at every arity, raise."""
     def guarded(op):
-        if op.arity >= 3:
-            raise AssertionError(f"dense view of an arity-{op.arity} operator")
-        return view.fget(op)
+        raise AssertionError(f"dense view of an arity-{op.arity} operator")
     monkeypatch.setattr(TensorOperator, "matrix", property(guarded))
 
 
 def test_pairing_routes_and_axioms_build_no_dense_views(no_dense_views):
     q = F(2)
-    with pytest.raises(AssertionError):
-        TensorOperator.identity(2, 3).matrix
+    for arity in (1, 2, 3):
+        with pytest.raises(AssertionError):
+            TensorOperator.identity(2, arity).matrix
     E = idem.antisymmetrizer(2)
     routes = [generic_pairing(idem.symplectic_idempotent(4), 3, "A"),
               hecke_pairing(q, 3, 3, "A"), brauer_pairing("sp", 4, 3),
@@ -326,3 +327,54 @@ def test_pairing_routes_and_axioms_build_no_dense_views(no_dense_views):
     assert verify_axioms(s3, partner=a3, lower=lower)["pass"]
     assert hecke_basis_change(2, 3, q) * hecke_pairing(q, 2, 3, "A").operator == \
         closed_form_multiparam(idem.uniform_parameter_matrix(2, q), 3, "A").operator
+
+
+def test_library_and_cli_build_no_dense_views(no_dense_views, tmp_path, capsys):
+    assert all(ok for _, ok, _ in run_suite("all"))
+    M = generator_matrix("M", 2, 2)
+    A2, Aq, Rm = idem.antisymmetrizer(2), idem.q_antisymmetrizer(2, 2), idem.hecke_minus(2, 2)
+    S2 = generic_pairing(A2, 2, "S").operator
+    minor = minor_operator(A2, S2, M, 2)
+    assert minor.entries == tuple(map(tuple, poly_grid_product(a_minor(M, A2, 2), right=S2)))
+    assert s_minor(M, S2, 2) == poly_grid_product(compose_chain(M, 2), right=S2)
+    pair = ManinPair(A2, Aq)
+    assert is_manin(pair, M, universal_relations(pair).algebra())
+    assert [relation_space(QuadAlgebra(Aq, v)).dim for v in VARIANTS] == [1, 3, 1, 3]
+    assert idem.left_equivalent(Aq, Rm) and not idem.right_equivalent(Aq, Rm)
+    flip = Perm((2, 1))
+    assert idem.conjugate(idem.conjugate(Aq, flip), flip) == Aq
+    assert transport(pair, M, flip, QMatrix(2, 2, [[1, 1], [0, 1]])).A == idem.conjugate(A2, flip)
+    assert idem.make_idempotent(QMatrix(1, 4, [[0, 1, -1, 0]])).rows == {1: {1: 1, 2: -1}}
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    aq = write("aq.json", '{"family": "Aq", "n": 2, "params": {"q": "2"}}')
+    rm = write("rm.json", '{"family": "RhatMinus", "n": 2, "params": {"q": "2"}}')
+    pair_file = write("pair.json",
+                      '{"A": {"family": "A_n", "n": 2}, "B": {"family": "A_n", "n": 2}}')
+    matrix = write("m.txt", "x[1]; 0\n0; x[2]\n")
+    relations = write("rel.txt", "x[1]*x[2] - x[2]*x[1]\n")
+    sl2 = write("sl2.json", '{"dim": 3, "brackets": [[1, 2, 3, "1"], [2, 1, 3, "-1"]]}')
+    commands = [
+        ["catalog", "--spec", aq], ["check-idempotent", "--spec", rm],
+        ["equiv", "--left", aq, "--right", rm, "--mode", "left"],
+        ["dims", "--spec", aq, "--variant", "Xi", "--max-degree", "3"],
+        ["manin-check", "--pair", pair_file, "--matrix", matrix, "--relations", relations],
+        ["minor", "--pair", pair_file, "--matrix", matrix, "--k", "2", "--kind", "A"],
+        ["minor", "--pair", pair_file, "--matrix", matrix, "--k", "2", "--kind", "S"],
+        ["scenario", "bcd", "--family", "D", "--n", "2"],
+        ["scenario", "fourparam", "--a", "1", "--b", "1", "--c", "1", "--kappa", "1"],
+        ["scenario", "lie", "--sc", sl2],
+        ["verify-suite", "--suite", "catalog"],
+    ]
+    commands += [["pairing", "--spec", spec, "--k", "3", "--kind", "A", "--method", method]
+                 for spec, method in ((rm, "generic"), (rm, "hecke"), (aq, "closed"))]
+    commands += [["pairing", "--family", family, "--n", n, "--k", "3", "--kind", kind,
+                  "--method", method]
+                 for family, n, kind, method in (("A_n", "2", "S", "group"),
+                                                 ("B_n", "3", "S", "brauer"))]
+    for argv in commands:
+        assert cli_main(argv) == 0, argv
+        assert capsys.readouterr().err == ""

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from maninalg.freealg import NCPoly, generator_matrix, matrix_gen
+from maninalg.freealg import NCPoly, generator_matrix, matrix_gen, poly_grid_product
 from maninalg.idempotents import antisymmetrizer, permutation_op
 from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
 from maninalg.freealg import poly_matrix
 from maninalg.tensor import (BudgetExceeded, TensorOperator, compose_chain,
                              embed, embed_pair, flatten_index, multi_indices,
-                             perm_action, perm_rep, reversed_chain, swap_operator,
+                             perm_action, perm_rep, swap_operator,
                              unflatten_index)
 
 
@@ -125,20 +125,24 @@ def _reversed_chain_reference(M, k):
     return out
 
 
+def _swap_sandwich(M, k):
+    # M^{(k)} ... M^{(1)} as the chain M^{(1)} ... M^{(k)} between the leg
+    # reversals of both sides; at k = 2 these are the flips P_n and P_m
+    w0 = Perm(tuple(range(k, 0, -1)))
+    return poly_grid_product(compose_chain(M, k), perm_action(w0, len(M)),
+                             perm_action(w0, len(M[0])))
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
 def test_reversed_chain_matches_right_to_left_product(n, m):
     M = generator_matrix("M", n, m)
     for k in (1, 2, 3):
-        assert reversed_chain(M, k) == _reversed_chain_reference(M, k)
+        assert _swap_sandwich(M, k) == _reversed_chain_reference(M, k)
+    words = poly_grid_product(compose_chain(M, 2), swap_operator(n), swap_operator(m))
+    assert words == _reversed_chain_reference(M, 2)
     # entry (12, 21) is M^2_1 M^1_2, the reverse of compose_chain's word
-    words = reversed_chain(M, 2)
     assert words[flatten_index((1, 2), n)][flatten_index((2, 1), m)] == NCPoly(
         {(matrix_gen("M", 2, 1), matrix_gen("M", 1, 2)): 1})
-
-
-def test_reversed_chain_needs_arity_one():
-    with pytest.raises(ValueError):
-        reversed_chain(swap_operator(2), 2)
 
 
 def test_budget_guard(monkeypatch):
