@@ -40,10 +40,11 @@ for n in (2, 3):
           idem.right_equivalent(Rm, idem.q_antisymmetrizer(n, 1 / q)))
 
 print("\n== an idempotent from raw relation rows (echelon projector)")
-from maninalg.linalg import QMatrix, row_space
+from maninalg.linalg import QMatrix, Subspace
 
 R = P.matrix - QMatrix.identity(4)  # rows spanning the antisymmetry relation
 E = idem.make_idempotent(R)
 print("E idempotent:", idem.is_idempotent(E))
-print("same row space as the input:", row_space(E.matrix) == row_space(R))
+print("same row space as the input:",
+      Subspace.from_matrix(E.matrix) == Subspace.from_matrix(R))
 print("presents the polynomial algebra:", idem.left_equivalent(E, A))

@@ -52,15 +52,14 @@ for uni in (uM, uN):
 ambient = PresentedAlgebra.from_polys(uM.gens + uN.gens,
                                       polys + cross_commutators(Mg, Ng))
 K = poly_mat_mul(Mg, Ng)
-slice4 = ambient.slice(4)
-print("degree-4 ideal slice dimension:", slice4.dim, "of", 8 ** 4)
+print("degree-4 ideal slice dimension:", ambient.slice(4).dim, "of", 8 ** 4)
 
 I = L = (1, 2)
 det_lhs = det_qhat(idem.restrict_parameter_matrix(qhat, I), submatrix(K, I, L))
 det_rhs = (det_qhat(idem.restrict_parameter_matrix(qhat, I), submatrix(Mg, I, I))
            * det_qhat(idem.restrict_parameter_matrix(phat, I), submatrix(Ng, I, L)))
 print("det (MN)_IL = sum_J det M_IJ det N_JL:",
-      verify_identity(det_lhs, det_rhs, slice4))
+      verify_identity(det_lhs, det_rhs, ambient))
 
 weak = [(1, 1), (1, 2), (2, 2)]
 ok = True
@@ -72,5 +71,5 @@ for I in weak:
             term = (perm_qhat(idem.restrict_parameter_matrix(phat, J), submatrix(Mg, I, J))
                     * perm_qhat(idem.restrict_parameter_matrix(rhat, L), submatrix(Ng, J, L)))
             rhs = rhs + term.scale(F(1, stabilizer_order(J)))
-        ok = ok and verify_identity(lhs, rhs, slice4)
+        ok = ok and verify_identity(lhs, rhs, ambient)
 print("perm (MN)_IL = sum_J perm M_IJ perm N_JL / nu_J:", ok)

@@ -9,7 +9,6 @@ is most significant, matching the tensor multi-index convention.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -164,11 +163,6 @@ class NCPoly:
         return out.replace("+ -", "- ")
 
 
-def word_basis(gens, d: int):
-    """All degree-d words over the ordered generator list, lex order."""
-    return list(itertools.product(gens, repeat=d))
-
-
 def word_index(word, gen_pos: dict, g: int) -> int:
     """Position of a degree-d word in the lex word basis (leftmost letter
     most significant); g is the generator count."""
@@ -176,19 +170,6 @@ def word_index(word, gen_pos: dict, g: int) -> int:
     for letter in word:
         idx = idx * g + gen_pos[letter]
     return idx
-
-
-def degree_component_vector(p: NCPoly, d: int, gens) -> list:
-    """Coordinates of a homogeneous degree-d polynomial over the lex-ordered
-    degree-d word basis of the given generator list."""
-    if not p.is_homogeneous(d) and not p.is_zero():
-        raise NonHomogeneous(f"polynomial is not homogeneous of degree {d}")
-    gens = list(gens)
-    gen_pos = {g: i for i, g in enumerate(gens)}
-    out = [ZERO] * (len(gens) ** d)
-    for word, c in p.terms.items():
-        out[word_index(word, gen_pos, len(gens))] = c
-    return out
 
 
 def sparse_coords(p: NCPoly, d: int, gen_pos: dict, g: int) -> dict:

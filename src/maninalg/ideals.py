@@ -2,9 +2,10 @@
 
 Given a subspace R of the degree-2 word space over g generators, the
 degree-d slice of the ideal generated by R is spanned by all products
-w1 * r * w2 with |w1| + |w2| = d - 2.  Slices are echelonized with sparse
-rows (the spanning vectors are short) and cached per (R, d); membership of
-a homogeneous polynomial is a reduction to zero.
+w1 * r * w2 with |w1| + |w2| = d - 2.  ``PresentedAlgebra`` owns them: it
+echelonizes each slice with sparse rows (the spanning vectors are short),
+caches it per degree, and decides membership of a homogeneous polynomial
+as a reduction to zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .freealg import Gen, NCPoly, NonHomogeneous, sparse_coords
+from .freealg import NCPoly, NonHomogeneous, sparse_coords
 from .linalg import SparseEchelon, Subspace
 from .tensor import BudgetExceeded
 
@@ -63,25 +64,13 @@ class PresentedAlgebra:
 
     @staticmethod
     def from_polys(gens, relation_polys) -> "PresentedAlgebra":
-        gens = tuple(gens)
-        pos = {g: i for i, g in enumerate(gens)}
-        ech = SparseEchelon()
-        for p in relation_polys:
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous(2):
-                raise NonHomogeneous("relations must be homogeneous of degree 2")
-            ech.insert(sparse_coords(p, 2, pos, len(gens)))
-        return PresentedAlgebra(gens, ech.dense_basis(len(gens) ** 2))
+        return PresentedAlgebra(gens, span_of_polys(relation_polys, gens, 2))
 
     def slice(self, d: int) -> IdealSlice:
         cached = self._slices.get(d)
         if cached is None:
             cached = self._slices[d] = build_slice_from_subspace(self.gens, self.relations, d)
         return cached
-
-    def coords(self, p: NCPoly, d: int) -> dict:
-        return sparse_coords(p, d, self.gen_pos, len(self.gens))
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""
@@ -92,7 +81,21 @@ class PresentedAlgebra:
             raise NonHomogeneous("membership needs a homogeneous polynomial")
         if d < 2:
             return False
-        return reduces_to_zero(p, self.slice(d), self.gen_pos)
+        return self.slice(d).echelon.contains(
+            sparse_coords(p, d, self.gen_pos, len(self.gens)))
+
+
+def span_of_polys(polys, gens, degree: int) -> Subspace:
+    """Echelonized span of homogeneous degree-d polynomials in the lex word
+    coordinates of ``gens``; any other nonzero polynomial raises
+    NonHomogeneous."""
+    gens = tuple(gens)
+    pos = {g: i for i, g in enumerate(gens)}
+    ech = SparseEchelon()
+    for p in polys:
+        if not p.is_zero():
+            ech.insert(sparse_coords(p, degree, pos, len(gens)))
+    return ech.dense_basis(len(gens) ** degree)
 
 
 def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
@@ -117,32 +120,6 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
                 for trail in range(right_size):
                     ech.insert({pos + trail: c for pos, c in base.items()})
     return IdealSlice(gens, d, ech)
-
-
-def build_slice(R: Subspace, d: int, gens=None) -> IdealSlice:
-    """Degree-d slice for a degree-2 relation subspace R.
-
-    When ``gens`` is omitted, anonymous generators t[1..g] are attached; the
-    generator identities only matter for polynomial-level membership.
-    """
-    g = round(R.ambient_dim ** 0.5)
-    if g * g != R.ambient_dim:
-        raise ValueError("R must live in a degree-2 word space")
-    if gens is None:
-        gens = tuple(Gen("t", (i,)) for i in range(1, g + 1))
-    return build_slice_from_subspace(gens, R, d)
-
-
-def reduces_to_zero(p: NCPoly, slice_: IdealSlice, gen_pos=None) -> bool:
-    """True iff the coordinate vector of p lies in the slice row space."""
-    if p.is_zero():
-        return True
-    if gen_pos is None:
-        gen_pos = {g: i for i, g in enumerate(slice_.gens)}
-    if not p.is_homogeneous(slice_.degree):
-        raise NonHomogeneous(f"polynomial is not homogeneous of degree {slice_.degree}")
-    coords = sparse_coords(p, slice_.degree, gen_pos, slice_.generator_count)
-    return slice_.echelon.contains(coords)
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ONE, QMatrix, ZERO, format_rat, rat, row_space
+from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
 from .tensor import TensorOperator, flatten_index, multi_indices, swap_operator
 
 
@@ -297,7 +297,7 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     presents the same quadratic algebra as R.
     """
     size = R.cols
-    rows = row_space(R).rows
+    rows = Subspace.from_matrix(R).rows
     n = round(size ** 0.5)
     if n * n == size:
         return TensorOperator(n, n, 2, rows)

@@ -11,6 +11,7 @@ rows so that two subspaces are equal iff their rows are identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 QQ = Fraction
@@ -243,27 +244,13 @@ class Subspace:
             self._basis = QMatrix(len(dense), self.ambient_dim, dense)
         return self._basis
 
-    def _reduces_to_zero(self, row: dict) -> bool:
-        # The basis rows are fully reduced, so subtracting one of them never
-        # touches another lead column: one pass over the leads of row is enough.
-        row = dict(row)
-        for lead in [j for j in row if j in self.rows]:
-            c = row[lead]
-            for j, x in self.rows[lead].items():
-                nv = row.get(j, ZERO) - c * x
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-        return not row
-
     def contains(self, vector) -> bool:
-        return self._reduces_to_zero(_sparse(vector, self.ambient_dim))
+        return not _eliminate(_sparse(vector, self.ambient_dim), self.rows)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self._reduces_to_zero(row) for row in other.rows.values())
+        return all(not _eliminate(dict(row), self.rows) for row in other.rows.values())
 
     def annihilator(self) -> "Subspace":
         """{v : r . v = 0 for every basis row r}.
@@ -303,10 +290,6 @@ def _sparse(vector, ambient_dim: int) -> dict:
     return {j: x for j, x in enumerate(vector) if x}
 
 
-def row_space(m: QMatrix) -> Subspace:
-    return Subspace.from_matrix(m)
-
-
 def invert(m: QMatrix) -> QMatrix | None:
     """Exact inverse, or None if singular."""
     if m.rows != m.cols:
@@ -341,22 +324,7 @@ class SparseEchelon:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        row = {i: c for i, c in row.items() if c}
-        while row:
-            hits = [i for i in row if i in self.pivots]
-            if not hits:
-                break
-            i = min(hits)
-            c = row.pop(i)
-            for j, v in self.pivots[i].items():
-                if j == i:
-                    continue
-                nv = row.get(j, ZERO) - c * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-        return row
+        return _eliminate({i: c for i, c in row.items() if c}, self.pivots)
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; returns True if the rank grew."""
@@ -375,27 +343,44 @@ class SparseEchelon:
 
     def reduced_rows(self) -> dict:
         """Fully back-substituted pivot rows keyed by lead, leads ascending."""
-        leads = sorted(self.pivots)
+        # the rows already reduced, all with larger leads, are the pivots
         reduced: dict[int, dict] = {}
-        for lead in reversed(leads):
-            row = dict(self.pivots[lead])
-            while True:
-                hits = [j for j in row if j != lead and j in reduced]
-                if not hits:
-                    break
-                j = min(hits)
-                c = row.pop(j)
-                for jj, v in reduced[j].items():
-                    if jj == j:
-                        continue
-                    nv = row.get(jj, ZERO) - c * v
-                    if nv:
-                        row[jj] = nv
-                    else:
-                        row.pop(jj, None)
-            reduced[lead] = row
-        return {lead: reduced[lead] for lead in leads}
+        for lead in sorted(self.pivots, reverse=True):
+            reduced[lead] = _eliminate(dict(self.pivots[lead]), reduced)
+        return dict(sorted(reduced.items()))
 
     def dense_basis(self, ambient_dim: int) -> Subspace:
         """The span as a Subspace of Q^ambient_dim."""
         return Subspace(ambient_dim, self.reduced_rows())
+
+
+def _eliminate(row: dict, pivots: dict) -> dict:
+    """Subtract c * pivot from row (in place) for every pivot lead in row,
+    smallest lead first, and return row.
+
+    ``pivots`` maps each lead to a row with coefficient 1 at the lead and no
+    entry left of it, so each step clears its lead for good and can only
+    bring in leads further right; a heap of the leads met keeps the row
+    from being rescanned after every step.
+    """
+    hits = [i for i in row if i in pivots]
+    heapify(hits)
+    while hits:
+        i = heappop(hits)
+        c = row.pop(i, None)
+        if c is None:  # cancelled, or a repeat already cleared
+            continue
+        for j, v in pivots[i].items():
+            if j == i:
+                continue
+            if j in row:
+                nv = row[j] - c * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+            else:
+                row[j] = -c * v
+                if j in pivots:
+                    heappush(hits, j)
+    return row

@@ -10,25 +10,26 @@ by applying the same defect to the generator matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .freealg import (NCPoly, generator_matrix, matrix_gen, poly_grid_product,
-                      poly_mat_mul, poly_mat_sub, poly_mat_transpose, sparse_coords)
+                      poly_mat_mul, poly_mat_sub, poly_mat_transpose)
 from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
-from .ideals import PresentedAlgebra
-from .linalg import QMatrix, SparseEchelon, Subspace, invert, rat
+from .ideals import PresentedAlgebra, span_of_polys
+from .linalg import QMatrix, Subspace, invert, rat
 from .permutations import Perm
 from .tensor import TensorOperator, compose_chain, swap_operator
 
 
 @dataclass(frozen=True)
 class ManinPair:
-    """A pair of idempotents (A on n^2, B on m^2)."""
+    """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B."""
 
     A: TensorOperator
     B: TensorOperator
+    complement: TensorOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for op in (self.A, self.B):
@@ -36,6 +37,8 @@ class ManinPair:
                 raise ValueError("Manin pairs take arity-2 square operators")
             if not is_idempotent(op):
                 raise ValueError("Manin pairs take idempotents")
+        object.__setattr__(self, "complement",
+                           TensorOperator.identity(self.m, 2) - self.B)
 
     @property
     def n(self) -> int:
@@ -68,8 +71,7 @@ def manin_defect(pair: ManinPair, M) -> list:
     n, m = pair.n, pair.m
     if len(M) != n or any(len(row) != m for row in M):
         raise ValueError("matrix shape does not match the pair")
-    return poly_grid_product(compose_chain(M, 2), pair.A,
-                             TensorOperator.identity(m, 2) - pair.B)
+    return poly_grid_product(compose_chain(M, 2), pair.A, pair.complement)
 
 
 def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelations:
@@ -80,19 +82,6 @@ def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelation
     defect = manin_defect(pair, M)
     space = span_of_polys([e for row in defect for e in row], gens, 2)
     return UniversalRelations(pair, symbol, gens, space)
-
-
-def span_of_polys(polys, gens, degree: int) -> Subspace:
-    """Echelonized span of homogeneous polynomials in the degree-d word space."""
-    gens = tuple(gens)
-    pos = {g: i for i, g in enumerate(gens)}
-    g = len(gens)
-    ech = SparseEchelon()
-    for p in polys:
-        if p.is_zero():
-            continue
-        ech.insert(sparse_coords(p, degree, pos, g))
-    return ech.dense_basis(g ** degree)
 
 
 def is_manin(pair: ManinPair, M, ambient: PresentedAlgebra) -> bool:

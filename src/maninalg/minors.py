@@ -5,7 +5,7 @@ T M^{(1)} ... M^{(k)} T~, with noncommutative entries.  Taking T~ to be a
 k-th S-operator or T a k-th A-operator specializes to the S- and A-minors,
 whose entries are normalized permanents and deformed determinants of
 submatrices.  Identities between such expressions are verified modulo a
-graded ideal slice by exact membership.
+presented algebra by exact membership in its graded ideal slice.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import NCPoly, poly_grid_product, poly_matrix
-from .ideals import IdealSlice, PresentedAlgebra, reduces_to_zero
+from .ideals import PresentedAlgebra
 from .linalg import ONE, rat
 from .permutations import Perm, all_perms, mu
 from .tensor import TensorOperator, compose_chain, flatten_index
@@ -109,16 +109,9 @@ def row_perm(M) -> NCPoly:
     return perm_qhat(ones, M)
 
 
-def verify_identity(lhs: NCPoly, rhs: NCPoly, ideal) -> bool:
-    """lhs - rhs reduces to zero; ideal is an IdealSlice or PresentedAlgebra."""
-    diff = lhs - rhs
-    if diff.is_zero():
-        return True
-    if isinstance(ideal, PresentedAlgebra):
-        return ideal.reduces_to_zero(diff)
-    if isinstance(ideal, IdealSlice):
-        return reduces_to_zero(diff, ideal)
-    raise TypeError("ideal must be an IdealSlice or PresentedAlgebra")
+def verify_identity(lhs: NCPoly, rhs: NCPoly, ideal: PresentedAlgebra) -> bool:
+    """lhs - rhs lies in the graded ideal of the presented algebra."""
+    return ideal.reduces_to_zero(lhs - rhs)
 
 
 def verify_matrix_identity(lhs, rhs, ideal) -> bool:

@@ -11,14 +11,16 @@ Degree-k components are computed either as quotients by the ideal slice or
 as the intersection subspaces V_k, W_k and their left analogues.  The two
 realizations are dual: V_k is the annihilator of the degree-k slice of the
 ideal of X, Vbar_k of Xstar, W_k of Xistar and Wbar_k of Xi.  Both come
-from the same sparse slice echelon (``ideals.build_slice``).
+from the same sparse slice echelon, read from the algebra's presentation
+(``QuadAlgebra.presentation``, an ``ideals.PresentedAlgebra``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import build_slice
+from .freealg import Gen
+from .ideals import PresentedAlgebra
 from .linalg import Subspace
 from .tensor import TensorOperator, check_budget, multi_indices
 
@@ -40,6 +42,11 @@ class QuadAlgebra:
     def n(self) -> int:
         return self.idempotent.row_dim
 
+    def presentation(self) -> PresentedAlgebra:
+        """The algebra on anonymous generators t[1..n] and its relations."""
+        gens = tuple(Gen("t", (i,)) for i in range(1, self.n + 1))
+        return PresentedAlgebra(gens, relation_space(self))
+
 
 def relation_space(alg: QuadAlgebra) -> Subspace:
     """The degree-2 relation subspace inside the n^2-dimensional word space."""
@@ -54,12 +61,6 @@ def relation_space(alg: QuadAlgebra) -> Subspace:
     return S.row_space()
 
 
-def ideal_slice_dim(alg: QuadAlgebra, k: int) -> int:
-    if k < 2:
-        return 0
-    return build_slice(relation_space(alg), k).dim
-
-
 def graded_dimension(alg: QuadAlgebra, k: int) -> int:
     """dim of the degree-k component: n^k minus the ideal slice dimension."""
     n = alg.n
@@ -68,7 +69,7 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
     if k == 1:
         return n
     check_budget(n ** k)
-    return n ** k - ideal_slice_dim(alg, k)
+    return n ** k - alg.presentation().slice(k).dim
 
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
@@ -95,7 +96,7 @@ def graded_component(alg: QuadAlgebra, k: int) -> GradedComponent:
         dims = 1 if k == 0 else n
         basis = tuple(multi_indices(n, k))
         return GradedComponent(k, dims, 0, basis, Subspace.zero(n ** k).annihilator())
-    slice_ = build_slice(relation_space(alg), k)
+    slice_ = alg.presentation().slice(k)
     pivots = slice_.echelon.pivots
     basis = tuple(idx for pos, idx in enumerate(multi_indices(n, k))
                   if pos not in pivots)
@@ -116,5 +117,5 @@ def component_subspaces(E: TensorOperator, k: int):
     if k < 2:
         full = Subspace.zero(size).annihilator()
         return full, full, full, full
-    return tuple(build_slice(relation_space(QuadAlgebra(E, variant)), k).subspace().annihilator()
+    return tuple(QuadAlgebra(E, variant).presentation().slice(k).subspace().annihilator()
                  for variant in ("X", "Xstar", "Xistar", "Xi"))

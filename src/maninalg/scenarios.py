@@ -10,14 +10,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .freealg import Gen, NCPoly, matrix_gen
+from .freealg import NCPoly, matrix_gen
 from .idempotents import (IdempotentSpec, antisymmetrizer, is_idempotent,
                           lie_idempotent, lie_structure_operator,
                           orthogonal_idempotent, rank_one_contraction,
                           swap_operator, symplectic_idempotent,
                           twisted_rank_one_contraction, fourparam_idempotent)
+from .ideals import span_of_polys
 from .linalg import rat
-from .manin import (ManinPair, orthogonal_pair_relations, span_of_polys,
+from .manin import (ManinPair, orthogonal_pair_relations,
                     symplectic_pair_relations, universal_relations)
 from .pairing import (NotExists, fourparam_A3, fourparam_conditions,
                       fourparam_xi3_dimension, verify_axioms)
@@ -175,10 +176,8 @@ def _psi_product_table_holds(E, op, a, b, c, kappa) -> bool:
     is verified in the quotient: the difference must lie in the degree-3
     slice of the ideal generated by the degree-2 relations.
     """
-    from .ideals import PresentedAlgebra
-    from .quadratic import relation_space
-    gens = tuple(Gen("psi", (i,)) for i in (1, 2, 3))
-    algebra = PresentedAlgebra(gens, relation_space(QuadAlgebra(E, "Xi")))
+    algebra = QuadAlgebra(E, "Xi").presentation()
+    gens = algebra.gens
     lead = flatten_index((1, 2, 3), 3)
     row = op.operator.rows.get(lead, {})
     inv_a2 = 1 / (a * a)

@@ -91,6 +91,15 @@ def test_manin_check_bad_input(run, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_manin_check_non_homogeneous_relation_is_input_error(tmp_path, capsys):
+    pair, matrix, rel = manin_inputs(tmp_path, "x[1]*x[2] - x[1]\n")
+    assert main(["manin-check", "--pair", pair, "--matrix", matrix,
+                 "--relations", rel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "homogeneous" in captured.err
+
+
 def test_pairing_command(run, tmp_path):
     spec = tmp_path / "rm.json"
     spec.write_text(json.dumps({"family": "RhatMinus", "n": 2,

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from maninalg.freealg import (Gen, NCPoly, NonHomogeneous,
-                              degree_component_vector, gen, generator_matrix,
+from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, gen, generator_matrix,
                               matrix_gen, parse_poly, parse_poly_matrix,
                               poly_grid_product, poly_mat_times_scalar,
-                              scalar_times_poly_mat, word_basis)
+                              scalar_times_poly_mat, sparse_coords)
 from maninalg.idempotents import antisymmetrizer, q_symmetrizer
 from maninalg.linalg import ZERO, QMatrix
 from maninalg.tensor import TensorOperator, compose_chain
@@ -53,32 +52,36 @@ def test_associativity_and_distributivity(p, q, r):
     assert (p + q) * r == p * r + q * r
 
 
-def test_degree_component_vector_zero_and_unit():
-    gens = [A, B]
-    assert degree_component_vector(NCPoly.zero(), 2, gens) == [0] * 4
-    v = degree_component_vector(NCPoly({(A, B): 1}), 2, gens)
-    assert v == [0, 1, 0, 0]  # basis order: aa, ab, ba, bb
+AB_POS = {A: 0, B: 1}
 
 
-def test_degree_component_vector_two_terms():
+def test_sparse_coords_zero_and_unit():
+    assert sparse_coords(NCPoly.zero(), 2, AB_POS, 2) == {}
+    # basis order: aa, ab, ba, bb
+    assert sparse_coords(NCPoly({(A, B): 1}), 2, AB_POS, 2) == {1: 1}
+
+
+def test_sparse_coords_two_terms():
     gens = [matrix_gen("M", 1, 1), matrix_gen("M", 1, 2)]
+    pos = {g: i for i, g in enumerate(gens)}
     p = NCPoly({(gens[0], gens[1]): 2, (gens[1], gens[0]): -3})
-    v = degree_component_vector(p, 2, gens)
-    assert sorted(x for x in v if x) == [-3, 2]
-    assert v[1] == 2 and v[2] == -3
+    assert sparse_coords(p, 2, pos, 2) == {1: 2, 2: -3}
 
 
-def test_degree_component_vector_linear_injective():
-    gens = [A, B]
-    basis = word_basis(gens, 2)
-    vecs = [degree_component_vector(NCPoly({w: 1}), 2, gens) for w in basis]
-    assert vecs == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+def test_sparse_coords_lex_word_order():
+    words = [(A, A), (A, B), (B, A), (B, B)]
+    assert [sparse_coords(NCPoly({w: 1}), 2, AB_POS, 2) for w in words] == \
+        [{i: 1} for i in range(4)]
+    # the leftmost letter is the most significant digit
+    assert sparse_coords(NCPoly({(B, A, A): 1}), 3, AB_POS, 2) == {4: 1}
 
 
 def test_non_homogeneous_raises():
     p = NCPoly({(A,): 1, (A, B): 1})
     with pytest.raises(NonHomogeneous):
-        degree_component_vector(p, 2, [A, B])
+        sparse_coords(p, 2, AB_POS, 2)
+    with pytest.raises(NonHomogeneous):
+        sparse_coords(NCPoly({(A, B, A): 1}), 2, AB_POS, 2)
 
 
 def test_parse_roundtrip():

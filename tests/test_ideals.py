@@ -4,9 +4,8 @@ from math import comb
 import pytest
 
 from maninalg.freealg import Gen, NCPoly, NonHomogeneous
-from maninalg.ideals import (PresentedAlgebra, build_slice,
-                             commutator_relations, free_presentation,
-                             reduces_to_zero)
+from maninalg.ideals import (PresentedAlgebra, commutator_relations,
+                             free_presentation, span_of_polys)
 from maninalg.linalg import Subspace
 from maninalg.tensor import BudgetExceeded
 
@@ -59,12 +58,11 @@ def test_membership_stable_under_generator_multiplication():
     assert not alg.reduces_to_zero(NCPoly.generator(A) * stranger)
 
 
-def test_standalone_build_slice():
+def test_presentation_of_a_relation_subspace():
     rel = Subspace.from_rows([[0, 1, -1, 0]], 4)  # ab - ba on two letters
-    sl = build_slice(rel, 3)
-    assert sl.dim == 4
-    sl2 = build_slice(rel, 2)
-    assert sl2.subspace() == rel
+    alg = PresentedAlgebra([A, B], rel)
+    assert alg.slice(3).dim == 4
+    assert alg.slice(2).subspace() == rel
 
 
 def test_non_homogeneous_rejected():
@@ -72,7 +70,25 @@ def test_non_homogeneous_rejected():
     with pytest.raises(NonHomogeneous):
         alg.reduces_to_zero(NCPoly({(A,): 1, (A, B): 1}))
     with pytest.raises(NonHomogeneous):
-        reduces_to_zero(NCPoly({(A,): 1, (A, B): 1}), alg.slice(2))
+        alg.reduces_to_zero(NCPoly({(A, B): 1, (B, A, B): 1}))
+    with pytest.raises(NonHomogeneous):
+        PresentedAlgebra.from_polys([A, B], [NCPoly({(A,): 1, (A, B): 1})])
+    with pytest.raises(NonHomogeneous):
+        PresentedAlgebra.from_polys([A, B], [NCPoly({(A, B, A): 1})])
+
+
+def test_from_polys_is_the_span_of_the_polynomials():
+    polys = [commutator(A, B), NCPoly.zero(), commutator(A, B).scale(F(-2, 3)),
+             NCPoly({(A, A): 1, (B, C): F(1, 2)})]
+    alg = PresentedAlgebra.from_polys([A, B, C], polys)
+    assert alg.relations == span_of_polys(polys, [A, B, C], 2)
+    assert alg.relations == Subspace.from_rows(
+        [[0, 1, 0, -1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, F(1, 2), 0, 0, 0]], 9)
+    # degree 3: the span of the shifted commutator {x r, r x}
+    words3 = span_of_polys([NCPoly.generator(x) * commutator(A, B) for x in (A, B)]
+                           + [commutator(A, B) * NCPoly.generator(x) for x in (A, B)],
+                           [A, B], 3)
+    assert words3 == PresentedAlgebra.from_polys([A, B], [commutator(A, B)]).slice(3).subspace()
 
 
 def test_budget_guard(monkeypatch):

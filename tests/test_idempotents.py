@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from maninalg import idempotents as idem
-from maninalg.linalg import QMatrix, row_space
+from maninalg.linalg import QMatrix, Subspace
 from maninalg.permutations import all_perms
 from maninalg.tensor import TensorOperator
 
@@ -62,7 +62,7 @@ def test_make_idempotent_from_flip_relations():
     R = P.matrix - QMatrix.identity(4)
     E = idem.make_idempotent(R)
     assert idem.is_idempotent(E)
-    assert row_space(E.matrix) == row_space(R)
+    assert Subspace.from_matrix(E.matrix) == Subspace.from_matrix(R)
     assert idem.left_equivalent(E, idem.antisymmetrizer(2))
 
 
@@ -178,4 +178,4 @@ def test_make_idempotent_always_projects_onto_the_row_space(rows):
     R = QMatrix.from_rows(rows)
     E = idem.make_idempotent(R)
     assert E.matrix * E.matrix == E.matrix
-    assert row_space(E.matrix) == row_space(R)
+    assert Subspace.from_matrix(E.matrix) == Subspace.from_matrix(R)

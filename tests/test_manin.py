@@ -6,11 +6,11 @@ from maninalg import idempotents as idem
 from maninalg.freealg import (Gen, NCPoly, generator_matrix, matrix_gen,
                               poly_matrix)
 from maninalg.ideals import (PresentedAlgebra, commutator_relations,
-                             free_presentation)
+                             free_presentation, span_of_polys)
 from maninalg.manin import (ManinPair, cross_commutators, is_manin,
                             manin_defect, product_is_manin,
                             double_manin_matches_commutators,
-                            rll_matches_double_qmanin, span_of_polys,
+                            rll_matches_double_qmanin,
                             submatrix, transport, universal_relations)
 from maninalg.permutations import Perm
 from maninalg.tensor import TensorOperator

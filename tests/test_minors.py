@@ -81,6 +81,18 @@ def test_verify_identity_reflexive():
     assert verify_identity(p, p, alg)
 
 
+def test_verify_identity_rejects_non_members():
+    from maninalg.ideals import commutator_relations, free_presentation
+    ab, ba = word(A_, B_), word(B_, A_)
+    assert not verify_identity(ab, ba, free_presentation((A_, B_)))
+    assert verify_identity(ab, ba, commutator_relations((A_, B_)))
+    # the universal 2x2 relations at q = 2, p = 3 fix the sign of the swap law
+    qhat, _, uni = qp_universal(2, 3)
+    M = generator_matrix("M", 2, 2)
+    lhs = det_qhat(qhat, col_permuted(M, Perm((2, 1))))
+    assert not verify_identity(lhs, det_qhat(qhat, M).scale(F(1, 3)), uni.algebra())
+
+
 def qp_universal(q, p):
     qhat = idem.uniform_parameter_matrix(2, q)
     phat = idem.uniform_parameter_matrix(2, p)

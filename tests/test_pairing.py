@@ -8,7 +8,7 @@ import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.cli import main as cli_main
 from maninalg.freealg import generator_matrix, poly_grid_product
-from maninalg.linalg import QMatrix, row_space
+from maninalg.linalg import QMatrix, Subspace
 from maninalg.manin import ManinPair, is_manin, transport, universal_relations
 from maninalg.minors import a_minor, minor_operator, s_minor
 from maninalg.pairing import (BraidRelationFailed, GroupEnumerationExceeded,
@@ -202,7 +202,7 @@ def test_fourparam_a3_kappa_zero_reduces_to_multiparam():
             [q * q, 1 / (q * q), 1]]
     cf = closed_form_multiparam(qhat, 3, "A")
     assert op.operator == cf.operator
-    assert row_space(op.operator.matrix) == row_space(cf.operator.matrix)
+    assert Subspace.from_matrix(op.operator.matrix) == Subspace.from_matrix(cf.operator.matrix)
 
 
 def test_verify_axioms_orthogonality_and_nesting():
