@@ -1,11 +1,14 @@
 """Graded two-sided-ideal slices in a free algebra.
 
 Given a subspace R of the degree-2 word space over g generators, the
-degree-d slice of the ideal generated by R is spanned by all products
-w1 * r * w2 with |w1| + |w2| = d - 2.  ``PresentedAlgebra`` owns them: it
-echelonizes each slice with sparse rows (the spanning vectors are short),
-caches it per degree, and decides membership of a homogeneous polynomial
-as a reduction to zero.
+degree-d slice I_d of the ideal generated by R is spanned by all products
+w1 * r * w2 with |w1| + |w2| = d - 2.  Slices are grown one degree at a
+time from I_d = I_{d-1} * V + V^(d-2) * R: every pivot row of I_{d-1}
+shifted by a generator on the right is already a pivot row of I_d, so only
+the rows w * r are reduced.  ``PresentedAlgebra`` owns the slices: it
+caches each requested degree, grows a new one from the highest cached
+degree below it, and decides membership of a homogeneous polynomial as a
+reduction to zero.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class PresentedAlgebra:
     """A free algebra with a fixed generator order and degree-2 relations.
 
     ``relations`` is a Subspace of the g^2-dimensional degree-2 word space in
-    the lex coordinates of ``gens``.  Slices are cached per degree.
+    the lex coordinates of ``gens``.  Slices are cached per requested
+    degree; a new one grows from the highest cached degree below it.
     """
 
     def __init__(self, gens, relations: Subspace):
@@ -69,7 +73,10 @@ class PresentedAlgebra:
     def slice(self, d: int) -> IdealSlice:
         cached = self._slices.get(d)
         if cached is None:
-            cached = self._slices[d] = build_slice_from_subspace(self.gens, self.relations, d)
+            lower = [e for e in self._slices if e < d]
+            below = self._slices[max(lower)] if lower else None
+            cached = self._slices[d] = build_slice_from_subspace(
+                self.gens, self.relations, d, below)
         return cached
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
@@ -98,8 +105,17 @@ def span_of_polys(polys, gens, degree: int) -> Subspace:
     return ech.dense_basis(len(gens) ** degree)
 
 
-def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
-    """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}."""
+def build_slice_from_subspace(gens, relations: Subspace, d: int,
+                              below: IdealSlice | None = None) -> IdealSlice:
+    """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}.
+
+    The slice is grown degree by degree, from ``below`` (a slice of the same
+    ideal at a lower degree, left unchanged) or else from the zero slice at
+    degree 1.  Going up one degree, each pivot row with lead l, shifted by
+    generator x, becomes the pivot row with lead l * g + x, and only the
+    rows w * r with |w| = e - 2 are inserted.  A word space of more than
+    ``word_budget()`` words is refused before anything is built.
+    """
     gens = tuple(gens)
     g = len(gens)
     if d < 2:
@@ -108,17 +124,30 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int) -> IdealSlice:
     if size > word_budget():
         raise BudgetExceeded(f"word space of size {size} exceeds budget "
                              f"{word_budget()} (override with MANIN_BUDGET)")
-    ech = SparseEchelon()
-    for left_len in range(d - 1):
-        right_len = d - 2 - left_len
-        left_size, right_size = g ** left_len, g ** right_len
-        for lead in range(left_size):
-            for rel in relations.rows.values():
-                base = {}
-                for mid, c in rel.items():
-                    base[(lead * g * g + mid) * right_size] = c
-                for trail in range(right_size):
-                    ech.insert({pos + trail: c for pos, c in base.items()})
+    if below is None:
+        degree, pivots, owned = 1, {}, True
+    elif below.gens == gens and 2 <= below.degree < d:
+        degree, pivots, owned = below.degree, below.echelon.pivots, False
+    else:
+        raise ValueError("a slice grows only from a lower-degree slice on the same generators")
+    relation_rows = relations.integer_rows()
+    # one int object per word position, shared as a key by every row that
+    # holds it, rather than a fresh int per entry
+    word = list(range(size))
+    for e in range(degree + 1, d + 1):
+        ech = SparseEchelon()
+        shifted = ech.pivots
+        for lead in sorted(pivots):
+            # an intermediate slice is consumed as it is shifted
+            row = pivots.pop(lead) if owned else pivots[lead]
+            for x in range(g):
+                shifted[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
+        owned = True
+        for w in range(g ** (e - 2)):
+            left = w * g * g
+            for rel in relation_rows:
+                ech.insert({word[left + mid]: c for mid, c in rel.items()})
+        pivots = ech.pivots
     return IdealSlice(gens, d, ech)
 
 

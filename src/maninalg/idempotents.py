@@ -346,15 +346,7 @@ class IdempotentSpec:
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        params = {}
-        for key, value in self.params.items():
-            if isinstance(value, Fraction):
-                params[key] = format_rat(value)
-            elif key in ("qhat",):
-                params[key] = [[format_rat(rat(x)) for x in row] for row in value]
-            else:
-                params[key] = value
-        return {"family": self.family, "n": self.n, "params": params}
+        return {"family": self.family, "n": self.n, "params": _json_value(self.params)}
 
     @staticmethod
     def from_json(doc) -> "IdempotentSpec":
@@ -373,6 +365,18 @@ class IdempotentSpec:
         except KeyError:
             raise InvalidParameter(
                 f"family {self.family} needs the parameter {key!r}") from None
+
+
+def _json_value(value):
+    """value with every Fraction, at any depth of lists and dicts, written
+    as a 'p' or 'p/q' string."""
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 FAMILIES = (

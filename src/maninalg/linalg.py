@@ -3,20 +3,28 @@
 Scalars are ``fractions.Fraction`` (arbitrary precision, always stored in
 lowest terms with positive denominator).  :class:`QMatrix` is a dense
 row-major matrix for products, traces and small Gram systems.  All row
-reduction goes through one engine, the sparse :class:`SparseEchelon`; a row
-space is a :class:`Subspace`, which keeps the engine's reduced row-echelon
-rows so that two subspaces are equal iff their rows are identical.
+reduction goes through one engine, the sparse :class:`SparseEchelon`, which
+eliminates fraction-free on primitive integer rows; Fractions enter it only
+as incoming rows, scaled to integers by their common denominator, and leave
+it only as its reduced row-echelon rows.  A row space is a
+:class:`Subspace`, which keeps those rows (Fractions, lead 1) so that two
+subspaces are equal iff their rows are identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import attrgetter
 
 
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class AmbientMismatch(ValueError):
@@ -244,6 +252,11 @@ class Subspace:
             self._basis = QMatrix(len(dense), self.ambient_dim, dense)
         return self._basis
 
+    def integer_rows(self) -> list:
+        """The basis rows scaled by their least common denominators: integer
+        rows with gcd 1 and a positive lead."""
+        return [_integer_row(row) for row in self.rows.values()]
+
     def contains(self, vector) -> bool:
         return not _eliminate(_sparse(vector, self.ambient_dim), self.rows)
 
@@ -306,25 +319,33 @@ def invert(m: QMatrix) -> QMatrix | None:
 
 
 class SparseEchelon:
-    """Incremental row reduction with sparse rows (dict index -> Fraction).
+    """Incremental row reduction with sparse integer rows.
 
-    This is the one elimination engine of the package.  Pivot rows are
-    normalized to leading coefficient 1; the lead of a pivot row is its
-    minimal index, so reduction proceeds strictly left to right and
-    terminates in one ascending sweep.
+    This is the one elimination engine of the package.  Each pivot row is a
+    primitive integer row (dict index -> int): its entries have gcd 1 and
+    its lead, the minimal index, has a positive coefficient.  Reduction
+    proceeds strictly left to right and terminates in one ascending sweep;
+    a step clears a lead without division, as ``(a/g) row - (c/g) pivot``
+    where ``a`` is the pivot's lead, ``c`` the row's entry there and
+    ``g = gcd(a, c)`` (Bareiss's fraction-free elimination).  Incoming rows
+    may hold Fractions: they are scaled to integers by their common
+    denominator.  ``reduced_rows`` turns the pivots back into the canonical
+    Fraction form with lead 1; nowhere else do Fractions appear.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        return _eliminate({i: c for i, c in row.items() if c}, self.pivots)
+        """A nonzero integer multiple of the remainder of row modulo the span
+        (empty iff row lies in the span)."""
+        return _eliminate(_integer_row(row), self.pivots)
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; returns True if the rank grew."""
@@ -332,36 +353,67 @@ class SparseEchelon:
         if not red:
             return False
         lead = min(red)
-        inv = ONE / red[lead]
-        if inv != 1:
-            red = {j: c * inv for j, c in red.items()}
-        self.pivots[lead] = red
+        self.pivots[lead] = _primitive(red, lead)
         return True
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
     def reduced_rows(self) -> dict:
-        """Fully back-substituted pivot rows keyed by lead, leads ascending."""
+        """Fully back-substituted pivot rows keyed by lead, leads ascending,
+        as Fraction rows with lead coefficient 1."""
         # the rows already reduced, all with larger leads, are the pivots
         reduced: dict[int, dict] = {}
         for lead in sorted(self.pivots, reverse=True):
-            reduced[lead] = _eliminate(dict(self.pivots[lead]), reduced)
-        return dict(sorted(reduced.items()))
+            reduced[lead] = _primitive(_eliminate(dict(self.pivots[lead]), reduced), lead)
+        out = {}
+        for lead in sorted(reduced):
+            row = reduced[lead]
+            a = row[lead]
+            out[lead] = {j: Fraction(c, a) for j, c in row.items()}
+        return out
 
     def dense_basis(self, ambient_dim: int) -> Subspace:
         """The span as a Subspace of Q^ambient_dim."""
         return Subspace(ambient_dim, self.reduced_rows())
 
 
-def _eliminate(row: dict, pivots: dict) -> dict:
-    """Subtract c * pivot from row (in place) for every pivot lead in row,
-    smallest lead first, and return row.
+def _integer_row(row: dict) -> dict:
+    """The nonzero entries of a row of ints and Fractions, times the least
+    common denominator, as a fresh dict of ints."""
+    values = row.values()
+    den = lcm(*map(_denominator, values))
+    if den == 1:
+        out = dict(zip(row, map(_numerator, values)))
+    else:
+        out = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+    if 0 in values:
+        out = {j: c for j, c in out.items() if c}
+    return out
 
-    ``pivots`` maps each lead to a row with coefficient 1 at the lead and no
-    entry left of it, so each step clears its lead for good and can only
-    bring in leads further right; a heap of the leads met keeps the row
-    from being rescanned after every step.
+
+def _primitive(row: dict, lead: int) -> dict:
+    """row divided by its gcd content, signed so that row[lead] > 0."""
+    content = gcd(*row.values())
+    if row[lead] < 0:
+        content = -content
+    if content == 1:
+        return row
+    return {j: c // content for j, c in row.items()}
+
+
+def _eliminate(row: dict, pivots: dict) -> dict:
+    """Clear from row (in place) every pivot lead it holds, smallest lead
+    first, and return it.
+
+    ``pivots`` maps each lead to a row with no entry left of it: either a
+    Fraction row with coefficient 1 at the lead (a ``Subspace`` row), or an
+    integer row, in which case row must hold integers too.  A step with
+    pivot lead a and row entry c replaces row by ``(a/g) row - (c/g) pivot``
+    with g = gcd(a, c), which for a = 1 is ``row - c pivot``; the result is
+    a nonzero multiple of the remainder.  Each step clears its lead for good
+    and can only bring in leads further right, so a heap of the leads met
+    keeps the row from being rescanned after every step.
     """
     hits = [i for i in row if i in pivots]
     heapify(hits)
@@ -370,7 +422,16 @@ def _eliminate(row: dict, pivots: dict) -> dict:
         c = row.pop(i, None)
         if c is None:  # cancelled, or a repeat already cleared
             continue
-        for j, v in pivots[i].items():
+        pivot = pivots[i]
+        a = pivot[i]
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                m = a // g
+                for j in row:
+                    row[j] *= m
+            c //= g
+        for j, v in pivot.items():
             if j == i:
                 continue
             if j in row:

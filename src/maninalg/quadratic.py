@@ -73,9 +73,15 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
 
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
+    """Graded dimensions in degrees 0..max_degree, read in ascending order
+    from one presentation, so that each slice grows from the one below."""
     if max_degree < 0:
         raise ValueError(f"max degree must be non-negative, got {max_degree}")
-    return [graded_dimension(alg, k) for k in range(max_degree + 1)]
+    n = alg.n
+    check_budget(n ** max_degree)
+    presentation = alg.presentation()
+    return [n ** k if k < 2 else n ** k - presentation.slice(k).dim
+            for k in range(max_degree + 1)]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .manin import (ManinPair, orthogonal_pair_relations,
                     symplectic_pair_relations, universal_relations)
 from .pairing import (NotExists, fourparam_A3, fourparam_conditions,
                       fourparam_xi3_dimension, verify_axioms)
-from .quadratic import QuadAlgebra, graded_dimension
+from .quadratic import QuadAlgebra, dimension_table, graded_dimension
 from .tensor import TensorOperator, embed, flatten_index
 
 
@@ -93,7 +93,7 @@ def bcd_report(family: str, n: int) -> ScenarioReport:
         both = universal_relations(ManinPair(E, E))
         report.checks["plain_pair_implies"] = plain.space.contains_space(uni.space)
         report.checks["full_pair_implies"] = both.space.contains_space(uni.space)
-        dims = [graded_dimension(QuadAlgebra(E, "X"), k) for k in range(4)]
+        dims = dimension_table(QuadAlgebra(E, "X"), 3)
         report.data["X_dims"] = dims
         report.checks["X_dims_formula"] = dims == [
             orthogonal_dim_formula(n, k) for k in range(4)]
@@ -121,7 +121,7 @@ def bcd_report(family: str, n: int) -> ScenarioReport:
         both = universal_relations(ManinPair(E, E))
         report.checks["plain_pair_implies"] = plain.space.contains_space(uni.space)
         report.checks["full_pair_implies"] = both.space.contains_space(uni.space)
-        dims = [graded_dimension(QuadAlgebra(E, "Xi"), k) for k in range(4)]
+        dims = dimension_table(QuadAlgebra(E, "Xi"), 3)
         report.data["Xi_dims"] = dims
         report.checks["Xi_dims_formula"] = dims == [
             symplectic_dim_formula(n, k) for k in range(4)]
@@ -217,7 +217,7 @@ def lie_seed(brackets, dim: int) -> tuple:
     report.checks["C_kills_antisymmetrizer"] = (C * A).is_zero()
     report.checks["antisymmetrizer_fixes_C"] = (A * C) == C
     report.checks["idempotent"] = is_idempotent(E)
-    dims = [graded_dimension(QuadAlgebra(E, "X"), k) for k in range(3)]
+    dims = dimension_table(QuadAlgebra(E, "X"), 2)
     report.data["X_dims"] = dims
     report.data["jacobi_holds"] = _jacobi_holds(brackets, dim)
     return spec, report

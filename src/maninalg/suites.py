@@ -27,7 +27,7 @@ from .pairing import (BraidRelationFailed, GroupEnumerationExceeded, NotExists,
                       verify_axioms)
 from .permutations import (NonReducedWord, all_perms, inv,
                            inversion_set_from_reduced_word, stabilizer_order)
-from .quadratic import QuadAlgebra, graded_dimension
+from .quadratic import QuadAlgebra, dimension_table
 from .scenarios import (bcd_report, fourparam_report, lie_seed,
                         orthogonal_dim_formula, symplectic_dim_formula)
 from .tensor import TensorOperator, embed, flatten_index, swap_operator
@@ -134,9 +134,9 @@ def check_multiparam_dims():
     bad = []
     for n in (2, 3):
         E = idem.parameterized_antisymmetrizer(generic_parameter_matrix(n))
-        for k in range(5):
-            dx = graded_dimension(QuadAlgebra(E, "X"), k)
-            dxi = graded_dimension(QuadAlgebra(E, "Xi"), k)
+        x_dims = dimension_table(QuadAlgebra(E, "X"), 4)
+        xi_dims = dimension_table(QuadAlgebra(E, "Xi"), 4)
+        for k, (dx, dxi) in enumerate(zip(x_dims, xi_dims)):
             if dx != comb(k + n - 1, k):
                 bad.append(f"X n={n} k={k}: {dx}")
             if dxi != comb(n, k):
@@ -148,16 +148,15 @@ def check_bcd_dims():
     bad = []
     for n in (3, 4):
         E = idem.orthogonal_idempotent(n)
-        for k in range(4):
-            d = graded_dimension(QuadAlgebra(E, "X"), k)
+        for k, d in enumerate(dimension_table(QuadAlgebra(E, "X"), 3)):
             if d != orthogonal_dim_formula(n, k):
                 bad.append(f"X_B n={n} k={k}: {d}")
     E = idem.symplectic_idempotent(4)
-    for k in range(4):
-        d = graded_dimension(QuadAlgebra(E, "Xi"), k)
+    xi_dims = dimension_table(QuadAlgebra(E, "Xi"), 3)
+    for k, d in enumerate(xi_dims):
         if d != symplectic_dim_formula(4, k):
             bad.append(f"Xi_Btilde n=4 k={k}: {d}")
-    if graded_dimension(QuadAlgebra(idem.symplectic_idempotent(4), "Xi"), 3) != 0:
+    if xi_dims[3] != 0:
         bad.append("Xi_Btilde4 degree 3 nonzero")
     return not bad, "; ".join(bad) or "orthogonal/symplectic tables match"
 

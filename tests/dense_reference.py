@@ -1,17 +1,24 @@
-"""Dense oracles for the sparse engines.
+"""Dense and Fraction oracles for the sparse integer engines.
 
-The library reduces rows only with ``linalg.SparseEchelon`` and stores
-tensor operators as sparse rows.  This module keeps independent dense
-routes, written directly on ``QMatrix`` grids, so that tests can check the
-sparse results against them: row-echelon forms, kernels, inverses, the
-intersection subspaces of ``quadratic`` (computed here as joint kernels of
-the stacked embedded operators), the embeddings of ``tensor``, the
-fixed-vector check of ``pairing.verify_axioms`` and the products of NCPoly
-grids with scalar matrices (``freealg.poly_grid_product``).  Dense operator
-products, sums and transposes are those of ``QMatrix`` itself.
+The library reduces rows only with ``linalg.SparseEchelon``, which
+eliminates on primitive integer rows, builds ideal slices degree by degree,
+and stores tensor operators as sparse rows.  This module keeps independent
+routes so that tests can check those results against them: the earlier
+``Fraction`` echelon (pivots with lead 1) and the all-positions slice
+builder that echelonizes every w1 * r * w2 from scratch, plus dense routes
+written directly on ``QMatrix`` grids: row-echelon forms, kernels,
+inverses, the intersection subspaces of ``quadratic`` (computed here as
+joint kernels of the stacked embedded operators), the embeddings of
+``tensor``, the fixed-vector check of ``pairing.verify_axioms`` and the
+products of NCPoly grids with scalar matrices
+(``freealg.poly_grid_product``).  Dense operator products, sums and
+transposes are those of ``QMatrix`` itself.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from maninalg.freealg import NCPoly
 from maninalg.linalg import ONE, ZERO, QMatrix
@@ -195,3 +202,78 @@ def poly_mat_times_scalar(p, m: QMatrix) -> list:
             row.append(acc)
         out.append(row)
     return out
+
+
+class FractionEchelon:
+    """Incremental row reduction on sparse Fraction rows, every pivot row
+    normalized to lead coefficient 1: the engine that ``SparseEchelon``
+    replaced, kept as its oracle."""
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: dict) -> dict:
+        return _eliminate({i: Fraction(c) for i, c in row.items() if c}, self.pivots)
+
+    def insert(self, row: dict) -> bool:
+        red = self.reduce(row)
+        if not red:
+            return False
+        lead = min(red)
+        inv = ONE / red[lead]
+        self.pivots[lead] = {j: c * inv for j, c in red.items()}
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+    def reduced_rows(self) -> dict:
+        reduced: dict[int, dict] = {}
+        for lead in sorted(self.pivots, reverse=True):
+            reduced[lead] = _eliminate(dict(self.pivots[lead]), reduced)
+        return dict(sorted(reduced.items()))
+
+
+def _eliminate(row: dict, pivots: dict) -> dict:
+    """Subtract c * pivot from row (in place) for every pivot lead in row,
+    smallest lead first; pivots have lead coefficient 1."""
+    hits = [i for i in row if i in pivots]
+    heapify(hits)
+    while hits:
+        i = heappop(hits)
+        c = row.pop(i, None)
+        if c is None:  # cancelled, or a repeat already cleared
+            continue
+        for j, v in pivots[i].items():
+            if j == i:
+                continue
+            if j in row:
+                nv = row[j] - c * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+            else:
+                row[j] = -c * v
+                if j in pivots:
+                    heappush(hits, j)
+    return row
+
+
+def slice_from_scratch(g: int, relations, d: int) -> FractionEchelon:
+    """The degree-d slice of the ideal generated by the Subspace relations
+    of the g^2-dimensional word space: every w1 * r * w2 with
+    |w1| + |w2| = d - 2, inserted into a FractionEchelon."""
+    ech = FractionEchelon()
+    for left_len in range(d - 1):
+        right_size = g ** (d - 2 - left_len)
+        for lead in range(g ** left_len):
+            for rel in relations.rows.values():
+                for trail in range(right_size):
+                    ech.insert({(lead * g * g + mid) * right_size + trail: c
+                                for mid, c in rel.items()})
+    return ech

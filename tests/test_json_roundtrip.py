@@ -105,3 +105,33 @@ def test_rational_parameters_serialize_as_strings(n, q, data):
         rebuilt = idem.IdempotentSpec.from_json(json.loads(json.dumps(doc)))
         assert idem.build(rebuilt) == idem.build(spec)
         assert rebuilt.to_json() == doc
+
+
+@st.composite
+def specs_holding_fractions(draw):
+    """Custom and Lie specs as code builds them: Fraction matrix entries and
+    Fraction bracket coefficients, nested inside lists."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 2))
+        entries = st.fractions(-3, 3, max_denominator=3)
+        grid = draw(st.lists(st.lists(entries, min_size=n * n, max_size=n * n),
+                             min_size=n * n, max_size=n * n))
+        return idem.IdempotentSpec("Custom", n, {"matrix": grid})
+    n, params = draw(lie_params())
+    brackets = [[i, j, k, Fraction(c)] for i, j, k, c in params["brackets"]]
+    return idem.IdempotentSpec("Lie", n, {"dim": params["dim"], "brackets": brackets})
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs_holding_fractions())
+def test_nested_fractions_serialize_as_strings(spec):
+    doc = spec.to_json()
+    rebuilt = idem.IdempotentSpec.from_json(json.loads(json.dumps(doc)))
+    assert idem.build(rebuilt) == idem.build(spec)
+    assert rebuilt.to_json() == doc
+
+
+def test_custom_matrix_fraction_entry_is_written_as_text():
+    spec = idem.IdempotentSpec("Custom", 1, {"matrix": [[Fraction(1, 2)]]})
+    assert json.dumps(spec.to_json()) == \
+        '{"family": "Custom", "n": 1, "params": {"matrix": [["1/2"]]}}'

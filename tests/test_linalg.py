@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -199,3 +200,68 @@ def test_subspace_rows_are_reduced_row_echelon(rows):
         assert min(row) == lead and row[lead] == 1
         assert all(x for x in row.values()), "stored zero"
         assert not any(j in sub.rows for j in row if j != lead), "lead column not cleared"
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def insert_sequences(draw):
+    """Rows of ints and Fractions over a small width; about half of them are
+    combinations of earlier rows, so they lie in the span and their entries
+    cancel, exact zeros left in place."""
+    width = draw(st.integers(1, 9))
+    free_row = st.dictionaries(st.integers(0, width - 1), coefficients, max_size=width)
+
+    def combination(rows):
+        picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        row = {}
+        for r in picks:
+            c = draw(coefficients)
+            for j, x in r.items():
+                row[j] = row.get(j, 0) + c * x
+        return row
+
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append(combination(rows) if rows and draw(st.booleans()) else draw(free_row))
+    probes = [draw(free_row) for _ in range(3)]
+    if rows:
+        probes += [combination(rows) for _ in range(3)]
+    return rows, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(insert_sequences())
+def test_integer_echelon_matches_fraction_oracle(case):
+    rows, probes = case
+    ech, oracle = SparseEchelon(), dense.FractionEchelon()
+    for row in rows:
+        before = dict(row)
+        assert ech.insert(row) == oracle.insert(row)
+        assert row == before, "insert changed its argument"
+    assert ech.rank == oracle.rank
+    assert set(ech.pivots) == set(oracle.pivots)
+    assert ech.reduced_rows() == oracle.reduced_rows()
+    for probe in probes:
+        assert ech.contains(probe) == oracle.contains(probe)
+    for row in rows:
+        assert ech.contains(row)
+    for lead, row in ech.pivots.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(type(c) is int and c for c in row.values()), "not a row of nonzero ints"
+        assert gcd(*row.values()) == 1, "pivot row not primitive"
+
+
+def test_integer_echelon_clears_denominators_and_content():
+    ech = SparseEchelon()
+    ech.insert({1: Fraction(-2, 3), 4: Fraction(4, 9)})
+    assert ech.pivots == {1: {1: 3, 4: -2}}
+    # 5 e_1 - 7 e_4 is reduced fraction-free: 3 (5, -7) - 5 (3, -2) = (0, -11)
+    assert ech.reduce({1: 5, 4: -7}) == {4: -11}
+    assert ech.insert({1: 5, 4: -7, 6: 0})
+    assert ech.pivots[4] == {4: 1}
+    assert ech.reduced_rows() == {1: {1: Fraction(1)}, 4: {4: Fraction(1)}}

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from maninalg import idempotents as idem
+from maninalg import ideals, idempotents as idem
 from maninalg.quadratic import (QuadAlgebra, component_subspaces,
                                 dimension_table, graded_component,
                                 graded_dimension, relation_space)
@@ -153,3 +153,17 @@ def test_budget_guard(monkeypatch):
     E = idem.antisymmetrizer(2)
     with pytest.raises(BudgetExceeded):
         graded_dimension(QuadAlgebra(E, "X"), 4)
+
+
+def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
+    builds = []
+    build = ideals.build_slice_from_subspace
+    monkeypatch.setattr(ideals, "build_slice_from_subspace",
+                        lambda *args: builds.append(args[2]) or build(*args))
+    alg = QuadAlgebra(idem.antisymmetrizer(3), "X")
+    monkeypatch.setenv("MANIN_BUDGET", "100")  # 3^4 = 81 fits, 3^5 = 243 does not
+    with pytest.raises(BudgetExceeded):
+        dimension_table(alg, 5)
+    assert builds == []
+    assert dimension_table(alg, 4) == [comb(k + 2, k) for k in range(5)]
+    assert builds == [2, 3, 4]
