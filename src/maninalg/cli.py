@@ -81,6 +81,8 @@ def add_spec_arguments(sub):
 def load_pair(path: str) -> ManinPair:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
+        raise ValueError("a pair file must be a JSON object with keys 'A' and 'B'")
     A = idem.build(idem.IdempotentSpec.from_json(doc["A"]))
     B = idem.build(idem.IdempotentSpec.from_json(doc["B"]))
     return ManinPair(A, B)

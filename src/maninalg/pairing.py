@@ -85,8 +85,7 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
         raise ValueError("arity starts at 1")
     if k == 1:
         return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1), "generic")
-    v_k, vbar_k, w_k, wbar_k = component_subspaces(E, k)
-    right, left = (v_k, vbar_k) if kind == "S" else (w_k, wbar_k)
+    right, left = component_subspaces(E, k, kind)
     if right.dim != left.dim:
         return NotExists(kind, k, "dimension mismatch",
                          {"right_dim": right.dim, "left_dim": left.dim})
@@ -412,8 +411,7 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
             break
     report["annihilation"] = ann
 
-    v_k, vbar_k, w_k, wbar_k = component_subspaces(E, k)
-    right, left = (v_k, vbar_k) if p.kind == "S" else (w_k, wbar_k)
+    right, left = component_subspaces(E, k, p.kind)
     report["fixed_vectors"] = fixes_subspaces(op, right, left)
 
     report["idempotent"] = (op * op) == op

@@ -13,18 +13,30 @@ realizations are dual: V_k is the annihilator of the degree-k slice of the
 ideal of X, Vbar_k of Xstar, W_k of Xistar and Wbar_k of Xi.  Both come
 from the same sparse slice echelon, read from the algebra's presentation
 (``QuadAlgebra.presentation``, an ``ideals.PresentedAlgebra``).
+
+``component_subspaces(E, k, kind)`` gives the (right, left) pair of one
+pairing kind: (V_k, Vbar_k) for "S" and (W_k, Wbar_k) for "A".
+``KIND_VARIANTS`` is the only place that maps a kind to its two variants.
+These pairs are memoized per (E, k, kind), at most 16 of them at a time.
+Graded dimensions are not: each call reads a fresh presentation, so the
+slices of one algebra are freed before those of the next are built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .freealg import Gen
 from .ideals import PresentedAlgebra
 from .linalg import Subspace
-from .tensor import TensorOperator, check_budget, multi_indices
+from .tensor import TensorOperator, check_budget
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
+
+# The algebras whose degree-k ideal slices annihilate the (right, left)
+# intersection subspaces of each pairing kind.
+KIND_VARIANTS = {"S": ("X", "Xstar"), "A": ("Xistar", "Xi")}
 
 
 @dataclass(frozen=True)
@@ -84,44 +96,27 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
             for k in range(max_degree + 1)]
 
 
-@dataclass(frozen=True)
-class GradedComponent:
-    """Degree-k component with its quotient and subspace realizations."""
-
-    degree: int
-    dimension: int
-    ideal_dim: int
-    quotient_basis: tuple  # multi-indices of non-pivot words
-    subspace: Subspace     # the dual intersection realization
-
-
-def graded_component(alg: QuadAlgebra, k: int) -> GradedComponent:
-    n = alg.n
-    check_budget(n ** k)
-    if k < 2:
-        dims = 1 if k == 0 else n
-        basis = tuple(multi_indices(n, k))
-        return GradedComponent(k, dims, 0, basis, Subspace.zero(n ** k).annihilator())
-    slice_ = alg.presentation().slice(k)
-    pivots = slice_.echelon.pivots
-    basis = tuple(idx for pos, idx in enumerate(multi_indices(n, k))
-                  if pos not in pivots)
-    return GradedComponent(k, n ** k - slice_.dim, slice_.dim, basis,
-                           slice_.subspace().annihilator())
-
-
-def component_subspaces(E: TensorOperator, k: int):
-    """(V_k, Vbar_k, W_k, Wbar_k) for the idempotent E.
+def component_subspaces(E: TensorOperator, k: int, kind: str):
+    """(right, left) intersection subspaces of degree k for the idempotent E:
+    (V_k, Vbar_k) for kind "S" and (W_k, Wbar_k) for kind "A".
 
     V_k is the joint right kernel of the embedded copies of E at adjacent
     legs, Vbar_k the joint left kernel; W uses S = 1 - E.  Each is the
-    annihilator of a degree-k ideal slice: of X, Xstar, Xistar and Xi in
-    that order.  For k < 2 all four are the full space.
+    annihilator of a degree-k ideal slice (``KIND_VARIANTS``).  For k < 2
+    both are the full space.  The budget is checked on every call, so a
+    lowered budget refuses a size already in the memo.  Callers share the
+    memoized subspaces and must not modify them.
     """
-    size = E.row_dim ** k
-    check_budget(size)
+    if kind not in KIND_VARIANTS:
+        raise ValueError(f"kind must be one of {tuple(KIND_VARIANTS)}")
+    check_budget(E.row_dim ** k)
+    return _component_subspaces(E, k, kind)
+
+
+@functools.lru_cache(maxsize=16)
+def _component_subspaces(E: TensorOperator, k: int, kind: str) -> tuple:
     if k < 2:
-        full = Subspace.zero(size).annihilator()
-        return full, full, full, full
+        full = Subspace.zero(E.row_dim ** k).annihilator()
+        return full, full
     return tuple(QuadAlgebra(E, variant).presentation().slice(k).subspace().annihilator()
-                 for variant in ("X", "Xstar", "Xistar", "Xi"))
+                 for variant in KIND_VARIANTS[kind])

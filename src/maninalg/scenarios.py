@@ -147,7 +147,9 @@ def fourparam_report(a, b, c, kappa) -> ScenarioReport:
         report.data["note"] = "three-dimensional branch is out of field"
     E = fourparam_idempotent(a, b, c, kappa)
     report.checks["idempotent"] = is_idempotent(E)
-    xi3 = graded_dimension(QuadAlgebra(E, "Xi"), 3)
+    # one presentation of Xi serves the dimension and the psi product table
+    xi = QuadAlgebra(E, "Xi").presentation()
+    xi3 = E.row_dim ** 3 - xi.slice(3).dim
     x3 = graded_dimension(QuadAlgebra(E, "X"), 3)
     report.data["xi3"] = xi3
     report.data["x3"] = x3
@@ -164,19 +166,19 @@ def fourparam_report(a, b, c, kappa) -> ScenarioReport:
         if kappa:
             report.checks["A3_existence_matches"] = (
                 conds["i"] and not conds["ii"] and not conds["iii"])
-            report.checks["psi_products"] = _psi_product_table_holds(E, op, a, b, c, kappa)
+            report.checks["psi_products"] = _psi_product_table_holds(xi, op, a, b, c, kappa)
     return report
 
 
-def _psi_product_table_holds(E, op, a, b, c, kappa) -> bool:
+def _psi_product_table_holds(algebra, op, a, b, c, kappa) -> bool:
     """The degree-3 product table of the dual Grassmann generators.
 
     The rank-one A-operator predicts psi_i psi_j psi_k = w^1_{ijk} psi_1
     psi_2 psi_3 where w^1 is its covector factor.  Each predicted identity
     is verified in the quotient: the difference must lie in the degree-3
-    slice of the ideal generated by the degree-2 relations.
+    slice of the ideal generated by the degree-2 relations of ``algebra``,
+    the presentation of Xi.
     """
-    algebra = QuadAlgebra(E, "Xi").presentation()
     gens = algebra.gens
     lead = flatten_index((1, 2, 3), 3)
     row = op.operator.rows.get(lead, {})

@@ -111,23 +111,17 @@ def _embedded_rows(op: TensorOperator, k: int, a: int) -> list:
     return rows
 
 
-def joint_kernels(E: TensorOperator, k: int) -> tuple:
-    """(V_k, Vbar_k, W_k, Wbar_k) as dense reduced bases, k >= 2.
-
-    V_k is the joint right kernel of the copies of E at adjacent legs,
-    Vbar_k the joint left kernel; W uses S = 1 - E.
+def joint_kernels(op: TensorOperator, k: int) -> tuple:
+    """(right, left) joint kernels of the copies of op at adjacent legs as
+    dense reduced bases, k >= 2: (V_k, Vbar_k) for op = E and
+    (W_k, Wbar_k) for op = S = 1 - E.
     """
-    n = E.row_dim
-    size = n ** k
-    S = TensorOperator.identity(n, 2) - E
-    out = []
-    for op in (E, S):
-        blocks = [QMatrix(size, size, _embedded_rows(op, k, a)) for a in range(k - 1)]
-        right = [row for b in blocks for row in b.data]
-        left = [row for b in blocks for row in b.transpose().data]
-        out.append(kernel(QMatrix(len(right), size, right)))
-        out.append(kernel(QMatrix(len(left), size, left)))
-    return tuple(out)
+    size = op.row_dim ** k
+    blocks = [QMatrix(size, size, _embedded_rows(op, k, a)) for a in range(k - 1)]
+    right = [row for b in blocks for row in b.data]
+    left = [row for b in blocks for row in b.transpose().data]
+    return (kernel(QMatrix(len(right), size, right)),
+            kernel(QMatrix(len(left), size, left)))
 
 
 def embed(op: TensorOperator, total_arity: int, start_leg: int) -> QMatrix:

@@ -38,8 +38,15 @@ tracer.install()
 from maninalg import freealg as F, idempotents as idem, linalg, manin as Mn, minors as Mi
 from maninalg import pairing as P, quadratic as Quad, tensor as T
 
-# graded_dims: a dense copy of an operator, perturbed and wrapped again
 E = idem.hecke_minus(3, Fraction(2))
+
+# the tracer counts component_subspaces calls and reads (E, k) from the
+# first two positional arguments
+assert P.verify_axioms(P.generic_pairing(E, 2, "S"))["pass"]
+assert tracer.calls["quadratic.component_subspaces"] == 2
+assert len(tracer._distinct) == 1
+
+# graded_dims: a dense copy of an operator, perturbed and wrapped again
 m = E.matrix.copy()
 m.data[0][1] += 1
 bad = T.TensorOperator(3, 3, 2, m)

@@ -209,6 +209,12 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
       "--method", "brauer"], None, "arity starts at 1"),
     (["pairing", "--family", "A_n", "--n", "2", "--k", "0", "--kind", "A",
       "--method", "closed"], None, "arity starts at 1"),
+    (["minor", "--pair", "SPEC", "--matrix", "unused", "--k", "2", "--kind", "A"],
+     '[1, 2]', "JSON object with keys 'A' and 'B'"),
+    (["manin-check", "--pair", "SPEC", "--matrix", "unused", "--relations", "unused"],
+     '"x"', "JSON object with keys 'A' and 'B'"),
+    (["minor", "--pair", "SPEC", "--matrix", "unused", "--k", "2", "--kind", "S"],
+     '{"A": {"family": "A_n", "n": 2}}', "JSON object with keys 'A' and 'B'"),
 ], ids=["zero-denominator", "float-parameter", "negative-max-degree", "spec-is-a-list",
         "spec-without-family", "spec-null-n", "negative-n", "missing-n",
         "custom-without-matrix", "missing-q", "fourparam-without-c",
@@ -217,7 +223,8 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
         "lie-spec-bracket-not-a-row", "params-is-a-list", "params-is-a-number",
         "qhat-is-a-number", "qhat-is-flat", "custom-matrix-is-flat", "qhat-is-empty",
         "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
-        "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0"])
+        "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0",
+        "pair-is-a-list", "pair-is-a-string", "pair-without-B"])
 def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsys):
     if spec_text is not None:
         spec = tmp_path / "spec.json"

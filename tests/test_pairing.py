@@ -47,9 +47,14 @@ def test_generic_not_exists_for_fourparam():
     result = generic_pairing(E, 3, "A")
     assert isinstance(result, NotExists)
     # oracle: the kernel intersections have different dimensions
-    _, _, w3, wbar3 = component_subspaces(E, 3)
+    w3, wbar3 = component_subspaces(E, 3, "A")
     assert (w3.dim, wbar3.dim) == (1, 0)
     assert result.details == {"right_dim": 1, "left_dim": 0}
+
+
+def test_generic_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        generic_pairing(idem.fourparam_idempotent(1, 2, 1, 1), 3, "X")
 
 
 def test_group_average_symmetrizers():
@@ -276,15 +281,10 @@ def suite_size_operators():
         yield brauer_pairing("sp", 4, k)
 
 
-def fixed_subspaces(p):
-    v, vbar, w, wbar = component_subspaces(p.source, p.arity)
-    return (v, vbar) if p.kind == "S" else (w, wbar)
-
-
 def test_sparse_fixed_vector_check_matches_dense():
     outcomes = set()
     for p in suite_size_operators():
-        right, left = fixed_subspaces(p)
+        right, left = component_subspaces(p.source, p.arity, p.kind)
         assert fixes_subspaces(p.operator, right, left)
         assert dense.fixes_subspaces(p.operator.matrix, right, left)
         size = p.source.row_dim ** p.arity

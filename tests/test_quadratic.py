@@ -3,10 +3,10 @@ from math import comb
 
 import pytest
 
-from maninalg import ideals, idempotents as idem
+from maninalg import ideals, idempotents as idem, quadratic
 from maninalg.quadratic import (QuadAlgebra, component_subspaces,
-                                dimension_table, graded_component,
-                                graded_dimension, relation_space)
+                                dimension_table, graded_dimension,
+                                relation_space)
 from maninalg.suites import generic_parameter_matrix
 from maninalg.tensor import BudgetExceeded, flatten_index
 
@@ -76,8 +76,9 @@ def test_symplectic_degree_three_vanishes():
 
 def test_component_subspaces_degree_two():
     E = idem.orthogonal_idempotent(3)
-    v2, vbar2, w2, wbar2 = component_subspaces(E, 2)
+    v2, _ = component_subspaces(E, 2, "S")
     assert v2.basis == dense.kernel(E.matrix)
+    w2, _ = component_subspaces(E, 2, "A")
     S = idem.TensorOperator.identity(3, 2) - E
     assert w2.basis == dense.kernel(S.matrix)
 
@@ -105,20 +106,23 @@ def _differential_cases():
 
 @pytest.mark.parametrize("E, k", _differential_cases())
 def test_component_subspaces_match_dense_joint_kernels(E, k):
-    sparse = component_subspaces(E, k)
-    assert tuple(s.basis for s in sparse) == dense.joint_kernels(E, k)
+    S = idem.TensorOperator.identity(E.row_dim, 2) - E
+    for kind, killer in (("S", E), ("A", S)):
+        right, left = component_subspaces(E, k, kind)
+        assert (right.basis, left.basis) == dense.joint_kernels(killer, k), kind
 
 
 def test_grassmann_degree_three_dies_on_two_letters():
     E = idem.antisymmetrizer(2)
-    v3, vbar3, w3, wbar3 = component_subspaces(E, 3)
+    w3, wbar3 = component_subspaces(E, 3, "A")
     assert w3.dim == 0 and wbar3.dim == 0
+    v3, _ = component_subspaces(E, 3, "S")
     assert v3.dim == comb(4, 3)
 
 
 def test_multiparam_intersection_dimension():
     E = idem.parameterized_antisymmetrizer(generic_parameter_matrix(3))
-    v3 = component_subspaces(E, 3)[0]
+    v3, _ = component_subspaces(E, 3, "S")
     assert v3.dim == comb(5, 3)  # 10, the degree-3 polynomial component
 
 
@@ -139,15 +143,6 @@ def test_lie_dimension():
     assert graded_dimension(QuadAlgebra(E, "X"), 2) == 10  # 16 - 6 relations
 
 
-def test_graded_component_quotient_basis():
-    E = idem.antisymmetrizer(2)
-    comp = graded_component(QuadAlgebra(E, "X"), 2)
-    assert comp.dimension == 3
-    assert comp.ideal_dim == 1
-    assert len(comp.quotient_basis) == 3
-    assert comp.subspace.dim == 3
-
-
 def test_budget_guard(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "8")
     E = idem.antisymmetrizer(2)
@@ -155,11 +150,16 @@ def test_budget_guard(monkeypatch):
         graded_dimension(QuadAlgebra(E, "X"), 4)
 
 
-def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
+def _count_slice_builds(monkeypatch):
     builds = []
     build = ideals.build_slice_from_subspace
     monkeypatch.setattr(ideals, "build_slice_from_subspace",
                         lambda *args: builds.append(args[2]) or build(*args))
+    return builds
+
+
+def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
+    builds = _count_slice_builds(monkeypatch)
     alg = QuadAlgebra(idem.antisymmetrizer(3), "X")
     monkeypatch.setenv("MANIN_BUDGET", "100")  # 3^4 = 81 fits, 3^5 = 243 does not
     with pytest.raises(BudgetExceeded):
@@ -167,3 +167,27 @@ def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
     assert builds == []
     assert dimension_table(alg, 4) == [comb(k + 2, k) for k in range(5)]
     assert builds == [2, 3, 4]
+
+
+def test_component_subspaces_miss_builds_two_slices(monkeypatch):
+    quadratic._component_subspaces.cache_clear()
+    builds = _count_slice_builds(monkeypatch)
+    component_subspaces(idem.hecke_minus(3, 2), 3, "A")
+    assert builds == [3, 3]
+
+
+def test_component_subspaces_memo_is_by_value(monkeypatch):
+    quadratic._component_subspaces.cache_clear()
+    first = component_subspaces(idem.orthogonal_idempotent(3), 3, "S")
+    builds = _count_slice_builds(monkeypatch)
+    again = idem.orthogonal_idempotent(3)  # equal, but a separate object
+    assert component_subspaces(again, 3, "S") is first
+    assert builds == []
+
+
+def test_component_subspaces_budget_checked_before_memo(monkeypatch):
+    E = idem.antisymmetrizer(2)
+    component_subspaces(E, 4, "A")
+    monkeypatch.setenv("MANIN_BUDGET", "8")  # 2^4 = 16 words
+    with pytest.raises(BudgetExceeded):
+        component_subspaces(E, 4, "A")
