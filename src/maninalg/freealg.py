@@ -9,11 +9,20 @@ is most significant, matching the tensor multi-index convention.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import ONE, ZERO, QMatrix, format_rat, rat
+
+
+DEFAULT_WORD_BUDGET = 20736
+
+
+def word_budget() -> int:
+    """The largest word space (and the longest word) the package builds."""
+    return int(os.environ.get("MANIN_BUDGET", DEFAULT_WORD_BUDGET))
 
 
 class NonHomogeneous(ValueError):
@@ -303,11 +312,17 @@ def _tokenize(text: str):
 
 
 def parse_poly(text: str) -> NCPoly:
-    """Parse the textual form '2*M[1,1]*M[2,2] - 1/3*M[1,2]*M[2,1]'."""
+    """Parse the textual form '2*M[1,1]*M[2,2] - 1/3*M[1,2]*M[2,1]'.
+
+    Malformed text, a zero denominator and a word longer than
+    ``word_budget()`` letters raise ValueError; the length is checked before
+    the word is built.
+    """
     tokens = list(_tokenize(text))
     out = NCPoly.zero()
     i = 0
     n = len(tokens)
+    budget = word_budget()
 
     def fail(where, what):
         raise ValueError(f"{what} at position {where} in {text!r}")
@@ -326,7 +341,7 @@ def parse_poly(text: str) -> NCPoly:
         while i < n:
             kind, val, where = tokens[i]
             if kind == "num":
-                coeff *= Fraction(val)
+                coeff *= rat(val)
                 i += 1
             elif kind == "name":
                 sym = val
@@ -353,6 +368,9 @@ def parse_poly(text: str) -> NCPoly:
                         fail(where, "bad exponent")
                     power = int(tokens[i][1])
                     i += 1
+                if len(word) + power > budget:
+                    fail(where, f"word longer than the word budget {budget} "
+                                "(override with MANIN_BUDGET)")
                 word.extend([Gen(sym, idx)] * power)
             else:
                 fail(where, f"unexpected token {val!r}")

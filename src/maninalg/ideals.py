@@ -14,19 +14,11 @@ reduction to zero.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
-from .freealg import NCPoly, NonHomogeneous, sparse_coords
+from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget
 from .linalg import SparseEchelon, Subspace
 from .tensor import BudgetExceeded
-
-DEFAULT_WORD_BUDGET = 20736
-
-
-def word_budget() -> int:
-    return int(os.environ.get("MANIN_BUDGET", DEFAULT_WORD_BUDGET))
-
 
 @dataclass(frozen=True)
 class IdealSlice:

@@ -5,31 +5,44 @@ Over a presented algebra the condition is decided entirely in degree 2: every
 entry of the defect must lie in the degree-2 relation span.  The universal
 relations (the presentation of the right quantum algebra U_{A,B}) are built
 by applying the same defect to the generator matrix.
+
+Every Manin decision goes through one integer kernel, ``defect_rows``: it
+reads each entry of M once as a word-index vector, forms the entries of
+M^{(1)} M^{(2)} by index arithmetic and multiplies by the integer rows of A
+and the integer columns of 1 - B, which each ``ManinPair`` keeps.  Its rows
+are the defect entries up to nonzero factors, which change neither a span
+nor a membership, so ``is_manin``, ``product_is_manin`` and
+``universal_relations`` stay exact without building a polynomial or a
+Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
 
 from .freealg import (NCPoly, generator_matrix, matrix_gen, poly_grid_product,
-                      poly_mat_mul, poly_mat_sub, poly_mat_transpose)
+                      poly_mat_mul, poly_mat_sub, poly_mat_transpose, word_index)
 from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
 from .ideals import PresentedAlgebra, span_of_polys
-from .linalg import QMatrix, Subspace, invert, rat
+from .linalg import QMatrix, SparseEchelon, Subspace, invert, rat
 from .permutations import Perm
 from .tensor import TensorOperator, compose_chain, swap_operator
 
 
 @dataclass(frozen=True)
 class ManinPair:
-    """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B."""
+    """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B
+    and ``complement_columns`` its columns in the form of
+    ``TensorOperator.integer_rows``: column -> (d, {row: integer numerator})."""
 
     A: TensorOperator
     B: TensorOperator
     complement: TensorOperator = field(init=False, repr=False, compare=False)
+    complement_columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for op in (self.A, self.B):
@@ -37,8 +50,10 @@ class ManinPair:
                 raise ValueError("Manin pairs take arity-2 square operators")
             if not is_idempotent(op):
                 raise ValueError("Manin pairs take idempotents")
-        object.__setattr__(self, "complement",
-                           TensorOperator.identity(self.m, 2) - self.B)
+        complement = TensorOperator.identity(self.m, 2) - self.B
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "complement_columns",
+                           complement.transpose().integer_rows())
 
     @property
     def n(self) -> int:
@@ -66,22 +81,86 @@ class UniversalRelations:
         return PresentedAlgebra(self.gens, self.space)
 
 
-def manin_defect(pair: ManinPair, M) -> list:
-    """The matrix A M^{(1)} M^{(2)} (1 - B) of NCPoly entries."""
+def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
+    """The nonzero entries of A M^{(1)} M^{(2)} (1 - B), each up to a nonzero
+    factor, as integer rows {word index: int} over the words of length
+    2 * degree in the lex order of ``gen_pos`` (generator -> position).
+
+    Every entry of M must be homogeneous of ``degree`` (zero entries are
+    fine); then an entry with words a and b of M^{(1)} M^{(2)} is
+    {a * g^degree + b: c1 * c2}.  The arithmetic runs on integers: M's
+    entries are brought to one common denominator D, row r of A is read as
+    integers over its denominator d_r (``TensorOperator.integer_rows``) and
+    column s of 1 - B over its denominator e_s (``complement_columns``).  So
+    the row returned for entry (r, s) is the true entry times
+    D^2 * d_r * e_s, a nonzero factor.  Scaling by nonzero factors changes
+    neither the span of the rows nor whether each lies in a subspace, which
+    is all that a Manin check and a relation span read from them: the
+    result is exact.  Zero entries are left out.
+    """
+    for row in M:
+        for e in row:
+            if not e.is_homogeneous(degree):
+                raise ValueError(f"entries must be homogeneous of degree {degree}")
     n, m = pair.n, pair.m
     if len(M) != n or any(len(row) != m for row in M):
         raise ValueError("matrix shape does not match the pair")
-    return poly_grid_product(compose_chain(M, 2), pair.A, pair.complement)
+    g = len(gen_pos)
+    den = lcm(*(c.denominator for row in M for e in row for c in e.terms.values()))
+    try:
+        entries = [{word_index(w, gen_pos, g): c.numerator * (den // c.denominator)
+                    for w, c in e.terms.items()} for row in M for e in row]
+    except KeyError as exc:
+        raise ValueError(f"entry generator {exc.args[0]!r} is not a generator "
+                         "of the algebra") from None
+    shift = g ** degree
+    # chain[i1 * n + i2][j1 * m + j2] = M^{i1}_{j1} M^{i2}_{j2}
+    chain = [[{a * shift + b: c1 * c2 for a, c1 in x.items() for b, c2 in y.items()}
+              for x in entries[i1 * m:(i1 + 1) * m] for y in entries[i2 * m:(i2 + 1) * m]]
+             for i1 in range(n) for i2 in range(n)]
+    columns = pair.complement_columns
+    out = []
+    for _, arow in pair.A.integer_rows().values():
+        left = [{} for _ in range(m * m)]
+        for k, a in arow.items():
+            for acc, x in zip(left, chain[k]):
+                for w, c in x.items():
+                    acc[w] = acc[w] + a * c if w in acc else a * c
+        for _, col in columns.values():
+            acc = {}
+            for t, b in col.items():
+                for w, c in left[t].items():
+                    acc[w] = acc[w] + b * c if w in acc else b * c
+            row = {w: c for w, c in acc.items() if c}
+            if row:
+                out.append(row)
+    return out
+
+
+def _span(rows, ambient_dim: int) -> Subspace:
+    ech = SparseEchelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.dense_basis(ambient_dim)
+
+
+def _in_ideal(rows, ambient: PresentedAlgebra, degree: int) -> bool:
+    """Do the degree-d rows of defect_rows all lie in the ambient's ideal?"""
+    if not rows:
+        return True
+    if degree < 2:
+        return False
+    echelon = ambient.slice(degree).echelon
+    return all(echelon.contains(row) for row in rows)
 
 
 def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelations:
     n, m = pair.n, pair.m
     gens = tuple(matrix_gen(symbol, i, j)
                  for i in range(1, n + 1) for j in range(1, m + 1))
-    M = generator_matrix(symbol, n, m)
-    defect = manin_defect(pair, M)
-    space = span_of_polys([e for row in defect for e in row], gens, 2)
-    return UniversalRelations(pair, symbol, gens, space)
+    rows = defect_rows(pair, generator_matrix(symbol, n, m), 1,
+                       {g: i for i, g in enumerate(gens)})
+    return UniversalRelations(pair, symbol, gens, _span(rows, len(gens) ** 2))
 
 
 def is_manin(pair: ManinPair, M, ambient: PresentedAlgebra) -> bool:
@@ -91,15 +170,7 @@ def is_manin(pair: ManinPair, M, ambient: PresentedAlgebra) -> bool:
     (zero entries are fine); the defect then lives in degree 2 and is tested
     against the ambient's degree-2 relation span.
     """
-    for row in M:
-        for e in row:
-            if not e.is_zero() and not e.is_homogeneous(1):
-                raise ValueError("entries must be homogeneous of degree 1")
-    for row in manin_defect(pair, M):
-        for e in row:
-            if not ambient.reduces_to_zero(e):
-                return False
-    return True
+    return _in_ideal(defect_rows(pair, M, 1, ambient.gen_pos), ambient, 2)
 
 
 def cross_commutators(M, N) -> list:
@@ -119,7 +190,9 @@ def product_is_manin(pair_ab: ManinPair, pair_bc: ManinPair, M, N,
     """Verify that K = M N passes the (A, C) check modulo the ambient.
 
     Entries of M must commute with entries of N inside the ambient (checked
-    as degree-2 memberships); the defect of K is then tested in degree 4.
+    as degree-2 memberships), and the entries of K must be homogeneous of
+    one degree e; the defect of K is then tested in degree 2e (4 for
+    entries of M and N of degree 1).
     """
     if pair_ab.m != pair_bc.n:
         raise ValueError("middle dimensions differ")
@@ -127,12 +200,9 @@ def product_is_manin(pair_ab: ManinPair, pair_bc: ManinPair, M, N,
         if not ambient.reduces_to_zero(c):
             raise ValueError("entries of M and N do not commute in the ambient")
     K = poly_mat_mul(M, N)
-    pair_ac = ManinPair(pair_ab.A, pair_bc.B)
-    for row in manin_defect(pair_ac, K):
-        for e in row:
-            if not ambient.reduces_to_zero(e):
-                return False
-    return True
+    degree = next((e.degree() for row in K for e in row if e), 0)
+    rows = defect_rows(ManinPair(pair_ab.A, pair_bc.B), K, degree, ambient.gen_pos)
+    return _in_ideal(rows, ambient, 2 * degree)
 
 
 def transport(pair: ManinPair, M, sigma, tau) -> ManinPair:
@@ -190,15 +260,15 @@ def double_manin_matches_commutators(n: int, m: int) -> bool:
     """Manin relations of M plus those of M^T span all commutators."""
     gens = tuple(matrix_gen("M", i, j)
                  for i in range(1, n + 1) for j in range(1, m + 1))
+    pos = {g: i for i, g in enumerate(gens)}
     M = generator_matrix("M", n, m)
-    defect = manin_defect(ManinPair(antisymmetrizer(n), antisymmetrizer(m)), M)
-    defect_t = manin_defect(ManinPair(antisymmetrizer(m), antisymmetrizer(n)),
-                            poly_mat_transpose(M))
-    polys = [e for row in defect + defect_t for e in row]
+    rows = defect_rows(ManinPair(antisymmetrizer(n), antisymmetrizer(m)), M, 1, pos)
+    rows += defect_rows(ManinPair(antisymmetrizer(m), antisymmetrizer(n)),
+                        poly_mat_transpose(M), 1, pos)
     commutators = []
     for x, y in itertools.combinations([g for row in M for g in row], 2):
         commutators.append(x * y - y * x)
-    return span_of_polys(polys, gens, 2) == span_of_polys(commutators, gens, 2)
+    return _span(rows, len(gens) ** 2) == span_of_polys(commutators, gens, 2)
 
 
 def submatrix(M, I, J) -> list:

@@ -158,7 +158,7 @@ class TensorOperator:
         denominator of v's entries and the rows it selects, and one Fraction
         per result entry is built at the end.
         """
-        int_rows = self._integer_rows()
+        int_rows = self.integer_rows()
         terms = []
         den = 1
         for k, a in v.items():
@@ -174,7 +174,7 @@ class TensorOperator:
                 acc[j] = acc[j] + c * b if j in acc else c * b
         return {j: Fraction(x, den) for j, x in acc.items() if x}
 
-    def _integer_rows(self) -> dict:
+    def integer_rows(self) -> dict:
         """row -> (d, {col: integer numerator}) with entry = numerator / d and
         d the least common denominator of the row; built once, on first use."""
         if self._int_rows is None:
@@ -211,7 +211,8 @@ class TensorOperator:
         return self + -other
 
     def __neg__(self) -> "TensorOperator":
-        return self.scale(-1)
+        return _make(self.row_dim, self.col_dim, self.arity,
+                     {i: {j: -x for j, x in row.items()} for i, row in self.rows.items()})
 
     def scale(self, c) -> "TensorOperator":
         c = rat(c)

@@ -11,7 +11,8 @@ inverses, the intersection subspaces of ``quadratic`` (computed here as
 joint kernels of the stacked embedded operators), the embeddings of
 ``tensor``, the fixed-vector check of ``pairing.verify_axioms`` and the
 products of NCPoly grids with scalar matrices
-(``freealg.poly_grid_product``).  Dense operator products, sums and
+(``freealg.poly_grid_product``) and the Manin defect as a grid of NCPoly
+entries (``manin.defect_rows``).  Dense operator products, sums and
 transposes are those of ``QMatrix`` itself.
 """
 
@@ -22,7 +23,8 @@ from heapq import heapify, heappop, heappush
 
 from maninalg.freealg import NCPoly
 from maninalg.linalg import ONE, ZERO, QMatrix
-from maninalg.tensor import TensorOperator, flatten_index, multi_indices, unflatten_index
+from maninalg.tensor import (TensorOperator, compose_chain, flatten_index, multi_indices,
+                             unflatten_index)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
@@ -180,6 +182,17 @@ def scalar_times_poly_mat(m: QMatrix, p) -> list:
             row.append(acc)
         out.append(row)
     return out
+
+
+def manin_defect(pair, M) -> list:
+    """The grid A M^{(1)} M^{(2)} (1 - B) of NCPoly entries, from dense
+    products of the NCPoly chain with A and with 1 - B built on QMatrix
+    grids: the oracle for ``manin.defect_rows``."""
+    if len(M) != pair.n or any(len(row) != pair.m for row in M):
+        raise ValueError("matrix shape does not match the pair")
+    complement = QMatrix.identity(pair.m ** 2) - pair.B.matrix
+    return poly_mat_times_scalar(scalar_times_poly_mat(pair.A.matrix, compose_chain(M, 2)),
+                                 complement)
 
 
 def poly_mat_times_scalar(p, m: QMatrix) -> list:

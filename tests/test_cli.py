@@ -237,6 +237,39 @@ def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsy
     assert phrase in captured.err
 
 
+# Each row: the command, the matrix file's text, the relations file's text
+# (manin-check only), MANIN_BUDGET or None, and a phrase the error line must
+# contain.
+@pytest.mark.parametrize("command, matrix_text, relations_text, budget, phrase", [
+    ("manin-check", "1/0*x[1]; 0\n0; x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", None,
+     "zero denominator"),
+    ("manin-check", "x[1]; 0\n0; x[2]\n", "x[2]*x[1] - 1/0*x[1]*x[2]\n", None,
+     "zero denominator"),
+    ("minor", "x[1]; 0\n0; 1/0*x[2]\n", None, None, "zero denominator"),
+    ("manin-check", "x[1]^17; 0\n0; x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", "16",
+     "word budget 16"),
+    ("manin-check", "x[1]; 0\n0; x[2]\n", "x[1]^9*x[2]^8\n", "16", "word budget 16"),
+    ("minor", "x[1]; x[2]^20\n0; x[2]\n", None, "16", "word budget 16"),
+], ids=["matrix-zero-denominator", "relations-zero-denominator", "minor-zero-denominator",
+        "matrix-word-over-budget", "relations-word-over-budget", "minor-word-over-budget"])
+def test_malformed_polynomial_file_is_input_error(command, matrix_text, relations_text,
+                                                  budget, phrase, tmp_path, capsys,
+                                                  monkeypatch):
+    pair, matrix, rel = manin_inputs(tmp_path, relations_text or "")
+    (tmp_path / "m.txt").write_text(matrix_text)
+    if budget is not None:
+        monkeypatch.setenv("MANIN_BUDGET", budget)
+    if command == "manin-check":
+        argv = ["manin-check", "--pair", pair, "--matrix", matrix, "--relations", rel]
+    else:
+        argv = ["minor", "--pair", pair, "--matrix", matrix, "--k", "2", "--kind", "A"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert phrase in captured.err
+
+
 def test_unknown_suite_is_input_error(capsys):
     assert main(["verify-suite", "--suite", "nope"]) == 2
     capsys.readouterr()

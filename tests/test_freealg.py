@@ -10,7 +10,7 @@ from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, gen, generator_matrix
                               poly_grid_product, poly_mat_times_scalar,
                               scalar_times_poly_mat, sparse_coords)
 from maninalg.idempotents import antisymmetrizer, q_symmetrizer
-from maninalg.linalg import ZERO, QMatrix
+from maninalg.linalg import ZERO, InvalidRational, QMatrix
 from maninalg.tensor import TensorOperator, compose_chain
 
 A, B = Gen("a"), Gen("b")
@@ -105,6 +105,16 @@ def test_parse_errors_carry_position():
         parse_poly("a[1")
     with pytest.raises(ValueError):
         parse_poly("+")
+
+
+def test_parse_refuses_zero_denominator_and_long_words(monkeypatch):
+    with pytest.raises(InvalidRational, match="zero denominator"):
+        parse_poly("1/0*a")
+    monkeypatch.setenv("MANIN_BUDGET", "8")
+    assert parse_poly("a^4*b^4") == NCPoly({(A,) * 4 + (B,) * 4: 1})
+    for text in ("a^9", "a^5*b^4", "a*a*a*a*a*a*a*a*a"):
+        with pytest.raises(ValueError, match="word budget 8"):
+            parse_poly(text)
 
 
 def test_parse_matrix():

@@ -1,18 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.freealg import (Gen, NCPoly, generator_matrix, matrix_gen,
-                              poly_matrix)
+                              poly_matrix, sparse_coords)
 from maninalg.ideals import (PresentedAlgebra, commutator_relations,
                              free_presentation, span_of_polys)
-from maninalg.manin import (ManinPair, cross_commutators, is_manin,
-                            manin_defect, product_is_manin,
+from maninalg.manin import (ManinPair, cross_commutators, defect_rows, is_manin,
+                            product_is_manin,
                             double_manin_matches_commutators,
                             rll_matches_double_qmanin,
                             submatrix, transport, universal_relations)
 from maninalg.permutations import Perm
+from maninalg.suites import catalog_instances
 from maninalg.tensor import TensorOperator
 
 F = Fraction
@@ -112,21 +116,26 @@ def test_product_with_identity_reduces_to_single_check():
     assert product_is_manin(pair, pair, M, N, alg) == is_manin(pair, M, alg)
 
 
-def test_product_of_universal_generators():
+def tensor_ambient_2x2():
+    """Universal (A_2, A_2) relations in M and in N, plus [M, N] = 0."""
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
-    uM = universal_relations(pair, "M")
-    uN = universal_relations(pair, "N")
-    Mg = generator_matrix("M", 2, 2)
-    Ng = generator_matrix("N", 2, 2)
+    uM, uN = universal_relations(pair, "M"), universal_relations(pair, "N")
     polys = []
     for uni in (uM, uN):
         g = len(uni.gens)
         for row in uni.space.basis.data:
             polys.append(NCPoly({(uni.gens[pos // g], uni.gens[pos % g]): c
                                  for pos, c in enumerate(row) if c}))
-    ambient = PresentedAlgebra.from_polys(
-        uM.gens + uN.gens, polys + cross_commutators(Mg, Ng))
-    assert product_is_manin(pair, pair, Mg, Ng, ambient)
+    Mg, Ng = generator_matrix("M", 2, 2), generator_matrix("N", 2, 2)
+    return PresentedAlgebra.from_polys(uM.gens + uN.gens,
+                                       polys + cross_commutators(Mg, Ng))
+
+
+def test_product_of_universal_generators():
+    pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
+    Mg = generator_matrix("M", 2, 2)
+    Ng = generator_matrix("N", 2, 2)
+    assert product_is_manin(pair, pair, Mg, Ng, tensor_ambient_2x2())
 
 
 def test_product_requires_commuting_factors():
@@ -186,5 +195,155 @@ def test_submatrix_with_repeats():
 def test_defect_vanishes_only_modulo_relations():
     gens, M = letters_2x2()
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
-    defect = manin_defect(pair, M)
+    defect = dense.manin_defect(pair, M)
     assert any(not e.is_zero() for row in defect for e in row)
+
+
+# --- the integer defect kernel against the NCPoly defect -----------------------
+
+coefficients = st.sampled_from([0, 0, 1, -1, F(1, 2), F(-1, 2), 2, F(-3, 2)])
+parameters = st.sampled_from([2, 3, F(1, 2), F(-1, 3), -1])
+
+
+def defect_vanishes(pair, M, ambient) -> bool:
+    """The oracle: every NCPoly defect entry reduces to zero."""
+    return all(ambient.reduces_to_zero(e) for row in dense.manin_defect(pair, M) for e in row)
+
+
+def up_to_scale(rows) -> list:
+    """Each nonzero row divided by its lead entry, sorted."""
+    out = []
+    for row in rows:
+        lead = row[min(row)]
+        out.append(tuple(sorted((k, F(v) / lead) for k, v in row.items())))
+    return sorted(out)
+
+
+@st.composite
+def idempotents(draw, n):
+    family = draw(st.sampled_from(["A_n", "S_n", "Aqhat"]))
+    if family == "A_n":
+        return idem.antisymmetrizer(n)
+    if family == "S_n":
+        return idem.symmetrizer(n)
+    qhat = [[F(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            qhat[i][j] = F(draw(parameters))
+            qhat[j][i] = 1 / qhat[i][j]
+    return idem.parameterized_antisymmetrizer(qhat)
+
+
+@st.composite
+def pairs(draw, n=None, m=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    m = draw(st.integers(1, 3)) if m is None else m
+    return ManinPair(draw(idempotents(n)), draw(idempotents(m)))
+
+
+@st.composite
+def linear_forms(draw, gens, rows, cols):
+    return [[NCPoly({(g,): c for g in gens if (c := draw(coefficients))})
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def manin_cases(draw):
+    """(pair, M, ambient): M of linear forms over a commutative ambient, the
+    universal algebra of another pair, or that of the pair itself, where a
+    scaled generator matrix always passes."""
+    pair = draw(pairs())
+    ambient = draw(st.sampled_from(["commutative", "universal", "own"]))
+    if ambient == "commutative":
+        gens = tuple(Gen("x", (i,)) for i in range(1, draw(st.integers(1, 3)) + 1))
+        algebra = commutator_relations(gens)
+    else:
+        other = pair if ambient == "own" else draw(pairs(draw(st.integers(1, 2)),
+                                                          draw(st.integers(1, 2))))
+        algebra = universal_relations(other, "x").algebra()
+        if ambient == "own" and draw(st.booleans()):
+            c = draw(coefficients)
+            return pair, [[e.scale(c) for e in row]
+                          for row in generator_matrix("x", pair.n, pair.m)], algebra
+    return pair, draw(linear_forms(algebra.gens, pair.n, pair.m)), algebra
+
+
+def test_is_manin_matches_the_ncpoly_defect():
+    verdicts = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(manin_cases())
+    def check(case):
+        pair, M, ambient = case
+        verdict = is_manin(pair, M, ambient)
+        assert verdict == defect_vanishes(pair, M, ambient)
+        verdicts.add(verdict)
+        # each kernel row is a nonzero multiple of its NCPoly defect entry
+        g = len(ambient.gens)
+        entries = [sparse_coords(e, 2, ambient.gen_pos, g)
+                   for row in dense.manin_defect(pair, M) for e in row if e]
+        assert up_to_scale(defect_rows(pair, M, 1, ambient.gen_pos)) == up_to_scale(entries)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_product_is_manin_matches_the_ncpoly_defect():
+    ambient = tensor_ambient_2x2()
+    m_gens, n_gens = ambient.gens[:4], ambient.gens[4:]
+    plain = idem.antisymmetrizer(2)
+    verdicts = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(pairs(2, 2), pairs(2, 2), st.sampled_from(["universal", "generators", "forms"]),
+           st.data())
+    def check(pair_ab, pair_bc, kind, data):
+        if kind == "universal":
+            # the universal generators pass for (A_2, A_2, A_2)
+            pair_ab = pair_bc = ManinPair(plain, plain)
+        if kind == "forms":
+            M = data.draw(linear_forms(m_gens, 2, 2))
+            N = data.draw(linear_forms(n_gens, 2, 2))
+        else:
+            M, N = generator_matrix("M", 2, 2), generator_matrix("N", 2, 2)
+        verdict = product_is_manin(pair_ab, pair_bc, M, N, ambient)
+        K = [[sum((x * y for x, y in zip(row, col)), NCPoly.zero()) for col in zip(*N)]
+             for row in M]
+        assert verdict == defect_vanishes(ManinPair(pair_ab.A, pair_bc.B), K, ambient)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def catalog_up_to_three():
+    out = [E for _, E in catalog_instances() if E.row_dim <= 3]
+    out.append(idem.lie_idempotent({(1, 2): {2: 1}, (2, 1): {2: -1}}, 2))
+    out.append(idem.build(idem.IdempotentSpec("Custom", 2, {"matrix": [
+        ["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]})))
+    return out
+
+
+def test_universal_relations_match_the_ncpoly_span():
+    plain = idem.antisymmetrizer(2)
+    for E in catalog_up_to_three():
+        for pair in (ManinPair(E, E), ManinPair(plain, E), ManinPair(E, plain)):
+            uni = universal_relations(pair)
+            M = generator_matrix(uni.symbol, pair.n, pair.m)
+            polys = [e for row in dense.manin_defect(pair, M) for e in row]
+            assert uni.space == span_of_polys(polys, uni.gens, 2)
+
+
+def test_defect_errors_keep_their_order():
+    gens, M = letters_2x2()
+    pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
+    ragged = [M[0], M[1] + [NCPoly.one()]]
+    with pytest.raises(ValueError, match="homogeneous of degree 1") as exc:
+        is_manin(pair, ragged, commutator_relations(gens))
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="shape does not match") as exc:
+        is_manin(pair, [M[0]], commutator_relations(gens))
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="not a generator") as exc:
+        is_manin(pair, M, commutator_relations(gens[:3]))
+    assert type(exc.value) is ValueError

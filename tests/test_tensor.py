@@ -215,6 +215,20 @@ def test_arithmetic_matches_dense(shape, data):
     assert a.is_zero() == A.is_zero()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.data())
+def test_subtraction_adds_the_negation(shape, data):
+    n, k = shape
+    a, c = random_operator(data, n, k), random_operator(data, n, k)
+    # b shares a's rows and entries, so that a - b cancels rows and entries
+    for b in (c, a + c, a):
+        assert_canonical(a - b)
+        assert_canonical(-b)
+        assert a - b == a + b.scale(-1)
+        assert -b == b.scale(-1)
+    assert a - (a + c) == -c
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_embed_matches_dense_at_every_leg(data):
