@@ -5,6 +5,12 @@ A generator is a symbol with an integer index tuple (``M[1,2]``, ``x[1]``,
 multiply by concatenation.  The monomial order is degree-lexicographic with
 generators compared by (symbol, index tuple); the leftmost letter of a word
 is most significant, matching the tensor multi-index convention.
+
+Products of whole grids with scalar operators (``poly_grid_product``) and
+products of several entries (``_entry_product``, behind chains,
+determinants and permanents) sum integer numerators over one common
+denominator and build one Fraction per result term, rather than chaining
+Fraction-valued NCPoly arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import ONE, ZERO, QMatrix, format_rat, rat
@@ -238,42 +245,96 @@ def poly_mat_transpose(a) -> list:
 def poly_grid_product(grid, left=None, right=None) -> list:
     """left * grid * right for a grid of NCPoly entries.
 
-    Each side is None, a QMatrix or a TensorOperator, whose sparse ``rows``
-    are read directly.  Every output entry is summed into one word ->
-    Fraction dict, so no intermediate polynomial is built.
+    Each side is None, a QMatrix or a TensorOperator.  The sums run over
+    integers: the grid's entries are brought to one common denominator D
+    and their words numbered, the left operator is read as integer rows
+    over their own denominators d_i (``TensorOperator.integer_rows``; a
+    QMatrix is converted the same way once per call) and the right one as
+    integer rows over one denominator e, applied row-major, so no operator
+    or grid is transposed.  Output entry (i, j) is its integer sum over
+    D * d_i * e, and one Fraction is built per output term.
     """
+    if left is None and right is None:
+        return grid
+    den, words, sums = _integer_grid(grid)
+    dens = [den] * len(sums)
+    width = len(grid[0])
     if left is not None:
-        grid = _rows_times_grid(left, grid)
+        rows, nrows, ncols = _integer_rows(left)
+        if ncols != len(sums):
+            raise ValueError("inner dimensions differ")
+        out, out_dens = [], []
+        for i in range(nrows):
+            d, arow = rows.get(i, (1, {}))
+            acc = [{} for _ in range(width)]
+            for k, a in arow.items():
+                for entry, x in zip(acc, sums[k]):
+                    for w, c in x.items():
+                        entry[w] = entry[w] + a * c if w in entry else a * c
+            out.append(acc)
+            out_dens.append(den * d)
+        sums, dens = out, out_dens
     if right is not None:
-        # grid * right = (right^T * grid^T)^T
-        grid = poly_mat_transpose(_rows_times_grid(right.transpose(),
-                                                   poly_mat_transpose(grid)))
-    return grid
+        rows, nrows, ncols = _integer_rows(right)
+        if nrows != width:
+            raise ValueError("inner dimensions differ")
+        e = lcm(*(d for d, _ in rows.values()))
+        rows = {k: {j: b * (e // d) for j, b in row.items()} if d != e else row
+                for k, (d, row) in rows.items()}
+        out = []
+        for grid_row in sums:
+            acc = [{} for _ in range(ncols)]
+            for k, x in enumerate(grid_row):
+                brow = rows.get(k)
+                if x and brow:
+                    for j, b in brow.items():
+                        entry = acc[j]
+                        for w, c in x.items():
+                            entry[w] = entry[w] + b * c if w in entry else b * c
+            out.append(acc)
+        sums, dens = out, [d * e for d in dens]
+    return [[_from_integer_sums(entry, words, d) for entry in row]
+            for row, d in zip(sums, dens)]
 
 
-def _rows_times_grid(op, grid) -> list:
-    """op * grid for op a QMatrix or a TensorOperator."""
-    if isinstance(op, QMatrix):
-        rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(op.data)}
-        nrows, ncols = op.rows, op.cols
-    else:
-        rows, nrows, ncols = op.rows, op.row_dim ** op.arity, op.col_dim ** op.arity
-    if ncols != len(grid):
-        raise ValueError("inner dimensions differ")
-    out = []
-    for i in range(nrows):
-        acc = [{} for _ in grid[0]]
-        for k, c in rows.get(i, {}).items():
-            for sums, p in zip(acc, grid[k]):
-                for word, x in p.terms.items():
-                    sums[word] = sums[word] + c * x if word in sums else c * x
-        out.append([_from_sums(sums) for sums in acc])
-    return out
+def _integer_grid(grid) -> tuple:
+    """(D, words, sums): D the common denominator of the grid's entries,
+    words the distinct words in order of first appearance, and sums the
+    grid with each entry as {position in words: numerator over D}."""
+    den = lcm(*(c.denominator for row in grid for p in row for c in p.terms.values()))
+    ids: dict[tuple, int] = {}
+    sums = []
+    for row in grid:
+        out_row = []
+        for p in row:
+            entry = {}
+            for w, c in p.terms.items():
+                i = ids.get(w)
+                if i is None:
+                    i = ids[w] = len(ids)
+                entry[i] = c.numerator * (den // c.denominator)
+            out_row.append(entry)
+        sums.append(out_row)
+    return den, list(ids), sums
 
 
-def _from_sums(sums: dict) -> NCPoly:
+def _integer_rows(op) -> tuple:
+    """(rows, nrows, ncols) of a QMatrix or a TensorOperator, with rows in
+    the form of ``TensorOperator.integer_rows``: i -> (d, {j: numerator})."""
+    if not isinstance(op, QMatrix):
+        return op.integer_rows(), op.row_dim ** op.arity, op.col_dim ** op.arity
+    rows = {}
+    for i, row in enumerate(op.data):
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        if nz:
+            d = lcm(*(x.denominator for _, x in nz))
+            rows[i] = (d, {j: x.numerator * (d // x.denominator) for j, x in nz})
+    return rows, op.rows, op.cols
+
+
+def _from_integer_sums(entry: dict, words: list, den: int) -> NCPoly:
     p = NCPoly()
-    p.terms = {word: x for word, x in sums.items() if x}
+    p.terms = {words[w]: Fraction(c, den) for w, c in entry.items() if c}
     return p
 
 
@@ -285,6 +346,50 @@ def scalar_times_poly_mat(m, p) -> list:
 def poly_mat_times_scalar(p, m) -> list:
     """NCPoly matrix p times the operator m (a QMatrix or a TensorOperator)."""
     return poly_grid_product(p, right=m)
+
+
+def _entry_product(factors, num: int = 1, den: int = 1) -> NCPoly:
+    """(num / den) * f_1 * f_2 * ... for NCPoly factors, multiplied directly.
+
+    A single-term factor (a generator or a scalar entry) only extends the
+    words and multiplies the integers num and den; a factor with several
+    terms is expanded over its common denominator.  One Fraction is built
+    per term of the product, none when a single-term product has
+    coefficient 1.
+    """
+    word, prod = (), None   # prod: word -> numerator over den, once needed
+    for f in factors:
+        t = f.terms
+        if len(t) == 1:
+            (w, x), = t.items()
+            num *= x.numerator
+            den *= x.denominator
+            if not w:
+                continue
+            if prod is None:
+                word += w
+            else:
+                prod = {v + w: c for v, c in prod.items()}
+            continue
+        if not t:
+            return NCPoly()
+        d = lcm(*(x.denominator for x in t.values()))
+        den *= d
+        ints = [(w, x.numerator * (d // x.denominator)) for w, x in t.items()]
+        if prod is None:
+            prod = {word: 1}
+        expanded = {}
+        for v, c in prod.items():
+            for w, b in ints:
+                vw = v + w
+                expanded[vw] = expanded.get(vw, 0) + c * b
+        prod = expanded
+    p = NCPoly()
+    if prod is None:
+        p.terms = {word: ONE if num == den else Fraction(num, den)}
+    else:
+        p.terms = {w: Fraction(c * num, den) for w, c in prod.items() if c}
+    return p
 
 
 # --- text form ---------------------------------------------------------------

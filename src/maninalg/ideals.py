@@ -7,16 +7,18 @@ time from I_d = I_{d-1} * V + V^(d-2) * R: every pivot row of I_{d-1}
 shifted by a generator on the right is already a pivot row of I_d, so only
 the rows w * r are reduced.  ``PresentedAlgebra`` owns the slices: it
 caches each requested degree, grows a new one from the highest cached
-degree below it, and decides membership of a homogeneous polynomial as a
-reduction to zero.
+degree below it, and decides whether lhs - rhs lies in the ideal
+(``congruent``; ``reduces_to_zero`` is the case rhs = 0) by reducing the
+difference, formed as one integer row, against the slice of its degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
-from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget
+from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget, word_index
 from .linalg import SparseEchelon, Subspace
 from .tensor import BudgetExceeded
 
@@ -73,15 +75,42 @@ class PresentedAlgebra:
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""
-        if p.is_zero():
+        return self.congruent(p, NCPoly.zero())
+
+    def congruent(self, lhs: NCPoly, rhs: NCPoly) -> bool:
+        """Does lhs - rhs lie in the graded ideal?
+
+        The difference is formed as one integer row over the common
+        denominator of both sides and tested against the slice of its
+        degree.  A zero difference is a member; a nonzero one must be
+        homogeneous (else NonHomogeneous), and below degree 2 it is not a
+        member.  lhs and rhs need not be homogeneous themselves.
+        """
+        diff = _integer_difference(lhs.terms, rhs.terms)
+        if not diff:
             return True
-        d = p.degree()
-        if not p.is_homogeneous(d):
+        lengths = {len(w) for w in diff}
+        if len(lengths) > 1:
             raise NonHomogeneous("membership needs a homogeneous polynomial")
+        d = lengths.pop()
         if d < 2:
             return False
+        pos, g = self.gen_pos, len(self.gens)
         return self.slice(d).echelon.contains(
-            sparse_coords(p, d, self.gen_pos, len(self.gens)))
+            {word_index(w, pos, g): c for w, c in diff.items()})
+
+
+def _integer_difference(a: dict, b: dict) -> dict:
+    """a - b for two word -> Fraction maps, times the least common
+    denominator of all their coefficients, without zero entries."""
+    den = lcm(*(x.denominator for x in a.values()), *(x.denominator for x in b.values()))
+    out = {w: x.numerator * (den // x.denominator) for w, x in a.items()}
+    if not b:
+        return out
+    for w, x in b.items():
+        c = x.numerator * (den // x.denominator)
+        out[w] = out[w] - c if w in out else -c
+    return {w: c for w, c in out.items() if c}
 
 
 def span_of_polys(polys, gens, degree: int) -> Subspace:

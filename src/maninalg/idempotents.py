@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
 from .tensor import TensorOperator, flatten_index, multi_indices, swap_operator
@@ -68,13 +69,15 @@ def check_parameter_matrix(qhat) -> list:
     n = len(rows)
     if not rows or any(len(r) != n for r in rows):
         raise InvalidParameter("parameter matrix must be square and non-empty")
-    for i in range(n):
-        if rows[i][i] != 1:
+    for i, row in enumerate(rows):
+        if row[i] != 1:
             raise InvalidParameter("parameter matrix needs unit diagonal")
-        for j in range(n):
-            if not rows[i][j]:
+        for j, q in enumerate(row):
+            if not q:
                 raise InvalidParameter("parameter matrix entries must be nonzero")
-            if rows[i][j] * rows[j][i] != 1:
+            # q_ij * q_ji = 1, cross-multiplied on numerators and denominators
+            p = rows[j][i]
+            if q.numerator * p.numerator != q.denominator * p.denominator:
                 raise InvalidParameter("parameter matrix needs q_ij * q_ji = 1")
     return rows
 
@@ -139,9 +142,18 @@ def parameterized_permutation_op(qhat) -> TensorOperator:
 
 
 def parameterized_antisymmetrizer(qhat) -> TensorOperator:
-    """A_qhat = (1 - P_qhat)/2; presents x^j x^i = q_ij x^i x^j."""
-    base = parameterized_permutation_op(qhat)
-    return (TensorOperator.identity(base.row_dim, 2) - base).scale(Fraction(1, 2))
+    """A_qhat = (1 - P_qhat)/2; presents x^j x^i = q_ij x^i x^j.
+
+    Written row by row: for a != b, row (a, b) is 1/2 at (a, b) and
+    -q_ba/2 at (b, a); the rows (a, a) vanish.
+    """
+    rows = check_parameter_matrix(qhat)
+    n = len(rows)
+    half = Fraction(1, 2)
+    return TensorOperator(n, n, 2, {
+        flatten_index((a, b), n): {flatten_index((a, b), n): half,
+                                   flatten_index((b, a), n): -rows[b - 1][a - 1] * half}
+        for a in range(1, n + 1) for b in range(1, n + 1) if a != b})
 
 
 def twisted_antisymmetrizer(qhat) -> TensorOperator:
@@ -284,9 +296,30 @@ def sl2_brackets() -> dict:
 # --- predicates ---------------------------------------------------------------
 
 def is_idempotent(E: TensorOperator) -> bool:
+    """E E = E, decided on integers without building a Fraction.
+
+    With row i of E read as numerators n_i over its denominator d_i
+    (``TensorOperator.integer_rows``) and L the least common denominator of
+    all rows, row i of E E is sum_k n_ik (L / d_k) n_k / (d_i L); so E is
+    idempotent iff that integer sum equals L n_i for every row i.
+    """
     if not E.square:
         raise ValueError("idempotency needs a square operator")
-    return E * E == E
+    rows = E.integer_rows()
+    L = lcm(*(d for d, _ in rows.values()))
+    scaled = {k: (L // d, row) for k, (d, row) in rows.items()}
+    for _, row in rows.values():
+        acc = {}
+        for k, a in row.items():
+            target = scaled.get(k)
+            if target is None:
+                continue
+            c = a * target[0]
+            for j, b in target[1].items():
+                acc[j] = acc[j] + c * b if j in acc else c * b
+        if {j: x for j, x in acc.items() if x} != {j: L * x for j, x in row.items()}:
+            return False
+    return True
 
 
 def make_idempotent(R: QMatrix) -> TensorOperator:

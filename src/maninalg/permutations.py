@@ -173,6 +173,11 @@ def mu(qhat, p: Perm) -> Fraction:
     1-indexed mathematically (entry q_st is qhat[s-1][t-1]).
     """
     rows = qhat.data if isinstance(qhat, QMatrix) else [[rat(x) for x in r] for r in qhat]
+    return mu_of_rows(rows, p)
+
+
+def mu_of_rows(rows, p: Perm) -> Fraction:
+    """mu from a parameter matrix already read as rows of rationals."""
     pinv = p.inverse()
     out = ONE
     for s in range(1, p.size + 1):

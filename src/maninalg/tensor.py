@@ -27,7 +27,7 @@ import os
 from fractions import Fraction
 from math import lcm
 
-from .freealg import NCPoly, poly_matrix
+from .freealg import _entry_product, poly_matrix
 from .linalg import ONE, ZERO, QMatrix, SparseEchelon, Subspace, rat
 from .permutations import Perm, reduced_word
 
@@ -374,21 +374,12 @@ def compose_chain(M, k: int):
     """M^{(1)} ... M^{(k)} for an n x m matrix M over scalars or NCPoly.
 
     Returns the n^k x m^k grid of NCPoly entries: entry (I, J) is the word
-    M^{i_1}_{j_1} M^{i_2}_{j_2} ... M^{i_k}_{j_k}.
+    M^{i_1}_{j_1} M^{i_2}_{j_2} ... M^{i_k}_{j_k}, multiplied out directly.
     """
     grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
     n = len(grid)
     m = len(grid[0])
     check_budget(max(n, m) ** k)
-    out = []
-    for row_index in multi_indices(n, k):
-        row = []
-        for col_index in multi_indices(m, k):
-            word = NCPoly.one()
-            for i, j in zip(row_index, col_index):
-                word = word * grid[i - 1][j - 1]
-                if word.is_zero():
-                    break
-            row.append(word)
-        out.append(row)
-    return out
+    return [[_entry_product([grid[i - 1][j - 1] for i, j in zip(row_index, col_index)])
+             for col_index in multi_indices(m, k)]
+            for row_index in multi_indices(n, k)]

@@ -14,6 +14,14 @@ products of NCPoly grids with scalar matrices
 (``freealg.poly_grid_product``) and the Manin defect as a grid of NCPoly
 entries (``manin.defect_rows``).  Dense operator products, sums and
 transposes are those of ``QMatrix`` itself.
+
+The Fraction routes that the integer minor and identity paths replaced are
+kept here as their oracles: the chained NCPoly products of
+``tensor.compose_chain`` and ``minors.det_qhat``/``perm_qhat``, the
+transposing ``poly_grid_product`` summing Fractions per word, ``verify_identity``
+as ``reduces_to_zero(lhs - rhs)`` through ``sparse_coords``, idempotency as
+the dense product, and the parameter-matrix check and antisymmetrizer built
+from Fraction products.
 """
 
 from __future__ import annotations
@@ -21,9 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from maninalg.freealg import NCPoly
+from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
+from maninalg.idempotents import InvalidParameter, rational_grid
 from maninalg.linalg import ONE, ZERO, QMatrix
-from maninalg.tensor import (TensorOperator, compose_chain, flatten_index, multi_indices,
+from maninalg.permutations import all_perms, mu
+from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
                              unflatten_index)
 
 
@@ -209,6 +219,125 @@ def poly_mat_times_scalar(p, m: QMatrix) -> list:
             row.append(acc)
         out.append(row)
     return out
+
+
+def compose_chain(M, k: int) -> list:
+    """M^{(1)} ... M^{(k)} as chained NCPoly products, one factor at a time."""
+    grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
+    n, m = len(grid), len(grid[0])
+    check_budget(max(n, m) ** k)
+    out = []
+    for row_index in multi_indices(n, k):
+        row = []
+        for col_index in multi_indices(m, k):
+            word = NCPoly.one()
+            for i, j in zip(row_index, col_index):
+                word = word * grid[i - 1][j - 1]
+            row.append(word)
+        out.append(row)
+    return out
+
+
+def poly_grid_product(grid, left=None, right=None) -> list:
+    """left * grid * right with Fraction sums per word; the right side is
+    applied as (right^T grid^T)^T.  Sides are None, QMatrix or TensorOperator."""
+    if left is not None:
+        grid = _rows_times_grid(left, grid)
+    if right is not None:
+        right = right.transpose()
+        grid = [list(col) for col in zip(*_rows_times_grid(right, [list(c) for c in zip(*grid)]))]
+    return grid
+
+
+def _rows_times_grid(op, grid) -> list:
+    if isinstance(op, QMatrix):
+        rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(op.data)}
+        nrows, ncols = op.rows, op.cols
+    else:
+        rows, nrows, ncols = op.rows, op.row_dim ** op.arity, op.col_dim ** op.arity
+    if ncols != len(grid):
+        raise ValueError("inner dimensions differ")
+    out = []
+    for i in range(nrows):
+        acc = [{} for _ in grid[0]]
+        for k, c in rows.get(i, {}).items():
+            for sums, p in zip(acc, grid[k]):
+                for word, x in p.terms.items():
+                    sums[word] = sums.get(word, ZERO) + c * x
+        out.append([NCPoly(sums) for sums in acc])
+    return out
+
+
+def det_qhat(qhat, M) -> NCPoly:
+    """sum_sigma sgn(sigma) mu(qhat, sigma)^{-1} M^{sigma(1)}_1 ... M^{sigma(k)}_k,
+    one NCPoly product per factor."""
+    M = poly_matrix(M)
+    out = NCPoly.zero()
+    for sigma in all_perms(len(M)):
+        term = NCPoly.scalar(Fraction(sigma.sign()) / mu(qhat, sigma))
+        for t in range(1, len(M) + 1):
+            term = term * M[sigma(t) - 1][t - 1]
+        out = out + term
+    return out
+
+
+def perm_qhat(phat, M) -> NCPoly:
+    """sum_sigma mu(phat, sigma) M^1_{sigma(1)} ... M^k_{sigma(k)}."""
+    M = poly_matrix(M)
+    out = NCPoly.zero()
+    for sigma in all_perms(len(M)):
+        term = NCPoly.scalar(mu(phat, sigma))
+        for t in range(1, len(M) + 1):
+            term = term * M[t - 1][sigma(t) - 1]
+        out = out + term
+    return out
+
+
+def verify_identity(lhs: NCPoly, rhs: NCPoly, algebra) -> bool:
+    """lhs - rhs built as an NCPoly, then reduced as sparse Fraction
+    coordinates in the slice of its degree."""
+    p = lhs - rhs
+    if p.is_zero():
+        return True
+    d = p.degree()
+    if not p.is_homogeneous(d):
+        raise NonHomogeneous("membership needs a homogeneous polynomial")
+    if d < 2:
+        return False
+    return algebra.slice(d).echelon.contains(
+        sparse_coords(p, d, algebra.gen_pos, len(algebra.gens)))
+
+
+def is_idempotent(E: TensorOperator) -> bool:
+    """E E = E as a dense QMatrix product."""
+    return E.matrix * E.matrix == E.matrix
+
+
+def check_parameter_matrix(qhat) -> list:
+    """q_ii = 1, q_ij q_ji = 1 as a Fraction product, entries nonzero."""
+    rows = rational_grid(qhat, "a parameter matrix")
+    n = len(rows)
+    if not rows or any(len(r) != n for r in rows):
+        raise InvalidParameter("parameter matrix must be square and non-empty")
+    for i in range(n):
+        if rows[i][i] != 1:
+            raise InvalidParameter("parameter matrix needs unit diagonal")
+        for j in range(n):
+            if not rows[i][j]:
+                raise InvalidParameter("parameter matrix entries must be nonzero")
+            if rows[i][j] * rows[j][i] != 1:
+                raise InvalidParameter("parameter matrix needs q_ij * q_ji = 1")
+    return rows
+
+
+def parameterized_antisymmetrizer(qhat) -> TensorOperator:
+    """(1 - P_qhat) / 2 from the flip P_qhat, (P)^{kl}_{ij} = q_ij d^k_j d^l_i."""
+    rows = check_parameter_matrix(qhat)
+    n = len(rows)
+    flip = TensorOperator(n, n, 2, {
+        flatten_index((j, i), n): {flatten_index((i, j), n): rows[i - 1][j - 1]}
+        for i in range(1, n + 1) for j in range(1, n + 1)})
+    return (TensorOperator.identity(n, 2) - flip).scale(Fraction(1, 2))
 
 
 class FractionEchelon:

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.linalg import QMatrix, Subspace
+from maninalg.pairing import closed_form_multiparam, corrupt, generic_pairing
 from maninalg.permutations import all_perms
+from maninalg.suites import catalog_instances
 from maninalg.tensor import TensorOperator
 
 F = Fraction
@@ -179,3 +182,92 @@ def test_make_idempotent_always_projects_onto_the_row_space(rows):
     E = idem.make_idempotent(R)
     assert E.matrix * E.matrix == E.matrix
     assert Subspace.from_matrix(E.matrix) == Subspace.from_matrix(R)
+
+
+# --- integer decisions against the Fraction oracles ----------------------------
+
+
+def perturbed(E: TensorOperator) -> list:
+    """Near misses of an operator: one entry bumped, a row dropped, scaled."""
+    rows = dict(E.rows)
+    first = min(rows, default=0)
+    bumped = dict(rows)
+    bumped[first] = dict(rows.get(first, {}))
+    bumped[first][first] = bumped[first].get(first, 0) + F(1, 3)
+    dropped = {i: r for i, r in rows.items() if i != first}
+    return [TensorOperator(E.row_dim, E.col_dim, E.arity, bumped),
+            TensorOperator(E.row_dim, E.col_dim, E.arity, dropped),
+            E.scale(2), E.scale(F(1, 2))]
+
+
+def test_is_idempotent_matches_the_dense_product():
+    verdicts = set()
+    for name, E in catalog_instances():
+        for op in [E] + perturbed(E):
+            verdicts.add(idem.is_idempotent(op))
+            assert idem.is_idempotent(op) == dense.is_idempotent(op), name
+    qhat = [[1, 2, F(-1, 3)], [F(1, 2), 1, 3], [-3, F(1, 3), 1]]
+    for p in (closed_form_multiparam(qhat, 3, "A"), closed_form_multiparam(qhat, 3, "S"),
+              generic_pairing(idem.hecke_minus(2, 3), 3, "A")):
+        for bad in (p, corrupt(p), corrupt(p, 5, 2)):
+            verdicts.add(idem.is_idempotent(bad.operator))
+            assert idem.is_idempotent(bad.operator) == dense.is_idempotent(bad.operator)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_coef, min_size=4, max_size=4), min_size=1, max_size=5),
+       st.booleans())
+def test_is_idempotent_matches_the_dense_product_on_random_operators(rows, project):
+    """Projections onto random row spaces, and random 4 x 4 operators."""
+    if project:
+        op = idem.make_idempotent(QMatrix.from_rows(rows))
+    else:
+        op = TensorOperator(4, 4, 1, QMatrix(4, 4, (rows + [[0] * 4] * 4)[:4]))
+    assert idem.is_idempotent(op) == dense.is_idempotent(op)
+
+
+_parameter = st.sampled_from([1, -1, 2, F(-1, 2), F(3, 5), F(-7, 4)])
+
+
+@st.composite
+def valid_parameter_matrices(draw):
+    n = draw(st.integers(1, 4))
+    q = [[F(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = F(draw(_parameter))
+            q[j][i] = 1 / q[i][j]
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_parameter_matrices())
+def test_antisymmetrizer_rows_match_the_flip_construction(qhat):
+    A = idem.parameterized_antisymmetrizer(qhat)
+    assert A == dense.parameterized_antisymmetrizer(qhat)
+    assert idem.is_idempotent(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_parameter_matrices(), st.data())
+def test_parameter_checks_raise_what_the_fraction_check_raised(qhat, data):
+    n = len(qhat)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bad = [row[:] for row in qhat]
+    bad[i][j] = data.draw(st.sampled_from([0, 2, -1, F(1, 3), qhat[j][i]]))
+    if data.draw(st.booleans()):
+        bad = bad[:-1]                     # not square
+    try:
+        dense.check_parameter_matrix(bad)
+    except idem.InvalidParameter as exc:
+        want = str(exc)
+    else:
+        want = None
+    for check in (idem.check_parameter_matrix, idem.parameterized_antisymmetrizer):
+        if want is None:
+            check(bad)
+        else:
+            with pytest.raises(idem.InvalidParameter) as got:
+                check(bad)
+            assert str(got.value) == want

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_reference as dense
 from maninalg import idempotents as idem
-from maninalg.freealg import Gen, NCPoly, generator_matrix, poly_matrix
-from maninalg.manin import ManinPair, universal_relations
+from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, generator_matrix,
+                              poly_grid_product, poly_matrix)
+from maninalg.ideals import commutator_relations, free_presentation
+from maninalg.manin import ManinPair, rll_matches_double_qmanin, universal_relations
 from maninalg.minors import (a_minor, col_permuted, column_det, det_qhat,
                              inversion_parameter_product, minor_operator,
                              perm_qhat, row_perm, row_permuted, s_minor,
@@ -75,14 +80,12 @@ def test_perm_one_by_one():
 
 
 def test_verify_identity_reflexive():
-    from maninalg.ideals import free_presentation
     p = word(A_, B_)
     alg = free_presentation((A_, B_))
     assert verify_identity(p, p, alg)
 
 
 def test_verify_identity_rejects_non_members():
-    from maninalg.ideals import commutator_relations, free_presentation
     ab, ba = word(A_, B_), word(B_, A_)
     assert not verify_identity(ab, ba, free_presentation((A_, B_)))
     assert verify_identity(ab, ba, commutator_relations((A_, B_)))
@@ -205,3 +208,203 @@ def test_s_minor_entries_are_normalized_permanents():
             pJJ = idem.restrict_parameter_matrix(phat, J)
             entry = grid[flatten_index(I, 3)][flatten_index(J, 3)]
             assert entry == perm_qhat(pJJ, submatrix(M, I, J)).scale(F(1, 2))
+
+
+# --- shape and parameter checks -----------------------------------------------
+
+def test_one_sided_minors_check_arity_and_local_dims():
+    M4 = generator_matrix("M", 4, 4)
+    a4 = closed_form_multiparam(idem.uniform_parameter_matrix(2, 2), 4, "A").operator
+    s4 = closed_form_multiparam(idem.uniform_parameter_matrix(2, 2), 4, "S").operator
+    # A_(4) on C^2 is a 16 x 16 operator, as is the chain of a 4 x 4 M at k = 2
+    with pytest.raises(ValueError, match="arities must equal k"):
+        a_minor(M4, a4, 2)
+    with pytest.raises(ValueError, match="arities must equal k"):
+        s_minor(M4, s4, 2)
+    a2, s2 = idem.antisymmetrizer(2), idem.symmetrizer(2)
+    M3 = generator_matrix("M", 3, 2)
+    with pytest.raises(ValueError, match="local dims do not match"):
+        a_minor(M3, a2, 2)        # A acts on the 3 rows
+    assert len(s_minor(M3, s2, 2)) == 9
+    with pytest.raises(ValueError, match="local dims do not match"):
+        s_minor(generator_matrix("M", 2, 3), s2, 2)   # S acts on the 3 columns
+    assert len(a_minor(generator_matrix("M", 2, 3), a2, 2)[0]) == 9
+
+
+def test_determinants_validate_the_parameter_matrix():
+    M3 = generator_matrix("M", 3, 3)
+    for f in (det_qhat, perm_qhat):
+        with pytest.raises(ValueError, match="does not fit"):
+            f(idem.uniform_parameter_matrix(2, 2), M3)
+        with pytest.raises(ValueError, match="does not fit"):
+            f(idem.uniform_parameter_matrix(4, 2), M3)
+        with pytest.raises(idem.InvalidParameter, match="q_ij \\* q_ji = 1"):
+            f([[1, 2], [2, 1]], abcd())
+        with pytest.raises(idem.InvalidParameter, match="unit diagonal"):
+            f([[2, 1], [1, 1]], abcd())
+
+
+# --- the integer paths against the NCPoly oracles -----------------------------
+
+coefficients = st.sampled_from([1, -1, F(1, 2), F(-2, 3), F(3, 5), 2, F(-7, 4)])
+parameters = st.sampled_from([2, -2, F(1, 2), F(-1, 3), 3])
+LETTERS = (A_, B_, C_, D_)
+
+
+@st.composite
+def entries(draw):
+    """Zero, a scalar, a scaled letter, or a sum of words of mixed lengths."""
+    kind = draw(st.sampled_from(["zero", "scalar", "letter", "sum"]))
+    if kind == "zero":
+        return NCPoly.zero()
+    if kind == "scalar":
+        return NCPoly.scalar(draw(coefficients))
+    if kind == "letter":
+        return NCPoly({(draw(st.sampled_from(LETTERS)),): draw(coefficients)})
+    words = draw(st.lists(st.lists(st.sampled_from(LETTERS), max_size=2), min_size=2,
+                          max_size=3))
+    return NCPoly({tuple(w): draw(coefficients) for w in words})
+
+
+@st.composite
+def parameter_matrices(draw, n):
+    q = [[F(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = F(draw(parameters))
+            q[j][i] = 1 / q[i][j]
+    return q
+
+
+@st.composite
+def operators(draw, n, k):
+    """A catalog A- or S-operator of arity k on C^n, or a random sparse one,
+    as a TensorOperator or as its dense QMatrix view."""
+    kind = draw(st.sampled_from(["A", "S", "random"]))
+    if kind == "random":
+        size = n ** k
+        cells = draw(st.dictionaries(st.tuples(st.integers(0, size - 1),
+                                               st.integers(0, size - 1)),
+                                     st.sampled_from([0, 1, -1, F(1, 2), F(-3, 4), F(5, 3)]),
+                                     max_size=12))
+        rows = {}
+        for (i, j), x in cells.items():
+            rows.setdefault(i, {})[j] = x
+        op = TensorOperator(n, n, k, rows)
+    else:
+        op = closed_form_multiparam(draw(parameter_matrices(n)), k, kind).operator
+    return op.matrix if draw(st.booleans()) else op
+
+
+@st.composite
+def minor_cases(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3 if max(n, m) <= 2 else 2))
+    M = [[draw(entries()) for _ in range(m)] for _ in range(n)]
+    return M, k, draw(operators(n, k)), draw(operators(m, k))
+
+
+def as_tensor(op, n, k):
+    return op if isinstance(op, TensorOperator) else TensorOperator(n, n, k, op)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minor_cases())
+def test_minors_match_the_ncpoly_oracle(case):
+    M, k, left, right = case
+    chain = dense.compose_chain(M, k)
+    assert compose_chain(M, k) == chain
+    assert poly_grid_product(chain, left=left) == dense.poly_grid_product(chain, left=left)
+    assert poly_grid_product(chain, right=right) == dense.poly_grid_product(chain, right=right)
+    both = dense.poly_grid_product(chain, left, right)
+    assert poly_grid_product(chain, left, right) == both
+    n, m = len(M), len(M[0])
+    T, Tt = as_tensor(left, n, k), as_tensor(right, m, k)
+    assert a_minor(M, T, k) == dense.poly_grid_product(chain, left=T)
+    assert s_minor(M, Tt, k) == dense.poly_grid_product(chain, right=Tt)
+    assert minor_operator(T, Tt, M, k).entries == tuple(map(tuple, both))
+    # no zero coefficient is ever stored
+    assert all(all(p.terms.values()) for row in both for p in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_determinants_match_the_ncpoly_oracle(k, data):
+    M = [[data.draw(entries()) for _ in range(k)] for _ in range(k)]
+    qhat = data.draw(parameter_matrices(k))
+    assert det_qhat(qhat, M) == dense.det_qhat(qhat, M)
+    assert perm_qhat(qhat, M) == dense.perm_qhat(qhat, M)
+
+
+@pytest.mark.parametrize("n,m,q", [(2, 2, 2), (2, 3, F(1, 2)), (3, 2, -3)])
+def test_rll_products_match_the_ncpoly_oracle(n, m, q):
+    from maninalg.idempotents import hecke_r_matrix, q_antisymmetrizer, q_symmetrizer
+    from maninalg.tensor import swap_operator
+    # the operator pairs that rll_matches_double_qmanin applies to the chain
+    chain = compose_chain(generator_matrix("L", n, m), 2)
+    p_n, p_m = swap_operator(n), swap_operator(m)
+    r_n, r_m = p_n * hecke_r_matrix(n, q), p_m * hecke_r_matrix(m, q)
+    sides = [(r_n, None), (p_n, p_m * r_m),
+             (q_antisymmetrizer(n, q), q_symmetrizer(m, q)),
+             (q_symmetrizer(n, q) * p_n, p_m * q_antisymmetrizer(m, q))]
+    for left, right in sides:
+        assert poly_grid_product(chain, left, right) == \
+            dense.poly_grid_product(chain, left, right)
+    assert rll_matches_double_qmanin(n, m, q)
+
+
+def free_and_commutative():
+    return free_presentation(LETTERS), commutator_relations(LETTERS)
+
+
+@st.composite
+def homogeneous(draw, d):
+    words = draw(st.lists(st.lists(st.sampled_from(LETTERS), min_size=d, max_size=d),
+                          max_size=3))
+    return NCPoly({tuple(w): draw(coefficients) for w in words})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_verify_identity_matches_the_ncpoly_oracle(d, data):
+    """lhs and rhs share a non-homogeneous part c, so each is non-homogeneous
+    while their difference is homogeneous of degree d, or zero."""
+    c = data.draw(entries()) + data.draw(homogeneous(3)) + NCPoly.scalar(1)
+    h1, h2 = data.draw(homogeneous(d)), data.draw(homogeneous(d))
+    if data.draw(st.booleans()):
+        h2 = h1
+    lhs, rhs = c + h1, c + h2
+    for alg in free_and_commutative():
+        want = dense.verify_identity(lhs, rhs, alg)
+        assert verify_identity(lhs, rhs, alg) == want
+        assert verify_identity(rhs, lhs, alg) == want
+        if h1 == h2:
+            assert want
+        if d < 2 and h1 != h2:
+            assert not want
+    alg = commutator_relations(LETTERS)
+    assert alg.reduces_to_zero(lhs - rhs) == dense.verify_identity(lhs, rhs, alg)
+
+
+def test_verify_identity_reaches_both_verdicts_on_shared_parts():
+    free, comm = free_and_commutative()
+    c = word(A_) + word(A_, B_, C_) + NCPoly.scalar(F(1, 3))
+    lhs, rhs = c + word(A_, B_).scale(F(1, 2)), c + word(B_, A_).scale(F(1, 2))
+    assert not verify_identity(lhs, rhs, free)
+    assert verify_identity(lhs, rhs, comm)
+    assert verify_identity(c, c, free)                      # zero difference
+    assert not verify_identity(c + word(A_), c, comm)       # degree 1
+    assert not verify_identity(c + NCPoly.scalar(2), c, comm)   # degree 0
+
+
+def test_verify_identity_rejects_a_non_homogeneous_difference():
+    free, comm = free_and_commutative()
+    lhs = word(A_, B_) + word(C_)
+    rhs = word(B_, A_) + word(A_, B_, C_)
+    for alg in (free, comm):
+        with pytest.raises(NonHomogeneous):
+            verify_identity(lhs, rhs, alg)
+        with pytest.raises(NonHomogeneous):
+            dense.verify_identity(lhs, rhs, alg)
+        with pytest.raises(NonHomogeneous):
+            alg.reduces_to_zero(lhs - rhs)
