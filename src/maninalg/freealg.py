@@ -247,40 +247,34 @@ def poly_grid_product(grid, left=None, right=None) -> list:
 
     Each side is None, a QMatrix or a TensorOperator.  The sums run over
     integers: the grid's entries are brought to one common denominator D
-    and their words numbered, the left operator is read as integer rows
-    over their own denominators d_i (``TensorOperator.integer_rows``; a
-    QMatrix is converted the same way once per call) and the right one as
-    integer rows over one denominator e, applied row-major, so no operator
-    or grid is transposed.  Output entry (i, j) is its integer sum over
-    D * d_i * e, and one Fraction is built per output term.
+    and their words numbered, and each operator is read as integer rows
+    over one denominator (``TensorOperator.num`` over ``den``; a QMatrix is
+    converted the same way once per call).  The right operator is applied
+    row-major, so no operator or grid is transposed.  Every output entry
+    is its integer sum over D times the denominators of the sides, and one
+    Fraction is built per output term.
     """
     if left is None and right is None:
         return grid
     den, words, sums = _integer_grid(grid)
-    dens = [den] * len(sums)
     width = len(grid[0])
     if left is not None:
-        rows, nrows, ncols = _integer_rows(left)
+        lden, rows, nrows, ncols = _integer_rows(left)
         if ncols != len(sums):
             raise ValueError("inner dimensions differ")
-        out, out_dens = [], []
+        out = []
         for i in range(nrows):
-            d, arow = rows.get(i, (1, {}))
             acc = [{} for _ in range(width)]
-            for k, a in arow.items():
+            for k, a in rows.get(i, {}).items():
                 for entry, x in zip(acc, sums[k]):
                     for w, c in x.items():
                         entry[w] = entry[w] + a * c if w in entry else a * c
             out.append(acc)
-            out_dens.append(den * d)
-        sums, dens = out, out_dens
+        sums, den = out, den * lden
     if right is not None:
-        rows, nrows, ncols = _integer_rows(right)
+        rden, rows, nrows, ncols = _integer_rows(right)
         if nrows != width:
             raise ValueError("inner dimensions differ")
-        e = lcm(*(d for d, _ in rows.values()))
-        rows = {k: {j: b * (e // d) for j, b in row.items()} if d != e else row
-                for k, (d, row) in rows.items()}
         out = []
         for grid_row in sums:
             acc = [{} for _ in range(ncols)]
@@ -292,9 +286,8 @@ def poly_grid_product(grid, left=None, right=None) -> list:
                         for w, c in x.items():
                             entry[w] = entry[w] + b * c if w in entry else b * c
             out.append(acc)
-        sums, dens = out, [d * e for d in dens]
-    return [[_from_integer_sums(entry, words, d) for entry in row]
-            for row, d in zip(sums, dens)]
+        sums, den = out, den * rden
+    return [[_from_integer_sums(entry, words, den) for entry in row] for row in sums]
 
 
 def _integer_grid(grid) -> tuple:
@@ -319,17 +312,17 @@ def _integer_grid(grid) -> tuple:
 
 
 def _integer_rows(op) -> tuple:
-    """(rows, nrows, ncols) of a QMatrix or a TensorOperator, with rows in
-    the form of ``TensorOperator.integer_rows``: i -> (d, {j: numerator})."""
+    """(den, rows, nrows, ncols) of a QMatrix or a TensorOperator, with rows
+    i -> {j: numerator} over the one denominator den."""
     if not isinstance(op, QMatrix):
-        return op.integer_rows(), op.row_dim ** op.arity, op.col_dim ** op.arity
+        return op.den, op.num, op.row_dim ** op.arity, op.col_dim ** op.arity
+    den = lcm(*(x.denominator for row in op.data for x in row if x))
     rows = {}
     for i, row in enumerate(op.data):
-        nz = [(j, x) for j, x in enumerate(row) if x]
+        nz = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
         if nz:
-            d = lcm(*(x.denominator for _, x in nz))
-            rows[i] = (d, {j: x.numerator * (d // x.denominator) for j, x in nz})
-    return rows, op.rows, op.cols
+            rows[i] = nz
+    return den, rows, op.rows, op.cols
 
 
 def _from_integer_sums(entry: dict, words: list, den: int) -> NCPoly:

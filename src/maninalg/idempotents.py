@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
-from .tensor import TensorOperator, flatten_index, multi_indices, swap_operator
+from .tensor import (TensorOperator, _row_times, flatten_index, multi_indices,
+                     swap_operator)
 
 
 class InvalidParameter(ValueError):
@@ -298,28 +298,16 @@ def sl2_brackets() -> dict:
 def is_idempotent(E: TensorOperator) -> bool:
     """E E = E, decided on integers without building a Fraction.
 
-    With row i of E read as numerators n_i over its denominator d_i
-    (``TensorOperator.integer_rows``) and L the least common denominator of
-    all rows, row i of E E is sum_k n_ik (L / d_k) n_k / (d_i L); so E is
-    idempotent iff that integer sum equals L n_i for every row i.
+    With E's entries read as numerators n_ij over its denominator d
+    (``TensorOperator.num`` and ``den``), row i of E E is
+    sum_k n_ik n_k / d^2; so E is idempotent iff that integer sum equals
+    d n_i for every row i.
     """
     if not E.square:
         raise ValueError("idempotency needs a square operator")
-    rows = E.integer_rows()
-    L = lcm(*(d for d, _ in rows.values()))
-    scaled = {k: (L // d, row) for k, (d, row) in rows.items()}
-    for _, row in rows.values():
-        acc = {}
-        for k, a in row.items():
-            target = scaled.get(k)
-            if target is None:
-                continue
-            c = a * target[0]
-            for j, b in target[1].items():
-                acc[j] = acc[j] + c * b if j in acc else c * b
-        if {j: x for j, x in acc.items() if x} != {j: L * x for j, x in row.items()}:
-            return False
-    return True
+    num, den = E.num, E.den
+    return all(_row_times(row, num) == {j: den * x for j, x in row.items()}
+               for row in num.values())
 
 
 def make_idempotent(R: QMatrix) -> TensorOperator:

@@ -39,6 +39,8 @@ def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise InvalidRational(f"cannot interpret the boolean {x!r} as a rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):

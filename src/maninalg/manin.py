@@ -36,8 +36,9 @@ from .tensor import TensorOperator, compose_chain, swap_operator
 @dataclass(frozen=True)
 class ManinPair:
     """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B
-    and ``complement_columns`` its columns in the form of
-    ``TensorOperator.integer_rows``: column -> (d, {row: integer numerator})."""
+    and ``complement_columns`` its columns as integer numerators over its
+    denominator: column -> {row: numerator} (``TensorOperator.num`` of the
+    transpose)."""
 
     A: TensorOperator
     B: TensorOperator
@@ -53,7 +54,7 @@ class ManinPair:
         complement = TensorOperator.identity(self.m, 2) - self.B
         object.__setattr__(self, "complement", complement)
         object.__setattr__(self, "complement_columns",
-                           complement.transpose().integer_rows())
+                           complement.transpose().num)
 
     @property
     def n(self) -> int:
@@ -89,11 +90,11 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
     Every entry of M must be homogeneous of ``degree`` (zero entries are
     fine); then an entry with words a and b of M^{(1)} M^{(2)} is
     {a * g^degree + b: c1 * c2}.  The arithmetic runs on integers: M's
-    entries are brought to one common denominator D, row r of A is read as
-    integers over its denominator d_r (``TensorOperator.integer_rows``) and
-    column s of 1 - B over its denominator e_s (``complement_columns``).  So
-    the row returned for entry (r, s) is the true entry times
-    D^2 * d_r * e_s, a nonzero factor.  Scaling by nonzero factors changes
+    entries are brought to one common denominator D, the rows of A are read
+    as integer numerators over A's denominator d (``TensorOperator.num``)
+    and the columns of 1 - B over its denominator e
+    (``complement_columns``).  So the row returned for entry (r, s) is the
+    true entry times D^2 * d * e, a nonzero factor.  Scaling by nonzero factors changes
     neither the span of the rows nor whether each lies in a subspace, which
     is all that a Manin check and a relation span read from them: the
     result is exact.  Zero entries are left out.
@@ -120,13 +121,13 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
              for i1 in range(n) for i2 in range(n)]
     columns = pair.complement_columns
     out = []
-    for _, arow in pair.A.integer_rows().values():
+    for arow in pair.A.num.values():
         left = [{} for _ in range(m * m)]
         for k, a in arow.items():
             for acc, x in zip(left, chain[k]):
                 for w, c in x.items():
                     acc[w] = acc[w] + a * c if w in acc else a * c
-        for _, col in columns.values():
+        for col in columns.values():
             acc = {}
             for t, b in col.items():
                 for w, c in left[t].items():

@@ -25,8 +25,8 @@ from fractions import Fraction
 from .freealg import NCPoly, _entry_product, poly_grid_product, poly_matrix
 from .idempotents import check_parameter_matrix
 from .ideals import PresentedAlgebra
-from .linalg import ONE, QMatrix, rat
-from .permutations import Perm, all_perms, mu_of_rows
+from .linalg import ONE, QMatrix
+from .permutations import Perm, all_perms, mu, mu_of_rows
 from .tensor import TensorOperator, compose_chain, flatten_index
 
 
@@ -169,12 +169,5 @@ def col_permuted(M, tau: Perm) -> list:
 
 
 def inversion_parameter_product(qhat, tau: Perm) -> Fraction:
-    """prod of q_ij over i < j with tau(i) > tau(j)."""
-    rows = qhat.data if hasattr(qhat, "data") else [[rat(x) for x in r] for r in qhat]
-    out = ONE
-    k = tau.size
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if tau(i) > tau(j):
-                out *= rows[i - 1][j - 1]
-    return out
+    """prod of q_ij over i < j with tau(i) > tau(j), which is mu(qhat, tau^-1)."""
+    return mu(qhat, tau.inverse())

@@ -26,10 +26,10 @@ from math import factorial
 from .idempotents import (InvalidParameter, check_parameter_matrix,
                           fourparam_idempotent, hecke_minus, hecke_r_matrix,
                           orthogonal_idempotent, parameterized_antisymmetrizer,
-                          rank_one_contraction, restrict_parameter_matrix,
-                          symplectic_idempotent, twisted_rank_one_contraction)
+                          rank_one_contraction, symplectic_idempotent,
+                          twisted_rank_one_contraction)
 from .linalg import ONE, QMatrix, ZERO, invert, rat
-from .permutations import Perm, all_perms, inv, mu, stabilizer_order
+from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, check_budget, embed, embed_pair,
                      flatten_index, multi_indices, swap_operator)
@@ -289,24 +289,24 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     kfact = factorial(k)
     if kind == "A":
         for I in itertools.combinations(range(1, n + 1), k):
-            qII = restrict_parameter_matrix(rows, I)
+            qII = [[rows[a - 1][b - 1] for b in I] for a in I]
             arranged = []
             for sigma in all_perms(k):
                 tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
-                arranged.append((flatten_index(tup, n), sigma.sign(), mu(qII, sigma)))
+                arranged.append((flatten_index(tup, n), sigma.sign(), mu_of_rows(qII, sigma)))
             for row_pos, s_sign, s_mu in arranged:
                 out[row_pos] = {col_pos: Fraction(s_sign * t_sign, kfact) * s_mu / t_mu
                                 for col_pos, t_sign, t_mu in arranged}
     elif kind == "S":
         for I in itertools.combinations_with_replacement(range(1, n + 1), k):
-            qII = restrict_parameter_matrix(rows, I)
+            qII = [[rows[a - 1][b - 1] for b in I] for a in I]
             nu = stabilizer_order(I)
             arranged = {}
             for sigma in all_perms(k):
                 tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
                 pos = flatten_index(tup, n)
                 if pos not in arranged:
-                    arranged[pos] = mu(qII, sigma)
+                    arranged[pos] = mu_of_rows(qII, sigma)
             factor = Fraction(nu, kfact)
             for row_pos, s_mu in arranged.items():
                 out[row_pos] = {col_pos: factor * s_mu / t_mu
@@ -414,7 +414,9 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     right, left = component_subspaces(E, k, p.kind)
     report["fixed_vectors"] = fixes_subspaces(op, right, left)
 
-    report["idempotent"] = (op * op) == op
+    # annihilation puts every column of op in right and the fixed vectors
+    # make op the identity there, which together give op op = op
+    report["idempotent"] = (ann and report["fixed_vectors"]) or (op * op) == op
 
     if partner is not None and k >= 2:
         if partner.kind == p.kind or partner.arity != k:
@@ -456,12 +458,7 @@ def fixes_subspaces(op: TensorOperator, right, left) -> bool:
 
 
 def corrupt(p: PairingOperator, row: int = 0, col: int = 0) -> PairingOperator:
-    """Perturb one entry; a negative control for verify_axioms."""
-    rows = dict(p.operator.rows)
-    target = dict(rows.get(row, {}))
-    target[col] = target.get(col, ZERO) + 1
-    rows[row] = target
-    return PairingOperator(p.kind, p.arity, p.source,
-                           TensorOperator(p.operator.row_dim,
-                                          p.operator.col_dim, p.arity, rows),
-                           p.provenance)
+    """Perturb one entry by +1; a negative control for verify_axioms."""
+    op = p.operator
+    bump = TensorOperator(op.row_dim, op.col_dim, p.arity, {row: {col: 1}})
+    return PairingOperator(p.kind, p.arity, p.source, op + bump, p.provenance)

@@ -6,18 +6,29 @@ multi-index basis: the multi-index (i_1, ..., i_k) with digits in 1..n
 flattens to sum (i_t - 1) * n^(k-t), so the leftmost digit is most
 significant.
 
-The matrix is stored as sparse rows: ``rows`` maps a flat row index to a
-dict from flat column index to a nonzero Fraction.  Zero entries and empty
-rows are never stored, so each operator has exactly one representation and
-``==`` and ``hash`` compare rows directly (the hash is cached).  Products,
-sums, scalings and embeddings cost in proportion to the nonzeros, which is
-what makes the pairing operators cheap: an arity-2 operator embedded in the
-k-th tensor power has at most n^2 entries per row.
+The matrix is stored as integer numerators over one common denominator:
+``num`` maps a flat row index to a dict from flat column index to a nonzero
+int, and ``den`` is a positive int, so entry (i, j) is num[i][j] / den.
+Zero entries and empty rows are never stored, and den has no factor in
+common with all the numerators (it is the least common denominator of the
+entries), so each operator has exactly one representation and ``==`` and
+``hash`` compare integers (the hash is cached).
 
-``matrix`` is a dense :class:`QMatrix` view, built on first use and kept.
-No code of the package reads it: relation spaces, minors, Manin checks and
-JSON output all work on ``rows``.  The view is kept for callers outside
-the package (benchmarks, tests, demos) that want a dense grid.
+All arithmetic runs on integers and costs in proportion to the nonzeros,
+which is what makes the pairing operators cheap: an arity-2 operator
+embedded in the k-th tensor power has at most n^2 entries per row.  A
+product multiplies numerators over den_a * den_b, a sum or difference adds
+them over lcm(den_a, den_b), and a scaling by p/q multiplies them by p over
+den * q; each ends with one gcd pass that restores the canonical form.
+Transposes, negations and embeddings move numerators and keep den.
+
+Fractions appear only at the edges.  The constructor reads Fraction, int or
+'p/q' entries, or a dense :class:`QMatrix`; ``vecmat`` takes and returns
+Fraction rows; ``trace`` and ``entry`` return one Fraction.  Two views are
+built on first use and kept: ``rows``, the entries as sparse Fraction rows
+row -> {col: Fraction}, and ``matrix``, a dense QMatrix.  No hot path of
+the package reads either view; they serve JSON output, tests, demos and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -25,10 +36,10 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .freealg import _entry_product, poly_matrix
-from .linalg import ONE, ZERO, QMatrix, SparseEchelon, Subspace, rat
+from .linalg import ZERO, QMatrix, SparseEchelon, Subspace, rat
 from .permutations import Perm, reduced_word
 
 DEFAULT_TENSOR_BUDGET = 4096
@@ -73,11 +84,12 @@ class TensorOperator:
     """Operator on tensor powers, possibly rectangular across local dims.
 
     Construct from a dense ``QMatrix`` of shape n^arity x m^arity or from a
-    mapping row -> {col: value}; zeros and empty rows are dropped.  Treated
-    as immutable once constructed: operators share row dicts.
+    mapping row -> {col: value}; every row and column index must lie in the
+    grid, and zeros and empty rows are dropped.  Treated as immutable once
+    constructed: operators share row dicts.
     """
 
-    __slots__ = ("row_dim", "col_dim", "arity", "rows", "_hash", "_matrix", "_int_rows")
+    __slots__ = ("row_dim", "col_dim", "arity", "num", "den", "_hash", "_rows", "_matrix")
 
     def __init__(self, row_dim: int, col_dim: int, arity: int, entries):
         check_budget(max(row_dim, col_dim) ** arity)
@@ -85,23 +97,44 @@ class TensorOperator:
         if isinstance(entries, QMatrix):
             if entries.rows != nrows or entries.cols != ncols:
                 raise ValueError("matrix shape does not match local dims and arity")
-            entries = {i: dict(enumerate(row)) for i, row in enumerate(entries.data)}
+            items = ((i, enumerate(row)) for i, row in enumerate(entries.data))
+        else:
+            items = ((i, row.items()) for i, row in entries.items())
         rows = {}
-        for i, row in entries.items():
+        den = 1
+        for i, row in items:
+            if not 0 <= i < nrows:
+                raise ValueError("entry outside the n^arity x m^arity grid")
             nz = {}
-            for j, x in row.items():
+            for j, x in row:
+                if not 0 <= j < ncols:
+                    raise ValueError("entry outside the n^arity x m^arity grid")
                 x = rat(x)
                 if x:
-                    if not (0 <= i < nrows and 0 <= j < ncols):
-                        raise ValueError("entry outside the n^arity x m^arity grid")
                     nz[j] = x
+                    if den % x.denominator:
+                        den = lcm(den, x.denominator)
             if nz:
                 rows[i] = nz
-        _fill(self, row_dim, col_dim, arity, rows)
+        # den is the least common denominator, so it is coprime to the
+        # numerators as a whole and the form is canonical
+        _fill(self, row_dim, col_dim, arity,
+              {i: {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+               for i, row in rows.items()}, den)
 
     @property
     def square(self) -> bool:
         return self.row_dim == self.col_dim
+
+    @property
+    def rows(self) -> dict:
+        """The entries as sparse Fraction rows row -> {col: Fraction}, built
+        on first use."""
+        if self._rows is None:
+            den = self.den
+            self._rows = {i: {j: Fraction(x, den) for j, x in row.items()}
+                          for i, row in self.num.items()}
+        return self._rows
 
     @property
     def matrix(self) -> QMatrix:
@@ -119,127 +152,95 @@ class TensorOperator:
     def identity(n: int, arity: int) -> "TensorOperator":
         size = n ** arity
         check_budget(size)
-        return _make(n, n, arity, {i: {i: ONE} for i in range(size)})
+        return _make(n, n, arity, {i: {i: 1} for i in range(size)}, 1)
 
     @staticmethod
     def zero(n: int, arity: int, m: int | None = None) -> "TensorOperator":
         m = n if m is None else m
         check_budget(max(n, m) ** arity)
-        return _make(n, m, arity, {})
+        return _make(n, m, arity, {}, 1)
 
     def row_space(self) -> Subspace:
         """The span of the rows inside the col_dim^arity-dimensional space."""
         ech = SparseEchelon()
-        for i in sorted(self.rows):
-            ech.insert(self.rows[i])
+        for i in sorted(self.num):
+            ech.insert(self.num[i])
         return ech.dense_basis(self.col_dim ** self.arity)
 
     def entry(self, row_index, col_index):
-        row = self.rows.get(flatten_index(row_index, self.row_dim))
-        return row.get(flatten_index(col_index, self.col_dim), ZERO) if row else ZERO
+        row = self.num.get(flatten_index(row_index, self.row_dim))
+        x = row.get(flatten_index(col_index, self.col_dim)) if row else None
+        return Fraction(x, self.den) if x else ZERO
 
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
         if not isinstance(other, TensorOperator):
             return NotImplemented
         if self.arity != other.arity or self.col_dim != other.row_dim:
             raise ValueError("operators do not compose")
+        bnum = other.num
         out = {}
-        for i, arow in self.rows.items():
-            row = other.vecmat(arow)
+        for i, arow in self.num.items():
+            row = _row_times(arow, bnum)
             if row:
                 out[i] = row
-        return _make(self.row_dim, other.col_dim, self.arity, out)
+        return _canonical(self.row_dim, other.col_dim, self.arity, out,
+                          self.den * other.den)
 
     def vecmat(self, v: dict) -> dict:
         """The row vector v times this operator; v and the result are sparse
         dicts index -> Fraction without zeros.
 
-        The sum runs over integers: every term is brought to the common
-        denominator of v's entries and the rows it selects, and one Fraction
-        per result entry is built at the end.
+        v is brought to integers over its least common denominator d, and
+        one Fraction per result entry is built over d * den at the end.
         """
-        int_rows = self.integer_rows()
-        terms = []
-        den = 1
-        for k, a in v.items():
-            row = int_rows.get(k)
-            if row is not None:
-                d = a.denominator * row[0]
-                den = lcm(den, d)
-                terms.append((a.numerator, d, row[1]))
-        acc = {}
-        for num, d, row in terms:
-            c = num * (den // d)
-            for j, b in row.items():
-                acc[j] = acc[j] + c * b if j in acc else c * b
-        return {j: Fraction(x, den) for j, x in acc.items() if x}
-
-    def integer_rows(self) -> dict:
-        """row -> (d, {col: integer numerator}) with entry = numerator / d and
-        d the least common denominator of the row; built once, on first use."""
-        if self._int_rows is None:
-            out = {}
-            for i, row in self.rows.items():
-                d = lcm(*(x.denominator for x in row.values()))
-                out[i] = (d, {j: x.numerator * (d // x.denominator) for j, x in row.items()})
-            self._int_rows = out
-        return self._int_rows
+        d = lcm(*(a.denominator for a in v.values()))
+        iv = {k: a.numerator * (d // a.denominator) for k, a in v.items()}
+        den = d * self.den
+        return {j: Fraction(x, den) for j, x in _row_times(iv, self.num).items()}
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_same_shape(other)
-        out = dict(self.rows)          # rows are never mutated, so share them
-        for i, brow in other.rows.items():
-            row = out.get(i)
-            if row is None:
-                out[i] = brow
-                continue
-            row = dict(row)
-            for j, x in brow.items():
-                v = row.get(j, ZERO) + x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            if row:
-                out[i] = row
-            else:
-                del out[i]
-        return _make(self.row_dim, self.col_dim, self.arity, out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_same_shape(other)
-        return self + -other
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "TensorOperator":
         return _make(self.row_dim, self.col_dim, self.arity,
-                     {i: {j: -x for j, x in row.items()} for i, row in self.rows.items()})
+                     {i: {j: -x for j, x in row.items()} for i, row in self.num.items()},
+                     self.den)
 
     def scale(self, c) -> "TensorOperator":
         c = rat(c)
         if c == 1:
             return self
-        rows = {i: {j: c * x for j, x in row.items()} for i, row in self.rows.items()} \
-            if c else {}
-        return _make(self.row_dim, self.col_dim, self.arity, rows)
+        if not c:
+            return _make(self.row_dim, self.col_dim, self.arity, {}, 1)
+        p = c.numerator
+        num = self.num if p == 1 else \
+            {i: {j: p * x for j, x in row.items()} for i, row in self.num.items()}
+        return _canonical(self.row_dim, self.col_dim, self.arity, num,
+                          self.den * c.denominator)
 
     def transpose(self) -> "TensorOperator":
         out = {}
-        for i, row in self.rows.items():
+        for i, row in self.num.items():
             for j, x in row.items():
                 col = out.get(j)
                 if col is None:
                     out[j] = {i: x}
                 else:
                     col[i] = x
-        return _make(self.col_dim, self.row_dim, self.arity, out)
+        return _make(self.col_dim, self.row_dim, self.arity, out, self.den)
 
     def trace(self):
         if not self.square:
             raise ValueError("trace of a non-square operator")
-        return sum((row.get(i, ZERO) for i, row in self.rows.items()), ZERO)
+        return Fraction(sum(row.get(i, 0) for i, row in self.num.items()), self.den)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.num
 
     def __eq__(self, other):
         if not (isinstance(other, TensorOperator)
@@ -250,17 +251,17 @@ class TensorOperator:
         if self._hash is not None and other._hash is not None \
                 and self._hash != other._hash:
             return False
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.row_dim, self.col_dim, self.arity,
+            self._hash = hash((self.row_dim, self.col_dim, self.arity, self.den,
                                frozenset((i, frozenset(row.items()))
-                                         for i, row in self.rows.items())))
+                                         for i, row in self.num.items())))
         return self._hash
 
     def __repr__(self):
-        nnz = sum(map(len, self.rows.values()))
+        nnz = sum(map(len, self.num.values()))
         return (f"TensorOperator({self.row_dim}->{self.col_dim}, arity {self.arity}, "
                 f"{nnz} nonzeros)")
 
@@ -270,21 +271,82 @@ class TensorOperator:
             raise ValueError("operator shapes differ")
 
 
-def _fill(op, row_dim, col_dim, arity, rows):
+def _fill(op, row_dim, col_dim, arity, num, den):
     op.row_dim = row_dim
     op.col_dim = col_dim
     op.arity = arity
-    op.rows = rows
+    op.num = num
+    op.den = den
     op._hash = None
+    op._rows = None
     op._matrix = None
-    op._int_rows = None
 
 
-def _make(row_dim: int, col_dim: int, arity: int, rows: dict) -> TensorOperator:
-    """Wrap rows that are already canonical (no zeros, no empty rows)."""
+def _make(row_dim: int, col_dim: int, arity: int, num: dict, den: int) -> TensorOperator:
+    """Wrap integer rows that are already canonical: no zeros, no empty
+    rows, and den > 0 without a factor common to all numerators."""
     op = object.__new__(TensorOperator)
-    _fill(op, row_dim, col_dim, arity, rows)
+    _fill(op, row_dim, col_dim, arity, num, den)
     return op
+
+
+def _canonical(row_dim: int, col_dim: int, arity: int, num: dict, den: int) -> TensorOperator:
+    """Wrap integer rows without zeros or empty rows over den > 0, after
+    dividing den and every numerator by their common factor."""
+    g = den
+    for row in num.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g != 1:
+        num = {i: {j: x // g for j, x in row.items()} for i, row in num.items()}
+        den //= g
+    return _make(row_dim, col_dim, arity, num, den)
+
+
+def _row_times(v: dict, num: dict) -> dict:
+    """The integer row v times the integer rows num, without zeros.  A row
+    of num selected by a single unit entry of v is returned itself."""
+    if len(v) == 1:
+        (k, a), = v.items()
+        row = num.get(k)
+        if row is None:
+            return {}
+        return row if a == 1 else {j: a * b for j, b in row.items()}
+    acc = {}
+    for k, a in v.items():
+        row = num.get(k)
+        if row is not None:
+            for j, b in row.items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+    return {j: x for j, x in acc.items() if x}
+
+
+def _sum(a: TensorOperator, b: TensorOperator, sign: int) -> TensorOperator:
+    """a + sign * b, with the numerators of both brought to lcm(a.den, b.den)."""
+    den = lcm(a.den, b.den)
+    ma, mb = den // a.den, sign * (den // b.den)
+    # rows are never mutated, so unscaled rows are shared
+    out = dict(a.num) if ma == 1 else \
+        {i: {j: ma * x for j, x in row.items()} for i, row in a.num.items()}
+    for i, brow in b.num.items():
+        row = out.get(i)
+        if row is None:
+            out[i] = brow if mb == 1 else {j: mb * x for j, x in brow.items()}
+            continue
+        if ma == 1:
+            row = dict(row)
+        for j, x in brow.items():
+            v = row.get(j, 0) + mb * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        if row:
+            out[i] = row
+        else:
+            del out[i]
+    return _canonical(a.row_dim, a.col_dim, a.arity, out, den)
 
 
 def embed(op: TensorOperator, total_arity: int, start_leg: int) -> TensorOperator:
@@ -300,13 +362,13 @@ def embed(op: TensorOperator, total_arity: int, start_leg: int) -> TensorOperato
     n_r = n ** (total_arity - ell - start_leg + 1)
     block = n ** ell * n_r
     local = [(r * n_r, [(c * n_r, x) for c, x in row.items()])
-             for r, row in op.rows.items()]
+             for r, row in op.num.items()]
     out = {}
     for a in range(n_l):
         for base in range(a * block, a * block + n_r):
             for r, cols in local:
                 out[base + r] = {base + c: x for c, x in cols}
-    return _make(n, n, total_arity, out)
+    return _make(n, n, total_arity, out, op.den)
 
 
 def embed_pair(op: TensorOperator, total_arity: int, leg_a: int, leg_b: int) -> TensorOperator:
@@ -323,13 +385,13 @@ def embed_pair(op: TensorOperator, total_arity: int, leg_a: int, leg_b: int) -> 
     # the first local digit sits at leg a, the second at leg b
     place = lambda flat: (flat // n) * wa + (flat % n) * wb
     local = [(place(r), [(place(c), x) for c, x in row.items()])
-             for r, row in op.rows.items()]
+             for r, row in op.num.items()]
     out = {}
     for digits in itertools.product(range(n), repeat=total_arity - 2):
         base = sum(d * w for d, w in zip(digits, others))
         for r, cols in local:
             out[base + r] = {base + c: x for c, x in cols}
-    return _make(n, n, total_arity, out)
+    return _make(n, n, total_arity, out, op.den)
 
 
 def perm_action(p: Perm, n: int) -> TensorOperator:
@@ -342,14 +404,14 @@ def perm_action(p: Perm, n: int) -> TensorOperator:
     out = {}
     for digits in itertools.product(range(n), repeat=k):
         col = sum(d * w for d, w in zip(digits, weight))
-        out[sum(d * w for d, w in zip(digits, moved))] = {col: ONE}
-    return _make(n, n, k, out)
+        out[sum(d * w for d, w in zip(digits, moved))] = {col: 1}
+    return _make(n, n, k, out, 1)
 
 
 def swap_operator(n: int) -> TensorOperator:
     """The flip v (x) w -> w (x) v on C^n (x) C^n."""
-    return _make(n, n, 2, {j * n + i: {i * n + j: ONE}
-                           for i in range(n) for j in range(n)})
+    return _make(n, n, 2, {j * n + i: {i * n + j: 1}
+                           for i in range(n) for j in range(n)}, 1)
 
 
 def perm_rep(p: Perm, n: int, sign: int = 1) -> TensorOperator:

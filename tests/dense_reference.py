@@ -21,18 +21,26 @@ kept here as their oracles: the chained NCPoly products of
 transposing ``poly_grid_product`` summing Fractions per word, ``verify_identity``
 as ``reduces_to_zero(lhs - rhs)`` through ``sparse_coords``, idempotency as
 the dense product, and the parameter-matrix check and antisymmetrizer built
-from Fraction products.
+from Fraction products.  ``FractionOperator`` keeps the sparse Fraction-row
+operator arithmetic (products, sums, scalings, transposes, embeddings) that
+``TensorOperator`` ran before it moved to integer numerators over one
+common denominator; ``closed_form_multiparam`` keeps the closed form that
+re-validated each restricted parameter matrix, and
+``inversion_parameter_product`` the inversion product read off qhat
+directly.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import factorial, lcm
 
 from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
-from maninalg.idempotents import InvalidParameter, rational_grid
+from maninalg.idempotents import InvalidParameter, rational_grid, restrict_parameter_matrix
 from maninalg.linalg import ONE, ZERO, QMatrix
-from maninalg.permutations import all_perms, mu
+from maninalg.permutations import all_perms, mu, stabilizer_order
 from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
                              unflatten_index)
 
@@ -338,6 +346,212 @@ def parameterized_antisymmetrizer(qhat) -> TensorOperator:
         flatten_index((j, i), n): {flatten_index((i, j), n): rows[i - 1][j - 1]}
         for i in range(1, n + 1) for j in range(1, n + 1)})
     return (TensorOperator.identity(n, 2) - flip).scale(Fraction(1, 2))
+
+
+def closed_form_multiparam(qhat, k: int, kind: str) -> TensorOperator:
+    """The closed-form S_(k)/A_(k) operator of ``pairing.closed_form_multiparam``,
+    restricting qhat to every index tuple with the validating
+    ``restrict_parameter_matrix`` and reading each weight through ``mu``."""
+    rows = check_parameter_matrix(qhat)
+    n = len(rows)
+    out = {}
+    kfact = factorial(k)
+    if kind == "A":
+        for I in itertools.combinations(range(1, n + 1), k):
+            qII = restrict_parameter_matrix(rows, I)
+            arranged = []
+            for sigma in all_perms(k):
+                tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
+                arranged.append((flatten_index(tup, n), sigma.sign(), mu(qII, sigma)))
+            for row_pos, s_sign, s_mu in arranged:
+                out[row_pos] = {col_pos: Fraction(s_sign * t_sign, kfact) * s_mu / t_mu
+                                for col_pos, t_sign, t_mu in arranged}
+    else:
+        for I in itertools.combinations_with_replacement(range(1, n + 1), k):
+            qII = restrict_parameter_matrix(rows, I)
+            arranged = {}
+            for sigma in all_perms(k):
+                pos = flatten_index(tuple(I[sigma(t) - 1] for t in range(1, k + 1)), n)
+                if pos not in arranged:
+                    arranged[pos] = mu(qII, sigma)
+            factor = Fraction(stabilizer_order(I), kfact)
+            for row_pos, s_mu in arranged.items():
+                out[row_pos] = {col_pos: factor * s_mu / t_mu
+                                for col_pos, t_mu in arranged.items()}
+    return TensorOperator(n, n, k, out)
+
+
+def inversion_parameter_product(qhat, tau) -> Fraction:
+    """prod of q_ij over i < j with tau(i) > tau(j), read off qhat directly."""
+    rows = qhat.data if hasattr(qhat, "data") else [[Fraction(x) for x in r] for r in qhat]
+    out = ONE
+    k = tau.size
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if tau(i) > tau(j):
+                out *= rows[i - 1][j - 1]
+    return out
+
+
+class FractionOperator:
+    """A tensor operator as sparse Fraction rows: the representation and
+    arithmetic that ``TensorOperator`` had before it moved to integer
+    numerators over one common denominator.
+
+    ``rows`` maps a flat row index to {flat column index: nonzero
+    Fraction}; zeros and empty rows are never stored, so two operators are
+    equal iff their rows are.  Products sum each row over the integer rows
+    of the right factor, each over its own least common denominator.
+    """
+
+    def __init__(self, row_dim: int, col_dim: int, arity: int, rows: dict):
+        self.row_dim, self.col_dim, self.arity = row_dim, col_dim, arity
+        rows = {i: {j: Fraction(x) for j, x in row.items() if x} for i, row in rows.items()}
+        self.rows = {i: row for i, row in rows.items() if row}
+
+    @staticmethod
+    def of(op: TensorOperator) -> "FractionOperator":
+        return FractionOperator(op.row_dim, op.col_dim, op.arity, op.rows)
+
+    def operator(self) -> TensorOperator:
+        return TensorOperator(self.row_dim, self.col_dim, self.arity, self.rows)
+
+    def _like(self, rows, row_dim=None, col_dim=None) -> "FractionOperator":
+        out = object.__new__(FractionOperator)
+        out.row_dim = self.row_dim if row_dim is None else row_dim
+        out.col_dim = self.col_dim if col_dim is None else col_dim
+        out.arity = self.arity
+        out.rows = rows
+        return out
+
+    def integer_rows(self) -> dict:
+        """row -> (d, {col: numerator}), d the least common denominator of the row."""
+        out = {}
+        for i, row in self.rows.items():
+            d = lcm(*(x.denominator for x in row.values()))
+            out[i] = (d, {j: x.numerator * (d // x.denominator) for j, x in row.items()})
+        return out
+
+    def vecmat(self, v: dict) -> dict:
+        int_rows = self.integer_rows()
+        terms = []
+        den = 1
+        for k, a in v.items():
+            row = int_rows.get(k)
+            if row is not None:
+                d = a.denominator * row[0]
+                den = lcm(den, d)
+                terms.append((a.numerator, d, row[1]))
+        acc = {}
+        for num, d, row in terms:
+            c = num * (den // d)
+            for j, b in row.items():
+                acc[j] = acc[j] + c * b if j in acc else c * b
+        return {j: Fraction(x, den) for j, x in acc.items() if x}
+
+    def __mul__(self, other: "FractionOperator") -> "FractionOperator":
+        out = {}
+        for i, arow in self.rows.items():
+            row = other.vecmat(arow)
+            if row:
+                out[i] = row
+        return self._like(out, col_dim=other.col_dim)
+
+    def __add__(self, other: "FractionOperator") -> "FractionOperator":
+        out = dict(self.rows)
+        for i, brow in other.rows.items():
+            row = out.get(i)
+            if row is None:
+                out[i] = brow
+                continue
+            row = dict(row)
+            for j, x in brow.items():
+                v = row.get(j, ZERO) + x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                out[i] = row
+            else:
+                del out[i]
+        return self._like(out)
+
+    def __sub__(self, other: "FractionOperator") -> "FractionOperator":
+        return self + -other
+
+    def __neg__(self) -> "FractionOperator":
+        return self._like({i: {j: -x for j, x in row.items()} for i, row in self.rows.items()})
+
+    def scale(self, c) -> "FractionOperator":
+        c = Fraction(c)
+        if c == 1:
+            return self
+        return self._like({i: {j: c * x for j, x in row.items()}
+                           for i, row in self.rows.items()} if c else {})
+
+    def transpose(self) -> "FractionOperator":
+        out = {}
+        for i, row in self.rows.items():
+            for j, x in row.items():
+                out.setdefault(j, {})[i] = x
+        return self._like(out, row_dim=self.col_dim, col_dim=self.row_dim)
+
+    def trace(self) -> Fraction:
+        return sum((row.get(i, ZERO) for i, row in self.rows.items()), ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def is_idempotent(self) -> bool:
+        return self * self == self
+
+    def row_basis(self) -> QMatrix:
+        """The reduced row-echelon basis of the rows, computed densely."""
+        size = self.col_dim ** self.arity
+        dense = []
+        for i in sorted(self.rows):
+            v = [ZERO] * size
+            for j, x in self.rows[i].items():
+                v[j] = x
+            dense.append(v)
+        return row_basis(dense, size)
+
+    def __eq__(self, other):
+        return (isinstance(other, FractionOperator)
+                and (self.row_dim, self.col_dim, self.arity)
+                == (other.row_dim, other.col_dim, other.arity)
+                and self.rows == other.rows)
+
+
+def embed_rows(op: FractionOperator, total_arity: int, start_leg: int) -> FractionOperator:
+    """FractionOperator of op at legs start_leg .. start_leg + arity - 1."""
+    n, ell = op.row_dim, op.arity
+    n_l = n ** (start_leg - 1)
+    n_r = n ** (total_arity - ell - start_leg + 1)
+    block = n ** ell * n_r
+    out = {}
+    for a in range(n_l):
+        for base in range(a * block, a * block + n_r):
+            for r, row in op.rows.items():
+                out[base + r * n_r] = {base + c * n_r: x for c, x in row.items()}
+    return FractionOperator(n, n, total_arity, out)
+
+
+def embed_pair_rows(op: FractionOperator, total_arity: int, leg_a: int,
+                    leg_b: int) -> FractionOperator:
+    """FractionOperator of the arity-2 op at legs (leg_a, leg_b)."""
+    n = op.row_dim
+    weight = [n ** (total_arity - t) for t in range(1, total_arity + 1)]
+    wa, wb = weight[leg_a - 1], weight[leg_b - 1]
+    others = [w for t, w in enumerate(weight, 1) if t not in (leg_a, leg_b)]
+    place = lambda flat: (flat // n) * wa + (flat % n) * wb
+    out = {}
+    for digits in multi_indices(n, total_arity - 2):
+        base = sum((d - 1) * w for d, w in zip(digits, others))
+        for r, row in op.rows.items():
+            out[base + place(r)] = {base + place(c): x for c, x in row.items()}
+    return FractionOperator(n, n, total_arity, out)
 
 
 class FractionEchelon:

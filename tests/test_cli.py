@@ -215,6 +215,11 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
      '"x"', "JSON object with keys 'A' and 'B'"),
     (["minor", "--pair", "SPEC", "--matrix", "unused", "--k", "2", "--kind", "S"],
      '{"A": {"family": "A_n", "n": 2}}', "JSON object with keys 'A' and 'B'"),
+    (["check-idempotent", "--family", "Aqhat", "--params",
+      '{"qhat": [[1, true], [true, 1]]}'], None, "boolean"),
+    (["check-idempotent", "--family", "FourParam", "--params",
+      '{"a": 1, "b": 1, "c": 1, "kappa": false}'], None, "boolean"),
+    (["catalog", "--family", "Aq", "--n", "2", "--params", '{"q": true}'], None, "boolean"),
 ], ids=["zero-denominator", "float-parameter", "negative-max-degree", "spec-is-a-list",
         "spec-without-family", "spec-null-n", "negative-n", "missing-n",
         "custom-without-matrix", "missing-q", "fourparam-without-c",
@@ -224,7 +229,8 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
         "qhat-is-a-number", "qhat-is-flat", "custom-matrix-is-flat", "qhat-is-empty",
         "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
         "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0",
-        "pair-is-a-list", "pair-is-a-string", "pair-without-B"])
+        "pair-is-a-list", "pair-is-a-string", "pair-without-B",
+        "qhat-holds-booleans", "fourparam-kappa-is-a-boolean", "q-is-a-boolean"])
 def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsys):
     if spec_text is not None:
         spec = tmp_path / "spec.json"

@@ -408,3 +408,19 @@ def test_verify_identity_rejects_a_non_homogeneous_difference():
             dense.verify_identity(lhs, rhs, alg)
         with pytest.raises(NonHomogeneous):
             alg.reduces_to_zero(lhs - rhs)
+
+
+def test_inversion_parameter_product_is_mu_of_the_inverse():
+    from maninalg.linalg import QMatrix
+    from maninalg.permutations import all_perms, mu
+    from maninalg.suites import generic_parameter_matrix
+    qhat = generic_parameter_matrix(4)
+    as_strings = [[str(x) for x in row] for row in qhat]
+    values = set()
+    for tau in all_perms(4):
+        want = dense.inversion_parameter_product(qhat, tau)
+        for given_as in (qhat, as_strings, QMatrix.from_rows(qhat)):
+            assert inversion_parameter_product(given_as, tau) == want, tau
+        assert want == mu(qhat, tau.inverse())
+        values.add(want)
+    assert len(values) > 6

@@ -305,11 +305,20 @@ def no_dense_views(monkeypatch):
     monkeypatch.setattr(TensorOperator, "matrix", property(guarded))
 
 
-def test_pairing_routes_and_axioms_build_no_dense_views(no_dense_views):
+@pytest.fixture
+def no_operator_views(no_dense_views, monkeypatch):
+    """Make the Fraction rows view of every operator raise as well."""
+    def guarded(op):
+        raise AssertionError(f"Fraction rows view of an arity-{op.arity} operator")
+    monkeypatch.setattr(TensorOperator, "rows", property(guarded))
+
+
+def test_pairing_routes_and_axioms_build_no_dense_views(no_operator_views):
     q = F(2)
     for arity in (1, 2, 3):
-        with pytest.raises(AssertionError):
-            TensorOperator.identity(2, arity).matrix
+        for view in ("matrix", "rows"):
+            with pytest.raises(AssertionError):
+                getattr(TensorOperator.identity(2, arity), view)
     E = idem.antisymmetrizer(2)
     routes = [generic_pairing(idem.symplectic_idempotent(4), 3, "A"),
               hecke_pairing(q, 3, 3, "A"), brauer_pairing("sp", 4, 3),
@@ -378,3 +387,88 @@ def test_library_and_cli_build_no_dense_views(no_dense_views, tmp_path, capsys):
     for argv in commands:
         assert cli_main(argv) == 0, argv
         assert capsys.readouterr().err == ""
+
+
+# --- closed form, idempotency shortcut and canonical integer form -------------
+
+def test_closed_form_matches_the_restricting_route():
+    for n in (1, 2, 3, 4):
+        for offset in (0, 3):
+            qhat = generic_parameter_matrix(n, offset)
+            for k in (1, 2, 3, 4):
+                for kind in ("S", "A"):
+                    if kind == "A" and k > n:
+                        continue
+                    got = closed_form_multiparam(qhat, k, kind).operator
+                    want = dense.closed_form_multiparam(qhat, k, kind)
+                    assert got == want, (n, offset, k, kind)
+                    assert (got.den, got.num) == (want.den, want.num)
+
+
+@pytest.mark.parametrize("qhat", [
+    [[1, 2], [3, 1]], [[1, 2], [F(1, 2), 2]], [[1, 0], [0, 1]], [[1, 2, 3], [F(1, 2), 1]],
+    [], 5, [[1, "1/0"], [0, 1]], [[1, True], [True, 1]]])
+def test_closed_form_raises_what_the_restricting_route_raises(qhat):
+    with pytest.raises(ValueError) as want:
+        dense.closed_form_multiparam(qhat, 2, "S")
+    for kind in ("S", "A"):
+        with pytest.raises(type(want.value)) as got:
+            closed_form_multiparam(qhat, 2, kind)
+        assert str(got.value) == str(want.value)
+
+
+def _with_product_idempotency(p: PairingOperator, report: dict) -> dict:
+    """The report of verify_axioms with idempotency decided by op * op."""
+    out = dict(report)
+    out["idempotent"] = p.operator * p.operator == p.operator
+    out["pass"] = all(v for name, v in out.items() if name != "pass" and v is not None)
+    return out
+
+
+def test_idempotency_shortcut_matches_the_product():
+    from maninalg.suites import pairing_constructions
+    ops = list(suite_size_operators())
+    for tag in ("A_n", "Aqhat", "RhatMinus"):
+        for n in (2, 3):
+            for k in (2, 3):
+                for kind in ("S", "A"):
+                    ops += [p for p in pairing_constructions(tag, n, k, kind).values()
+                            if isinstance(p, PairingOperator)]
+    ops += [fourparam_A3(1, 1, 1, 1), generic_pairing(idem.antisymmetrizer(2), 1, "S")]
+    seen = set()
+    for p in ops:
+        report = verify_axioms(p)
+        assert report == _with_product_idempotency(p, report), p.provenance
+        assert report["pass"], p.provenance
+        size = p.operator.row_dim ** p.arity
+        for r, c in ((0, 0), (1, 0), (size - 1, size - 1), (size // 2, size // 3)):
+            bad = corrupt(p, r, c)
+            report = verify_axioms(bad)
+            assert report == _with_product_idempotency(bad, report), (p.provenance, r, c)
+            seen.add((report["annihilation"], report["fixed_vectors"], report["idempotent"]))
+    # e_11 is symmetric and killed by A_2 on both sides, so S_(2) + e_11 e^11
+    # passes annihilation, fails the fixed vectors and is not idempotent
+    bad = corrupt(group_average(idem.antisymmetrizer(2), 2, "S"), 0, 0)
+    report = verify_axioms(bad)
+    assert report["annihilation"] and not report["fixed_vectors"]
+    assert report == _with_product_idempotency(bad, report) and not report["idempotent"]
+    assert (True, False, False) in seen and (False, False, False) in seen
+
+
+def test_equal_pairings_from_different_routes_share_the_integer_form():
+    q = F(3, 2)
+    pairs = []
+    for n, k in ((2, 3), (3, 3), (2, 4)):
+        for kind in ("S", "A"):
+            pairs.append((hecke_pairing(q, n, k, kind).operator,
+                          generic_pairing(idem.hecke_minus(n, q), k, kind).operator))
+    for n, k in ((2, 3), (3, 3), (3, 2)):
+        qhat = generic_parameter_matrix(n)
+        E = idem.parameterized_antisymmetrizer(qhat)
+        for kind in ("S", "A"):
+            pairs.append((group_average(E, k, kind).operator,
+                          closed_form_multiparam(qhat, k, kind).operator))
+    for a, b in pairs:
+        assert a == b
+        assert a.den == b.den and a.num == b.num and hash(a) == hash(b)
+        assert a.is_zero() or a.den > 1   # the routes meet over a nontrivial denominator

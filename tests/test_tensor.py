@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
+from maninalg import idempotents as idem
 from maninalg.freealg import NCPoly, generator_matrix, matrix_gen, poly_grid_product
 from maninalg.idempotents import antisymmetrizer, permutation_op
 from maninalg.linalg import QMatrix
@@ -196,6 +199,14 @@ def assert_canonical(op: TensorOperator):
     assert all(op.rows.values()), "empty row stored"
     assert all(x for row in op.rows.values() for x in row.values()), "zero stored"
     assert all(isinstance(x, Fraction) for row in op.rows.values() for x in row.values())
+    # the integer form: nonzero int numerators over a positive den sharing no
+    # factor with all of them, and the rows view reads num / den
+    assert type(op.den) is int and op.den > 0
+    assert all(op.num.values()), "empty integer row stored"
+    assert all(type(x) is int and x for row in op.num.values() for x in row.values())
+    assert gcd(op.den, *(x for row in op.num.values() for x in row.values())) == 1
+    assert op.rows == {i: {j: Fraction(x, op.den) for j, x in row.items()}
+                       for i, row in op.num.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,7 +305,13 @@ def test_constructor_rejects_entries_outside_the_grid():
         TensorOperator(2, 2, 2, {0: {4: 1}})
     with pytest.raises(ValueError):
         TensorOperator(2, 2, 2, QMatrix.zero(4, 3))
-    assert TensorOperator(2, 2, 2, {4: {0: 0}}).is_zero()   # zeros are dropped
+    # the range is checked on every index, zero entries and empty rows included
+    for entries in ({4: {0: 0}}, {0: {4: 0}}, {-1: {}}, {0: {-1: 0}}):
+        with pytest.raises(ValueError):
+            TensorOperator(2, 2, 2, entries)
+    with pytest.raises(ValueError):
+        TensorOperator(2, 2, 1, {0: {5: 0}})
+    assert TensorOperator(2, 2, 2, {3: {0: 0}, 1: {}}).is_zero()   # zeros are dropped
 
 
 def test_constructors_check_the_budget_first(monkeypatch):
@@ -304,3 +321,93 @@ def test_constructors_check_the_budget_first(monkeypatch):
                   lambda: embed_pair(swap_operator(2), 4, 1, 3)):
         with pytest.raises(BudgetExceeded):
             build()
+
+
+# --- integer numerators against the Fraction-row oracle -----------------------
+
+# denominators up to 12 so that lcm and gcd passes meet shared and coprime factors
+mixed = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7, 12)))
+
+
+def random_pair(data, row_dim: int, col_dim: int, k: int):
+    """The same random entries as a TensorOperator and a FractionOperator."""
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, row_dim ** k - 1), st.integers(0, col_dim ** k - 1)),
+        mixed, max_size=30))
+    rows = {}
+    for (i, j), x in cells.items():
+        rows.setdefault(i, {})[j] = x
+    return (TensorOperator(row_dim, col_dim, k, rows),
+            dense.FractionOperator(row_dim, col_dim, k, rows))
+
+
+def assert_same(op: TensorOperator, oracle: "dense.FractionOperator", what):
+    assert_canonical(op)
+    assert (op.row_dim, op.col_dim, op.arity) == \
+        (oracle.row_dim, oracle.col_dim, oracle.arity), what
+    assert op.rows == oracle.rows, what
+    rebuilt = oracle.operator()
+    assert op == rebuilt and hash(op) == hash(rebuilt), what
+    assert (op.den, op.num) == (rebuilt.den, rebuilt.num), what
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_integer_arithmetic_matches_the_fraction_rows(n, m, k, data):
+    a, A = random_pair(data, n, m, k)
+    b, B = random_pair(data, n, m, k)
+    c, C = random_pair(data, m, n, k)
+    # b shares a's rows and entries in some draws, so that rows and entries cancel
+    choice = data.draw(st.sampled_from(("random", "equal", "negated", "shifted")))
+    if choice == "equal":
+        b, B = a, A
+    elif choice == "negated":
+        b, B = a.scale(-1), A.scale(-1)
+    elif choice == "shifted":
+        b, B = a + b, A + B
+    t = data.draw(st.one_of(st.sampled_from((0, 1, -1, Fraction(-3, 2))), mixed))
+    results = {"mul": (a * c, A * C), "mul_back": (c * a, C * A),
+               "add": (a + b, A + B), "sub": (a - b, A - B), "neg": (-a, -A),
+               "scale": (a.scale(t), A.scale(t)), "transpose": (a.transpose(), A.transpose())}
+    for name, (op, oracle) in results.items():
+        assert_same(op, oracle, name)
+    assert (a - a).is_zero() and (a - a).den == 1
+    assert (a.scale(Fraction(1, 2)) == a) == a.is_zero()   # same numerators, other den
+    for op, oracle in ((a * c, A * C), (a - b, A - B)):
+        assert op.is_zero() == oracle.is_zero()
+        if op.square:
+            assert op.trace() == oracle.trace()
+    v = data.draw(st.dictionaries(st.integers(0, n ** k - 1), mixed.filter(bool), max_size=6))
+    assert a.vecmat(v) == A.vecmat(v)
+    assert a.row_space().basis == A.row_basis()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_embeddings_match_the_fraction_rows(n, k, data):
+    ell = data.draw(st.integers(1, k))
+    op, oracle = random_pair(data, n, n, ell)
+    for a in range(1, k - ell + 2):
+        assert_same(embed(op, k, a), dense.embed_rows(oracle, k, a), a)
+    if k >= 2:
+        op, oracle = random_pair(data, n, n, 2)
+        for a, b in itertools.permutations(range(1, k + 1), 2):
+            assert_same(embed_pair(op, k, a, b), dense.embed_pair_rows(oracle, k, a, b), (a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_idempotent_matches_the_fraction_rows(data):
+    E = data.draw(st.sampled_from((idem.antisymmetrizer(2), idem.q_symmetrizer(2, 3),
+                                   idem.hecke_minus(3, Fraction(2, 5)),
+                                   idem.orthogonal_idempotent(3))))
+    n = E.row_dim
+    noise, _ = random_pair(data, n, n, 2)
+    t = data.draw(st.sampled_from((0, 1, Fraction(-1, 3))))
+    # conjugating by an invertible diagonal keeps E idempotent and mixes denominators
+    diag = data.draw(st.lists(mixed.filter(bool), min_size=n * n, max_size=n * n))
+    g = TensorOperator(n, n, 2, {i: {i: x} for i, x in enumerate(diag)})
+    g_inv = TensorOperator(n, n, 2, {i: {i: 1 / x} for i, x in enumerate(diag)})
+    for op in (E, g * E * g_inv, E + noise.scale(t), (g * E * g_inv).scale(t)):
+        assert idem.is_idempotent(op) == dense.FractionOperator.of(op).is_idempotent()
+    assert idem.is_idempotent(g * E * g_inv)
