@@ -27,9 +27,20 @@ from .linalg import ONE, ZERO, QMatrix, format_rat, rat
 DEFAULT_WORD_BUDGET = 20736
 
 
+def _budget_from_env(default: int) -> int:
+    """The integer in MANIN_BUDGET, or ``default`` when it is unset."""
+    text = os.environ.get("MANIN_BUDGET")
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MANIN_BUDGET must be an integer, got {text!r}") from None
+
+
 def word_budget() -> int:
     """The largest word space (and the longest word) the package builds."""
-    return int(os.environ.get("MANIN_BUDGET", DEFAULT_WORD_BUDGET))
+    return _budget_from_env(DEFAULT_WORD_BUDGET)
 
 
 class NonHomogeneous(ValueError):

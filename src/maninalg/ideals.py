@@ -3,13 +3,16 @@
 Given a subspace R of the degree-2 word space over g generators, the
 degree-d slice I_d of the ideal generated by R is spanned by all products
 w1 * r * w2 with |w1| + |w2| = d - 2.  Slices are grown one degree at a
-time from I_d = I_{d-1} * V + V^(d-2) * R: every pivot row of I_{d-1}
-shifted by a generator on the right is already a pivot row of I_d, so only
-the rows w * r are reduced.  ``PresentedAlgebra`` owns the slices: it
-caches each requested degree, grows a new one from the highest cached
-degree below it, and decides whether lhs - rhs lies in the ideal
-(``congruent``; ``reduces_to_zero`` is the case rhs = 0) by reducing the
-difference, formed as one integer row, against the slice of its degree.
+time from I_d = I_{d-1} * V + N_{d-2} * R, where N_{d-2} is spanned by the
+normal words of degree d - 2, those that are not leads of I_{d-2}.  Every
+pivot row of I_{d-1} shifted by a generator on the right is already a pivot
+row of I_d, so only the rows u * r with u normal are reduced.  That is
+exact: V^(d-2) = I_{d-2} + N_{d-2} (Bergman's diamond lemma), and
+I_{d-2} * R lies in I_{d-2} * V^2, inside I_{d-1} * V.  ``PresentedAlgebra``
+owns the slices: it caches each requested degree, grows a new one from the
+highest cached degree below it, and decides whether lhs - rhs lies in the
+ideal (``congruent``; ``reduces_to_zero`` is the case rhs = 0) by reducing
+the difference, formed as one integer row, against the slice of its degree.
 """
 
 from __future__ import annotations
@@ -20,15 +23,21 @@ from math import lcm
 
 from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget, word_index
 from .linalg import SparseEchelon, Subspace
-from .tensor import BudgetExceeded
+from .tensor import budget_refusal
 
 @dataclass(frozen=True)
 class IdealSlice:
-    """Echelonized degree-d slice of the ideal generated by R."""
+    """Echelonized degree-d slice of the ideal generated by R.
+
+    ``normal_below`` holds, ascending, the word indices of degree d - 1 that
+    are not leads of the slice at degree d - 1: the words u whose rows u * r
+    the next degree inserts.  Only ``build_slice_from_subspace`` fills it.
+    """
 
     gens: tuple
     degree: int
     echelon: SparseEchelon
+    normal_below: tuple
 
     @property
     def generator_count(self) -> int:
@@ -132,23 +141,28 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
 
     The slice is grown degree by degree, from ``below`` (a slice of the same
     ideal at a lower degree, left unchanged) or else from the zero slice at
-    degree 1.  Going up one degree, each pivot row with lead l, shifted by
-    generator x, becomes the pivot row with lead l * g + x, and only the
-    rows w * r with |w| = e - 2 are inserted.  A word space of more than
-    ``word_budget()`` words is refused before anything is built.
+    degree 1.  Going up to degree e, each pivot row with lead l, shifted by
+    generator x, becomes the pivot row with lead l * g + x, and the rows
+    u * r are inserted only for the normal words u of degree e - 2, those
+    that are not leads of I_{e-2}.  The rest of V^(e-2) is I_{e-2}, and
+    I_{e-2} * R lies in I_{e-1} * V, the span of the shifted pivots, so the
+    slice, its rank and its leads are those of inserting w * r for every
+    word w.  A word space of more than ``word_budget()`` words is refused
+    before anything is built.
     """
     gens = tuple(gens)
     g = len(gens)
     if d < 2:
         raise ValueError("ideal slices start at degree 2")
-    size = g ** d
-    if size > word_budget():
-        raise BudgetExceeded(f"word space of size {size} exceeds budget "
-                             f"{word_budget()} (override with MANIN_BUDGET)")
+    size, budget = g ** d, word_budget()
+    if size > budget:
+        raise budget_refusal("word space", size, budget)
     if below is None:
-        degree, pivots, owned = 1, {}, True
+        # I_1 = 0, and the empty word (index 0) is the one word of degree 0
+        degree, pivots, owned, normal = 1, {}, True, [0]
     elif below.gens == gens and 2 <= below.degree < d:
         degree, pivots, owned = below.degree, below.echelon.pivots, False
+        normal = below.normal_below
     else:
         raise ValueError("a slice grows only from a lower-degree slice on the same generators")
     relation_rows = relations.integer_rows()
@@ -156,6 +170,9 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # holds it, rather than a fresh int per entry
     word = list(range(size))
     for e in range(degree + 1, d + 1):
+        # the normal words of degree e - 1, listed before the shift below
+        # consumes the pivots of I_{e-1}; degree e + 1 inserts their rows
+        normal_next = [w for w in word[:g ** (e - 1)] if w not in pivots]
         ech = SparseEchelon()
         shifted = ech.pivots
         for lead in sorted(pivots):
@@ -164,12 +181,12 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
             for x in range(g):
                 shifted[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
         owned = True
-        for w in range(g ** (e - 2)):
-            left = w * g * g
+        for u in normal:
+            left = u * g * g
             for rel in relation_rows:
                 ech.insert({word[left + mid]: c for mid, c in rel.items()})
-        pivots = ech.pivots
-    return IdealSlice(gens, d, ech)
+        pivots, normal = ech.pivots, normal_next
+    return IdealSlice(gens, d, ech, tuple(normal))
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

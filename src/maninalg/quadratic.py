@@ -86,7 +86,9 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
     """Graded dimensions in degrees 0..max_degree, read in ascending order
-    from one presentation, so that each slice grows from the one below."""
+    from one presentation, so that each slice grows from the one below and
+    degree k reduces only dim A_(k-2) * dim R rows: those of the normal
+    words of degree k - 2, which the slice of degree k - 1 carries."""
     if max_degree < 0:
         raise ValueError(f"max degree must be non-negative, got {max_degree}")
     n = alg.n

@@ -34,11 +34,10 @@ benchmarks.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
-from .freealg import _entry_product, poly_matrix
+from .freealg import _budget_from_env, _entry_product, poly_matrix
 from .linalg import ZERO, QMatrix, SparseEchelon, Subspace, rat
 from .permutations import Perm, reduced_word
 
@@ -46,18 +45,27 @@ DEFAULT_TENSOR_BUDGET = 4096
 
 
 def tensor_budget() -> int:
-    return int(os.environ.get("MANIN_BUDGET", DEFAULT_TENSOR_BUDGET))
+    return _budget_from_env(DEFAULT_TENSOR_BUDGET)
 
 
 class BudgetExceeded(ValueError):
     """A requested component is larger than the configured size budget."""
 
 
+def budget_refusal(what: str, size: int, budget: int) -> BudgetExceeded:
+    """The error refusing a ``what`` of ``size`` over ``budget``.  A size of
+    more than 64 bits is named by the power of two below it: Python refuses
+    to print an int of more than 4300 digits, and n^k reaches that fast."""
+    bits = size.bit_length()
+    shown = size if bits <= 64 else f"at least 2^{bits - 1}"
+    return BudgetExceeded(f"{what} of size {shown} exceeds budget {budget} "
+                          "(override with MANIN_BUDGET)")
+
+
 def check_budget(size: int):
     budget = tensor_budget()
     if size > budget:
-        raise BudgetExceeded(f"component of size {size} exceeds budget {budget} "
-                             "(override with MANIN_BUDGET)")
+        raise budget_refusal("component", size, budget)
 
 
 def multi_indices(n: int, k: int):

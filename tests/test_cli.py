@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from maninalg.cli import main, operator_from_json, operator_to_json
 from maninalg.idempotents import hecke_minus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -274,6 +280,31 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert phrase in captured.err
+
+
+# Each row: argv, MANIN_BUDGET or None, and a phrase naming the budget that
+# the one error line must contain.  n^k has 47,712 and 30,103 digits in the
+# first two rows, more than Python will print.
+@pytest.mark.parametrize("argv, budget, phrase", [
+    (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "99999"],
+     None, "exceeds budget 4096"),
+    (["pairing", "--family", "RhatMinus", "--n", "2", "--q", "2", "--k", "100000",
+      "--kind", "S"], None, "exceeds budget 4096"),
+    (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "4"],
+     "abc", "MANIN_BUDGET must be an integer"),
+], ids=["dims-astronomical-degree", "pairing-astronomical-arity", "budget-not-an-integer"])
+def test_budget_refusal_names_the_budget(argv, budget, phrase):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("MANIN_BUDGET", None)
+    if budget is not None:
+        env["MANIN_BUDGET"] = budget
+    proc = subprocess.run([sys.executable, "-m", "maninalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert phrase in proc.stderr
+    assert "Traceback" not in proc.stderr and "integer string conversion" not in proc.stderr
 
 
 def test_unknown_suite_is_input_error(capsys):

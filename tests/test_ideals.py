@@ -4,12 +4,12 @@ from math import comb
 import pytest
 
 from maninalg import idempotents as idem
-from maninalg.freealg import Gen, NCPoly, NonHomogeneous
+from maninalg.freealg import Gen, NCPoly, NonHomogeneous, word_budget
 from maninalg.ideals import (PresentedAlgebra, build_slice_from_subspace,
                              commutator_relations, free_presentation, span_of_polys)
 from maninalg.linalg import SparseEchelon, Subspace
 from maninalg.manin import ManinPair, universal_relations
-from maninalg.quadratic import VARIANTS, QuadAlgebra
+from maninalg.quadratic import VARIANTS, QuadAlgebra, dimension_table
 from maninalg.tensor import BudgetExceeded
 
 import dense_reference as dense
@@ -103,6 +103,12 @@ def test_budget_guard(monkeypatch):
         alg.slice(4)
 
 
+def test_astronomical_word_space_is_refused_with_the_budget_named():
+    alg = commutator_relations([A, B])
+    with pytest.raises(BudgetExceeded, match=f"budget {word_budget()}"):
+        build_slice_from_subspace(alg.gens, alg.relations, 100_000)
+
+
 def test_slice_cache_reused():
     alg = commutator_relations([A, B])
     assert alg.slice(3) is alg.slice(3)
@@ -178,3 +184,83 @@ def test_a_slice_grows_only_from_a_lower_degree_of_the_same_generators():
         build_slice_from_subspace(alg.gens, alg.relations, 3, below=alg.slice(3))
     with pytest.raises(ValueError):
         build_slice_from_subspace((B, A), alg.relations, 4, below=alg.slice(3))
+
+
+def _assert_slice_matches_oracle(grown, oracle_slices, where):
+    """grown (an IdealSlice of degree d) has the rank, the leads and the
+    reduced rows of the oracle's degree-d slice, and lists as normal_below
+    the words of degree d - 1 that the oracle's degree-(d - 1) slice does
+    not lead."""
+    d, g = grown.degree, grown.generator_count
+    oracle = oracle_slices[d]
+    assert grown.echelon.rank == oracle.rank, where
+    assert set(grown.echelon.pivots) == set(oracle.pivots), where
+    assert grown.echelon.reduced_rows() == oracle.reduced_rows(), where
+    leads_below = oracle_slices[d - 1].pivots if d > 2 else {}
+    normal = tuple(w for w in range(g ** (d - 1)) if w not in leads_below)
+    assert grown.normal_below == normal, where
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name):
+    # the rows u * r come only from normal words u: growing from any cached
+    # degree below must give the slice that every w1 * r * w2 spans
+    base = PRESENTATIONS[name]()
+    g, relations = len(base.gens), base.relations
+    oracle = {d: dense.slice_from_scratch(g, relations, d) for d in range(2, 6)}
+    for d in range(3, 6):
+        for b in range(2, d):
+            alg = PRESENTATIONS[name]()
+            below = alg.slice(b)
+            _assert_slice_matches_oracle(below, oracle, (b,))
+            _assert_slice_matches_oracle(alg.slice(d), oracle, (b, d))
+    assert g ** 6 <= word_budget()
+    oracle[6] = dense.slice_from_scratch(g, relations, 6)
+    alg = PRESENTATIONS[name]()
+    for d in (2, 4, 6):
+        _assert_slice_matches_oracle(alg.slice(d), oracle, ("chain", d))
+    assert list(alg._slices) == [2, 4, 6]
+
+
+def _count_inserts(monkeypatch) -> list:
+    """A one-element list that counts the calls of SparseEchelon.insert."""
+    calls = [0]
+    insert = SparseEchelon.insert
+
+    def counted(self, row):
+        calls[0] += 1
+        return insert(self, row)
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_each_degree_inserts_one_row_per_normal_word_and_relation(name, monkeypatch):
+    # degree e inserts dim A_(e-2) * dim R rows, both from scratch and from
+    # the cached slice one degree below, not g^(e-2) * dim R
+    alg = PRESENTATIONS[name]()
+    g, dim_r = len(alg.gens), alg.relations.dim
+    quotient = [1, g] + [g ** e - alg.slice(e).dim for e in range(2, 5)]
+    calls = _count_inserts(monkeypatch)
+    for d in range(2, 6):
+        calls[0] = 0
+        build_slice_from_subspace(alg.gens, alg.relations, d)
+        assert calls[0] == sum(quotient[e - 2] for e in range(2, d + 1)) * dim_r, d
+    chained = PRESENTATIONS[name]()
+    for e in range(2, 6):
+        calls[0] = 0
+        chained.slice(e)
+        assert calls[0] == quotient[e - 2] * dim_r, e
+
+
+@pytest.mark.parametrize("name, variant", [("hecke_minus", "X"), ("hecke_minus", "Xi"),
+                                           ("symplectic", "Xistar"), ("symplectic", "X")])
+def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, variant,
+                                                                      monkeypatch):
+    E = idem.hecke_minus(3, F(2)) if name == "hecke_minus" else idem.symplectic_idempotent(4)
+    alg = QuadAlgebra(E, variant)
+    calls = _count_inserts(monkeypatch)
+    dim_r = alg.presentation().relations.dim
+    echelonizing_r, calls[0] = calls[0], 0
+    table = dimension_table(alg, 5)
+    assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(2, 6)) * dim_r
