@@ -2,21 +2,28 @@
 
 Given a subspace R of the degree-2 word space over g generators, the
 degree-d slice I_d of the ideal generated by R is spanned by all products
-w1 * r * w2 with |w1| + |w2| = d - 2.  Slices are grown one degree at a
-time from I_d = I_{d-1} * V + N_{d-2} * R, where N_{d-2} is spanned by the
-normal words of degree d - 2, those that are not leads of I_{d-2}.  Every
-pivot row of I_{d-1} shifted by a generator on the right is already a pivot
-row of I_d, so only the rows u * r with u normal are reduced.  That is
-exact: V^(d-2) = I_{d-2} + N_{d-2} (Bergman's diamond lemma), and
-I_{d-2} * R lies in I_{d-2} * V^2, inside I_{d-1} * V.  ``PresentedAlgebra``
-owns the slices: it caches each requested degree, grows a new one from the
-highest cached degree below it, and decides whether lhs - rhs lies in the
-ideal (``congruent``; ``reduces_to_zero`` is the case rhs = 0) by reducing
-the difference, formed as one integer row, against the slice of its degree.
+w1 * r * w2 with |w1| + |w2| = d - 2.  A slice is kept as its increments:
+E_e is the set of pivot rows that degree e adds, so that
+I_e = I_(e-1) * V + span E_e, every pivot row of I_d is a row of some E_j
+shifted on the right by a word of d - j letters, and
+rank I_e = g * rank I_(e-1) + |E_e|.  Degree e reduces the rows u * r only
+for the normal words u of degree e - 2, those that are not leads of
+I_(e-2): V^(e-2) = I_(e-2) + N_(e-2) (Bergman's diamond lemma), and
+I_(e-2) * R lies in I_(e-1) * V.  Such a row, and every pivot row it meets,
+has a normal prefix of length e - 2, while a row of E_j shifted by two or
+more letters has a lead of I_(e-2) as that prefix; so degree e is built
+from the rows of E_(e-1) shifted by one generator and those of E_e alone.
+``PresentedAlgebra`` owns the slices: it caches each requested degree,
+grows a new one from the highest cached degree below it, and decides
+whether lhs - rhs lies in the ideal (``congruent``; ``reduces_to_zero`` is
+the case rhs = 0) by reducing the difference, formed as one integer row,
+against the echelon of the slice of its degree, which builds a deeper
+shifted row only when the reduction reaches its lead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm
@@ -25,18 +32,24 @@ from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget, word_in
 from .linalg import SparseEchelon, Subspace
 from .tensor import budget_refusal
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealSlice:
-    """Echelonized degree-d slice of the ideal generated by R.
+    """The degree-d slice of the ideal generated by R, kept as increments.
 
-    ``normal_below`` holds, ascending, the word indices of degree d - 1 that
-    are not leads of the slice at degree d - 1: the words u whose rows u * r
-    the next degree inserts.  Only ``build_slice_from_subspace`` fills it.
+    ``increments`` holds E_2, ..., E_d, each a dict lead -> primitive
+    integer row of the pivot rows that its degree adds; ``top_rows`` holds
+    the rows the build made at degree d, those of E_(d-1) shifted by one
+    generator and those of E_d.  ``normal_below`` holds, ascending, the
+    word indices of degree d - 1 that are not leads of the slice at degree
+    d - 1: the words u whose rows u * r the next degree inserts.  Only
+    ``build_slice_from_subspace`` fills them.  ``dim`` is arithmetic on the
+    increments; ``echelon`` is built on first use.
     """
 
     gens: tuple
     degree: int
-    echelon: SparseEchelon
+    increments: tuple
+    top_rows: dict
     normal_below: tuple
 
     @property
@@ -45,11 +58,47 @@ class IdealSlice:
 
     @property
     def dim(self) -> int:
-        return self.echelon.rank
+        g, d = self.generator_count, self.degree
+        return sum(len(rows) * g ** (d - j) for j, rows in enumerate(self.increments, 2))
+
+    @functools.cached_property
+    def echelon(self) -> SparseEchelon:
+        """The slice as an echelon over every lead of I_d: the rows of
+        ``top_rows`` at once, any other row when a reduction first reaches
+        its lead."""
+        g, d = self.generator_count, self.degree
+        leads = set()
+        for j, rows in enumerate(self.increments, 2):
+            size = g ** (d - j)
+            leads.update(lead * size + w for lead in rows for w in range(size))
+        return SparseEchelon(_ShiftedRows(self.top_rows, self.increments, g, d), leads)
 
     def subspace(self) -> Subspace:
         """The slice as a Subspace of the g^d-dimensional word space."""
         return self.echelon.dense_basis(self.generator_count ** self.degree)
+
+
+class _ShiftedRows(dict):
+    """Pivot rows of a degree-d slice keyed by lead.  A lead missing from
+    the dict is l * g^(d-j) + w for one lead l of the increment E_j,
+    j <= d - 2, and a word w of d - j letters; its row is that of l shifted
+    by w, built on the first lookup and kept."""
+
+    __slots__ = ("increments", "g", "d")
+
+    def __init__(self, rows: dict, increments: tuple, g: int, d: int):
+        super().__init__(rows)
+        self.increments, self.g, self.d = increments, g, d
+
+    def __missing__(self, lead: int) -> dict:
+        for j, rows in enumerate(self.increments[:-2], 2):
+            size = self.g ** (self.d - j)
+            row = rows.get(lead // size)
+            if row is not None:
+                w = lead % size
+                shifted = self[lead] = {pos * size + w: c for pos, c in row.items()}
+                return shifted
+        raise KeyError(lead)
 
 
 class PresentedAlgebra:
@@ -137,18 +186,22 @@ def span_of_polys(polys, gens, degree: int) -> Subspace:
 
 def build_slice_from_subspace(gens, relations: Subspace, d: int,
                               below: IdealSlice | None = None) -> IdealSlice:
-    """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}.
+    """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}, as the
+    increments E_2, ..., E_d.
 
     The slice is grown degree by degree, from ``below`` (a slice of the same
     ideal at a lower degree, left unchanged) or else from the zero slice at
-    degree 1.  Going up to degree e, each pivot row with lead l, shifted by
-    generator x, becomes the pivot row with lead l * g + x, and the rows
-    u * r are inserted only for the normal words u of degree e - 2, those
-    that are not leads of I_{e-2}.  The rest of V^(e-2) is I_{e-2}, and
-    I_{e-2} * R lies in I_{e-1} * V, the span of the shifted pivots, so the
-    slice, its rank and its leads are those of inserting w * r for every
-    word w.  A word space of more than ``word_budget()`` words is refused
-    before anything is built.
+    degree 1.  Degree e starts one plain echelon with the rows of E_(e-1)
+    shifted by each generator, whose leads have a normal prefix of length
+    e - 2, and inserts the rows u * r for the normal words u of degree
+    e - 2; the rows that raise its rank are E_e.  The pivot rows of
+    E_j * V^(e-j) for j <= e - 2 lead with words whose prefix of length
+    e - 2 is a lead of I_(e-2), and neither u * r nor any row it meets
+    holds such a word, so they are never built: the increments, rank and
+    leads are those of inserting w * r for every word w into the full
+    slice.  The normal words of degree e - 1 are those of degree e - 2
+    followed by each generator, less the leads of E_(e-1).  A word space of
+    more than ``word_budget()`` words is refused before anything is built.
     """
     gens = tuple(gens)
     g = len(gens)
@@ -159,10 +212,10 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
         raise budget_refusal("word space", size, budget)
     if below is None:
         # I_1 = 0, and the empty word (index 0) is the one word of degree 0
-        degree, pivots, owned, normal = 1, {}, True, [0]
+        degree, increments, newest, normal = 1, [], {}, (0,)
     elif below.gens == gens and 2 <= below.degree < d:
-        degree, pivots, owned = below.degree, below.echelon.pivots, False
-        normal = below.normal_below
+        degree, increments = below.degree, list(below.increments)
+        newest, normal = increments[-1], below.normal_below
     else:
         raise ValueError("a slice grows only from a lower-degree slice on the same generators")
     relation_rows = relations.integer_rows()
@@ -170,23 +223,20 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # holds it, rather than a fresh int per entry
     word = list(range(size))
     for e in range(degree + 1, d + 1):
-        # the normal words of degree e - 1, listed before the shift below
-        # consumes the pivots of I_{e-1}; degree e + 1 inserts their rows
-        normal_next = [w for w in word[:g ** (e - 1)] if w not in pivots]
         ech = SparseEchelon()
-        shifted = ech.pivots
-        for lead in sorted(pivots):
-            # an intermediate slice is consumed as it is shifted
-            row = pivots.pop(lead) if owned else pivots[lead]
+        rows = ech.pivots
+        for lead, row in newest.items():
             for x in range(g):
-                shifted[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
-        owned = True
+                rows[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
+        shifted = len(rows)
         for u in normal:
             left = u * g * g
             for rel in relation_rows:
                 ech.insert({word[left + mid]: c for mid, c in rel.items()})
-        pivots, normal = ech.pivots, normal_next
-    return IdealSlice(gens, d, ech, tuple(normal))
+        normal = [w for u in normal for w in word[u * g:u * g + g] if w not in newest]
+        newest = dict(itertools.islice(rows.items(), shifted, None))
+        increments.append(newest)
+    return IdealSlice(gens, d, tuple(increments), rows, tuple(normal))
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

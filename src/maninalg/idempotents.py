@@ -400,10 +400,15 @@ def _json_value(value):
     return value
 
 
-FAMILIES = (
-    "A_n", "S_n", "P_n", "Aq", "Pq", "Aqhat", "Atilde_qhat",
-    "RhatPlus", "RhatMinus", "B_n", "Btilde_n", "FourParam", "Lie", "Custom",
-)
+# the parameters each catalog family takes; build() refuses any other key
+FAMILY_PARAMETERS = {
+    "A_n": (), "S_n": (), "P_n": (), "Aq": ("q",), "Pq": ("q",), "Aqhat": ("qhat",),
+    "Atilde_qhat": ("qhat",), "RhatPlus": ("q",), "RhatMinus": ("q",), "B_n": (),
+    "Btilde_n": (), "FourParam": ("a", "b", "c", "kappa"), "Lie": ("brackets", "dim"),
+    "Custom": ("matrix",),
+}
+
+FAMILIES = tuple(FAMILY_PARAMETERS)
 
 # families whose build() output is an idempotent (P_n and Pq are involutions)
 IDEMPOTENT_FAMILIES = tuple(f for f in FAMILIES if f not in ("P_n", "Pq"))
@@ -415,6 +420,14 @@ SIZED_FAMILIES = ("A_n", "S_n", "P_n", "Aq", "Pq", "RhatPlus", "RhatMinus",
 
 def build(spec: IdempotentSpec) -> TensorOperator:
     family, n, param = spec.family, spec.n, spec.param
+    if family not in FAMILY_PARAMETERS:
+        raise InvalidParameter(f"unknown family {family!r}")
+    taken = FAMILY_PARAMETERS[family]
+    for key in spec.params:
+        if key not in taken:
+            raise InvalidParameter(
+                f"family {family} takes no parameter {key!r} (it takes "
+                f"{', '.join(map(repr, taken)) or 'none'})")
     if family in SIZED_FAMILIES and n < 1:
         raise InvalidParameter(f"family {family} needs a local dimension n >= 1, got {n}")
     if family == "A_n":
@@ -445,12 +458,11 @@ def build(spec: IdempotentSpec) -> TensorOperator:
     if family == "Lie":
         return lie_idempotent(parse_brackets(param("brackets")),
                               parse_integer(param("dim"), "'dim'"))
-    if family == "Custom":
-        m = QMatrix.from_rows(rational_grid(param("matrix"), "custom 'matrix'"))
-        if m.rows != m.cols:
-            raise InvalidParameter("custom operator must be square")
-        loc = round(m.rows ** 0.5)
-        if loc * loc != m.rows:
-            raise InvalidParameter("custom operator must act on a tensor square")
-        return TensorOperator(loc, loc, 2, m)
-    raise InvalidParameter(f"unknown family {family!r}")
+    # Custom
+    m = QMatrix.from_rows(rational_grid(param("matrix"), "custom 'matrix'"))
+    if m.rows != m.cols:
+        raise InvalidParameter("custom operator must be square")
+    loc = round(m.rows ** 0.5)
+    if loc * loc != m.rows:
+        raise InvalidParameter("custom operator must act on a tensor square")
+    return TensorOperator(loc, loc, 2, m)

@@ -260,12 +260,13 @@ class Subspace:
         return [_integer_row(row) for row in self.rows.values()]
 
     def contains(self, vector) -> bool:
-        return not _eliminate(_sparse(vector, self.ambient_dim), self.rows)
+        return not _eliminate(_sparse(vector, self.ambient_dim), self.rows, self.rows)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(not _eliminate(dict(row), self.rows) for row in other.rows.values())
+        return all(not _eliminate(dict(row), self.rows, self.rows)
+                   for row in other.rows.values())
 
     def annihilator(self) -> "Subspace":
         """{v : r . v = 0 for every basis row r}.
@@ -333,21 +334,28 @@ class SparseEchelon:
     may hold Fractions: they are scaled to integers by their common
     denominator.  ``reduced_rows`` turns the pivots back into the canonical
     Fraction form with lead 1; nowhere else do Fractions appear.
+
+    ``leads`` holds every lead of the span and ``pivots`` maps a lead to its
+    pivot row.  By default they are one dict.  An echelon given a separate
+    lead set reads its rows through ``pivots`` on demand, and the mapping
+    may build a row the first time it is asked for (an ideal slice's
+    echelon does), so ``pivots`` may list fewer leads than ``leads``.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "leads")
 
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
+    def __init__(self, pivots: dict | None = None, leads=None):
+        self.pivots: dict[int, dict[int, int]] = {} if pivots is None else pivots
+        self.leads = self.pivots if leads is None else leads
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.leads)
 
     def reduce(self, row: dict) -> dict:
         """A nonzero integer multiple of the remainder of row modulo the span
         (empty iff row lies in the span)."""
-        return _eliminate(_integer_row(row), self.pivots)
+        return _eliminate(_integer_row(row), self.leads, self.pivots)
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; returns True if the rank grew."""
@@ -356,6 +364,8 @@ class SparseEchelon:
             return False
         lead = min(red)
         self.pivots[lead] = _primitive(red, lead)
+        if self.leads is not self.pivots:
+            self.leads.add(lead)
         return True
 
     def contains(self, row: dict) -> bool:
@@ -366,8 +376,9 @@ class SparseEchelon:
         as Fraction rows with lead coefficient 1."""
         # the rows already reduced, all with larger leads, are the pivots
         reduced: dict[int, dict] = {}
-        for lead in sorted(self.pivots, reverse=True):
-            reduced[lead] = _primitive(_eliminate(dict(self.pivots[lead]), reduced), lead)
+        for lead in sorted(self.leads, reverse=True):
+            reduced[lead] = _primitive(
+                _eliminate(dict(self.pivots[lead]), reduced, reduced), lead)
         out = {}
         for lead in sorted(reduced):
             row = reduced[lead]
@@ -404,20 +415,23 @@ def _primitive(row: dict, lead: int) -> dict:
     return {j: c // content for j, c in row.items()}
 
 
-def _eliminate(row: dict, pivots: dict) -> dict:
+def _eliminate(row: dict, leads, pivots) -> dict:
     """Clear from row (in place) every pivot lead it holds, smallest lead
     first, and return it.
 
-    ``pivots`` maps each lead to a row with no entry left of it: either a
-    Fraction row with coefficient 1 at the lead (a ``Subspace`` row), or an
-    integer row, in which case row must hold integers too.  A step with
-    pivot lead a and row entry c replaces row by ``(a/g) row - (c/g) pivot``
-    with g = gcd(a, c), which for a = 1 is ``row - c pivot``; the result is
-    a nonzero multiple of the remainder.  Each step clears its lead for good
+    ``leads`` is the set of pivot leads (any container that answers ``in``)
+    and ``pivots`` maps each lead to its row; a row is looked up only when
+    the elimination reaches its lead.  A pivot row has no entry left of its
+    lead and is either a Fraction row with coefficient 1 at the lead (a
+    ``Subspace`` row), or an integer row, in which case row must hold
+    integers too.  A step with pivot lead a and row entry c replaces row by
+    ``(a/g) row - (c/g) pivot`` with g = gcd(a, c), which for a = 1 is
+    ``row - c pivot``; the result is a nonzero multiple of the remainder.
+    Each step clears its lead for good
     and can only bring in leads further right, so a heap of the leads met
     keeps the row from being rescanned after every step.
     """
-    hits = [i for i in row if i in pivots]
+    hits = [i for i in row if i in leads]
     heapify(hits)
     while hits:
         i = heappop(hits)
@@ -444,6 +458,6 @@ def _eliminate(row: dict, pivots: dict) -> dict:
                     del row[j]
             else:
                 row[j] = -c * v
-                if j in pivots:
+                if j in leads:
                     heappush(hits, j)
     return row

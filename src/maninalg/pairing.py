@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .idempotents import (InvalidParameter, check_parameter_matrix,
                           fourparam_idempotent, hecke_minus, hecke_r_matrix,
@@ -31,7 +31,7 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
 from .linalg import ONE, QMatrix, ZERO, invert, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, check_budget, embed, embed_pair,
+from .tensor import (TensorOperator, _canonical, check_budget, embed, embed_pair,
                      flatten_index, multi_indices, swap_operator)
 
 DEFAULT_GROUP_CAP = 100000
@@ -285,36 +285,58 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     n = len(rows)
     source = parameterized_antisymmetrizer(rows)
     check_budget(n ** k)
-    out = {}
-    kfact = factorial(k)
+    blocks = []
     if kind == "A":
         for I in itertools.combinations(range(1, n + 1), k):
             qII = [[rows[a - 1][b - 1] for b in I] for a in I]
-            arranged = []
+            weights = {}
             for sigma in all_perms(k):
                 tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
-                arranged.append((flatten_index(tup, n), sigma.sign(), mu_of_rows(qII, sigma)))
-            for row_pos, s_sign, s_mu in arranged:
-                out[row_pos] = {col_pos: Fraction(s_sign * t_sign, kfact) * s_mu / t_mu
-                                for col_pos, t_sign, t_mu in arranged}
+                weights[flatten_index(tup, n)] = (sigma.sign(), mu_of_rows(qII, sigma))
+            blocks.append((1, weights))
     elif kind == "S":
         for I in itertools.combinations_with_replacement(range(1, n + 1), k):
             qII = [[rows[a - 1][b - 1] for b in I] for a in I]
-            nu = stabilizer_order(I)
-            arranged = {}
+            weights = {}
             for sigma in all_perms(k):
-                tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
-                pos = flatten_index(tup, n)
-                if pos not in arranged:
-                    arranged[pos] = mu_of_rows(qII, sigma)
-            factor = Fraction(nu, kfact)
-            for row_pos, s_mu in arranged.items():
-                out[row_pos] = {col_pos: factor * s_mu / t_mu
-                                for col_pos, t_mu in arranged.items()}
+                pos = flatten_index(tuple(I[sigma(t) - 1] for t in range(1, k + 1)), n)
+                if pos not in weights:
+                    weights[pos] = (1, mu_of_rows(qII, sigma))
+            blocks.append((stabilizer_order(I), weights))
     else:
         raise ValueError("kind must be 'S' or 'A'")
-    return PairingOperator(kind, k, source, TensorOperator(n, n, k, out),
-                           "closed_form")
+    return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
+
+
+def _rank_one_blocks(n: int, k: int, blocks) -> TensorOperator:
+    """The arity-k operator on C^n that is (c / k!) u v^T on the positions
+    of each block (c, {position: (sign, mu)}), with u = sign * mu and
+    v = sign / mu, written as integer numerators over one denominator.
+
+    A block writes u as integers U over the lcm du of the denominators of
+    its mu, and v as integers V over the lcm dv of their numerators, so its
+    entries are c U_s V_t over k! du dv; every block is brought to the lcm
+    of those denominators.
+    """
+    kfact = factorial(k)
+    parts, den = [], 1
+    for c, weights in blocks:
+        du = lcm(*(mu.denominator for _, mu in weights.values()))
+        dv = lcm(*(mu.numerator for _, mu in weights.values()))
+        u = {pos: sign * mu.numerator * (du // mu.denominator)
+             for pos, (sign, mu) in weights.items()}
+        v = {pos: sign * mu.denominator * (dv // mu.numerator)
+             for pos, (sign, mu) in weights.items()}
+        block_den = kfact * du * dv
+        parts.append((c, u, v, block_den))
+        den = lcm(den, block_den)
+    num = {}
+    for c, u, v, block_den in parts:
+        scale = c * (den // block_den)
+        for s, us in u.items():
+            a = scale * us
+            num[s] = {t: a * vt for t, vt in v.items()}
+    return _canonical(n, n, k, num, den)
 
 
 # --- 4-parameter third operator -------------------------------------------------

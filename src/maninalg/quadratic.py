@@ -19,7 +19,10 @@ pairing kind: (V_k, Vbar_k) for "S" and (W_k, Wbar_k) for "A".
 ``KIND_VARIANTS`` is the only place that maps a kind to its two variants.
 These pairs are memoized per (E, k, kind), at most 16 of them at a time.
 Graded dimensions are not: each call reads a fresh presentation, so the
-slices of one algebra are freed before those of the next are built.
+slices of one algebra are freed before those of the next are built.  A
+dimension reads only the rank of a slice, which is arithmetic on its
+increments, so it builds no echelon and no row shifted by more than one
+generator.
 """
 
 from __future__ import annotations

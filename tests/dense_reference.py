@@ -4,8 +4,9 @@ The library reduces rows only with ``linalg.SparseEchelon``, which
 eliminates on primitive integer rows, builds ideal slices degree by degree,
 and stores tensor operators as sparse rows.  This module keeps independent
 routes so that tests can check those results against them: the earlier
-``Fraction`` echelon (pivots with lead 1) and the all-positions slice
-builder that echelonizes every w1 * r * w2 from scratch, plus dense routes
+``Fraction`` echelon (pivots with lead 1), the all-positions slice
+builder that echelonizes every w1 * r * w2 from scratch and the eager
+slice builder that shifted every pivot row up each degree, plus dense routes
 written directly on ``QMatrix`` grids: row-echelon forms, kernels,
 inverses, the intersection subspaces of ``quadratic`` (computed here as
 joint kernels of the stacked embedded operators), the embeddings of
@@ -24,8 +25,9 @@ the dense product, and the parameter-matrix check and antisymmetrizer built
 from Fraction products.  ``FractionOperator`` keeps the sparse Fraction-row
 operator arithmetic (products, sums, scalings, transposes, embeddings) that
 ``TensorOperator`` ran before it moved to integer numerators over one
-common denominator; ``closed_form_multiparam`` keeps the closed form that
-re-validated each restricted parameter matrix, and
+common denominator; ``closed_form_multiparam`` keeps the closed form built
+entry by entry on Fractions, re-validating each restricted parameter
+matrix, and
 ``inversion_parameter_product`` the inversion product read off qhat
 directly.
 """
@@ -39,7 +41,7 @@ from math import factorial, lcm
 
 from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
 from maninalg.idempotents import InvalidParameter, rational_grid, restrict_parameter_matrix
-from maninalg.linalg import ONE, ZERO, QMatrix
+from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon
 from maninalg.permutations import all_perms, mu, stabilizer_order
 from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
                              unflatten_index)
@@ -349,9 +351,11 @@ def parameterized_antisymmetrizer(qhat) -> TensorOperator:
 
 
 def closed_form_multiparam(qhat, k: int, kind: str) -> TensorOperator:
-    """The closed-form S_(k)/A_(k) operator of ``pairing.closed_form_multiparam``,
-    restricting qhat to every index tuple with the validating
-    ``restrict_parameter_matrix`` and reading each weight through ``mu``."""
+    """The closed-form S_(k)/A_(k) operator of ``pairing.closed_form_multiparam``
+    with every entry a Fraction product and quotient, before the rank-one
+    blocks moved to integer numerators over one denominator; it restricts
+    qhat to every index tuple with the validating
+    ``restrict_parameter_matrix`` and reads each weight through ``mu``."""
     rows = check_parameter_matrix(qhat)
     n = len(rows)
     out = {}
@@ -627,3 +631,24 @@ def slice_from_scratch(g: int, relations, d: int) -> FractionEchelon:
                     ech.insert({(lead * g * g + mid) * right_size + trail: c
                                 for mid, c in rel.items()})
     return ech
+
+
+def eager_slice(g: int, relations, d: int) -> tuple:
+    """The degree-d slice grown degree by degree with every pivot row of
+    I_(e-1) shifted by each generator into the echelon of degree e, the
+    builder that the increment form of ``ideals.IdealSlice`` replaced: the
+    rows u * r are inserted for the normal words u of degree e - 2 into the
+    full slice.  Returns the SparseEchelon of I_d and the normal words of
+    degree d - 1 as an ascending tuple."""
+    pivots, normal, rels = {}, [0], relations.integer_rows()
+    for e in range(2, d + 1):
+        normal_next = [w for w in range(g ** (e - 1)) if w not in pivots]
+        ech = SparseEchelon()
+        for lead in sorted(pivots):
+            for x in range(g):
+                ech.pivots[lead * g + x] = {pos * g + x: c for pos, c in pivots[lead].items()}
+        for u in normal:
+            for rel in rels:
+                ech.insert({u * g * g + mid: c for mid, c in rel.items()})
+        pivots, normal = ech.pivots, normal_next
+    return ech, tuple(normal)

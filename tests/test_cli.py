@@ -226,6 +226,12 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
     (["check-idempotent", "--family", "FourParam", "--params",
       '{"a": 1, "b": 1, "c": 1, "kappa": false}'], None, "boolean"),
     (["catalog", "--family", "Aq", "--n", "2", "--params", '{"q": true}'], None, "boolean"),
+    (["dims", "--family", "A_n", "--n", "2", "--q", "banana", "--variant", "X",
+      "--max-degree", "3"], None, "takes no parameter 'q'"),
+    (["dims", "--family", "A_n", "--n", "2", "--q", "1/0", "--variant", "X",
+      "--max-degree", "3"], None, "takes no parameter 'q'"),
+    (["dims", "--family", "RhatMinus", "--n", "2", "--q", "2", "--params", '{"qq": 2}',
+      "--variant", "X", "--max-degree", "3"], None, "takes no parameter 'qq'"),
 ], ids=["zero-denominator", "float-parameter", "negative-max-degree", "spec-is-a-list",
         "spec-without-family", "spec-null-n", "negative-n", "missing-n",
         "custom-without-matrix", "missing-q", "fourparam-without-c",
@@ -236,7 +242,8 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
         "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
         "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0",
         "pair-is-a-list", "pair-is-a-string", "pair-without-B",
-        "qhat-holds-booleans", "fourparam-kappa-is-a-boolean", "q-is-a-boolean"])
+        "qhat-holds-booleans", "fourparam-kappa-is-a-boolean", "q-is-a-boolean",
+        "unused-q", "unused-q-zero-denominator", "unknown-params-key"])
 def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsys):
     if spec_text is not None:
         spec = tmp_path / "spec.json"

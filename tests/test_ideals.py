@@ -1,15 +1,17 @@
 from fractions import Fraction
+import random
 from math import comb
 
 import pytest
 
 from maninalg import idempotents as idem
+from maninalg import ideals
 from maninalg.freealg import Gen, NCPoly, NonHomogeneous, word_budget
 from maninalg.ideals import (PresentedAlgebra, build_slice_from_subspace,
                              commutator_relations, free_presentation, span_of_polys)
 from maninalg.linalg import SparseEchelon, Subspace
 from maninalg.manin import ManinPair, universal_relations
-from maninalg.quadratic import VARIANTS, QuadAlgebra, dimension_table
+from maninalg.quadratic import VARIANTS, QuadAlgebra, dimension_table, graded_dimension
 from maninalg.tensor import BudgetExceeded
 
 import dense_reference as dense
@@ -148,17 +150,20 @@ def test_grown_slices_match_slices_from_scratch(name):
         fresh = build_slice_from_subspace(alg.gens, alg.relations, d).echelon
         oracle = dense.slice_from_scratch(g, alg.relations, d)
         assert chained.rank == fresh.rank == oracle.rank, d
-        assert set(chained.pivots) == set(fresh.pivots) == set(oracle.pivots), d
+        assert set(chained.leads) == set(fresh.leads) == set(oracle.pivots), d
         assert chained.reduced_rows() == fresh.reduced_rows() == oracle.reduced_rows(), d
 
 
 def test_a_slice_grows_from_the_cached_one_below_and_caches_only_its_degree():
     alg = commutator_relations([A, B, C])
     below = alg.slice(3)
-    pivots = {lead: dict(row) for lead, row in below.echelon.pivots.items()}
+    pivots = {lead: dict(below.echelon.pivots[lead]) for lead in below.echelon.leads}
+    increments = [{lead: dict(row) for lead, row in rows.items()} for rows in below.increments]
+    top_rows = {lead: dict(row) for lead, row in below.top_rows.items()}
     alg.slice(5)
     assert list(alg._slices) == [3, 5]
     assert alg.slice(3) is below and below.echelon.pivots == pivots
+    assert list(below.increments) == increments and below.top_rows == top_rows
     assert alg.slice(5).subspace() == build_slice_from_subspace(
         alg.gens, alg.relations, 5).subspace()
 
@@ -193,8 +198,8 @@ def _assert_slice_matches_oracle(grown, oracle_slices, where):
     not lead."""
     d, g = grown.degree, grown.generator_count
     oracle = oracle_slices[d]
-    assert grown.echelon.rank == oracle.rank, where
-    assert set(grown.echelon.pivots) == set(oracle.pivots), where
+    assert grown.dim == grown.echelon.rank == oracle.rank, where
+    assert set(grown.echelon.leads) == set(oracle.pivots), where
     assert grown.echelon.reduced_rows() == oracle.reduced_rows(), where
     leads_below = oracle_slices[d - 1].pivots if d > 2 else {}
     normal = tuple(w for w in range(g ** (d - 1)) if w not in leads_below)
@@ -264,3 +269,86 @@ def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, vari
     echelonizing_r, calls[0] = calls[0], 0
     table = dimension_table(alg, 5)
     assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(2, 6)) * dim_r
+
+
+def _probes(g: int, relations, d: int, rng) -> list:
+    """Integer rows of degree d: sums of a few w1 * r * w2, each alone and
+    plus a random row, and random rows."""
+    rels = relations.integer_rows()
+    members = []
+    for _ in range(6):
+        row = {}
+        for _ in range(rng.randint(1, 3)):
+            left = rng.randrange(d - 1)
+            right_size = g ** (d - 2 - left)
+            lead, trail = rng.randrange(g ** left), rng.randrange(right_size)
+            c = rng.randint(-3, 3)
+            for mid, x in (rng.choice(rels).items() if rels else ()):
+                j = (lead * g * g + mid) * right_size + trail
+                row[j] = row.get(j, 0) + c * x
+        members.append({j: x for j, x in row.items() if x})
+    noise = [{rng.randrange(g ** d): rng.randint(-3, 3) or 1 for _ in range(rng.randint(1, 4))}
+             for _ in range(6)]
+    mixed = [{**m, **n} for m, n in zip(members, noise)]
+    return members + noise + mixed
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
+    # the echelon of a slice holds the rows of its top two degrees and
+    # shifts a deeper increment row the first time a reduction reaches its
+    # lead; each row, the lead set, membership and subspace() must be those
+    # of the builder that shifted every pivot row up each degree
+    base = PRESENTATIONS[name]()
+    g, relations = len(base.gens), base.relations
+    rng = random.Random(name)
+    for d in range(2, 7):
+        eager, normal = dense.eager_slice(g, relations, d)
+        probes = _probes(g, relations, d, rng)
+        alg = PRESENTATIONS[name]()
+        sl = alg.slice(d)
+        assert sl.dim == eager.rank and sl.normal_below == normal, d
+        assert [lead for lead in sl.top_rows if lead not in eager.pivots] == [], d
+        ech = sl.echelon
+        assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.top_rows), d
+        assert [ech.contains(p) for p in probes] == [eager.contains(p) for p in probes], d
+        for lead in sorted(ech.pivots):
+            assert ech.pivots[lead] == eager.pivots[lead], (d, lead)
+        for lead, row in eager.pivots.items():
+            assert ech.pivots[lead] == row, (d, lead)
+        assert ech.pivots == eager.pivots, d
+        assert PRESENTATIONS[name]().slice(d).subspace() == eager.dense_basis(g ** d), d
+
+
+def _spy_on_slices(monkeypatch) -> tuple:
+    """Records every slice built and every lookup that builds a deeper
+    shifted row."""
+    built, deeper = [], []
+    build, missing = ideals.build_slice_from_subspace, ideals._ShiftedRows.__missing__
+    monkeypatch.setattr(ideals, "build_slice_from_subspace",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(ideals._ShiftedRows, "__missing__",
+                        lambda self, lead: deeper.append(lead) or missing(self, lead))
+    return built, deeper
+
+
+@pytest.mark.parametrize("E, variant, k", [
+    (idem.hecke_minus(3, F(2)), "X", 6), (idem.hecke_minus(3, F(2)), "Xi", 6),
+    (idem.symplectic_idempotent(4), "Xistar", 5), (idem.orthogonal_idempotent(3), "Xstar", 6),
+    (idem.fourparam_idempotent(2, 2, 2, 1), "X", 6)])
+def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, monkeypatch):
+    # a graded dimension reads only the rank: each degree e holds E_(e-1)
+    # shifted by one generator and E_e, and no echelon of a slice is built
+    alg = QuadAlgebra(E, variant)
+    want = [E.row_dim ** e - dense.slice_from_scratch(E.row_dim, alg.presentation().relations,
+                                                     e).rank if e >= 2 else E.row_dim ** e
+            for e in range(k + 1)]
+    built, deeper = _spy_on_slices(monkeypatch)
+    assert graded_dimension(alg, k) == want[k]
+    assert dimension_table(alg, k) == want
+    assert [s.degree for s in built] == [k] + list(range(2, k + 1))
+    for s in built:
+        assert "echelon" not in vars(s), s.degree
+        below = s.increments[-2] if s.degree > 2 else {}
+        assert len(s.top_rows) == E.row_dim * len(below) + len(s.increments[-1]), s.degree
+    assert deeper == []

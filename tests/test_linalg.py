@@ -256,6 +256,47 @@ def test_integer_echelon_matches_fraction_oracle(case):
         assert gcd(*row.values()) == 1, "pivot row not primitive"
 
 
+class _RowsOnDemand(dict):
+    """Starts with some rows of source and takes any other on lookup,
+    recording which."""
+
+    def __init__(self, source: dict, keep):
+        super().__init__({lead: source[lead] for lead in keep})
+        self.source, self.built = source, []
+
+    def __missing__(self, lead):
+        self.built.append(lead)
+        row = self[lead] = self.source[lead]
+        return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(insert_sequences(), st.data())
+def test_a_separate_lead_set_matches_the_plain_echelon(case, data):
+    # _eliminate reads leads from one container and rows from another; the
+    # rows may arrive on demand, as in an ideal slice's echelon
+    rows, probes = case
+    plain = SparseEchelon()
+    for row in rows:
+        plain.insert(row)
+    leads = sorted(plain.pivots)
+    keep = data.draw(st.sets(st.sampled_from(leads)) if leads else st.just(set()))
+    on_demand = _RowsOnDemand(plain.pivots, keep)
+    split = SparseEchelon(on_demand, set(leads))
+    assert split.rank == plain.rank
+    for probe in probes + rows:
+        assert split.reduce(probe) == plain.reduce(probe)
+        assert split.contains(probe) == plain.contains(probe)
+    assert not set(on_demand.built) & keep
+    assert split.reduced_rows() == plain.reduced_rows()
+    assert split.pivots == plain.pivots and split.leads == set(plain.pivots)
+    for probe in probes:
+        assert split.insert(probe) == plain.insert(probe)
+        assert split.rank == plain.rank
+    assert split.leads == set(plain.pivots)
+    assert split.reduced_rows() == plain.reduced_rows()
+
+
 def test_integer_echelon_clears_denominators_and_content():
     ech = SparseEchelon()
     ech.insert({1: Fraction(-2, 3), 4: Fraction(4, 9)})

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as dense
 from maninalg import idempotents as idem
@@ -403,6 +405,29 @@ def test_closed_form_matches_the_restricting_route():
                     want = dense.closed_form_multiparam(qhat, k, kind)
                     assert got == want, (n, offset, k, kind)
                     assert (got.den, got.num) == (want.den, want.num)
+
+
+@st.composite
+def signed_parameter_matrices(draw):
+    """A parameter matrix of size 1 to 3 with signed entries of mixed
+    numerators and denominators above the diagonal."""
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(-12, 12, max_denominator=12).filter(bool)
+    q = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = draw(entry)
+            q[j][i] = 1 / q[i][j]
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_parameter_matrices(), st.integers(1, 4), st.sampled_from(["S", "A"]))
+def test_integer_closed_form_matches_the_fraction_entries(qhat, k, kind):
+    got = closed_form_multiparam(qhat, k, kind).operator
+    want = dense.closed_form_multiparam(qhat, k, kind)
+    assert got == want
+    assert (got.den, got.num) == (want.den, want.num)
 
 
 @pytest.mark.parametrize("qhat", [
