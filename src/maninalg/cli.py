@@ -29,9 +29,9 @@ from .tensor import TensorOperator
 
 def operator_to_json(spec_name: str, op: TensorOperator) -> dict:
     grid = [["0"] * op.col_dim ** op.arity for _ in range(op.row_dim ** op.arity)]
-    for i, row in op.rows.items():
+    for i, row in op.num.items():
         for j, x in row.items():
-            grid[i][j] = format_rat(x)
+            grid[i][j] = format_rat(Fraction(x, op.den))
     return {
         "name": spec_name,
         "local_rows": op.row_dim,
@@ -212,18 +212,12 @@ def cmd_minor(args) -> int:
         M = parse_poly_matrix(fh.read())
     if len(M) != pair.n or len(M[0]) != pair.m:
         raise ValueError("matrix shape does not match the pair")
-    if args.kind == "A":
-        op = generic_pairing(pair.A, args.k, "A")
-        if isinstance(op, NotExists):
-            emit({"exists": False, "reason": op.reason})
-            return 1
-        grid = a_minor(M, op.operator, args.k)
-    else:
-        op = generic_pairing(pair.B, args.k, "S")
-        if isinstance(op, NotExists):
-            emit({"exists": False, "reason": op.reason})
-            return 1
-        grid = s_minor(M, op.operator, args.k)
+    E, minor = (pair.A, a_minor) if args.kind == "A" else (pair.B, s_minor)
+    op = generic_pairing(E, args.k, args.kind)
+    if isinstance(op, NotExists):
+        emit({"exists": False, "reason": op.reason})
+        return 1
+    grid = minor(M, op.operator, args.k)
     emit({"kind": args.kind, "k": args.k,
           "entries": [[repr(e) for e in row] for row in grid]})
     return 0

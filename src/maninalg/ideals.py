@@ -177,11 +177,8 @@ def span_of_polys(polys, gens, degree: int) -> Subspace:
     NonHomogeneous."""
     gens = tuple(gens)
     pos = {g: i for i, g in enumerate(gens)}
-    ech = SparseEchelon()
-    for p in polys:
-        if not p.is_zero():
-            ech.insert(sparse_coords(p, degree, pos, len(gens)))
-    return ech.dense_basis(len(gens) ** degree)
+    return Subspace.span((sparse_coords(p, degree, pos, len(gens))
+                          for p in polys if not p.is_zero()), len(gens) ** degree)
 
 
 def build_slice_from_subspace(gens, relations: Subspace, d: int,

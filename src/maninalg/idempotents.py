@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
-from .tensor import (TensorOperator, _row_times, flatten_index, multi_indices,
+from .tensor import (TensorOperator, _make, _row_times, flatten_index, multi_indices,
                      swap_operator)
 
 
@@ -352,8 +352,9 @@ def conjugate(E: TensorOperator, sigma) -> TensorOperator:
         raise ValueError("conjugation needs an arity-2 square operator and a "
                          "permutation of its local basis")
     moved = [flatten_index((sigma(i), sigma(j)), n) for i, j in multi_indices(n, 2)]
-    return TensorOperator(n, n, 2, {moved[r]: {moved[c]: x for c, x in row.items()}
-                                    for r, row in E.rows.items()})
+    # moving entries keeps them and den, so the form stays canonical
+    return _make(n, n, 2, {moved[r]: {moved[c]: x for c, x in row.items()}
+                           for r, row in E.num.items()}, E.den)
 
 
 # --- named catalog ------------------------------------------------------------
@@ -409,9 +410,6 @@ FAMILY_PARAMETERS = {
 }
 
 FAMILIES = tuple(FAMILY_PARAMETERS)
-
-# families whose build() output is an idempotent (P_n and Pq are involutions)
-IDEMPOTENT_FAMILIES = tuple(f for f in FAMILIES if f not in ("P_n", "Pq"))
 
 # families whose size is the spec's n rather than a parameter
 SIZED_FAMILIES = ("A_n", "S_n", "P_n", "Aq", "Pq", "RhatPlus", "RhatMinus",

@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always stored in
 lowest terms with positive denominator).  :class:`QMatrix` is a dense
-row-major matrix for products, traces and small Gram systems.  All row
+row-major matrix for parsed grids, the change of basis of
+``manin.transport`` and the dense views kept for outside callers.  All row
 reduction goes through one engine, the sparse :class:`SparseEchelon`, which
 eliminates fraction-free on primitive integer rows; Fractions enter it only
 as incoming rows, scaled to integers by their common denominator, and leave
@@ -222,11 +223,18 @@ class Subspace:
         self._basis = None
 
     @staticmethod
-    def from_rows(rows, ambient_dim: int) -> "Subspace":
+    def span(sparse_rows, ambient_dim: int) -> "Subspace":
+        """The span of sparse rows (dicts index -> int or Fraction) inside
+        Q^ambient_dim."""
         ech = SparseEchelon()
-        for row in rows:
-            ech.insert(_sparse(row, ambient_dim))
+        for row in sparse_rows:
+            ech.insert(row)
         return ech.dense_basis(ambient_dim)
+
+    @staticmethod
+    def from_rows(rows, ambient_dim: int) -> "Subspace":
+        """The span of dense rows."""
+        return Subspace.span((_sparse(row, ambient_dim) for row in rows), ambient_dim)
 
     @staticmethod
     def from_matrix(m: QMatrix) -> "Subspace":
@@ -278,10 +286,7 @@ class Subspace:
             for j, c in row.items():
                 if j != lead:
                     free[j][lead] = -c
-        ech = SparseEchelon()
-        for v in free.values():
-            ech.insert(v)
-        return ech.dense_basis(self.ambient_dim)
+        return Subspace.span(free.values(), self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -332,8 +337,9 @@ class SparseEchelon:
     where ``a`` is the pivot's lead, ``c`` the row's entry there and
     ``g = gcd(a, c)`` (Bareiss's fraction-free elimination).  Incoming rows
     may hold Fractions: they are scaled to integers by their common
-    denominator.  ``reduced_rows`` turns the pivots back into the canonical
-    Fraction form with lead 1; nowhere else do Fractions appear.
+    denominator.  ``reduced_integer_rows`` back-substitutes the pivots on
+    integers, and ``reduced_rows`` turns those into the canonical Fraction
+    form with lead 1; nowhere else do Fractions appear.
 
     ``leads`` holds every lead of the span and ``pivots`` maps a lead to its
     pivot row.  By default they are one dict.  An echelon given a separate
@@ -371,17 +377,21 @@ class SparseEchelon:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
-    def reduced_rows(self) -> dict:
-        """Fully back-substituted pivot rows keyed by lead, leads ascending,
-        as Fraction rows with lead coefficient 1."""
+    def reduced_integer_rows(self) -> dict:
+        """Fully back-substituted pivot rows keyed by lead, leads ascending:
+        primitive integer rows with a positive lead and no entry in any
+        other lead column."""
         # the rows already reduced, all with larger leads, are the pivots
         reduced: dict[int, dict] = {}
         for lead in sorted(self.leads, reverse=True):
             reduced[lead] = _primitive(
                 _eliminate(dict(self.pivots[lead]), reduced, reduced), lead)
+        return {lead: reduced[lead] for lead in sorted(reduced)}
+
+    def reduced_rows(self) -> dict:
+        """``reduced_integer_rows`` as Fraction rows with lead coefficient 1."""
         out = {}
-        for lead in sorted(reduced):
-            row = reduced[lead]
+        for lead, row in self.reduced_integer_rows().items():
             a = row[lead]
             out[lead] = {j: Fraction(c, a) for j, c in row.items()}
         return out

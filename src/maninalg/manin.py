@@ -28,7 +28,7 @@ from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
 from .ideals import PresentedAlgebra, span_of_polys
-from .linalg import QMatrix, SparseEchelon, Subspace, invert, rat
+from .linalg import QMatrix, Subspace, invert, rat
 from .permutations import Perm
 from .tensor import TensorOperator, compose_chain, swap_operator
 
@@ -138,13 +138,6 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
     return out
 
 
-def _span(rows, ambient_dim: int) -> Subspace:
-    ech = SparseEchelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.dense_basis(ambient_dim)
-
-
 def _in_ideal(rows, ambient: PresentedAlgebra, degree: int) -> bool:
     """Do the degree-d rows of defect_rows all lie in the ambient's ideal?"""
     if not rows:
@@ -161,7 +154,7 @@ def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelation
                  for i in range(1, n + 1) for j in range(1, m + 1))
     rows = defect_rows(pair, generator_matrix(symbol, n, m), 1,
                        {g: i for i, g in enumerate(gens)})
-    return UniversalRelations(pair, symbol, gens, _span(rows, len(gens) ** 2))
+    return UniversalRelations(pair, symbol, gens, Subspace.span(rows, len(gens) ** 2))
 
 
 def is_manin(pair: ManinPair, M, ambient: PresentedAlgebra) -> bool:
@@ -269,7 +262,7 @@ def double_manin_matches_commutators(n: int, m: int) -> bool:
     commutators = []
     for x, y in itertools.combinations([g for row in M for g in row], 2):
         commutators.append(x * y - y * x)
-    return _span(rows, len(gens) ** 2) == span_of_polys(commutators, gens, 2)
+    return Subspace.span(rows, len(gens) ** 2) == span_of_polys(commutators, gens, 2)
 
 
 def submatrix(M, I, J) -> list:

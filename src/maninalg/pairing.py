@@ -28,11 +28,11 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           orthogonal_idempotent, parameterized_antisymmetrizer,
                           rank_one_contraction, symplectic_idempotent,
                           twisted_rank_one_contraction)
-from .linalg import ONE, QMatrix, ZERO, invert, rat
+from .linalg import ONE, ZERO, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, _canonical, check_budget, embed, embed_pair,
-                     flatten_index, multi_indices, swap_operator)
+from .tensor import (TensorOperator, _canonical, _row_times, check_budget, embed,
+                     embed_pair, flatten_index, multi_indices, swap_operator)
 
 DEFAULT_GROUP_CAP = 100000
 
@@ -76,9 +76,17 @@ class NotExists:
 def generic_pairing(E: TensorOperator, k: int, kind: str):
     """Dual-basis construction from the intersection subspaces.
 
-    Returns the operator sum v_alpha v^alpha when the natural pairing
-    between the right and left subspaces is non-degenerate, else NotExists
-    naming the failing condition.
+    With v_a the basis vectors of the right subspace and xi_b the basis
+    covectors of the left one, both as integer rows, the operator is
+    sum_a v_a w_a over the covectors w_a dual to the v_a (w_a v_c = 1 if
+    a = c, else 0).  One integer echelon gives them: the rows
+    [G_b | xi_b] with G_b[a] = xi_b v_a, fully reduced, have one lead in
+    each of the first d columns exactly when the Gram matrix G is
+    invertible, and the row with lead a < d is then c_a (e_a | w_a) for a
+    positive integer c_a.  With den = lcm(c_a) the operator is the integer
+    rows sum_a v_a (den / c_a) (c_a w_a) over den.  Returns NotExists
+    naming the failing condition when the dimensions differ or the natural
+    pairing is degenerate.
     """
     n = E.row_dim
     if k < 1:
@@ -92,32 +100,35 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     d = right.dim
     if d == 0:
         return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
-    vs = list(right.rows.values())                # sparse basis vectors v_a
-    xis = list(left.rows.values())                # sparse basis covectors xi^b
-    gram = QMatrix(d, d, [[_dot(xi, v) for v in vs] for xi in xis])
-    gram_inv = invert(gram)
-    if gram_inv is None:
+    vs = right.integer_rows()
+    ech = SparseEchelon()
+    for xi in left.integer_rows():
+        row = {a: g for a, v in enumerate(vs) if (g := _dot(xi, v))}
+        row.update((d + j, x) for j, x in xi.items())
+        ech.insert(row)
+    duals = ech.reduced_integer_rows()
+    gram_rank = sum(lead < d for lead in duals)
+    if gram_rank < d:
         return NotExists(kind, k, "degenerate natural pairing",
-                         {"dim": d, "gram_rank": gram.rank()})
-    # op = sum_a v_a w_a with the dual covector w_a = sum_b gram_inv[a][b] xi^b
+                         {"dim": d, "gram_rank": gram_rank})
+    den = lcm(*(row[a] for a, row in duals.items()))
     out = {}
-    for v, coeffs in zip(vs, gram_inv.data):
-        w = {}
-        for g, xi in zip(coeffs, xis):
-            if g:
-                for j, x in xi.items():
-                    w[j] = w[j] + g * x if j in w else g * x
+    for v, (a, row) in zip(vs, duals.items()):
+        m = den // row[a]
+        w = [(j - d, m * x) for j, x in row.items() if j != a]
         for i, vi in v.items():
-            row = out.setdefault(i, {})
-            for j, x in w.items():
-                row[j] = row[j] + vi * x if j in row else vi * x
-    return PairingOperator(kind, k, E, TensorOperator(n, n, k, out), "generic")
+            acc = out.setdefault(i, {})
+            for j, x in w:
+                acc[j] = acc[j] + vi * x if j in acc else vi * x
+    num = {i: row for i, acc in out.items()
+           if (row := {j: x for j, x in acc.items() if x})}
+    return PairingOperator(kind, k, E, _canonical(n, n, k, num, den), "generic")
 
 
-def _dot(a: dict, b: dict):
+def _dot(a: dict, b: dict) -> int:
     if len(b) < len(a):
         a, b = b, a
-    return sum((x * b[j] for j, x in a.items() if j in b), ZERO)
+    return sum(x * b[j] for j, x in a.items() if j in b)
 
 
 # --- group average -------------------------------------------------------------
@@ -473,10 +484,19 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
 
 def fixes_subspaces(op: TensorOperator, right, left) -> bool:
     """op pi = pi for every basis vector pi of the Subspace right, and
-    xi op = xi for every basis covector xi of left, on sparse rows."""
-    columns = op.transpose()
-    return (all(columns.vecmat(pi) == pi for pi in right.rows.values())
-            and all(op.vecmat(xi) == xi for xi in left.rows.values()))
+    xi op = xi for every basis covector xi of left.
+
+    With op read as numerators num over den, xi op = xi is the integer
+    identity xi num = den xi, checked on the integer basis rows; op pi = pi
+    is the same identity for the transpose.
+    """
+    den = op.den
+
+    def fixed(vectors, num):
+        return all(_row_times(v, num) == {j: den * x for j, x in v.items()}
+                   for v in vectors)
+    return (fixed(right.integer_rows(), op.transpose().num)
+            and fixed(left.integer_rows(), op.num))
 
 
 def corrupt(p: PairingOperator, row: int = 0, col: int = 0) -> PairingOperator:

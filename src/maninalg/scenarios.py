@@ -181,7 +181,7 @@ def _psi_product_table_holds(algebra, op, a, b, c, kappa) -> bool:
     """
     gens = algebra.gens
     lead = flatten_index((1, 2, 3), 3)
-    row = op.operator.rows.get(lead, {})
+    row, den = op.operator.num.get(lead, {}), op.operator.den
     inv_a2 = 1 / (a * a)
     expected = {
         (1, 2, 3): rat(1), (2, 3, 1): rat(1), (3, 1, 2): rat(1),
@@ -190,7 +190,8 @@ def _psi_product_table_holds(algebra, op, a, b, c, kappa) -> bool:
     }
     base = NCPoly({(gens[0], gens[1], gens[2]): 1})
     for idx in ((i, j, k) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)):
-        coeff = 6 * row.get(flatten_index(idx, 3), rat(0))  # w^1 entry (w_1 has 1/6 there)
+        # the w^1 entry (w_1 has 1/6 there)
+        coeff = 6 * Fraction(row.get(flatten_index(idx, 3), 0), den)
         if coeff != expected.get(idx, rat(0)):
             return False
         word = NCPoly({tuple(gens[t - 1] for t in idx): 1})

@@ -23,12 +23,10 @@ den * q; each ends with one gcd pass that restores the canonical form.
 Transposes, negations and embeddings move numerators and keep den.
 
 Fractions appear only at the edges.  The constructor reads Fraction, int or
-'p/q' entries, or a dense :class:`QMatrix`; ``vecmat`` takes and returns
-Fraction rows; ``trace`` and ``entry`` return one Fraction.  Two views are
-built on first use and kept: ``rows``, the entries as sparse Fraction rows
-row -> {col: Fraction}, and ``matrix``, a dense QMatrix.  No hot path of
-the package reads either view; they serve JSON output, tests, demos and
-benchmarks.
+'p/q' entries, or a dense :class:`QMatrix`; ``trace`` and ``entry`` return
+one Fraction.  ``num`` over ``den`` is the one view that the package reads.
+The dense QMatrix view ``matrix`` is built on first use and kept only for
+callers outside the package (tests, demos and benchmarks).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .freealg import _budget_from_env, _entry_product, poly_matrix
-from .linalg import ZERO, QMatrix, SparseEchelon, Subspace, rat
+from .linalg import ZERO, QMatrix, Subspace, rat
 from .permutations import Perm, reduced_word
 
 DEFAULT_TENSOR_BUDGET = 4096
@@ -97,7 +95,7 @@ class TensorOperator:
     constructed: operators share row dicts.
     """
 
-    __slots__ = ("row_dim", "col_dim", "arity", "num", "den", "_hash", "_rows", "_matrix")
+    __slots__ = ("row_dim", "col_dim", "arity", "num", "den", "_hash", "_matrix")
 
     def __init__(self, row_dim: int, col_dim: int, arity: int, entries):
         check_budget(max(row_dim, col_dim) ** arity)
@@ -135,24 +133,15 @@ class TensorOperator:
         return self.row_dim == self.col_dim
 
     @property
-    def rows(self) -> dict:
-        """The entries as sparse Fraction rows row -> {col: Fraction}, built
-        on first use."""
-        if self._rows is None:
-            den = self.den
-            self._rows = {i: {j: Fraction(x, den) for j, x in row.items()}
-                          for i, row in self.num.items()}
-        return self._rows
-
-    @property
     def matrix(self) -> QMatrix:
         """The dense n^arity x m^arity view, built on first use."""
         if self._matrix is None:
             m = QMatrix.zero(self.row_dim ** self.arity, self.col_dim ** self.arity)
-            for i, row in self.rows.items():
+            den = self.den
+            for i, row in self.num.items():
                 mrow = m.data[i]
                 for j, x in row.items():
-                    mrow[j] = x
+                    mrow[j] = Fraction(x, den)
             self._matrix = m
         return self._matrix
 
@@ -170,10 +159,8 @@ class TensorOperator:
 
     def row_space(self) -> Subspace:
         """The span of the rows inside the col_dim^arity-dimensional space."""
-        ech = SparseEchelon()
-        for i in sorted(self.num):
-            ech.insert(self.num[i])
-        return ech.dense_basis(self.col_dim ** self.arity)
+        return Subspace.span((self.num[i] for i in sorted(self.num)),
+                             self.col_dim ** self.arity)
 
     def entry(self, row_index, col_index):
         row = self.num.get(flatten_index(row_index, self.row_dim))
@@ -193,18 +180,6 @@ class TensorOperator:
                 out[i] = row
         return _canonical(self.row_dim, other.col_dim, self.arity, out,
                           self.den * other.den)
-
-    def vecmat(self, v: dict) -> dict:
-        """The row vector v times this operator; v and the result are sparse
-        dicts index -> Fraction without zeros.
-
-        v is brought to integers over its least common denominator d, and
-        one Fraction per result entry is built over d * den at the end.
-        """
-        d = lcm(*(a.denominator for a in v.values()))
-        iv = {k: a.numerator * (d // a.denominator) for k, a in v.items()}
-        den = d * self.den
-        return {j: Fraction(x, den) for j, x in _row_times(iv, self.num).items()}
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_same_shape(other)
@@ -286,7 +261,6 @@ def _fill(op, row_dim, col_dim, arity, num, den):
     op.num = num
     op.den = den
     op._hash = None
-    op._rows = None
     op._matrix = None
 
 

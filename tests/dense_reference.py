@@ -29,7 +29,8 @@ common denominator; ``closed_form_multiparam`` keeps the closed form built
 entry by entry on Fractions, re-validating each restricted parameter
 matrix, and
 ``inversion_parameter_product`` the inversion product read off qhat
-directly.
+directly; ``generic_pairing`` keeps the dual-basis construction that summed
+Fraction products over the dense inverse of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from math import factorial, lcm
 from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
 from maninalg.idempotents import InvalidParameter, rational_grid, restrict_parameter_matrix
 from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon
+from maninalg.pairing import NotExists, PairingOperator
 from maninalg.permutations import all_perms, mu, stabilizer_order
+from maninalg.quadratic import component_subspaces
 from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
                              unflatten_index)
 
@@ -264,7 +267,8 @@ def _rows_times_grid(op, grid) -> list:
         rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(op.data)}
         nrows, ncols = op.rows, op.cols
     else:
-        rows, nrows, ncols = op.rows, op.row_dim ** op.arity, op.col_dim ** op.arity
+        rows = fraction_rows(op)
+        nrows, ncols = op.row_dim ** op.arity, op.col_dim ** op.arity
     if ncols != len(grid):
         raise ValueError("inner dimensions differ")
     out = []
@@ -276,6 +280,11 @@ def _rows_times_grid(op, grid) -> list:
                     sums[word] = sums.get(word, ZERO) + c * x
         out.append([NCPoly(sums) for sums in acc])
     return out
+
+
+def fraction_rows(op: TensorOperator) -> dict:
+    """The entries of op as sparse Fraction rows row -> {col: num / den}."""
+    return {i: {j: Fraction(x, op.den) for j, x in row.items()} for i, row in op.num.items()}
 
 
 def det_qhat(qhat, M) -> NCPoly:
@@ -397,6 +406,42 @@ def inversion_parameter_product(qhat, tau) -> Fraction:
     return out
 
 
+def generic_pairing(E: TensorOperator, k: int, kind: str):
+    """The dual-basis operator sum_a v_a w_a of ``pairing.generic_pairing``
+    with w_a = sum_b gram_inv[a][b] xi^b summed as Fraction products over
+    the dense inverse of the Gram matrix gram[b][a] = xi^b v_a of the
+    Fraction basis rows, or the same NotExists."""
+    n = E.row_dim
+    if k == 1:
+        return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1), "generic")
+    right, left = component_subspaces(E, k, kind)
+    if right.dim != left.dim:
+        return NotExists(kind, k, "dimension mismatch",
+                         {"right_dim": right.dim, "left_dim": left.dim})
+    d = right.dim
+    if d == 0:
+        return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
+    vs, xis = list(right.rows.values()), list(left.rows.values())
+    gram = QMatrix(d, d, [[sum((x * v.get(j, ZERO) for j, x in xi.items()), ZERO)
+                           for v in vs] for xi in xis])
+    gram_inv = invert(gram)
+    if gram_inv is None:
+        return NotExists(kind, k, "degenerate natural pairing",
+                         {"dim": d, "gram_rank": rref(gram)[1]})
+    out = {}
+    for v, coeffs in zip(vs, gram_inv.data):
+        w = {}
+        for g, xi in zip(coeffs, xis):
+            if g:
+                for j, x in xi.items():
+                    w[j] = w.get(j, ZERO) + g * x
+        for i, vi in v.items():
+            row = out.setdefault(i, {})
+            for j, x in w.items():
+                row[j] = row.get(j, ZERO) + vi * x
+    return PairingOperator(kind, k, E, TensorOperator(n, n, k, out), "generic")
+
+
 class FractionOperator:
     """A tensor operator as sparse Fraction rows: the representation and
     arithmetic that ``TensorOperator`` had before it moved to integer
@@ -415,7 +460,7 @@ class FractionOperator:
 
     @staticmethod
     def of(op: TensorOperator) -> "FractionOperator":
-        return FractionOperator(op.row_dim, op.col_dim, op.arity, op.rows)
+        return FractionOperator(op.row_dim, op.col_dim, op.arity, fraction_rows(op))
 
     def operator(self) -> TensorOperator:
         return TensorOperator(self.row_dim, self.col_dim, self.arity, self.rows)

@@ -357,6 +357,22 @@ def test_wrong_method_for_family(run, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("matrix, k, kind, details", (
+    ([[0, 1, -1, 0], [0, 1, -1, 0], [0, 0, 0, 0], [0, 1, -1, 0]], 3, "S",
+     {"dim": "4", "gram_rank": "2"}),
+    ([[0, -2, 1, 0], [0, 1, 0, -1], [0, 0, 1, -2], [0, 0, 0, 0]], 3, "A",
+     {"dim": "1", "gram_rank": "0"}),
+))
+def test_degenerate_natural_pairing_exits_one(run, tmp_path, matrix, k, kind, details):
+    spec = tmp_path / "custom.json"
+    spec.write_text(json.dumps({"family": "Custom", "n": 2, "params": {"matrix": matrix}}))
+    code, doc = run("pairing", "--spec", str(spec), "--k", str(k), "--kind", kind,
+                    "--method", "generic")
+    assert code == 1
+    assert doc == {"exists": False, "reason": "degenerate natural pairing",
+                   "details": details}
+
+
 def test_reports_are_deterministic(run):
     outputs = set()
     for _ in range(2):

@@ -189,7 +189,7 @@ def test_make_idempotent_always_projects_onto_the_row_space(rows):
 
 def perturbed(E: TensorOperator) -> list:
     """Near misses of an operator: one entry bumped, a row dropped, scaled."""
-    rows = dict(E.rows)
+    rows = dense.fraction_rows(E)
     first = min(rows, default=0)
     bumped = dict(rows)
     bumped[first] = dict(rows.get(first, {}))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
@@ -52,6 +52,85 @@ def test_generic_not_exists_for_fourparam():
     w3, wbar3 = component_subspaces(E, 3, "A")
     assert (w3.dim, wbar3.dim) == (1, 0)
     assert result.details == {"right_dim": 1, "left_dim": 0}
+
+
+# idempotents whose intersection subspaces have equal dimensions but pair
+# degenerately: (matrix, k, kind, NotExists details)
+DEGENERATE_PAIRINGS = (
+    ([[0, 1, -1, 0], [0, 1, -1, 0], [0, 0, 0, 0], [0, 1, -1, 0]], 3, "S",
+     {"dim": 4, "gram_rank": 2}),
+    ([[0, -2, 1, 0], [0, 1, 0, -1], [0, 0, 1, -2], [0, 0, 0, 0]], 3, "A",
+     {"dim": 1, "gram_rank": 0}),
+)
+
+
+@pytest.mark.parametrize("matrix, k, kind, details", DEGENERATE_PAIRINGS)
+def test_generic_not_exists_for_a_degenerate_natural_pairing(matrix, k, kind, details):
+    E = idem.build(idem.IdempotentSpec("Custom", 2, {"matrix": matrix}))
+    assert idem.is_idempotent(E)
+    right, left = component_subspaces(E, k, kind)
+    assert right.dim == left.dim == details["dim"]
+    result = generic_pairing(E, k, kind)
+    assert isinstance(result, NotExists)
+    assert (result.kind, result.arity) == (kind, k)
+    assert result.reason == "degenerate natural pairing"
+    assert result.details == details
+    oracle = dense.generic_pairing(E, k, kind)
+    assert (oracle.reason, oracle.details) == (result.reason, result.details)
+
+
+def _generic_outcome(p):
+    """A NotExists as its reason and details, an operator as its integer form."""
+    if isinstance(p, NotExists):
+        return p.kind, p.arity, p.reason, p.details
+    return p.kind, p.arity, p.provenance, p.operator.den, p.operator.num
+
+
+def test_integer_duals_match_the_fraction_gram_inverse_on_the_catalog():
+    from maninalg.suites import catalog_instances
+    outcomes = set()
+    for name, E in catalog_instances():
+        for k in range(1, 7):
+            if E.row_dim ** k > 81:
+                break
+            for kind in ("S", "A"):
+                got = generic_pairing(E, k, kind)
+                assert _generic_outcome(got) == \
+                    _generic_outcome(dense.generic_pairing(E, k, kind)), (name, k, kind)
+                outcomes.add(got.reason if isinstance(got, NotExists)
+                             else got.operator.is_zero())
+    assert outcomes == {True, False, "dimension mismatch"}
+
+
+@st.composite
+def projections(draw):
+    """U (W U)^-1 W for small random integer U (n^2 x r) and W (r x n^2) with
+    W U invertible: an idempotent of rank r on C^n (x) C^n."""
+    n = draw(st.sampled_from((2, 3)))
+    size = n * n
+    r = draw(st.integers(1, size - 1))
+    entry = st.integers(-2, 2)
+    U = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=size, max_size=size))
+    W = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=r, max_size=r))
+    inv = dense.invert(QMatrix(r, r, [[sum(W[a][i] * U[i][b] for i in range(size))
+                                       for b in range(r)] for a in range(r)]))
+    assume(inv is not None)
+    UG = [[sum(U[i][a] * inv.data[a][b] for a in range(r)) for b in range(r)]
+          for i in range(size)]
+    return TensorOperator(n, n, 2, {i: {j: sum(UG[i][b] * W[b][j] for b in range(r))
+                                        for j in range(size)} for i in range(size)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(projections(), st.data())
+def test_integer_duals_match_the_fraction_gram_inverse_on_random_projections(E, data):
+    assert idem.is_idempotent(E)
+    k = data.draw(st.integers(2, 4 if E.row_dim == 2 else 3))
+    for kind in ("S", "A"):
+        got = generic_pairing(E, k, kind)
+        assert _generic_outcome(got) == _generic_outcome(dense.generic_pairing(E, k, kind))
+        if not isinstance(got, NotExists):
+            assert verify_axioms(got)["pass"]
 
 
 def test_generic_rejects_unknown_kind():
@@ -307,20 +386,21 @@ def no_dense_views(monkeypatch):
     monkeypatch.setattr(TensorOperator, "matrix", property(guarded))
 
 
-@pytest.fixture
-def no_operator_views(no_dense_views, monkeypatch):
-    """Make the Fraction rows view of every operator raise as well."""
-    def guarded(op):
-        raise AssertionError(f"Fraction rows view of an arity-{op.arity} operator")
-    monkeypatch.setattr(TensorOperator, "rows", property(guarded))
+def test_operators_have_no_fraction_row_view():
+    """num over den is the one form an operator is read in: the Fraction
+    rows view and the Fraction row-vector product are gone."""
+    for name in ("rows", "_rows", "vecmat"):
+        assert not hasattr(TensorOperator, name), name
+    for arity in (1, 2, 3):
+        op = generic_pairing(idem.antisymmetrizer(2), arity, "S").operator
+        assert not hasattr(op, "rows") and not hasattr(op, "vecmat")
 
 
-def test_pairing_routes_and_axioms_build_no_dense_views(no_operator_views):
+def test_pairing_routes_and_axioms_build_no_dense_views(no_dense_views):
     q = F(2)
     for arity in (1, 2, 3):
-        for view in ("matrix", "rows"):
-            with pytest.raises(AssertionError):
-                getattr(TensorOperator.identity(2, arity), view)
+        with pytest.raises(AssertionError):
+            TensorOperator.identity(2, arity).matrix
     E = idem.antisymmetrizer(2)
     routes = [generic_pairing(idem.symplectic_idempotent(4), 3, "A"),
               hecke_pairing(q, 3, 3, "A"), brauer_pairing("sp", 4, 3),
@@ -355,7 +435,8 @@ def test_library_and_cli_build_no_dense_views(no_dense_views, tmp_path, capsys):
     flip = Perm((2, 1))
     assert idem.conjugate(idem.conjugate(Aq, flip), flip) == Aq
     assert transport(pair, M, flip, QMatrix(2, 2, [[1, 1], [0, 1]])).A == idem.conjugate(A2, flip)
-    assert idem.make_idempotent(QMatrix(1, 4, [[0, 1, -1, 0]])).rows == {1: {1: 1, 2: -1}}
+    made = idem.make_idempotent(QMatrix(1, 4, [[0, 1, -1, 0]]))
+    assert (made.den, made.num) == (1, {1: {1: 1, 2: -1}})
 
     def write(name, text):
         path = tmp_path / name
