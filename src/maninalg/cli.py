@@ -155,6 +155,7 @@ def cmd_manin_check(args) -> int:
 
 
 METHODS = ("generic", "group", "hecke", "brauer", "closed")
+BRAUER_FAMILIES = {"B_n": ("so", "S"), "Btilde_n": ("sp", "A")}  # group, kind given
 
 
 def cmd_pairing(args) -> int:
@@ -183,11 +184,12 @@ def build_pairing(spec, k: int, kind: str, method: str):
             raise ValueError("the Hecke recursion serves the RhatMinus family")
         return hecke_pairing(rat(spec.params["q"]), spec.n, k, kind)
     if method == "brauer":
-        if spec.family == "B_n":
-            return brauer_pairing("so", spec.n, k)
-        if spec.family == "Btilde_n":
-            return brauer_pairing("sp", spec.n, k)
-        raise ValueError("the Brauer products serve the B_n / Btilde_n families")
+        if spec.family not in BRAUER_FAMILIES:
+            raise ValueError("the Brauer products serve the B_n / Btilde_n families")
+        group, given = BRAUER_FAMILIES[spec.family]
+        if kind != given:
+            raise ValueError(f"the Brauer products give {spec.family} kind {given}, not {kind}")
+        return brauer_pairing(group, spec.n, k)
     if method == "closed":
         if spec.family == "Aqhat":
             return closed_form_multiparam(spec.params["qhat"], k, kind)

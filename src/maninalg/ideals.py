@@ -215,7 +215,7 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
         newest, normal = increments[-1], below.normal_below
     else:
         raise ValueError("a slice grows only from a lower-degree slice on the same generators")
-    relation_rows = relations.integer_rows()
+    relation_rows = list(relations.rows.values())
     # one int object per word position, shared as a key by every row that
     # holds it, rather than a fresh int per entry
     word = list(range(size))

@@ -318,7 +318,8 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     presents the same quadratic algebra as R.
     """
     size = R.cols
-    rows = Subspace.from_matrix(R).rows
+    rows = {lead: {j: Fraction(c, row[lead]) for j, c in row.items()}
+            for lead, row in Subspace.from_matrix(R).rows.items()}
     n = round(size ** 0.5)
     if n * n == size:
         return TensorOperator(n, n, 2, rows)

@@ -6,10 +6,10 @@ row-major matrix for parsed grids, the change of basis of
 ``manin.transport`` and the dense views kept for outside callers.  All row
 reduction goes through one engine, the sparse :class:`SparseEchelon`, which
 eliminates fraction-free on primitive integer rows; Fractions enter it only
-as incoming rows, scaled to integers by their common denominator, and leave
-it only as its reduced row-echelon rows.  A row space is a
-:class:`Subspace`, which keeps those rows (Fractions, lead 1) so that two
-subspaces are equal iff their rows are identical.
+as incoming rows, scaled to integers by their common denominator.  A row
+space is a :class:`Subspace`, which keeps the engine's fully reduced
+primitive integer rows, a unique basis, so that two subspaces are equal iff
+their rows are identical; Fractions leave only through lead-1 views.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from math import gcd, lcm
 from operator import attrgetter
 
 
-QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -210,9 +209,10 @@ class Subspace:
     """A subspace of Q^ambient_dim, stored as its reduced row-echelon basis.
 
     ``rows`` maps each lead index to its basis row, a sparse dict
-    index -> Fraction with lead coefficient 1 and every other lead column
-    cleared; leads ascend.  The reduced row-echelon basis of a subspace is
-    unique, so two subspaces are equal iff their rows are.
+    index -> int with gcd 1, a positive lead and every other lead column
+    cleared; leads ascend (``SparseEchelon.reduced_integer_rows``).  This
+    basis of a subspace is unique, so two subspaces are equal iff their
+    rows are.
     """
 
     __slots__ = ("ambient_dim", "rows", "_basis")
@@ -251,24 +251,17 @@ class Subspace:
 
     @property
     def basis(self) -> QMatrix:
-        """The basis rows as a dense dim x ambient_dim matrix."""
+        """The reduced row-echelon basis (lead coefficients 1) as a dense
+        dim x ambient_dim matrix."""
         if self._basis is None:
-            dense = []
-            for row in self.rows.values():
-                v = [ZERO] * self.ambient_dim
-                for j, c in row.items():
-                    v[j] = c
-                dense.append(v)
-            self._basis = QMatrix(len(dense), self.ambient_dim, dense)
+            cols, rows = range(self.ambient_dim), _lead_one(self.rows).values()
+            self._basis = QMatrix(len(rows), self.ambient_dim,
+                                  [[row.get(j, ZERO) for j in cols] for row in rows])
         return self._basis
 
-    def integer_rows(self) -> list:
-        """The basis rows scaled by their least common denominators: integer
-        rows with gcd 1 and a positive lead."""
-        return [_integer_row(row) for row in self.rows.values()]
-
     def contains(self, vector) -> bool:
-        return not _eliminate(_sparse(vector, self.ambient_dim), self.rows, self.rows)
+        return not _eliminate(_integer_row(_sparse(vector, self.ambient_dim)),
+                              self.rows, self.rows)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -279,13 +272,16 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """{v : r . v = 0 for every basis row r}.
 
-        Each free column f gives the null vector e_f - sum_r r[f] e_lead(r).
+        With D the lcm of the lead coefficients a_r, each free column f gives
+        the integer null vector D e_f - sum_r (D / a_r) r[f] e_lead(r).
         """
-        free = {f: {f: ONE} for f in range(self.ambient_dim) if f not in self.rows}
+        den = lcm(*(row[lead] for lead, row in self.rows.items()))
+        free = {f: {f: den} for f in range(self.ambient_dim) if f not in self.rows}
         for lead, row in self.rows.items():
+            m = den // row[lead]
             for j, c in row.items():
                 if j != lead:
-                    free[j][lead] = -c
+                    free[j][lead] = -m * c
         return Subspace.span(free.values(), self.ambient_dim)
 
     def __eq__(self, other):
@@ -322,8 +318,7 @@ def invert(m: QMatrix) -> QMatrix | None:
     # [m | 1] always has rank n; m is invertible iff every lead lies in m's block
     if list(aug.rows) != list(range(n)):
         return None
-    return QMatrix(n, n, [[row.get(n + j, ZERO) for j in range(n)]
-                          for row in aug.rows.values()])
+    return QMatrix(n, n, [row[n:] for row in aug.basis.data])
 
 
 class SparseEchelon:
@@ -338,8 +333,8 @@ class SparseEchelon:
     ``g = gcd(a, c)`` (Bareiss's fraction-free elimination).  Incoming rows
     may hold Fractions: they are scaled to integers by their common
     denominator.  ``reduced_integer_rows`` back-substitutes the pivots on
-    integers, and ``reduced_rows`` turns those into the canonical Fraction
-    form with lead 1; nowhere else do Fractions appear.
+    integers, which gives the rows of the span's ``Subspace``;
+    ``reduced_rows`` is their lead-1 Fraction view.
 
     ``leads`` holds every lead of the span and ``pivots`` maps a lead to its
     pivot row.  By default they are one dict.  An echelon given a separate
@@ -390,15 +385,17 @@ class SparseEchelon:
 
     def reduced_rows(self) -> dict:
         """``reduced_integer_rows`` as Fraction rows with lead coefficient 1."""
-        out = {}
-        for lead, row in self.reduced_integer_rows().items():
-            a = row[lead]
-            out[lead] = {j: Fraction(c, a) for j, c in row.items()}
-        return out
+        return _lead_one(self.reduced_integer_rows())
 
     def dense_basis(self, ambient_dim: int) -> Subspace:
-        """The span as a Subspace of Q^ambient_dim."""
-        return Subspace(ambient_dim, self.reduced_rows())
+        """The span as a Subspace of Q^ambient_dim (its rows as they are)."""
+        return Subspace(ambient_dim, self.reduced_integer_rows())
+
+
+def _lead_one(rows: dict) -> dict:
+    """Integer rows keyed by lead, each divided by its lead coefficient."""
+    return {lead: {j: Fraction(c, row[lead]) for j, c in row.items()}
+            for lead, row in rows.items()}
 
 
 def _integer_row(row: dict) -> dict:
@@ -431,13 +428,11 @@ def _eliminate(row: dict, leads, pivots) -> dict:
 
     ``leads`` is the set of pivot leads (any container that answers ``in``)
     and ``pivots`` maps each lead to its row; a row is looked up only when
-    the elimination reaches its lead.  A pivot row has no entry left of its
-    lead and is either a Fraction row with coefficient 1 at the lead (a
-    ``Subspace`` row), or an integer row, in which case row must hold
-    integers too.  A step with pivot lead a and row entry c replaces row by
-    ``(a/g) row - (c/g) pivot`` with g = gcd(a, c), which for a = 1 is
-    ``row - c pivot``; the result is a nonzero multiple of the remainder.
-    Each step clears its lead for good
+    the elimination reaches its lead.  Row and pivots hold integers, and a
+    pivot row has no entry left of its lead.  A step with pivot lead a and
+    row entry c replaces row by ``(a/g) row - (c/g) pivot`` with
+    g = gcd(a, c), which for a = 1 is ``row - c pivot``; the result is a
+    nonzero multiple of the remainder.  Each step clears its lead for good
     and can only bring in leads further right, so a heap of the leads met
     keeps the row from being rescanned after every step.
     """

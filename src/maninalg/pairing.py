@@ -41,7 +41,7 @@ class BraidRelationFailed(ValueError):
     """1 - 2E does not satisfy the braid relation."""
 
 
-class GroupEnumerationExceeded(RuntimeError):
+class GroupEnumerationExceeded(ValueError):
     """The group generated by the signed flips did not close under the cap."""
 
 
@@ -100,9 +100,9 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     d = right.dim
     if d == 0:
         return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
-    vs = right.integer_rows()
+    vs = list(right.rows.values())
     ech = SparseEchelon()
-    for xi in left.integer_rows():
+    for xi in left.rows.values():
         row = {a: g for a, v in enumerate(vs) if (g := _dot(xi, v))}
         row.update((d + j, x) for j, x in xi.items())
         ech.insert(row)
@@ -495,8 +495,8 @@ def fixes_subspaces(op: TensorOperator, right, left) -> bool:
     def fixed(vectors, num):
         return all(_row_times(v, num) == {j: den * x for j, x in v.items()}
                    for v in vectors)
-    return (fixed(right.integer_rows(), op.transpose().num)
-            and fixed(left.integer_rows(), op.num))
+    return (fixed(right.rows.values(), op.transpose().num)
+            and fixed(left.rows.values(), op.num))
 
 
 def corrupt(p: PairingOperator, row: int = 0, col: int = 0) -> PairingOperator:

@@ -409,8 +409,8 @@ def inversion_parameter_product(qhat, tau) -> Fraction:
 def generic_pairing(E: TensorOperator, k: int, kind: str):
     """The dual-basis operator sum_a v_a w_a of ``pairing.generic_pairing``
     with w_a = sum_b gram_inv[a][b] xi^b summed as Fraction products over
-    the dense inverse of the Gram matrix gram[b][a] = xi^b v_a of the
-    Fraction basis rows, or the same NotExists."""
+    the dense Fraction inverse of the Gram matrix gram[b][a] = xi^b v_a of
+    the basis rows, or the same NotExists."""
     n = E.row_dim
     if k == 1:
         return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1), "generic")
@@ -685,7 +685,7 @@ def eager_slice(g: int, relations, d: int) -> tuple:
     rows u * r are inserted for the normal words u of degree e - 2 into the
     full slice.  Returns the SparseEchelon of I_d and the normal words of
     degree d - 1 as an ascending tuple."""
-    pivots, normal, rels = {}, [0], relations.integer_rows()
+    pivots, normal, rels = {}, [0], list(relations.rows.values())
     for e in range(2, d + 1):
         normal_next = [w for w in range(g ** (e - 1)) if w not in pivots]
         ech = SparseEchelon()

@@ -1,11 +1,17 @@
+import functools
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import maninalg
+from maninalg import cli, pairing
 from maninalg.cli import main, operator_from_json, operator_to_json
 from maninalg.idempotents import hecke_minus
 
@@ -215,6 +221,10 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
       "--method", "brauer"], None, "arity starts at 1"),
     (["pairing", "--family", "A_n", "--n", "2", "--k", "0", "--kind", "A",
       "--method", "closed"], None, "arity starts at 1"),
+    (["pairing", "--family", "B_n", "--n", "3", "--k", "2", "--kind", "A",
+      "--method", "brauer"], None, "give B_n kind S, not A"),
+    (["pairing", "--family", "Btilde_n", "--n", "4", "--k", "2", "--kind", "S",
+      "--method", "brauer"], None, "give Btilde_n kind A, not S"),
     (["minor", "--pair", "SPEC", "--matrix", "unused", "--k", "2", "--kind", "A"],
      '[1, 2]', "JSON object with keys 'A' and 'B'"),
     (["manin-check", "--pair", "SPEC", "--matrix", "unused", "--relations", "unused"],
@@ -241,6 +251,7 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
         "qhat-is-a-number", "qhat-is-flat", "custom-matrix-is-flat", "qhat-is-empty",
         "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
         "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0",
+        "pairing-brauer-so-kind-A", "pairing-brauer-sp-kind-S",
         "pair-is-a-list", "pair-is-a-string", "pair-without-B",
         "qhat-holds-booleans", "fourparam-kappa-is-a-boolean", "q-is-a-boolean",
         "unused-q", "unused-q-zero-denominator", "unknown-params-key"])
@@ -317,6 +328,32 @@ def test_budget_refusal_names_the_budget(argv, budget, phrase):
 def test_unknown_suite_is_input_error(capsys):
     assert main(["verify-suite", "--suite", "nope"]) == 2
     capsys.readouterr()
+
+
+def test_group_cap_is_input_error(tmp_path, capsys, monkeypatch):
+    # E = (2) on one generator gives P = 1 - 2E = (-3), whose powers never
+    # close; a lowered cap makes the refusal quick
+    monkeypatch.setattr(cli, "group_average",
+                        functools.partial(pairing.group_average, cap=50))
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"family": "Custom", "n": 1, "params": {"matrix": [["2"]]}}')
+    assert main(["pairing", "--spec", str(spec), "--k", "2", "--kind", "S",
+                 "--method", "group"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group did not close within 50 elements\n"
+
+
+def test_every_package_exception_is_an_input_error():
+    """cli.main maps ValueError to exit 2; an exception class of the package
+    that is not a ValueError would escape it as a traceback."""
+    classes = set()
+    for info in pkgutil.iter_modules(maninalg.__path__):
+        module = importlib.import_module(f"maninalg.{info.name}")
+        classes.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                       if issubclass(cls, BaseException) and cls.__module__ == module.__name__)
+    assert pairing.GroupEnumerationExceeded in classes
+    assert sorted(cls.__name__ for cls in classes if not issubclass(cls, ValueError)) == []
 
 
 def test_pairing_group_method(run):

@@ -274,7 +274,7 @@ def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, vari
 def _probes(g: int, relations, d: int, rng) -> list:
     """Integer rows of degree d: sums of a few w1 * r * w2, each alone and
     plus a random row, and random rows."""
-    rels = relations.integer_rows()
+    rels = list(relations.rows.values())
     members = []
     for _ in range(6):
         row = {}

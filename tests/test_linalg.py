@@ -188,8 +188,9 @@ sparse_rows = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(sparse_rows)
 def test_subspace_rows_are_reduced_row_echelon(rows):
-    # Subspace equality compares rows, which is sound only for the unique
-    # reduced row-echelon basis; check that the engine always produces it
+    # Subspace equality compares rows, which is sound only for a unique
+    # basis: the reduced row-echelon rows scaled to primitive integers with
+    # a positive lead; check that the engine always produces it
     ech = SparseEchelon()
     for row in rows:
         ech.insert(row)
@@ -197,9 +198,19 @@ def test_subspace_rows_are_reduced_row_echelon(rows):
     leads = list(sub.rows)
     assert leads == sorted(leads)
     for lead, row in sub.rows.items():
-        assert min(row) == lead and row[lead] == 1
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == lead and row[lead] > 0 and gcd(*row.values()) == 1
         assert all(x for x in row.values()), "stored zero"
         assert not any(j in sub.rows for j in row if j != lead), "lead column not cleared"
+
+
+def test_subspace_has_no_integer_rows_view():
+    """Subspace rows are the echelon's integer rows themselves, so the
+    Fraction-to-integer conversion is gone."""
+    assert not hasattr(Subspace, "integer_rows")
+    sub = Subspace.from_rows([[Fraction(1, 2), Fraction(1, 3), 0]], 3)
+    assert not hasattr(sub, "integer_rows")
+    assert sub.rows == {0: {0: 3, 1: 2}}
 
 
 coefficients = st.one_of(

@@ -61,6 +61,10 @@ DEGENERATE_PAIRINGS = (
      {"dim": 4, "gram_rank": 2}),
     ([[0, -2, 1, 0], [0, 1, 0, -1], [0, 0, 1, -2], [0, 0, 0, 0]], 3, "A",
      {"dim": 1, "gram_rank": 0}),
+    # one reduced dual row leads exactly at column d, which is not a lead
+    # of the Gram block
+    ([[0, 0, 0, 0], [1, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], 3, "S",
+     {"dim": 4, "gram_rank": 3}),
 )
 
 
