@@ -10,7 +10,8 @@ Products of whole grids with scalar operators (``poly_grid_product``) and
 products of several entries (``_entry_product``, behind chains,
 determinants and permanents) sum integer numerators over one common
 denominator and build one Fraction per result term, rather than chaining
-Fraction-valued NCPoly arithmetic.
+Fraction-valued NCPoly arithmetic.  One integer grid kernel, ``_grid_times``,
+runs the side products, for the minors and for ``manin.defect_rows``.
 """
 
 from __future__ import annotations
@@ -256,49 +257,69 @@ def poly_mat_transpose(a) -> list:
 def poly_grid_product(grid, left=None, right=None) -> list:
     """left * grid * right for a grid of NCPoly entries.
 
-    Each side is None, a QMatrix or a TensorOperator.  The sums run over
-    integers: the grid's entries are brought to one common denominator D
-    and their words numbered, and each operator is read as integer rows
-    over one denominator (``TensorOperator.num`` over ``den``; a QMatrix is
-    converted the same way once per call).  The right operator is applied
-    row-major, so no operator or grid is transposed.  Every output entry
-    is its integer sum over D times the denominators of the sides, and one
-    Fraction is built per output term.
+    Each side is None, a QMatrix or a TensorOperator.  The grid's entries
+    are brought to one common denominator D and their words numbered, the
+    integer grid kernel ``_grid_times`` applies the sides, and one Fraction
+    is built per output term.
     """
     if left is None and right is None:
         return grid
     den, words, sums = _integer_grid(grid)
-    width = len(grid[0])
+    factor, sums = _grid_times(sums, left, right)
+    return [[_from_integer_sums(entry, words, den * factor) for entry in row]
+            for row in sums]
+
+
+def _grid_times(sums, left=None, right=None) -> tuple:
+    """(factor, out): left * sums * right for a grid of integer entries
+    {word: int}, as ``out`` times 1 / factor.
+
+    Each side is None, a QMatrix or a TensorOperator, read as integer rows
+    over one denominator (``_integer_rows``), and factor is the product of
+    those denominators.  The right operator is applied row-major, so no
+    operator or grid is transposed.  A zero row of left is never expanded:
+    its output entries are one shared empty dict, so no output entry may be
+    mutated.  Output entries may hold zero terms.
+    """
+    factor = 1
     if left is not None:
         lden, rows, nrows, ncols = _integer_rows(left)
         if ncols != len(sums):
             raise ValueError("inner dimensions differ")
+        width = len(sums[0])
         out = []
         for i in range(nrows):
+            arow = rows.get(i)
+            if arow is None:
+                out.append([{}] * width)
+                continue
             acc = [{} for _ in range(width)]
-            for k, a in rows.get(i, {}).items():
+            for k, a in arow.items():
                 for entry, x in zip(acc, sums[k]):
                     for w, c in x.items():
                         entry[w] = entry[w] + a * c if w in entry else a * c
             out.append(acc)
-        sums, den = out, den * lden
+        sums, factor = out, lden
     if right is not None:
         rden, rows, nrows, ncols = _integer_rows(right)
-        if nrows != width:
+        if nrows != len(sums[0]):
             raise ValueError("inner dimensions differ")
+        brows = [rows.get(k) for k in range(nrows)]
         out = []
         for grid_row in sums:
+            if not any(grid_row):
+                out.append([{}] * ncols)
+                continue
             acc = [{} for _ in range(ncols)]
-            for k, x in enumerate(grid_row):
-                brow = rows.get(k)
+            for x, brow in zip(grid_row, brows):
                 if x and brow:
                     for j, b in brow.items():
                         entry = acc[j]
                         for w, c in x.items():
                             entry[w] = entry[w] + b * c if w in entry else b * c
             out.append(acc)
-        sums, den = out, den * rden
-    return [[_from_integer_sums(entry, words, den) for entry in row] for row in sums]
+        sums, factor = out, factor * rden
+    return factor, sums
 
 
 def _integer_grid(grid) -> tuple:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
-from .tensor import (TensorOperator, _make, _row_times, flatten_index, multi_indices,
+from .tensor import (TensorOperator, _fixes_rows, _make, flatten_index, multi_indices,
                      swap_operator)
 
 
@@ -296,18 +296,11 @@ def sl2_brackets() -> dict:
 # --- predicates ---------------------------------------------------------------
 
 def is_idempotent(E: TensorOperator) -> bool:
-    """E E = E, decided on integers without building a Fraction.
-
-    With E's entries read as numerators n_ij over its denominator d
-    (``TensorOperator.num`` and ``den``), row i of E E is
-    sum_k n_ik n_k / d^2; so E is idempotent iff that integer sum equals
-    d n_i for every row i.
-    """
+    """E E = E, decided on integers: with E read as numerators num over its
+    denominator d, every row n_i of num satisfies n_i num = d n_i."""
     if not E.square:
         raise ValueError("idempotency needs a square operator")
-    num, den = E.num, E.den
-    return all(_row_times(row, num) == {j: den * x for j, x in row.items()}
-               for row in num.values())
+    return _fixes_rows(E.num.values(), E.num, E.den)
 
 
 def make_idempotent(R: QMatrix) -> TensorOperator:

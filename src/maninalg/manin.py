@@ -6,24 +6,27 @@ entry of the defect must lie in the degree-2 relation span.  The universal
 relations (the presentation of the right quantum algebra U_{A,B}) are built
 by applying the same defect to the generator matrix.
 
-Every Manin decision goes through one integer kernel, ``defect_rows``: it
-reads each entry of M once as a word-index vector, forms the entries of
-M^{(1)} M^{(2)} by index arithmetic and multiplies by the integer rows of A
-and the integer columns of 1 - B, which each ``ManinPair`` keeps.  Its rows
-are the defect entries up to nonzero factors, which change neither a span
-nor a membership, so ``is_manin``, ``product_is_manin`` and
+Every Manin decision goes through ``defect_rows``: it reads each entry of M
+once as a word-index vector and forms the entries of M^{(1)} M^{(2)} by
+index arithmetic.  The defect is the k = 2 case of the minor operator
+T M^{(1)}...M^{(k)} T~, so A and 1 - B are applied by the same integer grid
+kernel as the minors (``freealg._grid_times``).  Its rows are the defect
+entries up to nonzero factors, which change neither a span nor a
+membership, so ``is_manin``, ``product_is_manin`` and
 ``universal_relations`` stay exact without building a polynomial or a
 Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .freealg import (NCPoly, generator_matrix, matrix_gen, poly_grid_product,
-                      poly_mat_mul, poly_mat_sub, poly_mat_transpose, word_index)
+from .freealg import (NCPoly, _grid_times, generator_matrix, matrix_gen,
+                      poly_grid_product, poly_mat_mul, poly_mat_sub,
+                      poly_mat_transpose, word_index)
 from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
@@ -35,15 +38,12 @@ from .tensor import TensorOperator, compose_chain, swap_operator
 
 @dataclass(frozen=True)
 class ManinPair:
-    """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B
-    and ``complement_columns`` its columns as integer numerators over its
-    denominator: column -> {row: numerator} (``TensorOperator.num`` of the
-    transpose)."""
+    """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B,
+    built once, since every defect multiplies by it."""
 
     A: TensorOperator
     B: TensorOperator
     complement: TensorOperator = field(init=False, repr=False, compare=False)
-    complement_columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for op in (self.A, self.B):
@@ -51,10 +51,8 @@ class ManinPair:
                 raise ValueError("Manin pairs take arity-2 square operators")
             if not is_idempotent(op):
                 raise ValueError("Manin pairs take idempotents")
-        complement = TensorOperator.identity(self.m, 2) - self.B
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "complement_columns",
-                           complement.transpose().num)
+        object.__setattr__(self, "complement",
+                           TensorOperator.identity(self.m, 2) - self.B)
 
     @property
     def n(self) -> int:
@@ -90,14 +88,14 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
     Every entry of M must be homogeneous of ``degree`` (zero entries are
     fine); then an entry with words a and b of M^{(1)} M^{(2)} is
     {a * g^degree + b: c1 * c2}.  The arithmetic runs on integers: M's
-    entries are brought to one common denominator D, the rows of A are read
-    as integer numerators over A's denominator d (``TensorOperator.num``)
-    and the columns of 1 - B over its denominator e
-    (``complement_columns``).  So the row returned for entry (r, s) is the
-    true entry times D^2 * d * e, a nonzero factor.  Scaling by nonzero factors changes
-    neither the span of the rows nor whether each lies in a subspace, which
-    is all that a Manin check and a relation span read from them: the
-    result is exact.  Zero entries are left out.
+    entries are brought to one common denominator D, and the chain is an
+    integer grid, so A and 1 - B are applied by the grid kernel of
+    ``poly_grid_product`` (``freealg._grid_times``) as integer rows over
+    their denominators d and e.  So the row returned for entry (r, s) is
+    the true entry times D^2 * d * e, a nonzero factor.  Scaling by nonzero
+    factors changes neither the span of the rows nor whether each lies in a
+    subspace, which is all that a Manin check and a relation span read from
+    them: the result is exact.  Zero entries are left out.
     """
     for row in M:
         for e in row:
@@ -119,23 +117,11 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
     chain = [[{a * shift + b: c1 * c2 for a, c1 in x.items() for b, c2 in y.items()}
               for x in entries[i1 * m:(i1 + 1) * m] for y in entries[i2 * m:(i2 + 1) * m]]
              for i1 in range(n) for i2 in range(n)]
-    columns = pair.complement_columns
-    out = []
-    for arow in pair.A.num.values():
-        left = [{} for _ in range(m * m)]
-        for k, a in arow.items():
-            for acc, x in zip(left, chain[k]):
-                for w, c in x.items():
-                    acc[w] = acc[w] + a * c if w in acc else a * c
-        for col in columns.values():
-            acc = {}
-            for t, b in col.items():
-                for w, c in left[t].items():
-                    acc[w] = acc[w] + b * c if w in acc else b * c
-            row = {w: c for w, c in acc.items() if c}
-            if row:
-                out.append(row)
-    return out
+    _, grid = _grid_times(chain, pair.A, pair.complement)
+    # an entry is rebuilt only when it holds a zero term
+    return [row for grid_row in grid for entry in grid_row
+            if (row := {w: c for w, c in entry.items() if c}
+                if 0 in entry.values() else entry)]
 
 
 def _in_ideal(rows, ambient: PresentedAlgebra, degree: int) -> bool:
@@ -276,39 +262,32 @@ def bracket(x: NCPoly, y: NCPoly) -> NCPoly:
 
 def orthogonal_pair_relations(n: int, m: int, symbol: str = "M") -> list:
     """The (A_n, B_m) relations with the central element eliminated:
-    [M^i_k, M^j_l] + [M^i_l, M^j_k] = delta_{k+l,m+1} Lambda^{ij},
-    Lambda^{ij} = [M^i_1, M^j_m] + [M^i_m, M^j_1]."""
-    M = generator_matrix(symbol, n, m)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lam = bracket(M[i - 1][0], M[j - 1][m - 1]) + \
-                bracket(M[i - 1][m - 1], M[j - 1][0])
-            for k in range(1, m + 1):
-                for l in range(k, m + 1):
-                    p = bracket(M[i - 1][k - 1], M[j - 1][l - 1]) + \
-                        bracket(M[i - 1][l - 1], M[j - 1][k - 1])
-                    if k + l == m + 1:
-                        p = p - lam
-                    out.append(p)
-    return out
+    p^{ij}_{kl} = delta_{k+l,m+1} Lambda^{ij}, Lambda^{ij} = p^{ij}_{1m}
+    (``_eliminated_relations``)."""
+    return _eliminated_relations(
+        n, m, symbol, lambda i, j, k, l: (i, j, 1, m) if k + l == m + 1 else None)
 
 
 def symplectic_pair_relations(n: int, m: int, symbol: str = "M") -> list:
     """The (B~_n, A_m) relations with the central element eliminated:
-    [M^i_k, M^j_l] + [M^i_l, M^j_k] = delta_{i+j,n+1} Lambda~_{kl},
-    Lambda~_{kl} = [M^1_k, M^n_l] + [M^1_l, M^n_k]."""
+    p^{ij}_{kl} = delta_{i+j,n+1} Lambda~_{kl}, Lambda~_{kl} = p^{1n}_{kl}
+    (``_eliminated_relations``)."""
+    return _eliminated_relations(
+        n, m, symbol, lambda i, j, k, l: (1, n, k, l) if i + j == n + 1 else None)
+
+
+def _eliminated_relations(n: int, m: int, symbol: str, central) -> list:
+    """p^{ij}_{kl} = [M^i_k, M^j_l] + [M^i_l, M^j_k] for i < j and k <= l,
+    less p at the indices central(i, j, k, l) where that is not None."""
     M = generator_matrix(symbol, n, m)
+
+    @functools.cache  # each central term serves several relations
+    def p(i, j, k, l):
+        return bracket(M[i - 1][k - 1], M[j - 1][l - 1]) + \
+            bracket(M[i - 1][l - 1], M[j - 1][k - 1])
     out = []
-    for k in range(1, m + 1):
-        for l in range(k, m + 1):
-            lam = bracket(M[0][k - 1], M[n - 1][l - 1]) + \
-                bracket(M[0][l - 1], M[n - 1][k - 1])
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    p = bracket(M[i - 1][k - 1], M[j - 1][l - 1]) + \
-                        bracket(M[i - 1][l - 1], M[j - 1][k - 1])
-                    if i + j == n + 1:
-                        p = p - lam
-                    out.append(p)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for k, l in itertools.combinations_with_replacement(range(1, m + 1), 2):
+            c = central(i, j, k, l)
+            out.append(p(i, j, k, l) if c is None else p(i, j, k, l) - p(*c))
     return out

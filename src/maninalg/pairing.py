@@ -25,14 +25,14 @@ from math import factorial, lcm
 
 from .idempotents import (InvalidParameter, check_parameter_matrix,
                           fourparam_idempotent, hecke_minus, hecke_r_matrix,
-                          orthogonal_idempotent, parameterized_antisymmetrizer,
-                          rank_one_contraction, symplectic_idempotent,
-                          twisted_rank_one_contraction)
+                          is_idempotent, orthogonal_idempotent,
+                          parameterized_antisymmetrizer, rank_one_contraction,
+                          symplectic_idempotent, twisted_rank_one_contraction)
 from .linalg import ONE, ZERO, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, _canonical, _row_times, check_budget, embed,
-                     embed_pair, flatten_index, multi_indices, swap_operator)
+from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, check_budget,
+                     embed, embed_pair, flatten_index, multi_indices, swap_operator)
 
 DEFAULT_GROUP_CAP = 100000
 
@@ -80,17 +80,19 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     covectors of the left one, both as integer rows, the operator is
     sum_a v_a w_a over the covectors w_a dual to the v_a (w_a v_c = 1 if
     a = c, else 0).  One integer echelon gives them: the rows
-    [G_b | xi_b] with G_b[a] = xi_b v_a, fully reduced, have one lead in
-    each of the first d columns exactly when the Gram matrix G is
-    invertible, and the row with lead a < d is then c_a (e_a | w_a) for a
-    positive integer c_a.  With den = lcm(c_a) the operator is the integer
-    rows sum_a v_a (den / c_a) (c_a w_a) over den.  Returns NotExists
+    [G_b | xi_b] with G_b = xi_b V^T (V having the rows v_a), fully
+    reduced, have one lead in each of the first d columns exactly when the
+    Gram matrix G is invertible, and the row with lead a < d is then
+    c_a (e_a | w_a) for a positive integer c_a.  With den = lcm(c_a) the
+    operator is V^T W over den, W having the rows (den / c_a) (c_a w_a).
+    ``_row_times`` forms every row of G and of V^T W.  Returns NotExists
     naming the failing condition when the dimensions differ or the natural
-    pairing is degenerate.
+    pairing is degenerate.  E must be an idempotent.
     """
     n = E.row_dim
     if k < 1:
         raise ValueError("arity starts at 1")
+    _check_idempotent(E)
     if k == 1:
         return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1), "generic")
     right, left = component_subspaces(E, k, kind)
@@ -100,35 +102,31 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     d = right.dim
     if d == 0:
         return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
-    vs = list(right.rows.values())
+    # V^T: column i of V, the rows v_a, as {a: v_a[i]}
+    columns = {}
+    for a, v in enumerate(right.rows.values()):
+        for i, x in v.items():
+            columns.setdefault(i, {})[a] = x
     ech = SparseEchelon()
     for xi in left.rows.values():
-        row = {a: g for a, v in enumerate(vs) if (g := _dot(xi, v))}
-        row.update((d + j, x) for j, x in xi.items())
-        ech.insert(row)
+        ech.insert({**_row_times(xi, columns), **{d + j: x for j, x in xi.items()}})
     duals = ech.reduced_integer_rows()
     gram_rank = sum(lead < d for lead in duals)
     if gram_rank < d:
         return NotExists(kind, k, "degenerate natural pairing",
                          {"dim": d, "gram_rank": gram_rank})
     den = lcm(*(row[a] for a, row in duals.items()))
-    out = {}
-    for v, (a, row) in zip(vs, duals.items()):
+    ws = {}
+    for a, row in duals.items():
         m = den // row[a]
-        w = [(j - d, m * x) for j, x in row.items() if j != a]
-        for i, vi in v.items():
-            acc = out.setdefault(i, {})
-            for j, x in w:
-                acc[j] = acc[j] + vi * x if j in acc else vi * x
-    num = {i: row for i, acc in out.items()
-           if (row := {j: x for j, x in acc.items() if x})}
+        ws[a] = {j - d: m * x for j, x in row.items() if j != a}
+    num = {i: row for i, col in columns.items() if (row := _row_times(col, ws))}
     return PairingOperator(kind, k, E, _canonical(n, n, k, num, den), "generic")
 
 
-def _dot(a: dict, b: dict) -> int:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(x * b[j] for j, x in a.items() if j in b)
+def _check_idempotent(E: TensorOperator):
+    if E.arity != 2 or not E.square or not is_idempotent(E):
+        raise InvalidParameter("pairing operators are defined for arity-2 idempotents")
 
 
 # --- group average -------------------------------------------------------------
@@ -145,10 +143,13 @@ def group_average(E: TensorOperator, k: int, kind: str,
 
     P = 1 - 2E must satisfy the braid relation; the closure of the group
     generated by (+P)^{(a,a+1)} (kind S) or (-P)^{(a,a+1)} (kind A) is
-    enumerated with a cap and averaged.
+    enumerated with a cap and averaged.  E must be an idempotent; then P is
+    an involution, so the group is a quotient of S_k and the cap binds only
+    when k! exceeds it.
     """
     if k < 1:
         raise ValueError("arity starts at 1")
+    _check_idempotent(E)
     n = E.row_dim
     P = TensorOperator.identity(n, 2) - E.scale(2)
     if not braid_relation_holds(P):
@@ -484,19 +485,10 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
 
 def fixes_subspaces(op: TensorOperator, right, left) -> bool:
     """op pi = pi for every basis vector pi of the Subspace right, and
-    xi op = xi for every basis covector xi of left.
-
-    With op read as numerators num over den, xi op = xi is the integer
-    identity xi num = den xi, checked on the integer basis rows; op pi = pi
-    is the same identity for the transpose.
-    """
-    den = op.den
-
-    def fixed(vectors, num):
-        return all(_row_times(v, num) == {j: den * x for j, x in v.items()}
-                   for v in vectors)
-    return (fixed(right.rows.values(), op.transpose().num)
-            and fixed(left.rows.values(), op.num))
+    xi op = xi for every basis covector xi of left: xi num = den xi on the
+    integer basis rows, and the same for the transpose."""
+    return (_fixes_rows(right.rows.values(), op.transpose().num, op.den)
+            and _fixes_rows(left.rows.values(), op.num, op.den))
 
 
 def corrupt(p: PairingOperator, row: int = 0, col: int = 0) -> PairingOperator:

@@ -42,9 +42,10 @@ class ScenarioReport:
 
 
 def orthogonal_dim_formula(n: int, k: int) -> int:
-    """((n + 2k - 2) / k) C(n + k - 3, k - 1)."""
-    if k == 0:
-        return 1
+    """((n + 2k - 2) / k) C(n + k - 3, k - 1); n^k for k < 2, where the
+    binomial is 1 but n = 1 would give it a negative top."""
+    if k < 2:
+        return n ** k
     value = Fraction(n + 2 * k - 2, k) * comb(n + k - 3, k - 1)
     return int(value)
 

@@ -304,6 +304,12 @@ def _row_times(v: dict, num: dict) -> dict:
     return {j: x for j, x in acc.items() if x}
 
 
+def _fixes_rows(rows, num: dict, den: int) -> bool:
+    """v num == den v for every integer row v of rows: each v is fixed by
+    the operator num / den acting on the right."""
+    return all(_row_times(v, num) == {j: den * x for j, x in v.items()} for v in rows)
+
+
 def _sum(a: TensorOperator, b: TensorOperator, sign: int) -> TensorOperator:
     """a + sign * b, with the numerators of both brought to lcm(a.den, b.den)."""
     den = lcm(a.den, b.den)

@@ -143,6 +143,15 @@ def test_minor_command(run, tmp_path):
     assert doc["entries"][1][1] == "1/2*a*d - 1/2*c*b"
 
 
+def test_scenario_bcd_b1(run):
+    # B_1 takes k = 1 of the dimension formula, whose binomial C(n - 2, 0)
+    # has a negative top there
+    code, doc = run("scenario", "bcd", "--family", "B", "--n", "1")
+    assert code == 0 and doc["pass"]
+    assert doc["scenario"] == "bcd-B1"
+    assert doc["data"] == {"X_dims": [1, 1, 0, 0], "rank": 1}
+
+
 def test_scenario_commands(run, tmp_path):
     code, doc = run("scenario", "bcd", "--family", "D", "--n", "2")
     assert code == 0 and doc["pass"]
@@ -169,6 +178,12 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["catalog", "--spec", str(bad)]) == 2
     capsys.readouterr()
+
+
+# Custom sources with E E != E: the pairing routes must refuse them at once
+NON_IDEMPOTENT_N2 = ('{"family": "Custom", "n": 2, "params": {"matrix": [["2", "0", "0", "0"], '
+                     '["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]}}')
+NON_IDEMPOTENT_N1 = '{"family": "Custom", "n": 1, "params": {"matrix": [["2"]]}}'
 
 
 # Each row: argv (SPEC stands for a spec file holding spec_text), the spec
@@ -225,6 +240,14 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
       "--method", "brauer"], None, "give B_n kind S, not A"),
     (["pairing", "--family", "Btilde_n", "--n", "4", "--k", "2", "--kind", "S",
       "--method", "brauer"], None, "give Btilde_n kind A, not S"),
+    (["pairing", "--spec", "SPEC", "--k", "2", "--kind", "S", "--method", "generic"],
+     NON_IDEMPOTENT_N2, "idempotents"),
+    (["pairing", "--spec", "SPEC", "--k", "2", "--kind", "S", "--method", "group"],
+     NON_IDEMPOTENT_N2, "idempotents"),
+    (["pairing", "--spec", "SPEC", "--k", "2", "--kind", "S", "--method", "generic"],
+     NON_IDEMPOTENT_N1, "idempotents"),
+    (["pairing", "--spec", "SPEC", "--k", "2", "--kind", "S", "--method", "group"],
+     NON_IDEMPOTENT_N1, "idempotents"),
     (["minor", "--pair", "SPEC", "--matrix", "unused", "--k", "2", "--kind", "A"],
      '[1, 2]', "JSON object with keys 'A' and 'B'"),
     (["manin-check", "--pair", "SPEC", "--matrix", "unused", "--relations", "unused"],
@@ -252,6 +275,8 @@ def test_bad_json_is_input_error(run, tmp_path, capsys):
         "pairing-generic-k0", "pairing-group-k0", "pairing-hecke-k0",
         "pairing-hecke-negative-k", "pairing-brauer-k0", "pairing-closed-k0",
         "pairing-brauer-so-kind-A", "pairing-brauer-sp-kind-S",
+        "pairing-generic-non-idempotent-n2", "pairing-group-non-idempotent-n2",
+        "pairing-generic-non-idempotent-n1", "pairing-group-non-idempotent-n1",
         "pair-is-a-list", "pair-is-a-string", "pair-without-B",
         "qhat-holds-booleans", "fourparam-kappa-is-a-boolean", "q-is-a-boolean",
         "unused-q", "unused-q-zero-denominator", "unknown-params-key"])
@@ -330,14 +355,12 @@ def test_unknown_suite_is_input_error(capsys):
     capsys.readouterr()
 
 
-def test_group_cap_is_input_error(tmp_path, capsys, monkeypatch):
-    # E = (2) on one generator gives P = 1 - 2E = (-3), whose powers never
-    # close; a lowered cap makes the refusal quick
+def test_group_cap_is_input_error(capsys, monkeypatch):
+    # the signed flips of A_2 generate S_5 (120 elements) at k = 5; a cap
+    # lowered to 50 makes the refusal quick
     monkeypatch.setattr(cli, "group_average",
                         functools.partial(pairing.group_average, cap=50))
-    spec = tmp_path / "spec.json"
-    spec.write_text('{"family": "Custom", "n": 1, "params": {"matrix": [["2"]]}}')
-    assert main(["pairing", "--spec", str(spec), "--k", "2", "--kind", "S",
+    assert main(["pairing", "--family", "A_n", "--n", "2", "--k", "5", "--kind", "S",
                  "--method", "group"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

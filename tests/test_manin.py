@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from maninalg.manin import (ManinPair, cross_commutators, defect_rows, is_manin,
                             double_manin_matches_commutators,
                             rll_matches_double_qmanin,
                             submatrix, transport, universal_relations)
+from maninalg.minors import minor_operator
 from maninalg.permutations import Perm
 from maninalg.suites import catalog_instances
 from maninalg.tensor import TensorOperator
@@ -286,6 +288,35 @@ def test_is_manin_matches_the_ncpoly_defect():
 
     check()
     assert verdicts == {True, False}
+
+
+def test_defect_rows_are_the_minor_operator_at_k2():
+    """The defect is the k = 2 minor operator A M^(1) M^(2) (1 - B), so both
+    go through one grid kernel: defect_rows lists its nonzero entries in
+    row-major order as word-index rows, each times D^2 * d * e (D the common
+    denominator of M, d and e those of A and 1 - B)."""
+    @settings(max_examples=60, deadline=None)
+    @given(manin_cases())
+    def check(case):
+        pair, M, ambient = case
+        g = len(ambient.gens)
+        D = lcm(*(c.denominator for row in M for e in row for c in e.terms.values()))
+        scale = D * D * pair.A.den * pair.complement.den
+        minor = minor_operator(pair.A, pair.complement, M, 2)
+        want = [{w: c * scale for w, c in sparse_coords(e, 2, ambient.gen_pos, g).items()}
+                for row in minor.entries for e in row if e]
+        assert all(c.denominator == 1 for row in want for c in row.values())
+        assert defect_rows(pair, M, 1, ambient.gen_pos) == want
+
+    check()
+
+
+def test_manin_pair_keeps_one_layout_of_the_complement():
+    """1 - B is kept once, as an operator; its columns are not stored beside it."""
+    pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(3))
+    assert pair.complement == TensorOperator.identity(3, 2) - pair.B
+    assert "complement_columns" not in ManinPair.__dataclass_fields__
+    assert not hasattr(pair, "complement_columns")
 
 
 def test_product_is_manin_matches_the_ncpoly_defect():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from maninalg.idempotents import sl2_brackets
+from maninalg.idempotents import orthogonal_idempotent, sl2_brackets
+from maninalg.quadratic import QuadAlgebra, dimension_table
 from maninalg.scenarios import (bcd_report, fourparam_report, lie_seed,
                                 orthogonal_dim_formula, symplectic_dim_formula)
 
@@ -47,6 +48,12 @@ def test_parities_enforced():
 def test_dim_formulas():
     assert [orthogonal_dim_formula(3, k) for k in range(4)] == [1, 3, 5, 7]
     assert [symplectic_dim_formula(4, k) for k in range(4)] == [1, 4, 5, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orthogonal_dim_formula_matches_dimension_table(n):
+    alg = QuadAlgebra(orthogonal_idempotent(n), "X")
+    assert [orthogonal_dim_formula(n, k) for k in range(4)] == dimension_table(alg, 3)
 
 
 def test_fourparam_single_condition_branch():
