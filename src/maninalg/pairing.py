@@ -31,8 +31,8 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
 from .linalg import ONE, ZERO, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, check_budget,
-                     embed, embed_pair, flatten_index, multi_indices, swap_operator)
+from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, _transpose,
+                     check_budget, embed, flatten_index, multi_indices, swap_operator)
 
 DEFAULT_GROUP_CAP = 100000
 
@@ -54,8 +54,12 @@ class PairingOperator:
     provenance: str
 
     def __post_init__(self):
-        if self.kind not in ("S", "A"):
-            raise ValueError("kind must be 'S' or 'A'")
+        _check_kind(self.kind)
+
+
+def _check_kind(kind: str):
+    if kind not in ("S", "A"):
+        raise ValueError("kind must be 'S' or 'A'")
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     pairing is degenerate.  E must be an idempotent.
     """
     n = E.row_dim
+    _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
     _check_idempotent(E)
@@ -103,10 +108,7 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     if d == 0:
         return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
     # V^T: column i of V, the rows v_a, as {a: v_a[i]}
-    columns = {}
-    for a, v in enumerate(right.rows.values()):
-        for i, x in v.items():
-            columns.setdefault(i, {})[a] = x
+    columns = _transpose(enumerate(right.rows.values()))
     ech = SparseEchelon()
     for xi in left.rows.values():
         ech.insert({**_row_times(xi, columns), **{d + j: x for j, x in xi.items()}})
@@ -132,8 +134,7 @@ def _check_idempotent(E: TensorOperator):
 # --- group average -------------------------------------------------------------
 
 def braid_relation_holds(P: TensorOperator) -> bool:
-    b1 = embed(P, 3, 1)
-    b2 = embed(P, 3, 2)
+    b1, b2 = _placements(P, 3)
     return b1 * b2 * b1 == b2 * b1 * b2
 
 
@@ -147,6 +148,7 @@ def group_average(E: TensorOperator, k: int, kind: str,
     an involution, so the group is a quotient of S_k and the cap binds only
     when k! exceeds it.
     """
+    _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
     _check_idempotent(E)
@@ -158,7 +160,7 @@ def group_average(E: TensorOperator, k: int, kind: str,
         return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1),
                                "group_average")
     signed = P if kind == "S" else -P
-    gens = [embed(signed, k, a) for a in range(1, k)]
+    gens = list(_placements(signed, k))
     identity = TensorOperator.identity(n, k)
     seen = {identity: None}
     frontier = [identity]
@@ -198,6 +200,7 @@ def q_factorial(k: int, q: Fraction) -> Fraction:
 def hecke_pairing(q, n: int, k: int, kind: str) -> PairingOperator:
     """S_(k) / A_(k) for the idempotent R^(hat)_- via the q-symmetrizer
     recursion; the base case k = 2 returns the R-matrix split itself."""
+    _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
     q = rat(q)
@@ -244,14 +247,11 @@ def hecke_basis_change(n: int, k: int, q) -> TensorOperator:
 # --- Brauer products -----------------------------------------------------------
 
 def jucys_murphy(n: int, k: int, b: int, twisted: bool) -> TensorOperator:
-    """Y_b = sum_{a<b} (P^{(ab)} - Q^{(ab)}) or its symplectic twin
-    Y~_b = -sum_{a<b} (P^{(ab)} - Q~^{(ab)})."""
+    """Y_b = sum_{a<b} (P - Q)^{(ab)} or its symplectic twin
+    Y~_b = sum_{a<b} (Q~ - P)^{(ab)}."""
     P = swap_operator(n)
-    Q = twisted_rank_one_contraction(n) if twisted else rank_one_contraction(n)
-    total = TensorOperator.zero(n, k)
-    for a in range(1, b):
-        total = total + embed_pair(P, k, a, b) - embed_pair(Q, k, a, b)
-    return -total if twisted else total
+    diff = twisted_rank_one_contraction(n) - P if twisted else P - rank_one_contraction(n)
+    return sum((embed(diff, k, (a, b)) for a in range(1, b)), TensorOperator.zero(n, k))
 
 
 def brauer_pairing(family: str, n: int, k: int) -> PairingOperator:
@@ -291,6 +291,7 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     S-entries on rearrangements of a weakly increasing I:
     (nu_I / k!) mu(q_II, sigma) / mu(q_II, tau).
     """
+    _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
     rows = check_parameter_matrix(qhat)
@@ -306,7 +307,7 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
                 tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
                 weights[flatten_index(tup, n)] = (sigma.sign(), mu_of_rows(qII, sigma))
             blocks.append((1, weights))
-    elif kind == "S":
+    else:
         for I in itertools.combinations_with_replacement(range(1, n + 1), k):
             qII = [[rows[a - 1][b - 1] for b in I] for a in I]
             weights = {}
@@ -315,8 +316,6 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
                 if pos not in weights:
                     weights[pos] = (1, mu_of_rows(qII, sigma))
             blocks.append((stabilizer_order(I), weights))
-    else:
-        raise ValueError("kind must be 'S' or 'A'")
     return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
 
 
@@ -436,21 +435,15 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     k = p.arity
     op = p.operator
     killer = E if p.kind == "S" else TensorOperator.identity(n, 2) - E
-    report = {}
-    ann = True
-    for a in range(1, k):
-        emb = embed(killer, k, a)
-        if not (emb * op).is_zero() or not (op * emb).is_zero():
-            ann = False
-            break
-    report["annihilation"] = ann
+    report = {"annihilation": _kills(killer, op)}
 
     right, left = component_subspaces(E, k, p.kind)
     report["fixed_vectors"] = fixes_subspaces(op, right, left)
 
     # annihilation puts every column of op in right and the fixed vectors
     # make op the identity there, which together give op op = op
-    report["idempotent"] = (ann and report["fixed_vectors"]) or (op * op) == op
+    report["idempotent"] = ((report["annihilation"] and report["fixed_vectors"])
+                            or (op * op) == op)
 
     if partner is not None and k >= 2:
         if partner.kind == p.kind or partner.arity != k:
@@ -461,26 +454,30 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     else:
         report["orthogonality"] = None
 
-    if lower:
-        nest = True
-        for q in lower:
-            ell = q.arity
-            if ell >= k:
-                continue
-            for a in range(1, k - ell + 2):
-                emb = embed(q.operator, k, a)
-                if q.kind == p.kind:
-                    if emb * op != op or op * emb != op:
-                        nest = False
-                elif ell >= 2:
-                    if not (emb * op).is_zero() or not (op * emb).is_zero():
-                        nest = False
-        report["nesting"] = nest
-    else:
-        report["nesting"] = None
+    # op absorbs the windows of a lower operator of the same kind and is
+    # killed by those of the other kind, except at arity 1
+    report["nesting"] = all(
+        _absorbs(q.operator, op) if q.kind == p.kind else _kills(q.operator, op)
+        for q in lower if q.arity < k and (q.kind == p.kind or q.arity >= 2)
+    ) if lower else None
 
     report["pass"] = all(v for v in report.values() if v is not None)
     return report
+
+
+def _placements(q: TensorOperator, k: int):
+    """q embedded at every window of adjacent legs of the k-th power."""
+    return (embed(q, k, a) for a in range(1, k - q.arity + 2))
+
+
+def _kills(q: TensorOperator, op: TensorOperator) -> bool:
+    """Every window of q annihilates op from both sides."""
+    return all((e * op).is_zero() and (op * e).is_zero() for e in _placements(q, op.arity))
+
+
+def _absorbs(q: TensorOperator, op: TensorOperator) -> bool:
+    """Every window of q leaves op unchanged from both sides."""
+    return all(e * op == op and op * e == op for e in _placements(q, op.arity))
 
 
 def fixes_subspaces(op: TensorOperator, right, left) -> bool:

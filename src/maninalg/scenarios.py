@@ -23,7 +23,7 @@ from .manin import (ManinPair, orthogonal_pair_relations,
 from .pairing import (NotExists, fourparam_A3, fourparam_conditions,
                       fourparam_xi3_dimension, verify_axioms)
 from .quadratic import QuadAlgebra, dimension_table, graded_dimension
-from .tensor import TensorOperator, embed, flatten_index
+from .tensor import embed, flatten_index
 
 
 @dataclass
@@ -77,58 +77,43 @@ def bcd_report(family: str, n: int) -> ScenarioReport:
     report = ScenarioReport(f"bcd-{family}{n}")
     A = antisymmetrizer(n)
     P = swap_operator(n)
-    one = TensorOperator.identity(n, 2)
     if family in ("B", "D"):
-        Q = rank_one_contraction(n)
-        E = orthogonal_idempotent(n)
-        report.checks["Q_squares_to_nQ"] = (Q * Q) == Q.scale(n)
-        report.checks["PQ_eq_QP_eq_Q"] = (P * Q) == Q and (Q * P) == Q
-        q12, q23, p12, p23 = (embed(Q, 3, 1), embed(Q, 3, 2),
-                              embed(P, 3, 1), embed(P, 3, 2))
-        report.checks["QQQ_eq_Q"] = q12 * q23 * q12 == q12
-        report.checks["PQQ_transport"] = p12 * q23 * q12 == p23 * q12
-        uni = universal_relations(ManinPair(A, E))
-        elim = span_of_polys(orthogonal_pair_relations(n, n), uni.gens, 2)
-        report.checks["eliminated_form_matches"] = uni.space == elim
-        plain = universal_relations(ManinPair(A, A))
-        both = universal_relations(ManinPair(E, E))
-        report.checks["plain_pair_implies"] = plain.space.contains_space(uni.space)
-        report.checks["full_pair_implies"] = both.space.contains_space(uni.space)
-        dims = dimension_table(QuadAlgebra(E, "X"), 3)
-        report.data["X_dims"] = dims
-        report.checks["X_dims_formula"] = dims == [
-            orthogonal_dim_formula(n, k) for k in range(4)]
-        if n == 2:
-            d_crit = span_of_polys(
-                [NCPoly({(matrix_gen("M", 1, 1), matrix_gen("M", 2, 1)): 1,
-                         (matrix_gen("M", 2, 1), matrix_gen("M", 1, 1)): -1}),
-                 NCPoly({(matrix_gen("M", 1, 2), matrix_gen("M", 2, 2)): 1,
-                         (matrix_gen("M", 2, 2), matrix_gen("M", 1, 2)): -1})],
-                uni.gens, 2)
-            report.checks["two_by_two_criterion"] = uni.space == d_crit
+        Q, E, sign, variant = rank_one_contraction(n), orthogonal_idempotent(n), 1, "X"
+        pair = ManinPair(A, E)
+        relations, formula = orthogonal_pair_relations, orthogonal_dim_formula
     else:
-        Qt = twisted_rank_one_contraction(n)
-        E = symplectic_idempotent(n)
-        report.checks["Q_squares_to_nQ"] = (Qt * Qt) == Qt.scale(n)
-        report.checks["PQ_eq_QP_eq_minusQ"] = (P * Qt) == -Qt and (Qt * P) == -Qt
-        q12, q23, p12, p23 = (embed(Qt, 3, 1), embed(Qt, 3, 2),
-                              embed(P, 3, 1), embed(P, 3, 2))
-        report.checks["QQQ_eq_Q"] = q12 * q23 * q12 == q12
-        report.checks["PQQ_transport"] = p12 * q23 * q12 == -(p23 * q12)
-        uni = universal_relations(ManinPair(E, A))
-        elim = span_of_polys(symplectic_pair_relations(n, n), uni.gens, 2)
-        report.checks["eliminated_form_matches"] = uni.space == elim
-        plain = universal_relations(ManinPair(A, A))
-        both = universal_relations(ManinPair(E, E))
-        report.checks["plain_pair_implies"] = plain.space.contains_space(uni.space)
-        report.checks["full_pair_implies"] = both.space.contains_space(uni.space)
-        dims = dimension_table(QuadAlgebra(E, "Xi"), 3)
-        report.data["Xi_dims"] = dims
-        report.checks["Xi_dims_formula"] = dims == [
-            symplectic_dim_formula(n, k) for k in range(4)]
-        if n == 2:
-            report.checks["relations_vanish"] = uni.dim == 0
-            report.data["relation_dim"] = uni.dim
+        Q, E, sign, variant = (twisted_rank_one_contraction(n), symplectic_idempotent(n),
+                               -1, "Xi")
+        pair = ManinPair(E, A)
+        relations, formula = symplectic_pair_relations, symplectic_dim_formula
+    report.checks["Q_squares_to_nQ"] = (Q * Q) == Q.scale(n)
+    report.checks["PQ_eq_QP_eq_Q" if sign > 0 else "PQ_eq_QP_eq_minusQ"] = \
+        (P * Q) == Q.scale(sign) and (Q * P) == Q.scale(sign)
+    q12, q23, p12, p23 = (embed(Q, 3, 1), embed(Q, 3, 2),
+                          embed(P, 3, 1), embed(P, 3, 2))
+    report.checks["QQQ_eq_Q"] = q12 * q23 * q12 == q12
+    report.checks["PQQ_transport"] = p12 * q23 * q12 == (p23 * q12).scale(sign)
+    uni = universal_relations(pair)
+    elim = span_of_polys(relations(n, n), uni.gens, 2)
+    report.checks["eliminated_form_matches"] = uni.space == elim
+    plain = universal_relations(ManinPair(A, A))
+    both = universal_relations(ManinPair(E, E))
+    report.checks["plain_pair_implies"] = plain.space.contains_space(uni.space)
+    report.checks["full_pair_implies"] = both.space.contains_space(uni.space)
+    dims = dimension_table(QuadAlgebra(E, variant), 3)
+    report.data[f"{variant}_dims"] = dims
+    report.checks[f"{variant}_dims_formula"] = dims == [formula(n, k) for k in range(4)]
+    if n == 2 and sign > 0:
+        d_crit = span_of_polys(
+            [NCPoly({(matrix_gen("M", 1, 1), matrix_gen("M", 2, 1)): 1,
+                     (matrix_gen("M", 2, 1), matrix_gen("M", 1, 1)): -1}),
+             NCPoly({(matrix_gen("M", 1, 2), matrix_gen("M", 2, 2)): 1,
+                     (matrix_gen("M", 2, 2), matrix_gen("M", 1, 2)): -1})],
+            uni.gens, 2)
+        report.checks["two_by_two_criterion"] = uni.space == d_crit
+    elif n == 2:
+        report.checks["relations_vanish"] = uni.dim == 0
+        report.data["relation_dim"] = uni.dim
     report.data["rank"] = int(E.trace())
     report.checks["idempotent"] = is_idempotent(E)
     return report

@@ -21,9 +21,9 @@ from .minors import (a_minor, col_permuted, det_qhat, inversion_parameter_produc
                      perm_qhat, row_permuted, verify_identity,
                      verify_matrix_identity)
 from .pairing import (BraidRelationFailed, GroupEnumerationExceeded, NotExists,
-                      PairingOperator, brauer_pairing, closed_form_multiparam,
-                      corrupt, fourparam_A3, generic_pairing, group_average,
-                      hecke_basis_change, hecke_pairing, q_factorial,
+                      PairingOperator, braid_relation_holds, brauer_pairing,
+                      closed_form_multiparam, corrupt, fourparam_A3, generic_pairing,
+                      group_average, hecke_basis_change, hecke_pairing, q_factorial,
                       verify_axioms)
 from .permutations import (NonReducedWord, all_perms, inv,
                            inversion_set_from_reduced_word, stabilizer_order)
@@ -89,9 +89,7 @@ def check_catalog():
 # ---------------------------------------------------------------------------
 
 def check_hecke_braid(n: int, q=Q(2)):
-    R = idem.hecke_r_matrix(n, q)
-    b1, b2 = embed(R, 3, 1), embed(R, 3, 2)
-    return b1 * b2 * b1 == b2 * b1 * b2, f"n={n}"
+    return braid_relation_holds(idem.hecke_r_matrix(n, q)), f"n={n}"
 
 
 def check_hecke_relation(n: int, q=Q(2)):

@@ -22,6 +22,10 @@ them over lcm(den_a, den_b), and a scaling by p/q multiplies them by p over
 den * q; each ends with one gcd pass that restores the canonical form.
 Transposes, negations and embeddings move numerators and keep den.
 
+``embed`` places an operator on any tuple of distinct legs; it and
+``perm_action`` read the flat offset of every digit tuple on a set of legs
+from one table, ``_offsets``.
+
 Fractions appear only at the edges.  The constructor reads Fraction, int or
 'p/q' entries, or a dense :class:`QMatrix`; ``trace`` and ``entry`` return
 one Fraction.  ``num`` over ``den`` is the one view that the package reads.
@@ -207,15 +211,8 @@ class TensorOperator:
                           self.den * c.denominator)
 
     def transpose(self) -> "TensorOperator":
-        out = {}
-        for i, row in self.num.items():
-            for j, x in row.items():
-                col = out.get(j)
-                if col is None:
-                    out[j] = {i: x}
-                else:
-                    col[i] = x
-        return _make(self.col_dim, self.row_dim, self.arity, out, self.den)
+        return _make(self.col_dim, self.row_dim, self.arity, _transpose(self.num.items()),
+                     self.den)
 
     def trace(self):
         if not self.square:
@@ -304,6 +301,19 @@ def _row_times(v: dict, num: dict) -> dict:
     return {j: x for j, x in acc.items() if x}
 
 
+def _transpose(rows) -> dict:
+    """The columns {j: {i: x}} of the sparse rows given as (i, {j: x}) pairs."""
+    out = {}
+    for i, row in rows:
+        for j, x in row.items():
+            col = out.get(j)
+            if col is None:
+                out[j] = {i: x}
+            else:
+                col[i] = x
+    return out
+
+
 def _fixes_rows(rows, num: dict, den: int) -> bool:
     """v num == den v for every integer row v of rows: each v is fixed by
     the operator num / den acting on the right."""
@@ -337,46 +347,37 @@ def _sum(a: TensorOperator, b: TensorOperator, sign: int) -> TensorOperator:
     return _canonical(a.row_dim, a.col_dim, a.arity, out, den)
 
 
-def embed(op: TensorOperator, total_arity: int, start_leg: int) -> TensorOperator:
-    """T^{(a, ..., a+l-1)}: identity outside legs [a, a+l-1], op inside."""
+def _offsets(n: int, weights) -> list:
+    """The flat offset sum(d_t * weights[t]) of every digit tuple (d_1, ...),
+    digits 0..n-1, in lexicographic order (d_1 most significant)."""
+    out = [0]
+    for w in weights:
+        out = [o + d * w for o in out for d in range(n)]
+    return out
+
+
+def embed(op: TensorOperator, total_arity: int, legs) -> TensorOperator:
+    """T^{(legs)}: op on the given legs, identity on the others.
+
+    legs is a tuple of distinct legs in 1..total_arity, one per leg of op:
+    local digit t goes to leg legs[t-1].  An int a stands for the adjacent
+    legs (a, ..., a+l-1).
+    """
     if not op.square:
         raise ValueError("only square-local-dim operators embed")
     n = op.row_dim
-    ell = op.arity
-    if not 1 <= start_leg <= total_arity - ell + 1:
+    if isinstance(legs, int):
+        legs = tuple(range(legs, legs + op.arity))
+    if len(legs) != op.arity or len(set(legs)) != len(legs) \
+            or not all(1 <= t <= total_arity for t in legs):
         raise ValueError("leg out of range")
-    check_budget(n ** total_arity)
-    n_l = n ** (start_leg - 1)
-    n_r = n ** (total_arity - ell - start_leg + 1)
-    block = n ** ell * n_r
-    local = [(r * n_r, [(c * n_r, x) for c, x in row.items()])
-             for r, row in op.num.items()]
-    out = {}
-    for a in range(n_l):
-        for base in range(a * block, a * block + n_r):
-            for r, cols in local:
-                out[base + r] = {base + c: x for c, x in cols}
-    return _make(n, n, total_arity, out, op.den)
-
-
-def embed_pair(op: TensorOperator, total_arity: int, leg_a: int, leg_b: int) -> TensorOperator:
-    """T^{(a,b)} for an arity-2 operator placed at two arbitrary legs a != b."""
-    if op.arity != 2 or not op.square:
-        raise ValueError("embed_pair takes a square arity-2 operator")
-    if leg_a == leg_b or not (1 <= leg_a <= total_arity and 1 <= leg_b <= total_arity):
-        raise ValueError("leg out of range")
-    n = op.row_dim
     check_budget(n ** total_arity)
     weight = [n ** (total_arity - t) for t in range(1, total_arity + 1)]
-    wa, wb = weight[leg_a - 1], weight[leg_b - 1]
-    others = [w for t, w in enumerate(weight, 1) if t not in (leg_a, leg_b)]
-    # the first local digit sits at leg a, the second at leg b
-    place = lambda flat: (flat // n) * wa + (flat % n) * wb
-    local = [(place(r), [(place(c), x) for c, x in row.items()])
+    place = _offsets(n, [weight[t - 1] for t in legs])
+    local = [(place[r], [(place[c], x) for c, x in row.items()])
              for r, row in op.num.items()]
     out = {}
-    for digits in itertools.product(range(n), repeat=total_arity - 2):
-        base = sum(d * w for d, w in zip(digits, others))
+    for base in _offsets(n, [w for t, w in enumerate(weight, 1) if t not in legs]):
         for r, cols in local:
             out[base + r] = {base + c: x for c, x in cols}
     return _make(n, n, total_arity, out, op.den)
@@ -388,12 +389,8 @@ def perm_action(p: Perm, n: int) -> TensorOperator:
     k = p.size
     check_budget(n ** k)
     weight = [n ** (k - t) for t in range(1, k + 1)]
-    moved = [weight[p(t) - 1] for t in range(1, k + 1)]
-    out = {}
-    for digits in itertools.product(range(n), repeat=k):
-        col = sum(d * w for d, w in zip(digits, weight))
-        out[sum(d * w for d, w in zip(digits, moved))] = {col: 1}
-    return _make(n, n, k, out, 1)
+    moved = _offsets(n, [weight[p(t) - 1] for t in range(1, k + 1)])
+    return _make(n, n, k, {row: {col: 1} for col, row in enumerate(moved)}, 1)
 
 
 def swap_operator(n: int) -> TensorOperator:

@@ -46,6 +46,12 @@ assert P.verify_axioms(P.generic_pairing(E, 2, "S"))["pass"]
 assert tracer.calls["quadratic.component_subspaces"] == 2
 assert len(tracer._distinct) == 1
 
+# pairing_ladder embeds at an int leg; the tracer reads (op, total_arity)
+# from the first two positional arguments of embed
+cells = tracer.counts["tensor.embed.cells"]
+assert T.embed(E, 3, 2) == T.embed(E, 3, (2, 3))
+assert tracer.counts["tensor.embed.cells"] == cells + 2 * 27 ** 2
+
 # graded_dims: a dense copy of an operator, perturbed and wrapped again
 m = E.matrix.copy()
 m.data[0][1] += 1

@@ -22,7 +22,7 @@ from maninalg.pairing import (BraidRelationFailed, GroupEnumerationExceeded,
 from maninalg.permutations import Perm, all_perms, inv
 from maninalg.quadratic import VARIANTS, QuadAlgebra, component_subspaces, relation_space
 from maninalg.suites import generic_parameter_matrix, run_suite
-from maninalg.tensor import TensorOperator, compose_chain, perm_rep
+from maninalg.tensor import TensorOperator, compose_chain, embed, perm_rep
 
 F = Fraction
 
@@ -304,6 +304,71 @@ def test_verify_axioms_orthogonality_and_nesting():
     assert report == {"annihilation": True, "fixed_vectors": True,
                       "idempotent": True, "orthogonality": True,
                       "nesting": True, "pass": True}
+
+
+def test_verify_axioms_nesting_fails_on_a_wrong_lower_operator():
+    s3 = hecke_pairing(2, 2, 3, "S")
+    # the same kind at another q is not absorbed; the other kind at another
+    # q does not kill
+    for lower in (hecke_pairing(3, 2, 2, "S"), hecke_pairing(3, 2, 2, "A")):
+        report = verify_axioms(s3, lower=[hecke_pairing(2, 2, 2, "S"), lower])
+        assert report == {"annihilation": True, "fixed_vectors": True,
+                          "idempotent": True, "orthogonality": None,
+                          "nesting": False, "pass": False}, lower.kind
+
+
+def test_verify_axioms_checks_the_last_window():
+    # S_(2) on legs (1, 2) of the third power passes every window but the
+    # last one, on legs (2, 3)
+    s2 = hecke_pairing(2, 2, 2, "S")
+    op = PairingOperator("S", 3, s2.source, embed(s2.operator, 3, 1), "test")
+    report = verify_axioms(op, lower=[s2])
+    assert report["annihilation"] is False and report["nesting"] is False
+
+
+def test_verify_axioms_nesting_skips_arity_one_of_the_other_kind_and_arity_k_up():
+    s3 = hecke_pairing(2, 2, 3, "S")
+    # neither the arity-1 identity of kind A nor the operators of another q
+    # at arity 3 and 4 would pass the check
+    for lower in (hecke_pairing(2, 2, 1, "A"), hecke_pairing(3, 2, 3, "S"),
+                  hecke_pairing(3, 2, 3, "A"), hecke_pairing(3, 2, 4, "S")):
+        assert verify_axioms(s3, lower=[lower])["nesting"] is True, (lower.kind, lower.arity)
+
+
+def test_jucys_murphy_matches_the_dense_leg_pairs():
+    from maninalg.pairing import jucys_murphy
+    from maninalg.tensor import swap_operator
+    for n, k in ((2, 3), (3, 3), (2, 4), (4, 3)):
+        for twisted in (False, True):
+            if twisted and n % 2:
+                continue
+            P = swap_operator(n)
+            Q = idem.twisted_rank_one_contraction(n) if twisted \
+                else idem.rank_one_contraction(n)
+            for b in range(2, k + 1):
+                total = QMatrix.zero(n ** k, n ** k)
+                for a in range(1, b):
+                    total = total + dense.embed_pair(P, k, a, b) - dense.embed_pair(Q, k, a, b)
+                expected = total.scale(-1) if twisted else total
+                assert jucys_murphy(n, k, b, twisted).matrix == expected, (n, k, b, twisted)
+
+
+def test_routes_refuse_a_bad_kind_before_any_work(monkeypatch):
+    import maninalg.pairing as pairing_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the kind was checked")
+
+    for name in ("is_idempotent", "component_subspaces", "embed", "hecke_minus",
+                 "check_parameter_matrix"):
+        monkeypatch.setattr(pairing_module, name, no_work)
+    E = idem.antisymmetrizer(2)
+    routes = [lambda: generic_pairing(E, 1, "X"), lambda: generic_pairing(E, 3, "X"),
+              lambda: group_average(E, 6, "X"), lambda: hecke_pairing(2, 2, 3, "X"),
+              lambda: closed_form_multiparam(generic_parameter_matrix(2), 3, "X")]
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^kind must be 'S' or 'A'$"):
+            route()
 
 
 def test_corrupted_operator_fails_idempotency():

@@ -14,7 +14,7 @@ from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
 from maninalg.freealg import poly_matrix
 from maninalg.tensor import (BudgetExceeded, TensorOperator, compose_chain,
-                             embed, embed_pair, flatten_index, multi_indices,
+                             embed, flatten_index, multi_indices,
                              perm_action, perm_rep, swap_operator,
                              unflatten_index)
 
@@ -52,14 +52,14 @@ def test_embed_respects_composition():
     assert embed(P * A, 4, 2) == embed(P, 4, 2) * embed(A, 4, 2)
 
 
-def test_embed_pair_nonadjacent():
+def test_embed_at_nonadjacent_legs():
     P = swap_operator(2)
-    op = embed_pair(P, 3, 1, 3)
+    op = embed(P, 3, (1, 3))
     col = flatten_index((2, 1, 1), 2)
     out = [i for i, row in enumerate(op.matrix.data) if row[col]]
     assert out == [flatten_index((1, 1, 2), 2)]
-    # adjacent placement agrees with contiguous embedding
-    assert embed_pair(P, 3, 1, 2) == embed(P, 3, 1)
+    # adjacent legs as a tuple agree with the int form
+    assert embed(P, 3, (1, 2)) == embed(P, 3, 1)
 
 
 def test_perm_rep_identity_and_simple_flip():
@@ -167,14 +167,34 @@ def test_embed_matches_kronecker_reference():
         assert embed(op, k, a).matrix == reference
 
 
-def test_embed_pair_matches_conjugated_adjacent_embedding():
-    # placing at legs (1, 3) equals conjugating the adjacent placement by
-    # the permutation that swaps legs 2 and 3
-    from maninalg.idempotents import rank_one_contraction
-    from maninalg.permutations import Perm
-    op = rank_one_contraction(2)
-    move = perm_action(Perm((1, 3, 2)), 2)
-    assert embed_pair(op, 3, 1, 3) == move * embed(op, 3, 1) * move
+def test_embed_at_any_legs_matches_the_conjugated_adjacent_embedding():
+    # placing at legs (l_1, ..., l_m) equals conjugating the placement at
+    # legs (1, ..., m) by the permutation p with p(t) = l_t that sends the
+    # remaining legs to the remaining places in ascending order
+    cases = 0
+    for n in (1, 2, 3):
+        for k in range(1, 5):
+            for ell in range(1, k + 1):
+                size = n ** ell
+                # distinct entries, so that any misplaced one shows
+                op = TensorOperator(n, n, ell, {r: {c: r * size + c + 1 for c in range(size)}
+                                                for r in range(size)})
+                at_start = embed(op, k, 1)
+                for legs in itertools.permutations(range(1, k + 1), ell):
+                    p = Perm(legs + tuple(t for t in range(1, k + 1) if t not in legs))
+                    out = embed(op, k, legs)
+                    assert_canonical(out)
+                    assert out == perm_action(p, n) * at_start * perm_action(p.inverse(), n), \
+                        (n, k, legs)
+                    cases += 1
+    assert cases == 252
+
+
+def test_embed_refuses_bad_legs():
+    P = swap_operator(2)
+    for legs in ((1, 1), (2,), (1, 2, 3), (0, 2), (1, 4), 0, 3, 4):
+        with pytest.raises(ValueError, match="leg out of range"):
+            embed(P, 3, legs)
 
 
 # --- sparse rows against the dense oracle ------------------------------------
@@ -251,14 +271,14 @@ def test_embed_matches_dense_at_every_leg(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_embed_pair_matches_dense_at_every_leg_pair(data):
+def test_embed_matches_dense_at_every_leg_pair(data):
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(2, 4))
     op = random_operator(data, n, 2)
     for a in range(1, k + 1):
         for b in range(1, k + 1):
             if a != b:
-                out = embed_pair(op, k, a, b)
+                out = embed(op, k, (a, b))
                 assert_canonical(out)
                 assert out.matrix == dense.embed_pair(op, k, a, b), (a, b)
 
@@ -314,7 +334,7 @@ def test_constructors_check_the_budget_first(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "8")
     for build in (lambda: TensorOperator.identity(2, 4), lambda: TensorOperator.zero(2, 4),
                   lambda: perm_action(Perm((2, 1, 3, 4)), 2),
-                  lambda: embed_pair(swap_operator(2), 4, 1, 3)):
+                  lambda: embed(swap_operator(2), 4, (1, 3))):
         with pytest.raises(BudgetExceeded):
             build()
 
@@ -390,7 +410,7 @@ def test_embeddings_match_the_fraction_rows(n, k, data):
     if k >= 2:
         op, oracle = random_pair(data, n, n, 2)
         for a, b in itertools.permutations(range(1, k + 1), 2):
-            assert_same(embed_pair(op, k, a, b), dense.embed_pair_rows(oracle, k, a, b), (a, b))
+            assert_same(embed(op, k, (a, b)), dense.embed_pair_rows(oracle, k, a, b), (a, b))
 
 
 @settings(max_examples=40, deadline=None)
