@@ -7,13 +7,15 @@ exist.  Four constructions are provided:
 
 * ``generic_pairing``   dual bases of the intersection subspaces,
 * ``group_average``     uniform average over the group generated by the
-                        signed adjacent flips (finite groups only),
-* ``hecke_pairing``     the q-symmetrizer recursion for the R-matrix split,
+                        signed adjacent flips,
+* ``hecke_pairing``     the q-symmetrizer of the R-matrix split,
 * ``brauer_pairing``    Jucys-Murphy products for the orthogonal and
                         symplectic idempotents,
 
 plus closed-form entries for the multi-parameter deformation and the
-rank-one third operator of the 3-dimensional 4-parameter family.
+rank-one third operator of the 3-dimensional 4-parameter family.  The group
+and Hecke routes share one kernel: both factor their (q-)symmetrizer over
+the coset representatives of S_{j-1} in S_j through ``tensor.coset_sum``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,12 @@ from .linalg import ONE, ZERO, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, _transpose,
-                     check_budget, embed, flatten_index, multi_indices, swap_operator)
-
-DEFAULT_GROUP_CAP = 100000
+                     check_budget, coset_sum, embed, flatten_index, multi_indices,
+                     swap_operator)
 
 
 class BraidRelationFailed(ValueError):
     """1 - 2E does not satisfy the braid relation."""
-
-
-class GroupEnumerationExceeded(ValueError):
-    """The group generated by the signed flips did not close under the cap."""
 
 
 @dataclass(frozen=True)
@@ -138,49 +135,40 @@ def braid_relation_holds(P: TensorOperator) -> bool:
     return b1 * b2 * b1 == b2 * b1 * b2
 
 
-def group_average(E: TensorOperator, k: int, kind: str,
-                  cap: int = DEFAULT_GROUP_CAP) -> PairingOperator:
+def group_average(E: TensorOperator, k: int, kind: str) -> PairingOperator:
     """Uniform average over the group generated by the signed flips.
 
-    P = 1 - 2E must satisfy the braid relation; the closure of the group
-    generated by (+P)^{(a,a+1)} (kind S) or (-P)^{(a,a+1)} (kind A) is
-    enumerated with a cap and averaged.  E must be an idempotent; then P is
-    an involution, so the group is a quotient of S_k and the cap binds only
-    when k! exceeds it.
+    P = 1 - 2E must satisfy the braid relation.  E must be an idempotent,
+    so P is an involution and s_a -> (+P)^{(a,a+1)} (kind S) or
+    (-P)^{(a,a+1)} (kind A) is a representation rho of S_k.  Every element
+    of the image is hit |ker rho| times, so the average over the image is
+    (1/k!) sum_{sigma in S_k} rho(sigma), which ``_coset_recursion`` builds
+    with all weights 1 and op_j = (1/j) sum of the coset words times
+    op_{j-1}.  No group element is enumerated; the tensor budget bounds the
+    arity.
     """
     _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
     _check_idempotent(E)
     n = E.row_dim
+    check_budget(n ** k)
     P = TensorOperator.identity(n, 2) - E.scale(2)
     if not braid_relation_holds(P):
         raise BraidRelationFailed("1 - 2E fails the braid relation")
-    if k == 1:
-        return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1),
-                               "group_average")
     signed = P if kind == "S" else -P
-    gens = list(_placements(signed, k))
-    identity = TensorOperator.identity(n, k)
-    seen = {identity: None}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise GroupEnumerationExceeded(
-                            f"group did not close within {cap} elements")
-                    seen[h] = None
-                    new_frontier.append(h)
-        frontier = new_frontier
-    total = TensorOperator.zero(n, k)
-    for g in seen:
-        total = total + g
-    avg = total.scale(Fraction(1, len(seen)))
+    avg = _coset_recursion(signed, k, lambda j: [1] * j, lambda j: Fraction(1, j))
     return PairingOperator(kind, k, E, avg, "group_average")
+
+
+def _coset_recursion(g: TensorOperator, k: int, weights, scale) -> TensorOperator:
+    """op_k from op_1 = 1 by op_j = scale(j) coset_sum(op_{j-1} (x) 1, g,
+    weights(j)): the coset factorization of a (q-)symmetrizer over S_j into
+    the words of ``tensor.coset_sum`` times the one over S_{j-1}."""
+    op = TensorOperator.identity(g.row_dim, 1)
+    for j in range(2, k + 1):
+        op = coset_sum(embed(op, j, 1), g, weights(j)).scale(scale(j))
+    return op
 
 
 # --- Hecke recursion -----------------------------------------------------------
@@ -198,24 +186,27 @@ def q_factorial(k: int, q: Fraction) -> Fraction:
 
 
 def hecke_pairing(q, n: int, k: int, kind: str) -> PairingOperator:
-    """S_(k) / A_(k) for the idempotent R^(hat)_- via the q-symmetrizer
-    recursion; the base case k = 2 returns the R-matrix split itself."""
+    """S_(k) / A_(k) for the idempotent R^(hat)_- as the q-symmetrizer.
+
+    [j]_q S_(j) = sum_{i<j} q^{j-1-i} R^(j-i) ... R^(j-1) (S_(j-1) (x) 1)
+    over the minimal coset representatives of S_{j-1} in S_j (Gyoja 1986;
+    Jimbo 1986), built by ``_coset_recursion``; A_(j) takes the weights
+    (-1)^i q^{i+1-j}.  At k = 2 this is the R-matrix split itself.
+    """
     _check_kind(kind)
     if k < 1:
         raise ValueError("arity starts at 1")
+    check_budget(n ** k)
     q = rat(q)
     if q in (0, 1, -1):
         raise InvalidParameter("q must avoid {0, 1, -1}")
     source = hecke_minus(n, q)
     R = hecke_r_matrix(n, q)
-    sign = 1 if kind == "S" else -1
-    op = TensorOperator.identity(n, 1)
-    for j in range(2, k + 1):
-        prev = embed(op, j, 1)
-        kq = q_int(j, q)
-        head = prev.scale(q ** (sign * (j - 1)) / kq)
-        tail = (prev * embed(R, j, j - 1) * prev).scale(q_int(j - 1, q) / kq)
-        op = head + tail if sign > 0 else head - tail
+    if kind == "S":
+        weights = lambda j: [q ** (j - 1 - i) for i in range(j)]
+    else:
+        weights = lambda j: [(-1) ** i * q ** (i + 1 - j) for i in range(j)]
+    op = _coset_recursion(R, k, weights, lambda j: 1 / q_int(j, q))
     return PairingOperator(kind, k, source, op, "hecke")
 
 

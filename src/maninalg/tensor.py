@@ -24,7 +24,9 @@ Transposes, negations and embeddings move numerators and keep den.
 
 ``embed`` places an operator on any tuple of distinct legs; it and
 ``perm_action`` read the flat offset of every digit tuple on a set of legs
-from one table, ``_offsets``.
+from one table, ``_offsets``.  ``coset_sum`` adds the weighted words
+g^(j-i) ... g^(j-1) prev in one accumulator over one denominator; the group
+and Hecke pairing routes build their (q-)symmetrizers from it.
 
 Fractions appear only at the edges.  The constructor reads Fraction, int or
 'p/q' entries, or a dense :class:`QMatrix`; ``trace`` and ``entry`` return
@@ -381,6 +383,50 @@ def embed(op: TensorOperator, total_arity: int, legs) -> TensorOperator:
         for r, cols in local:
             out[base + r] = {base + c: x for c, x in cols}
     return _make(n, n, total_arity, out, op.den)
+
+
+def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperator:
+    """sum_{i=0}^{j-1} w_i g^(j-i) ... g^(j-1) prev, j being prev's arity.
+
+    g^(a) is the arity-2 operator g on legs (a, a+1); the i-th word is
+    empty for i = 0.  When g^(a) represents the flip of a and a+1, the
+    words run over the coset representatives of S_{j-1} in S_j, so with
+    prev the sum over S_{j-1} the result is the sum over S_j.
+
+    Runs on integer numerators: Y_0 = prev and Y_i = g^(j-i) Y_{i-1}, each
+    row of Y_i one ``_row_times`` of a row of the embedded g, and every
+    w_i Y_i is added into one accumulator over the lcm of the denominators
+    prev.den g.den^i den(w_i); one gcd pass ends it.  The words stop early
+    once Y is zero.
+    """
+    j = prev.arity
+    if not (prev.square and g.square) or g.arity != 2 or g.row_dim != prev.row_dim:
+        raise ValueError("coset_sum needs a square arity-2 g on prev's local dim")
+    weights = [rat(w) for w in weights]
+    if len(weights) != j:
+        raise ValueError("coset_sum needs one weight per coset word")
+    den = lcm(*(prev.den * g.den ** i * w.denominator
+                for i, w in enumerate(weights) if w))
+    acc = {}
+    y = prev.num
+    for i, w in enumerate(weights):
+        if i:
+            y = {r: row for r, grow in embed(g, j, j - i).num.items()
+                 if (row := _row_times(grow, y))}
+            if not y:
+                break
+        if not w:
+            continue
+        m = w.numerator * (den // (prev.den * g.den ** i * w.denominator))
+        for r, row in y.items():
+            arow = acc.get(r)
+            if arow is None:
+                acc[r] = {c: m * x for c, x in row.items()}
+            else:
+                for c, x in row.items():
+                    arow[c] = arow.get(c, 0) + m * x
+    num = {r: nz for r, row in acc.items() if (nz := {c: x for c, x in row.items() if x})}
+    return _canonical(prev.row_dim, prev.row_dim, j, num, den)
 
 
 def perm_action(p: Perm, n: int) -> TensorOperator:

@@ -31,6 +31,10 @@ matrix, and
 ``inversion_parameter_product`` the inversion product read off qhat
 directly; ``generic_pairing`` keeps the dual-basis construction that summed
 Fraction products over the dense inverse of the Gram matrix.
+``group_closure_average`` keeps the group average over the enumerated
+closure of the signed flips, and ``hecke_recursion`` the q-symmetrizer
+recursion with two full products per arity, which the coset sums of
+``tensor.coset_sum`` replaced.
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 
 from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
-from maninalg.idempotents import InvalidParameter, rational_grid, restrict_parameter_matrix
+from maninalg.idempotents import (InvalidParameter, hecke_r_matrix, rational_grid,
+                                  restrict_parameter_matrix)
 from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon
-from maninalg.pairing import NotExists, PairingOperator
+from maninalg.pairing import NotExists, PairingOperator, q_int
 from maninalg.permutations import all_perms, mu, stabilizer_order
 from maninalg.quadratic import component_subspaces
 from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
                              unflatten_index)
+from maninalg.tensor import embed as embed_op
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
@@ -440,6 +446,54 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
             for j, x in w.items():
                 row[j] = row.get(j, ZERO) + vi * x
     return PairingOperator(kind, k, E, TensorOperator(n, n, k, out), "generic")
+
+
+def group_closure_average(E: TensorOperator, k: int, kind: str,
+                          cap: int = 100000) -> TensorOperator:
+    """The average over the closure of the generators (+-P)^{(a,a+1)},
+    P = 1 - 2E, enumerated breadth first into a set of operators: the route
+    ``pairing.group_average`` took before it summed over the coset words of
+    S_k.  Raises ValueError when the closure exceeds cap elements."""
+    n = E.row_dim
+    P = TensorOperator.identity(n, 2) - E.scale(2)
+    signed = P if kind == "S" else -P
+    gens = [embed_op(signed, k, a) for a in range(1, k)]
+    identity = TensorOperator.identity(n, k)
+    seen = {identity: None}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for g in frontier:
+            for s in gens:
+                h = g * s
+                if h not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"group did not close within {cap} elements")
+                    seen[h] = None
+                    new_frontier.append(h)
+        frontier = new_frontier
+    total = TensorOperator.zero(n, k)
+    for g in seen:
+        total = total + g
+    return total.scale(Fraction(1, len(seen)))
+
+
+def hecke_recursion(q, n: int, k: int, kind: str) -> TensorOperator:
+    """The q-symmetrizer by the two-product recursion that
+    ``pairing.hecke_pairing`` ran before the coset sum: with
+    prev = S_(j-1) (x) 1,
+    S_(j) = q^{+-(j-1)}/[j]_q prev +- [j-1]_q/[j]_q prev R^(j-1) prev."""
+    q = Fraction(q)
+    R = hecke_r_matrix(n, q)
+    sign = 1 if kind == "S" else -1
+    op = TensorOperator.identity(n, 1)
+    for j in range(2, k + 1):
+        prev = embed_op(op, j, 1)
+        kq = q_int(j, q)
+        head = prev.scale(q ** (sign * (j - 1)) / kq)
+        tail = (prev * embed_op(R, j, j - 1) * prev).scale(q_int(j - 1, q) / kq)
+        op = head + tail if sign > 0 else head - tail
+    return op
 
 
 class FractionOperator:

@@ -52,6 +52,16 @@ cells = tracer.counts["tensor.embed.cells"]
 assert T.embed(E, 3, 2) == T.embed(E, 3, (2, 3))
 assert tracer.counts["tensor.embed.cells"] == cells + 2 * 27 ** 2
 
+# pairing_ladder averages over the group; the tracer hooks group_average by
+# name, reads k from the second positional argument and counts the distinct
+# arity-k products formed inside.  The coset sums form none, and the braid
+# check multiplies at arity 3 only, so the count stays where it was
+elements = tracer.counts["pairing.group.elements"]
+s4 = P.group_average(idem.antisymmetrizer(2), 4, "S")
+assert tracer.calls["pairing.group_average"] == 1
+assert s4.provenance == "group_average" and s4.operator.trace() == 5
+assert tracer.counts["pairing.group.elements"] == elements
+
 # graded_dims: a dense copy of an operator, perturbed and wrapped again
 m = E.matrix.copy()
 m.data[0][1] += 1

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import inspect
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import maninalg
-from maninalg import cli, pairing
+from maninalg import pairing
 from maninalg.cli import main, operator_from_json, operator_to_json
 from maninalg.idempotents import hecke_minus
 
@@ -326,16 +325,21 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
 
 
 # Each row: argv, MANIN_BUDGET or None, and a phrase naming the budget that
-# the one error line must contain.  n^k has 47,712 and 30,103 digits in the
-# first two rows, more than Python will print.
+# the one error line must contain.  n^k has 47,712 digits in the first row
+# and 30,103 in the next three, more than Python will print.
 @pytest.mark.parametrize("argv, budget, phrase", [
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "99999"],
      None, "exceeds budget 4096"),
     (["pairing", "--family", "RhatMinus", "--n", "2", "--q", "2", "--k", "100000",
       "--kind", "S"], None, "exceeds budget 4096"),
+    (["pairing", "--family", "RhatMinus", "--n", "2", "--q", "2", "--k", "100000",
+      "--kind", "S", "--method", "hecke"], None, "exceeds budget 4096"),
+    (["pairing", "--family", "A_n", "--n", "2", "--k", "100000", "--kind", "A",
+      "--method", "group"], None, "exceeds budget 4096"),
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "4"],
      "abc", "MANIN_BUDGET must be an integer"),
-], ids=["dims-astronomical-degree", "pairing-astronomical-arity", "budget-not-an-integer"])
+], ids=["dims-astronomical-degree", "pairing-astronomical-arity",
+        "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer"])
 def test_budget_refusal_names_the_budget(argv, budget, phrase):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MANIN_BUDGET", None)
@@ -355,16 +359,20 @@ def test_unknown_suite_is_input_error(capsys):
     capsys.readouterr()
 
 
-def test_group_cap_is_input_error(capsys, monkeypatch):
-    # the signed flips of A_2 generate S_5 (120 elements) at k = 5; a cap
-    # lowered to 50 makes the refusal quick
-    monkeypatch.setattr(cli, "group_average",
-                        functools.partial(pairing.group_average, cap=50))
-    assert main(["pairing", "--family", "A_n", "--n", "2", "--k", "5", "--kind", "S",
-                 "--method", "group"]) == 2
+@pytest.mark.parametrize("family, n, k, method, size", [
+    (["A_n"], "2", "13", "group", 8192),
+    (["RhatMinus", "--q", "2"], "3", "8", "hecke", 6561),
+], ids=["group", "hecke"])
+def test_over_budget_route_is_input_error(family, n, k, method, size, capsys, monkeypatch):
+    # n^k exceeds the default budget of 4096; both routes refuse it before
+    # building any operator
+    monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    assert main(["pairing", "--family", *family, "--n", n, "--k", k, "--kind", "S",
+                 "--method", method]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: group did not close within 50 elements\n"
+    assert captured.err == (f"error: component of size {size} exceeds budget 4096 "
+                            "(override with MANIN_BUDGET)\n")
 
 
 def test_every_package_exception_is_an_input_error():
@@ -375,7 +383,7 @@ def test_every_package_exception_is_an_input_error():
         module = importlib.import_module(f"maninalg.{info.name}")
         classes.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
                        if issubclass(cls, BaseException) and cls.__module__ == module.__name__)
-    assert pairing.GroupEnumerationExceeded in classes
+    assert pairing.BraidRelationFailed in classes
     assert sorted(cls.__name__ for cls in classes if not issubclass(cls, ValueError)) == []
 
 

@@ -13,16 +13,15 @@ from maninalg.freealg import generator_matrix, poly_grid_product
 from maninalg.linalg import QMatrix, Subspace
 from maninalg.manin import ManinPair, is_manin, transport, universal_relations
 from maninalg.minors import a_minor, minor_operator, s_minor
-from maninalg.pairing import (BraidRelationFailed, GroupEnumerationExceeded,
-                              NotExists, PairingOperator, brauer_pairing,
-                              closed_form_multiparam, corrupt, fixes_subspaces,
-                              fourparam_A3, generic_pairing, group_average,
-                              hecke_basis_change, hecke_pairing, q_factorial,
+from maninalg.pairing import (BraidRelationFailed, NotExists, PairingOperator,
+                              brauer_pairing, closed_form_multiparam, corrupt,
+                              fixes_subspaces, fourparam_A3, generic_pairing,
+                              group_average, hecke_basis_change, hecke_pairing, q_factorial,
                               q_int, verify_axioms)
 from maninalg.permutations import Perm, all_perms, inv
 from maninalg.quadratic import VARIANTS, QuadAlgebra, component_subspaces, relation_space
 from maninalg.suites import generic_parameter_matrix, run_suite
-from maninalg.tensor import TensorOperator, compose_chain, embed, perm_rep
+from maninalg.tensor import BudgetExceeded, TensorOperator, compose_chain, embed, perm_rep
 
 F = Fraction
 
@@ -171,9 +170,74 @@ def test_group_average_braid_failure():
         group_average(idem.hecke_minus(2, 2), 3, "A")
 
 
-def test_group_average_cap():
-    with pytest.raises(GroupEnumerationExceeded):
-        group_average(idem.antisymmetrizer(3), 3, "S", cap=3)
+def test_routes_refuse_an_over_budget_arity_before_any_work(monkeypatch):
+    import maninalg.pairing as pairing_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    for name in ("embed", "coset_sum", "hecke_minus", "hecke_r_matrix",
+                 "braid_relation_holds"):
+        monkeypatch.setattr(pairing_module, name, no_work)
+    monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    # 3^8 = 6561 and 2^13 = 8192 exceed the default budget of 4096
+    for route in (lambda: hecke_pairing(2, 3, 8, "S"),
+                  lambda: group_average(idem.antisymmetrizer(2), 13, "A")):
+        with pytest.raises(BudgetExceeded, match="exceeds budget 4096"):
+            route()
+
+
+def test_group_average_matches_the_enumerated_closure():
+    aqhat3 = idem.parameterized_antisymmetrizer(generic_parameter_matrix(3))
+    for E, top in ((idem.antisymmetrizer(2), 5), (idem.antisymmetrizer(3), 4), (aqhat3, 4)):
+        for k in range(1, top + 1):
+            for kind in ("S", "A"):
+                assert group_average(E, k, kind).operator == \
+                    dense.group_closure_average(E, k, kind), (E.row_dim, k, kind)
+
+
+def test_group_average_matches_the_closed_form_up_to_degree_seven():
+    qhat = generic_parameter_matrix(3)
+    E = idem.parameterized_antisymmetrizer(qhat)
+    for k in range(2, 8):
+        for kind in ("S", "A"):
+            assert group_average(E, k, kind).operator == \
+                closed_form_multiparam(qhat, k, kind).operator, (k, kind)
+
+
+def test_group_average_sums_s12_without_enumerating_it():
+    # S_12 has 12! elements, far past any enumeration.  The S-operator of
+    # the antisymmetrizer on C^2 is the symmetrizer: entry (I, J) is
+    # 1/binom(12, w) when I and J both hold the digit 2 w times, else 0, so
+    # its trace is dim Sym^12 C^2 = 13
+    k = 12
+    s = group_average(idem.antisymmetrizer(2), k, "S").operator
+    assert s.trace() == 13
+    blocks = [set() for _ in range(k + 1)]
+    for i in range(2 ** k):
+        blocks[bin(i).count("1")].add(i)
+    assert len(s.num) == 2 ** k
+    for w, block in enumerate(blocks):
+        entry = {s.den // comb(k, w)}
+        assert s.den % comb(k, w) == 0
+        for r in block:
+            assert s.num[r].keys() == block and set(s.num[r].values()) == entry
+
+
+@pytest.mark.parametrize("q", (F(2), F(-1, 2), F(3, 5)))
+def test_hecke_pairing_matches_the_two_product_recursion(q):
+    for n in (1, 2, 3, 4):
+        for k in range(1, 9):
+            if n ** k <= 1024:
+                for kind in ("S", "A"):
+                    assert hecke_pairing(q, n, k, kind).operator == \
+                        dense.hecke_recursion(q, n, k, kind), (n, k, kind)
+
+
+@pytest.mark.parametrize("n, k, kind", ((5, 5, "A"), (4, 6, "A"), (3, 7, "S")))
+def test_hecke_pairing_matches_the_two_product_recursion_near_the_budget(n, k, kind):
+    q = F(-2)
+    assert hecke_pairing(q, n, k, kind).operator == dense.hecke_recursion(q, n, k, kind)
 
 
 def test_hecke_base_case():

@@ -14,7 +14,7 @@ from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
 from maninalg.freealg import poly_matrix
 from maninalg.tensor import (BudgetExceeded, TensorOperator, compose_chain,
-                             embed, flatten_index, multi_indices,
+                             coset_sum, embed, flatten_index, multi_indices,
                              perm_action, perm_rep, swap_operator,
                              unflatten_index)
 
@@ -281,6 +281,44 @@ def test_embed_matches_dense_at_every_leg_pair(data):
                 out = embed(op, k, (a, b))
                 assert_canonical(out)
                 assert out.matrix == dense.embed_pair(op, k, a, b), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 4), st.data())
+def test_coset_sum_matches_the_explicit_sum(n, j, data):
+    prev = data.draw(st.sampled_from(("random", "zero", "symmetrizer")))
+    if prev == "random":
+        prev = random_operator(data, n, j)
+    elif prev == "zero":
+        prev = TensorOperator.zero(n, j)
+    else:
+        prev = embed(idem.q_symmetrizer(n, Fraction(2, 3)), j, j - 1) if j >= 2 \
+            else TensorOperator.identity(n, 1).scale(Fraction(5, 7))
+    g = data.draw(st.sampled_from(("random", "swap", "hecke")))
+    if g == "random":
+        g = random_operator(data, n, 2)
+    else:
+        g = swap_operator(n) if g == "swap" else idem.hecke_r_matrix(n, Fraction(3, 2))
+    weights = data.draw(st.one_of(st.lists(scalars, min_size=j, max_size=j),
+                                  st.just([0] * j)))
+    expected = TensorOperator.zero(n, j)
+    for i, w in enumerate(weights):
+        word = TensorOperator.identity(n, j)
+        for a in range(j - i, j):
+            word = word * embed(g, j, a)
+        expected = expected + (word * prev).scale(w)
+    got = coset_sum(prev, g, weights)
+    assert_canonical(got)
+    assert got == expected
+
+
+def test_coset_sum_refuses_mismatched_shapes():
+    prev = TensorOperator.identity(2, 3)
+    for g, weights in ((swap_operator(2), [1, 1]), (swap_operator(3), [1, 1, 1]),
+                       (TensorOperator.identity(2, 3), [1, 1, 1]),
+                       (TensorOperator.zero(2, 2, 3), [1, 1, 1])):
+        with pytest.raises(ValueError, match="coset_sum"):
+            coset_sum(prev, g, weights)
 
 
 def _simple(a: int, k: int) -> Perm:
