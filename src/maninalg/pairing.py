@@ -59,6 +59,13 @@ def _check_kind(kind: str):
         raise ValueError("kind must be 'S' or 'A'")
 
 
+def _check_route(kind: str, k: int):
+    """The entry check of every route that takes a kind, before any work."""
+    _check_kind(kind)
+    if k < 1:
+        raise ValueError("arity starts at 1")
+
+
 @dataclass(frozen=True)
 class NotExists:
     """Report that no pairing operator of this kind/arity exists."""
@@ -86,24 +93,19 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
     Gram matrix G is invertible, and the row with lead a < d is then
     c_a (e_a | w_a) for a positive integer c_a.  With den = lcm(c_a) the
     operator is V^T W over den, W having the rows (den / c_a) (c_a w_a).
-    ``_row_times`` forms every row of G and of V^T W.  Returns NotExists
-    naming the failing condition when the dimensions differ or the natural
-    pairing is degenerate.  E must be an idempotent.
+    ``_row_times`` forms every row of G and of V^T W.  At k = 1 both
+    subspaces are the whole space, which gives the identity, and a zero
+    component gives the zero operator.  Returns NotExists naming the
+    failing condition when the dimensions differ or the natural pairing is
+    degenerate.  E must be an idempotent.
     """
-    n = E.row_dim
-    _check_kind(kind)
-    if k < 1:
-        raise ValueError("arity starts at 1")
+    _check_route(kind, k)
     _check_idempotent(E)
-    if k == 1:
-        return PairingOperator(kind, 1, E, TensorOperator.identity(n, 1), "generic")
     right, left = component_subspaces(E, k, kind)
     if right.dim != left.dim:
         return NotExists(kind, k, "dimension mismatch",
                          {"right_dim": right.dim, "left_dim": left.dim})
     d = right.dim
-    if d == 0:
-        return PairingOperator(kind, k, E, TensorOperator.zero(n, k), "generic")
     # V^T: column i of V, the rows v_a, as {a: v_a[i]}
     columns = _transpose(enumerate(right.rows.values()))
     ech = SparseEchelon()
@@ -120,6 +122,7 @@ def generic_pairing(E: TensorOperator, k: int, kind: str):
         m = den // row[a]
         ws[a] = {j - d: m * x for j, x in row.items() if j != a}
     num = {i: row for i, col in columns.items() if (row := _row_times(col, ws))}
+    n = E.row_dim
     return PairingOperator(kind, k, E, _canonical(n, n, k, num, den), "generic")
 
 
@@ -147,9 +150,7 @@ def group_average(E: TensorOperator, k: int, kind: str) -> PairingOperator:
     op_{j-1}.  No group element is enumerated; the tensor budget bounds the
     arity.
     """
-    _check_kind(kind)
-    if k < 1:
-        raise ValueError("arity starts at 1")
+    _check_route(kind, k)
     _check_idempotent(E)
     n = E.row_dim
     check_budget(n ** k)
@@ -193,13 +194,9 @@ def hecke_pairing(q, n: int, k: int, kind: str) -> PairingOperator:
     Jimbo 1986), built by ``_coset_recursion``; A_(j) takes the weights
     (-1)^i q^{i+1-j}.  At k = 2 this is the R-matrix split itself.
     """
-    _check_kind(kind)
-    if k < 1:
-        raise ValueError("arity starts at 1")
+    _check_route(kind, k)
     check_budget(n ** k)
     q = rat(q)
-    if q in (0, 1, -1):
-        raise InvalidParameter("q must avoid {0, 1, -1}")
     source = hecke_minus(n, q)
     R = hecke_r_matrix(n, q)
     if kind == "S":
@@ -282,31 +279,21 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     S-entries on rearrangements of a weakly increasing I:
     (nu_I / k!) mu(q_II, sigma) / mu(q_II, tau).
     """
-    _check_kind(kind)
-    if k < 1:
-        raise ValueError("arity starts at 1")
+    _check_route(kind, k)
     rows = check_parameter_matrix(qhat)
     n = len(rows)
     source = parameterized_antisymmetrizer(rows)
     check_budget(n ** k)
+    tuples = itertools.combinations if kind == "A" else itertools.combinations_with_replacement
     blocks = []
-    if kind == "A":
-        for I in itertools.combinations(range(1, n + 1), k):
-            qII = [[rows[a - 1][b - 1] for b in I] for a in I]
-            weights = {}
-            for sigma in all_perms(k):
-                tup = tuple(I[sigma(t) - 1] for t in range(1, k + 1))
-                weights[flatten_index(tup, n)] = (sigma.sign(), mu_of_rows(qII, sigma))
-            blocks.append((1, weights))
-    else:
-        for I in itertools.combinations_with_replacement(range(1, n + 1), k):
-            qII = [[rows[a - 1][b - 1] for b in I] for a in I]
-            weights = {}
-            for sigma in all_perms(k):
-                pos = flatten_index(tuple(I[sigma(t) - 1] for t in range(1, k + 1)), n)
-                if pos not in weights:
-                    weights[pos] = (1, mu_of_rows(qII, sigma))
-            blocks.append((stabilizer_order(I), weights))
+    for I in tuples(range(1, n + 1), k):
+        qII = [[rows[a - 1][b - 1] for b in I] for a in I]
+        weights = {}
+        for sigma in all_perms(k):
+            pos = flatten_index(tuple(I[sigma(t) - 1] for t in range(1, k + 1)), n)
+            if pos not in weights:
+                weights[pos] = (sigma.sign() if kind == "A" else 1, mu_of_rows(qII, sigma))
+        blocks.append((stabilizer_order(I), weights))
     return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
 
 
@@ -420,6 +407,11 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     partner of the other kind (if given), and the nesting identities against
     lower-arity operators (if given).  Values are True/False, or None when a
     check was not applicable.
+
+    No operator product is formed: every identity is decided row by row
+    through ``tensor._fixes_rows``.  An identity X op = op is checked as
+    (1 - X) op = 0, so every check but the fixed vectors and idempotency is
+    an annihilation.
     """
     E = p.source
     n = E.row_dim
@@ -434,21 +426,21 @@ def verify_axioms(p: PairingOperator, partner: PairingOperator | None = None,
     # annihilation puts every column of op in right and the fixed vectors
     # make op the identity there, which together give op op = op
     report["idempotent"] = ((report["annihilation"] and report["fixed_vectors"])
-                            or (op * op) == op)
+                            or is_idempotent(op))
 
     if partner is not None and k >= 2:
         if partner.kind == p.kind or partner.arity != k:
             raise ValueError("orthogonality needs the other kind at the same arity")
-        prod1 = op * partner.operator
-        prod2 = partner.operator * op
-        report["orthogonality"] = prod1.is_zero() and prod2.is_zero()
+        report["orthogonality"] = _annihilates(partner.operator, op)
     else:
         report["orthogonality"] = None
 
-    # op absorbs the windows of a lower operator of the same kind and is
-    # killed by those of the other kind, except at arity 1
+    # op is killed by the windows of a lower operator of the other kind
+    # (skipped at arity 1) and absorbs those of the same kind, that is, is
+    # killed by the windows of 1 - q, since embed(1 - q) = 1 - embed(q)
     report["nesting"] = all(
-        _absorbs(q.operator, op) if q.kind == p.kind else _kills(q.operator, op)
+        _kills(TensorOperator.identity(n, q.arity) - q.operator if q.kind == p.kind
+               else q.operator, op)
         for q in lower if q.arity < k and (q.kind == p.kind or q.arity >= 2)
     ) if lower else None
 
@@ -463,12 +455,14 @@ def _placements(q: TensorOperator, k: int):
 
 def _kills(q: TensorOperator, op: TensorOperator) -> bool:
     """Every window of q annihilates op from both sides."""
-    return all((e * op).is_zero() and (op * e).is_zero() for e in _placements(q, op.arity))
+    return all(_annihilates(e, op) for e in _placements(q, op.arity))
 
 
-def _absorbs(q: TensorOperator, op: TensorOperator) -> bool:
-    """Every window of q leaves op unchanged from both sides."""
-    return all(e * op == op and op * e == op for e in _placements(q, op.arity))
+def _annihilates(e: TensorOperator, op: TensorOperator) -> bool:
+    """e op = 0 and op e = 0: each row of e times op and each row of op
+    times e is zero (``_fixes_rows`` at den = 0), so neither product is
+    formed."""
+    return _fixes_rows(e.num.values(), op.num, 0) and _fixes_rows(op.num.values(), e.num, 0)
 
 
 def fixes_subspaces(op: TensorOperator, right, left) -> bool:

@@ -75,12 +75,13 @@ def catalog_instances():
 
 def check_catalog():
     bad = []
-    for name, E in catalog_instances():
+    catalog = catalog_instances()
+    for name, E in catalog:
         if not idem.is_idempotent(E):
             bad.append(f"{name}: not idempotent")
         if E.row_space().dim != E.trace():
             bad.append(f"{name}: rank != trace")
-    return not bad, "; ".join(bad) or f"{len(catalog_instances())} instances"
+    return not bad, "; ".join(bad) or f"{len(catalog)} instances"
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +167,9 @@ def pairing_constructions(tag: str, n: int, k: int, kind: str):
     """All applicable constructions for one idempotent instance."""
     q = Q(2)
     out = {}
-    if tag == "A_n":
-        E = idem.antisymmetrizer(n)
-        out["generic"] = generic_pairing(E, k, kind)
-        out["group"] = group_average(E, k, kind)
-        out["closed"] = closed_form_multiparam(
-            [[Q(1)] * n for _ in range(n)], k, kind)
-    elif tag == "Aqhat":
-        qhat = generic_parameter_matrix(n)
+    if tag in ("A_n", "Aqhat"):
+        # A_n is the multi-parameter antisymmetrizer at the all-ones matrix
+        qhat = [[Q(1)] * n for _ in range(n)] if tag == "A_n" else generic_parameter_matrix(n)
         E = idem.parameterized_antisymmetrizer(qhat)
         out["generic"] = generic_pairing(E, k, kind)
         out["group"] = group_average(E, k, kind)

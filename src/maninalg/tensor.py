@@ -318,7 +318,11 @@ def _transpose(rows) -> dict:
 
 def _fixes_rows(rows, num: dict, den: int) -> bool:
     """v num == den v for every integer row v of rows: each v is fixed by
-    the operator num / den acting on the right."""
+    the operator num / den acting on the right.  At den = 0 it decides
+    v num == 0 instead, so with the rows of A it decides A B == 0 for
+    B = num over any denominator without forming the product."""
+    if not den:
+        return not any(_row_times(v, num) for v in rows)
     return all(_row_times(v, num) == {j: den * x for j, x in v.items()} for v in rows)
 
 

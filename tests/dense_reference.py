@@ -34,7 +34,10 @@ Fraction products over the dense inverse of the Gram matrix.
 ``group_closure_average`` keeps the group average over the enumerated
 closure of the signed flips, and ``hecke_recursion`` the q-symmetrizer
 recursion with two full products per arity, which the coset sums of
-``tensor.coset_sum`` replaced.
+``tensor.coset_sum`` replaced.  ``verify_axioms_by_products`` keeps the
+axiom report of ``pairing.verify_axioms`` with every identity decided by
+forming the full operator products, which the row checks of
+``tensor._fixes_rows`` replaced.
 """
 
 from __future__ import annotations
@@ -494,6 +497,45 @@ def hecke_recursion(q, n: int, k: int, kind: str) -> TensorOperator:
         tail = (prev * embed_op(R, j, j - 1) * prev).scale(q_int(j - 1, q) / kq)
         op = head + tail if sign > 0 else head - tail
     return op
+
+
+def verify_axioms_by_products(p: PairingOperator, partner: PairingOperator | None = None,
+                              lower=()) -> dict:
+    """The report of ``pairing.verify_axioms`` from full products: e op = 0
+    and op e = 0 for every window e of E (kind S) or 1 - E (kind A),
+    op op = op, op partner = 0 and partner op = 0, and for every window e
+    of a lower operator e op = op = op e (same kind) or e op = 0 = op e
+    (other kind, arity 2 and up).  The fixed vectors are the dense check
+    ``fixes_subspaces``."""
+    E, k, op = p.source, p.arity, p.operator
+
+    def windows(q):
+        return [embed_op(q, k, a) for a in range(1, k - q.arity + 2)]
+
+    def kills(q):
+        return all((e * op).is_zero() and (op * e).is_zero() for e in windows(q))
+
+    def absorbs(q):
+        return all(e * op == op and op * e == op for e in windows(q))
+
+    killer = E if p.kind == "S" else TensorOperator.identity(E.row_dim, 2) - E
+    right, left = component_subspaces(E, k, p.kind)
+    report = {"annihilation": kills(killer),
+              "fixed_vectors": fixes_subspaces(op.matrix, right, left),
+              "idempotent": op * op == op}
+    if partner is not None and k >= 2:
+        if partner.kind == p.kind or partner.arity != k:
+            raise ValueError("orthogonality needs the other kind at the same arity")
+        report["orthogonality"] = ((op * partner.operator).is_zero()
+                                   and (partner.operator * op).is_zero())
+    else:
+        report["orthogonality"] = None
+    report["nesting"] = all(
+        absorbs(q.operator) if q.kind == p.kind else kills(q.operator)
+        for q in lower if q.arity < k and (q.kind == p.kind or q.arity >= 2)
+    ) if lower else None
+    report["pass"] = all(v for v in report.values() if v is not None)
+    return report
 
 
 class FractionOperator:

@@ -417,21 +417,39 @@ def test_jucys_murphy_matches_the_dense_leg_pairs():
                 assert jucys_murphy(n, k, b, twisted).matrix == expected, (n, k, b, twisted)
 
 
-def test_routes_refuse_a_bad_kind_before_any_work(monkeypatch):
+@pytest.fixture
+def no_route_work(monkeypatch):
+    """Make every first step of work a route could take raise."""
     import maninalg.pairing as pairing_module
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the kind was checked")
+        raise AssertionError("work started before the kind and arity were checked")
 
-    for name in ("is_idempotent", "component_subspaces", "embed", "hecke_minus",
-                 "check_parameter_matrix"):
+    for name in ("is_idempotent", "component_subspaces", "embed", "check_budget",
+                 "hecke_minus", "check_parameter_matrix", "orthogonal_idempotent",
+                 "symplectic_idempotent"):
         monkeypatch.setattr(pairing_module, name, no_work)
+
+
+def test_routes_refuse_a_bad_kind_before_any_work(no_route_work):
     E = idem.antisymmetrizer(2)
     routes = [lambda: generic_pairing(E, 1, "X"), lambda: generic_pairing(E, 3, "X"),
               lambda: group_average(E, 6, "X"), lambda: hecke_pairing(2, 2, 3, "X"),
               lambda: closed_form_multiparam(generic_parameter_matrix(2), 3, "X")]
     for route in routes:
         with pytest.raises(ValueError, match=r"^kind must be 'S' or 'A'$"):
+            route()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_routes_refuse_a_bad_arity_before_any_work(no_route_work, k):
+    E = idem.antisymmetrizer(2)
+    routes = [lambda: generic_pairing(E, k, "S"), lambda: group_average(E, k, "A"),
+              lambda: hecke_pairing(2, 2, k, "S"),
+              lambda: closed_form_multiparam(generic_parameter_matrix(2), k, "A"),
+              lambda: brauer_pairing("so", 3, k), lambda: brauer_pairing("sp", 4, k)]
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^arity starts at 1$"):
             route()
 
 
@@ -517,6 +535,71 @@ def no_dense_views(monkeypatch):
     def guarded(op):
         raise AssertionError(f"dense view of an arity-{op.arity} operator")
     monkeypatch.setattr(TensorOperator, "matrix", property(guarded))
+
+
+@pytest.fixture
+def no_operator_products(monkeypatch):
+    """Make every product of two operators raise."""
+    def guarded(a, b):
+        raise AssertionError(f"product of arity-{a.arity} operators")
+    monkeypatch.setattr(TensorOperator, "__mul__", guarded)
+
+
+def _generic_company(p: PairingOperator):
+    """The generic partner of p (None at arity 1 or where it does not exist)
+    and the generic operators of both kinds at every lower arity that exist,
+    all built from p's source."""
+    def built(j, kind):
+        out = generic_pairing(p.source, j, kind)
+        return out if isinstance(out, PairingOperator) else None
+    partner = built(p.arity, "A" if p.kind == "S" else "S") if p.arity >= 2 else None
+    lower = [q for j in range(1, p.arity) for kind in ("S", "A") if (q := built(j, kind))]
+    return partner, lower
+
+
+@pytest.fixture(scope="module")
+def axiom_cases():
+    """(operator, partner, lower operators, oracle report) at arity 3 for
+    every route, with corrupted operators, partners and lower operators;
+    the oracle reports are formed before any guard is armed."""
+    q, E, qhat = F(2), idem.antisymmetrizer(2), generic_parameter_matrix(3)
+    by_kind = [lambda k, kind: generic_pairing(idem.hecke_minus(2, q), k, kind),
+               lambda k, kind: group_average(E, k, kind),
+               lambda k, kind: hecke_pairing(q, 3, k, kind),
+               lambda k, kind: closed_form_multiparam(qhat, k, kind)]
+    triples = []
+    for route in by_kind:
+        for kind, other in (("S", "A"), ("A", "S")):
+            triples.append((route(3, kind), route(3, other),
+                            [route(j, s) for j in (1, 2) for s in ("S", "A")]))
+    for family, n in (("so", 3), ("sp", 4)):
+        p = brauer_pairing(family, n, 3)
+        partner, lower = _generic_company(p)
+        triples.append((p, partner, lower + [brauer_pairing(family, n, 2)]))
+    p = fourparam_A3(1, 1, 1, 1)
+    triples.append((p, *_generic_company(p)))
+    cases = []
+    for p, partner, lower in triples:
+        bad_lower = [corrupt(low, 1, 0) for low in lower]
+        variants = [(p, partner, lower), (corrupt(p, 1, 0), partner, lower),
+                    (p, partner, bad_lower)]
+        if partner is not None:
+            variants.append((p, corrupt(partner, 1, 0), lower))
+        cases += [(*v, dense.verify_axioms_by_products(*v)) for v in variants]
+    return cases
+
+
+def test_verify_axioms_forms_no_products(axiom_cases, no_operator_products,
+                                         no_dense_views):
+    import maninalg.quadratic as quadratic
+    quadratic._component_subspaces.cache_clear()
+    one = TensorOperator.identity(2, 1)
+    with pytest.raises(AssertionError, match="product"):
+        one * one
+    for p, partner, lower, want in axiom_cases:
+        assert verify_axioms(p, partner, lower) == want, (p.provenance, p.kind)
+    for key in axiom_cases[0][-1]:
+        assert {want[key] for *_, want in axiom_cases} >= {True, False}, key
 
 
 def test_operators_have_no_fraction_row_view():
@@ -656,15 +739,9 @@ def test_closed_form_raises_what_the_restricting_route_raises(qhat):
         assert str(got.value) == str(want.value)
 
 
-def _with_product_idempotency(p: PairingOperator, report: dict) -> dict:
-    """The report of verify_axioms with idempotency decided by op * op."""
-    out = dict(report)
-    out["idempotent"] = p.operator * p.operator == p.operator
-    out["pass"] = all(v for name, v in out.items() if name != "pass" and v is not None)
-    return out
-
-
-def test_idempotency_shortcut_matches_the_product():
+def _gathered_operators():
+    """The suite-size operators of every route, each (kind, source,
+    operator) once."""
     from maninalg.suites import pairing_constructions
     ops = list(suite_size_operators())
     for tag in ("A_n", "Aqhat", "RhatMinus"):
@@ -674,24 +751,46 @@ def test_idempotency_shortcut_matches_the_product():
                     ops += [p for p in pairing_constructions(tag, n, k, kind).values()
                             if isinstance(p, PairingOperator)]
     ops += [fourparam_A3(1, 1, 1, 1), generic_pairing(idem.antisymmetrizer(2), 1, "S")]
-    seen = set()
-    for p in ops:
-        report = verify_axioms(p)
-        assert report == _with_product_idempotency(p, report), p.provenance
-        assert report["pass"], p.provenance
+    return list({(p.kind, p.source, p.operator): p for p in ops}.values())
+
+
+def test_verify_axioms_matches_the_product_oracle():
+    """Whole reports against ``dense.verify_axioms_by_products`` on every
+    gathered operator with its generic partner and lower operators, and on
+    corrupted operators, partners and lower operators."""
+    values, triples = {}, set()
+
+    def check(p, partner=None, lower=()):
+        report = verify_axioms(p, partner, lower)
+        assert report == dense.verify_axioms_by_products(p, partner, lower), \
+            (p.provenance, p.kind, p.arity)
+        for key, v in report.items():
+            values.setdefault(key, set()).add(v)
+        return report
+
+    for p in _gathered_operators():
+        partner, lower = _generic_company(p)
+        assert check(p, partner, lower)["pass"], p.provenance
         size = p.operator.row_dim ** p.arity
-        for r, c in ((0, 0), (1, 0), (size - 1, size - 1), (size // 2, size // 3)):
-            bad = corrupt(p, r, c)
-            report = verify_axioms(bad)
-            assert report == _with_product_idempotency(bad, report), (p.provenance, r, c)
-            seen.add((report["annihilation"], report["fixed_vectors"], report["idempotent"]))
+        cells = ((0, 0), (1, 0), (size - 1, size - 1), (size // 2, size // 3))
+        for r, c in cells:
+            report = check(corrupt(p, r, c), partner, lower)
+            triples.add((report["annihilation"], report["fixed_vectors"], report["idempotent"]))
+        if partner is not None:
+            for r, c in cells:
+                check(p, corrupt(partner, r, c))
+        for low in lower:
+            check(p, lower=[corrupt(low, 0, 0)])
+            check(p, lower=[corrupt(low, low.operator.row_dim ** low.arity - 1, 0)])
+    for key, seen in values.items():
+        assert seen >= {True, False}, key
     # e_11 is symmetric and killed by A_2 on both sides, so S_(2) + e_11 e^11
     # passes annihilation, fails the fixed vectors and is not idempotent
     bad = corrupt(group_average(idem.antisymmetrizer(2), 2, "S"), 0, 0)
-    report = verify_axioms(bad)
+    report = check(bad)
     assert report["annihilation"] and not report["fixed_vectors"]
-    assert report == _with_product_idempotency(bad, report) and not report["idempotent"]
-    assert (True, False, False) in seen and (False, False, False) in seen
+    assert not report["idempotent"]
+    assert (True, False, False) in triples and (False, False, False) in triples
 
 
 def test_equal_pairings_from_different_routes_share_the_integer_form():
