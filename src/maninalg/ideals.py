@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget, word_index
-from .linalg import SparseEchelon, Subspace
+from .linalg import Record, SparseEchelon, Subspace
 from .tensor import budget_refusal
 
-@dataclass(frozen=True, eq=False)
-class IdealSlice:
+
+class IdealSlice(Record):
     """The degree-d slice of the ideal generated by R, kept as increments.
 
     ``increments`` holds E_2, ..., E_d, each a dict lead -> primitive
@@ -43,14 +42,17 @@ class IdealSlice:
     word indices of degree d - 1 that are not leads of the slice at degree
     d - 1: the words u whose rows u * r the next degree inserts.  Only
     ``build_slice_from_subspace`` fills them.  ``dim`` is arithmetic on the
-    increments; ``echelon`` is built on first use.
+    increments; ``echelon`` is built on first use.  Two slices are equal
+    only if they are the same object.
     """
 
-    gens: tuple
-    degree: int
-    increments: tuple
-    top_rows: dict
-    normal_below: tuple
+    _fields = ("gens", "degree", "increments", "top_rows", "normal_below")
+    __slots__ = _fields + ("__dict__",)  # the cached echelon
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, gens: tuple, degree: int, increments: tuple, top_rows: dict,
+                 normal_below: tuple):
+        super().__init__(gens, degree, increments, top_rows, normal_below)
 
     @property
     def generator_count(self) -> int:

@@ -14,10 +14,9 @@ their operators directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ONE, QMatrix, Subspace, ZERO, format_rat, rat
+from .linalg import ONE, QMatrix, Record, Subspace, ZERO, format_rat, rat
 from .tensor import (TensorOperator, _fixes_rows, _make, flatten_index, multi_indices,
                      swap_operator)
 
@@ -353,13 +352,13 @@ def conjugate(E: TensorOperator, sigma) -> TensorOperator:
 
 # --- named catalog ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdempotentSpec:
+class IdempotentSpec(Record):
     """A serializable handle for a catalog operator."""
 
-    family: str
-    n: int = 0
-    params: dict = field(default_factory=dict)
+    __slots__ = _fields = ("family", "n", "params")
+
+    def __init__(self, family: str, n: int = 0, params: dict | None = None):
+        super().__init__(family, n, {} if params is None else params)
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "params": _json_value(self.params)}

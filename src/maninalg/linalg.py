@@ -59,6 +59,53 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class Record:
+    """Base of the package's records, frozen unless a record says otherwise.
+
+    A record names its fields in ``_fields``, in constructor order, and
+    keeps them in ``__slots__``; its ``__init__`` validates and then sets
+    them through ``Record.__init__``.  Equality, hash and repr go field by
+    field, as a frozen dataclass's do, and assigning or deleting an
+    attribute raises ``AttributeError``.  The package avoids ``dataclasses``
+    because importing it (with ``inspect``, ``ast`` and ``dis``) and
+    generating the methods costs more than most CLI computations.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Unpickling and ``copy`` restore the slots past ``__setattr__``."""
+        for part in state:  # (the __dict__ or None, the slot values)
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
 class QMatrix:
     """Dense matrix over Q.  Treated as immutable once constructed."""
 

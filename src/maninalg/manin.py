@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from math import lcm
 
 from .freealg import (NCPoly, _grid_times, generator_matrix, matrix_gen,
@@ -31,28 +30,27 @@ from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
                           is_idempotent, InvalidParameter, q_antisymmetrizer,
                           q_symmetrizer)
 from .ideals import PresentedAlgebra, span_of_polys
-from .linalg import QMatrix, Subspace, invert, rat
+from .linalg import QMatrix, Record, Subspace, invert, rat
 from .permutations import Perm
 from .tensor import TensorOperator, compose_chain, swap_operator
 
 
-@dataclass(frozen=True)
-class ManinPair:
+class ManinPair(Record):
     """A pair of idempotents (A on n^2, B on m^2); ``complement`` is 1 - B,
-    built once, since every defect multiplies by it."""
+    built once, since every defect multiplies by it.  It is derived from B,
+    so it is not a field: equality, hash and repr read A and B only."""
 
-    A: TensorOperator
-    B: TensorOperator
-    complement: TensorOperator = field(init=False, repr=False, compare=False)
+    _fields = ("A", "B")
+    __slots__ = _fields + ("complement",)
 
-    def __post_init__(self):
-        for op in (self.A, self.B):
+    def __init__(self, A: TensorOperator, B: TensorOperator):
+        for op in (A, B):
             if op.arity != 2 or not op.square:
                 raise ValueError("Manin pairs take arity-2 square operators")
             if not is_idempotent(op):
                 raise ValueError("Manin pairs take idempotents")
-        object.__setattr__(self, "complement",
-                           TensorOperator.identity(self.m, 2) - self.B)
+        super().__init__(A, B)
+        object.__setattr__(self, "complement", TensorOperator.identity(self.m, 2) - B)
 
     @property
     def n(self) -> int:
@@ -63,14 +61,13 @@ class ManinPair:
         return self.B.row_dim
 
 
-@dataclass(frozen=True)
-class UniversalRelations:
+class UniversalRelations(Record):
     """Degree-2 relation span of U_{A,B} in the n*m generators sym[i,j]."""
 
-    pair: ManinPair
-    symbol: str
-    gens: tuple
-    space: Subspace
+    __slots__ = _fields = ("pair", "symbol", "gens", "space")
+
+    def __init__(self, pair: ManinPair, symbol: str, gens: tuple, space: Subspace):
+        super().__init__(pair, symbol, gens, space)
 
     @property
     def dim(self) -> int:

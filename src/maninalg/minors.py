@@ -19,23 +19,25 @@ determinants and permanents validate their k x k parameter matrix once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import NCPoly, _entry_product, poly_grid_product, poly_matrix
 from .idempotents import check_parameter_matrix
 from .ideals import PresentedAlgebra
-from .linalg import ONE, QMatrix
+from .linalg import ONE, QMatrix, Record
 from .permutations import Perm, all_perms, mu, mu_of_rows
 from .tensor import TensorOperator, compose_chain, flatten_index
 
 
-@dataclass(frozen=True)
-class MinorOperator:
-    arity: int
-    left: TensorOperator
-    right: TensorOperator
-    entries: tuple  # tuple of tuples of NCPoly
+class MinorOperator(Record):
+    """T M^(1) ... M^(arity) T~ for T = ``left`` and T~ = ``right``, as a
+    tuple of rows of NCPoly ``entries``."""
+
+    __slots__ = _fields = ("arity", "left", "right", "entries")
+
+    def __init__(self, arity: int, left: TensorOperator, right: TensorOperator,
+                 entries: tuple):
+        super().__init__(arity, left, right, entries)
 
     def entry(self, row_index, col_index) -> NCPoly:
         return self.entries[flatten_index(row_index, self.left.row_dim)][

@@ -21,7 +21,6 @@ the coset representatives of S_{j-1} in S_j through ``tensor.coset_sum``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -30,7 +29,7 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           is_idempotent, orthogonal_idempotent,
                           parameterized_antisymmetrizer, rank_one_contraction,
                           symplectic_idempotent, twisted_rank_one_contraction)
-from .linalg import ONE, ZERO, SparseEchelon, rat
+from .linalg import ONE, ZERO, Record, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, _transpose,
@@ -42,16 +41,16 @@ class BraidRelationFailed(ValueError):
     """1 - 2E does not satisfy the braid relation."""
 
 
-@dataclass(frozen=True)
-class PairingOperator:
-    kind: str                 # "S" | "A"
-    arity: int
-    source: TensorOperator    # the idempotent the operator belongs to
-    operator: TensorOperator
-    provenance: str
+class PairingOperator(Record):
+    """The pairing operator of ``kind`` ("S" or "A") and ``arity`` that
+    belongs to the idempotent ``source``, with the route that built it."""
 
-    def __post_init__(self):
-        _check_kind(self.kind)
+    __slots__ = _fields = ("kind", "arity", "source", "operator", "provenance")
+
+    def __init__(self, kind: str, arity: int, source: TensorOperator,
+                 operator: TensorOperator, provenance: str):
+        _check_kind(kind)
+        super().__init__(kind, arity, source, operator, provenance)
 
 
 def _check_kind(kind: str):
@@ -66,14 +65,13 @@ def _check_route(kind: str, k: int):
         raise ValueError("arity starts at 1")
 
 
-@dataclass(frozen=True)
-class NotExists:
+class NotExists(Record):
     """Report that no pairing operator of this kind/arity exists."""
 
-    kind: str
-    arity: int
-    reason: str
-    details: dict = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "arity", "reason", "details")
+
+    def __init__(self, kind: str, arity: int, reason: str, details: dict | None = None):
+        super().__init__(kind, arity, reason, {} if details is None else details)
 
     def __bool__(self):
         return False

@@ -28,11 +28,10 @@ generator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .freealg import Gen
 from .ideals import PresentedAlgebra
-from .linalg import Subspace
+from .linalg import Record, Subspace
 from .tensor import TensorOperator, check_budget
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
@@ -42,16 +41,18 @@ VARIANTS = ("X", "Xi", "Xstar", "Xistar")
 KIND_VARIANTS = {"S": ("X", "Xstar"), "A": ("Xistar", "Xi")}
 
 
-@dataclass(frozen=True)
-class QuadAlgebra:
-    idempotent: TensorOperator
-    variant: str
+class QuadAlgebra(Record):
+    """The quadratic algebra of one ``variant`` (see VARIANTS) presented by
+    the arity-2 idempotent ``idempotent``."""
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    __slots__ = _fields = ("idempotent", "variant")
+
+    def __init__(self, idempotent: TensorOperator, variant: str):
+        if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.idempotent.arity != 2 or not self.idempotent.square:
+        if idempotent.arity != 2 or not idempotent.square:
             raise ValueError("quadratic algebras need an arity-2 square idempotent")
+        super().__init__(idempotent, variant)
 
     @property
     def n(self) -> int:

@@ -6,7 +6,6 @@ verdict it prints, so reports are reproducible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +16,7 @@ from .idempotents import (IdempotentSpec, antisymmetrizer, is_idempotent,
                           swap_operator, symplectic_idempotent,
                           twisted_rank_one_contraction, fourparam_idempotent)
 from .ideals import span_of_polys
-from .linalg import rat
+from .linalg import Record, rat
 from .manin import (ManinPair, orthogonal_pair_relations,
                     symplectic_pair_relations, universal_relations)
 from .pairing import (NotExists, fourparam_A3, fourparam_conditions,
@@ -26,11 +25,17 @@ from .quadratic import QuadAlgebra, dimension_table, graded_dimension
 from .tensor import embed, flatten_index
 
 
-@dataclass
-class ScenarioReport:
-    scenario: str
-    data: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+class ScenarioReport(Record):
+    """The numbers (``data``) and verdicts (``checks``) one scenario
+    records; unlike the other records it is filled in after construction."""
+
+    __slots__ = _fields = ("scenario", "data", "checks")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, scenario: str, data: dict | None = None, checks: dict | None = None):
+        super().__init__(scenario, {} if data is None else data,
+                         {} if checks is None else checks)
 
     @property
     def passed(self) -> bool:

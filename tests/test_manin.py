@@ -315,7 +315,7 @@ def test_manin_pair_keeps_one_layout_of_the_complement():
     """1 - B is kept once, as an operator; its columns are not stored beside it."""
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(3))
     assert pair.complement == TensorOperator.identity(3, 2) - pair.B
-    assert "complement_columns" not in ManinPair.__dataclass_fields__
+    assert "complement_columns" not in ManinPair._fields + ManinPair.__slots__
     assert not hasattr(pair, "complement_columns")
 
 
