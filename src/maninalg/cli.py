@@ -47,10 +47,21 @@ def operator_from_json(doc: dict) -> TensorOperator:
                           QMatrix.from_strings(doc["matrix"]))
 
 
-def load_spec(args) -> idem.IdempotentSpec:
+def read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def build_spec(doc) -> tuple:
+    """The idempotent spec that a JSON document describes, and its operator."""
+    spec = idem.IdempotentSpec.from_json(doc)
+    return spec, idem.build(spec)
+
+
+def load_spec(args) -> tuple:
+    """The spec that --spec or --family names, and its operator."""
     if args.spec:
-        with open(args.spec) as fh:
-            return idem.IdempotentSpec.from_json(json.load(fh))
+        return build_spec(read_json(args.spec))
     if not args.family:
         raise ValueError("give --spec FILE or --family (with --n / parameters)")
     params = {}
@@ -63,7 +74,7 @@ def load_spec(args) -> idem.IdempotentSpec:
         if not isinstance(extra, dict):
             raise ValueError(f"--params must be a JSON object, got {args.params!r}")
         params.update(extra)
-    return idem.IdempotentSpec(args.family, args.n or 0, params)
+    return build_spec({"family": args.family, "n": args.n or 0, "params": params})
 
 
 def add_spec_arguments(sub):
@@ -79,13 +90,10 @@ def add_spec_arguments(sub):
 
 
 def load_pair(path: str) -> ManinPair:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
         raise ValueError("a pair file must be a JSON object with keys 'A' and 'B'")
-    A = idem.build(idem.IdempotentSpec.from_json(doc["A"]))
-    B = idem.build(idem.IdempotentSpec.from_json(doc["B"]))
-    return ManinPair(A, B)
+    return ManinPair(build_spec(doc["A"])[1], build_spec(doc["B"])[1])
 
 
 def emit(doc: dict) -> None:
@@ -94,15 +102,13 @@ def emit(doc: dict) -> None:
 
 
 def cmd_catalog(args) -> int:
-    spec = load_spec(args)
-    op = idem.build(spec)
+    spec, op = load_spec(args)
     emit(operator_to_json(spec.family, op))
     return 0
 
 
 def cmd_check_idempotent(args) -> int:
-    spec = load_spec(args)
-    op = idem.build(spec)
+    spec, op = load_spec(args)
     ok = idem.is_idempotent(op)
     rank = op.row_space().dim
     trace = op.trace()
@@ -113,10 +119,8 @@ def cmd_check_idempotent(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    with open(args.left) as fh:
-        left = idem.build(idem.IdempotentSpec.from_json(json.load(fh)))
-    with open(args.right) as fh:
-        right = idem.build(idem.IdempotentSpec.from_json(json.load(fh)))
+    _, left = build_spec(read_json(args.left))
+    _, right = build_spec(read_json(args.right))
     result = {"left_equivalent": idem.left_equivalent(left, right),
               "right_equivalent": idem.right_equivalent(left, right)}
     emit(result)
@@ -128,8 +132,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    spec = load_spec(args)
-    op = idem.build(spec)
+    spec, op = load_spec(args)
     table = dimension_table(QuadAlgebra(op, args.variant), args.max_degree)
     emit({"family": spec.family, "n": op.row_dim, "variant": args.variant,
           "dims": table})
@@ -159,8 +162,8 @@ BRAUER_FAMILIES = {"B_n": ("so", "S"), "Btilde_n": ("sp", "A")}  # group, kind g
 
 
 def cmd_pairing(args) -> int:
-    spec = load_spec(args)
-    op = build_pairing(spec, args.k, args.kind, args.method)
+    spec, E = load_spec(args)
+    op = build_pairing(spec, E, args.k, args.kind, args.method)
     if isinstance(op, NotExists):
         emit({"exists": False, "reason": op.reason,
               "details": {k: str(v) for k, v in op.details.items()}})
@@ -173,8 +176,7 @@ def cmd_pairing(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def build_pairing(spec, k: int, kind: str, method: str):
-    E = idem.build(spec)
+def build_pairing(spec, E, k: int, kind: str, method: str):
     if method == "generic":
         return generic_pairing(E, k, kind)
     if method == "group":
@@ -231,8 +233,7 @@ def cmd_scenario(args) -> int:
     elif args.which == "fourparam":
         report = fourparam_report(args.a, args.b, args.c, args.kappa)
     else:
-        with open(args.sc) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.sc)
         if not isinstance(doc, dict):
             raise ValueError("a Lie scenario file must be a JSON object "
                              "with 'dim' and 'brackets'")

@@ -20,7 +20,7 @@ import os
 import re
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
+from operator import itemgetter
 
 from .linalg import ONE, ZERO, QMatrix, format_rat, rat
 
@@ -48,9 +48,20 @@ class NonHomogeneous(ValueError):
     """A polynomial expected to be homogeneous is not."""
 
 
-class Gen(NamedTuple):
-    sym: str
-    idx: tuple = ()
+class Gen(tuple):
+    """A generator, the pair (sym, idx): equality, hash and order are those
+    of the tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, sym: str, idx: tuple = ()):
+        return tuple.__new__(cls, (sym, idx))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    sym = property(itemgetter(0))
+    idx = property(itemgetter(1))
 
     def __repr__(self):
         if not self.idx:

@@ -14,11 +14,11 @@ has a normal prefix of length e - 2, while a row of E_j shifted by two or
 more letters has a lead of I_(e-2) as that prefix; so degree e is built
 from the rows of E_(e-1) shifted by one generator and those of E_e alone.
 ``PresentedAlgebra`` owns the slices: it caches each requested degree,
-grows a new one from the highest cached degree below it, and decides
-whether lhs - rhs lies in the ideal (``congruent``; ``reduces_to_zero`` is
-the case rhs = 0) by reducing the difference, formed as one integer row,
-against the echelon of the slice of its degree, which builds a deeper
-shifted row only when the reduction reaches its lead.
+grows a new one from the highest cached degree below it, and has one
+membership test, ``contains_rows``, which ``congruent`` and the Manin
+checks call: integer rows of degree d lie in the ideal when each reduces to
+zero against the echelon of the degree-d slice, which builds a deeper
+shifted row only when a reduction reaches its lead.
 """
 
 from __future__ import annotations
@@ -138,26 +138,27 @@ class PresentedAlgebra:
         return self.congruent(p, NCPoly.zero())
 
     def congruent(self, lhs: NCPoly, rhs: NCPoly) -> bool:
-        """Does lhs - rhs lie in the graded ideal?
-
-        The difference is formed as one integer row over the common
-        denominator of both sides and tested against the slice of its
-        degree.  A zero difference is a member; a nonzero one must be
-        homogeneous (else NonHomogeneous), and below degree 2 it is not a
-        member.  lhs and rhs need not be homogeneous themselves.
-        """
+        """Does lhs - rhs lie in the graded ideal?  ``contains_rows`` tests
+        the difference as one integer row over the common denominator of
+        both sides; it must be homogeneous unless it is zero (else
+        NonHomogeneous), while lhs and rhs need not be."""
         diff = _integer_difference(lhs.terms, rhs.terms)
-        if not diff:
-            return True
         lengths = {len(w) for w in diff}
         if len(lengths) > 1:
             raise NonHomogeneous("membership needs a homogeneous polynomial")
-        d = lengths.pop()
+        pos, g = self.gen_pos, len(self.gens)
+        row = {word_index(w, pos, g): c for w, c in diff.items()}
+        return self.contains_rows([row] if row else [], max(lengths, default=0))
+
+    def contains_rows(self, rows: list, d: int) -> bool:
+        """Do the integer rows {word index: c} of degree d all lie in the
+        ideal?  Vacuously for no rows; never below degree 2, where it is 0."""
+        if not rows:
+            return True
         if d < 2:
             return False
-        pos, g = self.gen_pos, len(self.gens)
-        return self.slice(d).echelon.contains(
-            {word_index(w, pos, g): c for w, c in diff.items()})
+        echelon = self.slice(d).echelon
+        return all(echelon.contains(row) for row in rows)
 
 
 def _integer_difference(a: dict, b: dict) -> dict:

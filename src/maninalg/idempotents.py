@@ -394,66 +394,50 @@ def _json_value(value):
     return value
 
 
-# the parameters each catalog family takes; build() refuses any other key
-FAMILY_PARAMETERS = {
-    "A_n": (), "S_n": (), "P_n": (), "Aq": ("q",), "Pq": ("q",), "Aqhat": ("qhat",),
-    "Atilde_qhat": ("qhat",), "RhatPlus": ("q",), "RhatMinus": ("q",), "B_n": (),
-    "Btilde_n": (), "FourParam": ("a", "b", "c", "kappa"), "Lie": ("brackets", "dim"),
-    "Custom": ("matrix",),
-}
-
-FAMILIES = tuple(FAMILY_PARAMETERS)
-
-# families whose size is the spec's n rather than a parameter
-SIZED_FAMILIES = ("A_n", "S_n", "P_n", "Aq", "Pq", "RhatPlus", "RhatMinus",
-                  "B_n", "Btilde_n")
-
-
-def build(spec: IdempotentSpec) -> TensorOperator:
-    family, n, param = spec.family, spec.n, spec.param
-    if family not in FAMILY_PARAMETERS:
-        raise InvalidParameter(f"unknown family {family!r}")
-    taken = FAMILY_PARAMETERS[family]
-    for key in spec.params:
-        if key not in taken:
-            raise InvalidParameter(
-                f"family {family} takes no parameter {key!r} (it takes "
-                f"{', '.join(map(repr, taken)) or 'none'})")
-    if family in SIZED_FAMILIES and n < 1:
-        raise InvalidParameter(f"family {family} needs a local dimension n >= 1, got {n}")
-    if family == "A_n":
-        return antisymmetrizer(n)
-    if family == "S_n":
-        return symmetrizer(n)
-    if family == "P_n":
-        return permutation_op(n)
-    if family == "Aq":
-        return q_antisymmetrizer(n, param("q"))
-    if family == "Pq":
-        return q_permutation_op(n, param("q"))
-    if family == "Aqhat":
-        return parameterized_antisymmetrizer(param("qhat"))
-    if family == "Atilde_qhat":
-        return twisted_antisymmetrizer(param("qhat"))
-    if family == "RhatPlus":
-        return hecke_plus(n, param("q"))
-    if family == "RhatMinus":
-        return hecke_minus(n, param("q"))
-    if family == "B_n":
-        return orthogonal_idempotent(n)
-    if family == "Btilde_n":
-        return symplectic_idempotent(n)
-    if family == "FourParam":
-        return fourparam_idempotent(param("a"), param("b"), param("c"),
-                                    spec.params.get("kappa", 0))
-    if family == "Lie":
-        return lie_idempotent(parse_brackets(param("brackets")),
-                              parse_integer(param("dim"), "'dim'"))
-    # Custom
-    m = QMatrix.from_rows(rational_grid(param("matrix"), "custom 'matrix'"))
+def _custom(spec: IdempotentSpec) -> TensorOperator:
+    m = QMatrix.from_rows(rational_grid(spec.param("matrix"), "custom 'matrix'"))
     if m.rows != m.cols:
         raise InvalidParameter("custom operator must be square")
     loc = round(m.rows ** 0.5)
     if loc * loc != m.rows:
         raise InvalidParameter("custom operator must act on a tensor square")
     return TensorOperator(loc, loc, 2, m)
+
+
+# family -> (the parameters it takes, whether the spec's n sizes it, its
+# constructor on the spec); build() refuses any other parameter key
+CATALOG = {
+    "A_n": ((), True, lambda s: antisymmetrizer(s.n)),
+    "S_n": ((), True, lambda s: symmetrizer(s.n)),
+    "P_n": ((), True, lambda s: permutation_op(s.n)),
+    "Aq": (("q",), True, lambda s: q_antisymmetrizer(s.n, s.param("q"))),
+    "Pq": (("q",), True, lambda s: q_permutation_op(s.n, s.param("q"))),
+    "Aqhat": (("qhat",), False, lambda s: parameterized_antisymmetrizer(s.param("qhat"))),
+    "Atilde_qhat": (("qhat",), False, lambda s: twisted_antisymmetrizer(s.param("qhat"))),
+    "RhatPlus": (("q",), True, lambda s: hecke_plus(s.n, s.param("q"))),
+    "RhatMinus": (("q",), True, lambda s: hecke_minus(s.n, s.param("q"))),
+    "B_n": ((), True, lambda s: orthogonal_idempotent(s.n)),
+    "Btilde_n": ((), True, lambda s: symplectic_idempotent(s.n)),
+    "FourParam": (("a", "b", "c", "kappa"), False, lambda s: fourparam_idempotent(
+        s.param("a"), s.param("b"), s.param("c"), s.params.get("kappa", 0))),
+    "Lie": (("brackets", "dim"), False, lambda s: lie_idempotent(
+        parse_brackets(s.param("brackets")), parse_integer(s.param("dim"), "'dim'"))),
+    "Custom": (("matrix",), False, _custom),
+}
+
+FAMILIES = tuple(CATALOG)
+
+
+def build(spec: IdempotentSpec) -> TensorOperator:
+    if spec.family not in CATALOG:
+        raise InvalidParameter(f"unknown family {spec.family!r}")
+    taken, sized, make = CATALOG[spec.family]
+    for key in spec.params:
+        if key not in taken:
+            raise InvalidParameter(
+                f"family {spec.family} takes no parameter {key!r} (it takes "
+                f"{', '.join(map(repr, taken)) or 'none'})")
+    if sized and spec.n < 1:
+        raise InvalidParameter(
+            f"family {spec.family} needs a local dimension n >= 1, got {spec.n}")
+    return make(spec)

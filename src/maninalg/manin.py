@@ -121,16 +121,6 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
                 if 0 in entry.values() else entry)]
 
 
-def _in_ideal(rows, ambient: PresentedAlgebra, degree: int) -> bool:
-    """Do the degree-d rows of defect_rows all lie in the ambient's ideal?"""
-    if not rows:
-        return True
-    if degree < 2:
-        return False
-    echelon = ambient.slice(degree).echelon
-    return all(echelon.contains(row) for row in rows)
-
-
 def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelations:
     n, m = pair.n, pair.m
     gens = tuple(matrix_gen(symbol, i, j)
@@ -147,7 +137,7 @@ def is_manin(pair: ManinPair, M, ambient: PresentedAlgebra) -> bool:
     (zero entries are fine); the defect then lives in degree 2 and is tested
     against the ambient's degree-2 relation span.
     """
-    return _in_ideal(defect_rows(pair, M, 1, ambient.gen_pos), ambient, 2)
+    return ambient.contains_rows(defect_rows(pair, M, 1, ambient.gen_pos), 2)
 
 
 def cross_commutators(M, N) -> list:
@@ -179,7 +169,7 @@ def product_is_manin(pair_ab: ManinPair, pair_bc: ManinPair, M, N,
     K = poly_mat_mul(M, N)
     degree = next((e.degree() for row in K for e in row if e), 0)
     rows = defect_rows(ManinPair(pair_ab.A, pair_bc.B), K, degree, ambient.gen_pos)
-    return _in_ideal(rows, ambient, 2 * degree)
+    return ambient.contains_rows(rows, 2 * degree)
 
 
 def transport(pair: ManinPair, M, sigma, tau) -> ManinPair:

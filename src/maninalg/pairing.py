@@ -32,8 +32,8 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
 from .linalg import ONE, ZERO, Record, SparseEchelon, rat
 from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
 from .quadratic import component_subspaces
-from .tensor import (TensorOperator, _canonical, _fixes_rows, _row_times, _transpose,
-                     check_budget, coset_sum, embed, flatten_index, multi_indices,
+from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _row_times,
+                     _transpose, coset_sum, embed, flatten_index, multi_indices,
                      swap_operator)
 
 
@@ -151,7 +151,7 @@ def group_average(E: TensorOperator, k: int, kind: str) -> PairingOperator:
     _check_route(kind, k)
     _check_idempotent(E)
     n = E.row_dim
-    check_budget(n ** k)
+    _check_power(n, k)
     P = TensorOperator.identity(n, 2) - E.scale(2)
     if not braid_relation_holds(P):
         raise BraidRelationFailed("1 - 2E fails the braid relation")
@@ -193,7 +193,7 @@ def hecke_pairing(q, n: int, k: int, kind: str) -> PairingOperator:
     (-1)^i q^{i+1-j}.  At k = 2 this is the R-matrix split itself.
     """
     _check_route(kind, k)
-    check_budget(n ** k)
+    _check_power(n, k)
     q = rat(q)
     source = hecke_minus(n, q)
     R = hecke_r_matrix(n, q)
@@ -215,7 +215,7 @@ def hecke_basis_change(n: int, k: int, q) -> TensorOperator:
     repeated digit carry 1.
     """
     q = rat(q)
-    check_budget(n ** k)
+    _check_power(n, k)
     out = {}
     norm = q_factorial(k, q) / factorial(k)
     shift = Fraction(k * (k - 1), 2)
@@ -281,7 +281,7 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     rows = check_parameter_matrix(qhat)
     n = len(rows)
     source = parameterized_antisymmetrizer(rows)
-    check_budget(n ** k)
+    _check_power(n, k)
     tuples = itertools.combinations if kind == "A" else itertools.combinations_with_replacement
     blocks = []
     for I in tuples(range(1, n + 1), k):

@@ -32,7 +32,7 @@ import functools
 from .freealg import Gen
 from .ideals import PresentedAlgebra
 from .linalg import Record, Subspace
-from .tensor import TensorOperator, check_budget
+from .tensor import TensorOperator, _check_power
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
 
@@ -84,7 +84,7 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
         return 1
     if k == 1:
         return n
-    check_budget(n ** k)
+    _check_power(n, k)
     return n ** k - alg.presentation().slice(k).dim
 
 
@@ -96,7 +96,7 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
     if max_degree < 0:
         raise ValueError(f"max degree must be non-negative, got {max_degree}")
     n = alg.n
-    check_budget(n ** max_degree)
+    _check_power(n, max_degree)
     presentation = alg.presentation()
     return [n ** k if k < 2 else n ** k - presentation.slice(k).dim
             for k in range(max_degree + 1)]
@@ -115,7 +115,7 @@ def component_subspaces(E: TensorOperator, k: int, kind: str):
     """
     if kind not in KIND_VARIANTS:
         raise ValueError(f"kind must be one of {tuple(KIND_VARIANTS)}")
-    check_budget(E.row_dim ** k)
+    _check_power(E.row_dim, k)
     return _component_subspaces(E, k, kind)
 
 

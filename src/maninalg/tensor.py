@@ -22,11 +22,12 @@ them over lcm(den_a, den_b), and a scaling by p/q multiplies them by p over
 den * q; each ends with one gcd pass that restores the canonical form.
 Transposes, negations and embeddings move numerators and keep den.
 
-``embed`` places an operator on any tuple of distinct legs; it and
-``perm_action`` read the flat offset of every digit tuple on a set of legs
-from one table, ``_offsets``.  ``coset_sum`` adds the weighted words
-g^(j-i) ... g^(j-1) prev in one accumulator over one denominator; the group
-and Hecke pairing routes build their (q-)symmetrizers from it.
+``embed`` places an operator on any tuple of distinct legs, ``perm_action``
+is the one S_k action rho^+ (rho^- = sign * rho^+), and both read the flat
+offset of every digit tuple on a set of legs from one table, ``_offsets``.
+``coset_sum`` adds the weighted words g^(j-i) ... g^(j-1) prev in one
+accumulator over one denominator; the group and Hecke pairing routes build
+their (q-)symmetrizers from it.
 
 Fractions appear only at the edges.  The constructor reads Fraction, int or
 'p/q' entries, or a dense :class:`QMatrix`; ``trace`` and ``entry`` return
@@ -43,7 +44,7 @@ from math import gcd, lcm
 
 from .freealg import _budget_from_env, _entry_product, poly_matrix
 from .linalg import ZERO, QMatrix, Subspace, rat
-from .permutations import Perm, reduced_word
+from .permutations import Perm
 
 DEFAULT_TENSOR_BUDGET = 4096
 
@@ -56,13 +57,15 @@ class BudgetExceeded(ValueError):
     """A requested component is larger than the configured size budget."""
 
 
-def budget_refusal(what: str, size: int, budget: int) -> BudgetExceeded:
-    """The error refusing a ``what`` of ``size`` over ``budget``.  A size of
-    more than 64 bits is named by the power of two below it: Python refuses
-    to print an int of more than 4300 digits, and n^k reaches that fast."""
-    bits = size.bit_length()
-    shown = size if bits <= 64 else f"at least 2^{bits - 1}"
-    return BudgetExceeded(f"{what} of size {shown} exceeds budget {budget} "
+def budget_refusal(what: str, size, budget: int) -> BudgetExceeded:
+    """The error refusing a ``what`` of ``size`` over ``budget``; ``size`` is
+    an int, or the text 'n^k' of a power refused without forming it.  An int
+    of more than 64 bits is named by the power of two below it: Python
+    refuses to print an int of more than 4300 digits, and n^k reaches that
+    fast."""
+    if isinstance(size, int) and size.bit_length() > 64:
+        size = f"at least 2^{size.bit_length() - 1}"
+    return BudgetExceeded(f"{what} of size {size} exceeds budget {budget} "
                           "(override with MANIN_BUDGET)")
 
 
@@ -70,6 +73,21 @@ def check_budget(size: int):
     budget = tensor_budget()
     if size > budget:
         raise budget_refusal("component", size, budget)
+
+
+def _check_power(n: int, k: int):
+    """check_budget(n ** k), refused from n and k alone when n >= 2 and k
+    passes the budget's bit length, since then n^k >= 2^k > budget: forming
+    n^k would cost time and memory that grow with k, which has no bound.
+    The budget is read once, since reading MANIN_BUDGET costs as much as
+    the rest of the check; a formed size over it is refused by
+    check_budget, so that every such refusal passes through that one
+    function (``bench/tracing.py`` counts refusals there)."""
+    budget = tensor_budget()
+    if n > 1 and k > budget.bit_length():
+        raise budget_refusal("component", f"{n}^{k}", budget)
+    if n ** k > budget:
+        check_budget(n ** k)
 
 
 def multi_indices(n: int, k: int):
@@ -104,7 +122,7 @@ class TensorOperator:
     __slots__ = ("row_dim", "col_dim", "arity", "num", "den", "_hash", "_matrix")
 
     def __init__(self, row_dim: int, col_dim: int, arity: int, entries):
-        check_budget(max(row_dim, col_dim) ** arity)
+        _check_power(max(row_dim, col_dim), arity)
         nrows, ncols = row_dim ** arity, col_dim ** arity
         if isinstance(entries, QMatrix):
             if entries.rows != nrows or entries.cols != ncols:
@@ -153,14 +171,13 @@ class TensorOperator:
 
     @staticmethod
     def identity(n: int, arity: int) -> "TensorOperator":
-        size = n ** arity
-        check_budget(size)
-        return _make(n, n, arity, {i: {i: 1} for i in range(size)}, 1)
+        _check_power(n, arity)
+        return _make(n, n, arity, {i: {i: 1} for i in range(n ** arity)}, 1)
 
     @staticmethod
     def zero(n: int, arity: int, m: int | None = None) -> "TensorOperator":
         m = n if m is None else m
-        check_budget(max(n, m) ** arity)
+        _check_power(max(n, m), arity)
         return _make(n, m, arity, {}, 1)
 
     def row_space(self) -> Subspace:
@@ -377,7 +394,7 @@ def embed(op: TensorOperator, total_arity: int, legs) -> TensorOperator:
     if len(legs) != op.arity or len(set(legs)) != len(legs) \
             or not all(1 <= t <= total_arity for t in legs):
         raise ValueError("leg out of range")
-    check_budget(n ** total_arity)
+    _check_power(n, total_arity)
     weight = [n ** (total_arity - t) for t in range(1, total_arity + 1)]
     place = _offsets(n, [weight[t - 1] for t in legs])
     local = [(place[r], [(place[c], x) for c, x in row.items()])
@@ -434,10 +451,10 @@ def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperato
 
 
 def perm_action(p: Perm, n: int) -> TensorOperator:
-    """rho^+(p) computed directly: e_{i_1...i_k} -> e_{j_1...j_k} with
-    j_{p(t)} = i_t."""
+    """rho^+(p): e_{i_1...i_k} -> e_{j_1...j_k} with j_{p(t)} = i_t; the
+    signed rho^-(p) is ``perm_action(p, n).scale(p.sign())``."""
     k = p.size
-    check_budget(n ** k)
+    _check_power(n, k)
     weight = [n ** (k - t) for t in range(1, k + 1)]
     moved = _offsets(n, [weight[p(t) - 1] for t in range(1, k + 1)])
     return _make(n, n, k, {row: {col: 1} for col, row in enumerate(moved)}, 1)
@@ -449,24 +466,6 @@ def swap_operator(n: int) -> TensorOperator:
                            for i in range(n) for j in range(n)}, 1)
 
 
-def perm_rep(p: Perm, n: int, sign: int = 1) -> TensorOperator:
-    """rho^{+-}(p): the product of (±P)^{(a,a+1)} along a reduced word.
-
-    Independent of the chosen reduced word; rho^- differs from rho^+ by the
-    sign of the permutation.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    k = p.size
-    out = TensorOperator.identity(n, k)
-    P = swap_operator(n)
-    if sign < 0:
-        P = -P
-    for a in reduced_word(p):
-        out = out * embed(P, k, a)
-    return out
-
-
 def compose_chain(M, k: int):
     """M^{(1)} ... M^{(k)} for an n x m matrix M over scalars or NCPoly.
 
@@ -476,7 +475,7 @@ def compose_chain(M, k: int):
     grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
     n = len(grid)
     m = len(grid[0])
-    check_budget(max(n, m) ** k)
+    _check_power(max(n, m), k)
     return [[_entry_product([grid[i - 1][j - 1] for i, j in zip(row_index, col_index)])
              for col_index in multi_indices(m, k)]
             for row_index in multi_indices(n, k)]

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -325,8 +326,10 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
 
 
 # Each row: argv, MANIN_BUDGET or None, and a phrase naming the budget that
-# the one error line must contain.  n^k has 47,712 digits in the first row
-# and 30,103 in the next three, more than Python will print.
+# the one error line must contain; {pair} and {matrix} name the files of
+# manin_inputs.  n^k has 47,712 digits in the first row and 30,103 in the
+# next three, more than Python will print.  The k = 10^9 rows are refused
+# from n and k, without forming n^k, so each exits within the time limit.
 @pytest.mark.parametrize("argv, budget, phrase", [
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "99999"],
      None, "exceeds budget 4096"),
@@ -338,15 +341,29 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
       "--method", "group"], None, "exceeds budget 4096"),
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "4"],
      "abc", "MANIN_BUDGET must be an integer"),
+    (["pairing", "--family", "RhatMinus", "--n", "3", "--q", "2", "--k", "1000000000",
+      "--kind", "S", "--method", "hecke"], None, "size 3^1000000000 exceeds budget 4096"),
+    (["pairing", "--family", "B_n", "--n", "3", "--k", "1000000000", "--kind", "S",
+      "--method", "brauer"], None, "size 3^1000000000 exceeds budget 4096"),
+    (["dims", "--family", "A_n", "--n", "3", "--variant", "X", "--max-degree",
+      "1000000000"], None, "size 3^1000000000 exceeds budget 4096"),
+    (["minor", "--pair", "{pair}", "--matrix", "{matrix}", "--k", "1000000000",
+      "--kind", "A"], None, "size 2^1000000000 exceeds budget 4096"),
 ], ids=["dims-astronomical-degree", "pairing-astronomical-arity",
-        "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer"])
-def test_budget_refusal_names_the_budget(argv, budget, phrase):
+        "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer",
+        "hecke-billion-arity", "brauer-billion-arity", "dims-billion-degree",
+        "minor-billion-arity"])
+def test_budget_refusal_names_the_budget(argv, budget, phrase, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MANIN_BUDGET", None)
     if budget is not None:
         env["MANIN_BUDGET"] = budget
+    pair, matrix, _ = manin_inputs(tmp_path, "")
+    argv = [a.format(pair=pair, matrix=matrix) for a in argv]
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "maninalg.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 5
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,18 @@ from maninalg.tensor import TensorOperator, compose_chain
 A, B = Gen("a"), Gen("b")
 M11, M12, M21, M22 = (matrix_gen("M", i, j)
                       for i in (1, 2) for j in (1, 2))
+
+
+def test_generator_is_the_pair_of_symbol_and_index():
+    g = Gen("M", (1, 2))
+    assert (g.sym, g.idx) == ("M", (1, 2)) == tuple(g)
+    assert Gen(sym="M", idx=(1, 2)) == g == gen("M", 1, 2)
+    assert A.idx == () and repr(A) == "a" and repr(g) == "M[1,2]"
+    assert hash(g) == hash(("M", (1, 2))) and g == ("M", (1, 2))
+    assert sorted([Gen("b"), Gen("a", (2,)), Gen("a", (1,)), A]) == \
+        [A, Gen("a", (1,)), Gen("a", (2,)), Gen("b")]
+    for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other == g and type(other) is Gen and other.idx == (1, 2)
 
 
 def test_one_is_neutral():

@@ -293,6 +293,47 @@ def _probes(g: int, relations, d: int, rng) -> list:
     return members + noise + mixed
 
 
+def _word(index: int, gens: tuple, d: int) -> tuple:
+    """The word of degree d at ``index`` in the lex word basis of gens."""
+    letters = []
+    for _ in range(d):
+        index, pos = divmod(index, len(gens))
+        letters.append(gens[pos])
+    return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_contains_rows_agrees_with_congruent_and_the_slice_oracle(name):
+    # below degree 2 the oracle slice is empty, so a nonzero row is never a
+    # member; from degree 2 the probes hold members and non-members
+    alg = PRESENTATIONS[name]()
+    g = len(alg.gens)
+    rng = random.Random(name)
+    for d in range(4):
+        assert alg.contains_rows([], d), d
+        assert alg._slices == {}, d
+        oracle = dense.slice_from_scratch(g, alg.relations, d)
+        if d < 2:
+            rows = [{w: rng.randint(1, 3)} for w in range(g ** d)]
+        else:
+            rows = [row for row in _probes(g, alg.relations, d, rng) if row]
+        member = [oracle.contains(row) for row in rows]
+        # the probes reach both answers wherever the slice is a proper
+        # nonzero subspace
+        assert not any(member) if d < 2 else len(set(member)) == 2 or \
+            oracle.rank in (0, g ** d), d
+        for row, want in zip(rows, member):
+            assert alg.contains_rows([row], d) == want, (d, row)
+            poly = NCPoly({_word(w, alg.gens, d): c for w, c in row.items()})
+            assert alg.congruent(poly, NCPoly.zero()) == want, (d, row)
+            shift = NCPoly({_word(0, alg.gens, d + 1): 1})
+            assert alg.congruent(poly + shift, shift) == want, (d, row)
+        assert alg.contains_rows(rows, d) == all(member), d
+        held = [row for row, want in zip(rows, member) if want]
+        assert alg.contains_rows(held, d), d
+        alg = PRESENTATIONS[name]()
+
+
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
 def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
     # the echelon of a slice holds the rows of its top two degrees and

@@ -150,6 +150,66 @@ def test_spec_json_roundtrip():
     assert idem.build(custom) == idem.antisymmetrizer(2)
 
 
+QHAT = [[1, F(2)], [F(1, 2), 1]]
+SL2_ROWS = [[1, 2, 3, 1], [2, 1, 3, -1], [3, 1, 1, 2], [1, 3, 1, -2], [3, 2, 2, -2],
+            [2, 3, 2, 2]]
+CUSTOM = idem.hecke_minus(2, 3).matrix.to_strings()
+# spec -> the direct constructor call that build(spec) must equal
+DIRECT_BUILDS = [
+    (idem.IdempotentSpec("A_n", 3), lambda: idem.antisymmetrizer(3)),
+    (idem.IdempotentSpec("S_n", 3), lambda: idem.symmetrizer(3)),
+    (idem.IdempotentSpec("P_n", 2), lambda: idem.permutation_op(2)),
+    (idem.IdempotentSpec("Aq", 3, {"q": "2/3"}), lambda: idem.q_antisymmetrizer(3, F(2, 3))),
+    (idem.IdempotentSpec("Pq", 2, {"q": "-2"}), lambda: idem.q_permutation_op(2, -2)),
+    (idem.IdempotentSpec("Aqhat", 0, {"qhat": QHAT}),
+     lambda: idem.parameterized_antisymmetrizer(QHAT)),
+    (idem.IdempotentSpec("Atilde_qhat", 0, {"qhat": QHAT}),
+     lambda: idem.twisted_antisymmetrizer(QHAT)),
+    (idem.IdempotentSpec("RhatPlus", 2, {"q": "3"}), lambda: idem.hecke_plus(2, 3)),
+    (idem.IdempotentSpec("RhatMinus", 3, {"q": "1/2"}), lambda: idem.hecke_minus(3, F(1, 2))),
+    (idem.IdempotentSpec("B_n", 3), lambda: idem.orthogonal_idempotent(3)),
+    (idem.IdempotentSpec("Btilde_n", 4), lambda: idem.symplectic_idempotent(4)),
+    (idem.IdempotentSpec("FourParam", 0, {"a": "2", "b": "3", "c": "1/2", "kappa": "1"}),
+     lambda: idem.fourparam_idempotent(2, 3, F(1, 2), 1)),
+    (idem.IdempotentSpec("FourParam", 0, {"a": "2", "b": "3", "c": "1/2"}),
+     lambda: idem.fourparam_idempotent(2, 3, F(1, 2), 0)),
+    (idem.IdempotentSpec("Lie", 0, {"brackets": SL2_ROWS, "dim": "3"}),
+     lambda: idem.lie_idempotent(idem.sl2_brackets(), 3)),
+    (idem.IdempotentSpec("Custom", 0, {"matrix": CUSTOM}),
+     lambda: TensorOperator(2, 2, 2, QMatrix.from_strings(CUSTOM))),
+]
+
+
+def test_every_family_has_a_direct_build():
+    assert {spec.family for spec, _ in DIRECT_BUILDS} == set(idem.FAMILIES)
+
+
+@pytest.mark.parametrize("spec, direct", DIRECT_BUILDS,
+                         ids=[f"{spec.family}-{len(spec.params)}" for spec, _ in DIRECT_BUILDS])
+def test_build_equals_the_direct_constructor(spec, direct):
+    assert idem.build(spec) == direct()
+
+
+@pytest.mark.parametrize("spec, message", [
+    (idem.IdempotentSpec("A_m", 0, {"q": "2"}), "unknown family 'A_m'"),
+    (idem.IdempotentSpec("Aq", 0, {"q": "2", "p": "1"}), "family Aq takes no parameter 'p'"),
+    (idem.IdempotentSpec("A_n", 3, {"q": "2"}), "takes no parameter 'q' (it takes none)"),
+    (idem.IdempotentSpec("Aq", 0, {"q": "2"}), "family Aq needs a local dimension n >= 1, got 0"),
+    (idem.IdempotentSpec("Aq", 2), "family Aq needs the parameter 'q'"),
+    (idem.IdempotentSpec("FourParam", 0, {"a": "2", "b": "3"}), "needs the parameter 'c'"),
+    (idem.IdempotentSpec("Custom", 0, {"matrix": [[1, 0]]}), "custom operator must be square"),
+    (idem.IdempotentSpec("Custom", 0, {"matrix": [[1, 0], [0, 1]]}),
+     "custom operator must act on a tensor square"),
+    (idem.IdempotentSpec("Custom", 0, {"matrix": "I"}), "custom 'matrix' must be a list of lists"),
+], ids=["unknown-before-parameters", "extra-before-size", "extra-of-none", "size",
+        "missing", "missing-fourparam", "custom-not-square", "custom-not-tensor-square",
+        "custom-not-a-grid"])
+def test_build_checks_family_then_parameters_then_size(spec, message):
+    with pytest.raises(idem.InvalidParameter) as err:
+        idem.build(spec)
+    assert message in str(err.value)
+
+
 def test_catalog_families_are_idempotent_with_rank_trace():
     specs = [
         idem.IdempotentSpec("A_n", 3),

@@ -21,7 +21,7 @@ from maninalg.pairing import (BraidRelationFailed, NotExists, PairingOperator,
 from maninalg.permutations import Perm, all_perms, inv
 from maninalg.quadratic import VARIANTS, QuadAlgebra, component_subspaces, relation_space
 from maninalg.suites import generic_parameter_matrix, run_suite
-from maninalg.tensor import BudgetExceeded, TensorOperator, compose_chain, embed, perm_rep
+from maninalg.tensor import BudgetExceeded, TensorOperator, compose_chain, embed, perm_action
 
 F = Fraction
 
@@ -150,8 +150,8 @@ def test_group_average_symmetrizers():
             sym = TensorOperator.zero(n, k)
             alt = TensorOperator.zero(n, k)
             for p in all_perms(k):
-                sym = sym + perm_rep(p, n)
-                alt = alt + perm_rep(p, n).scale(p.sign())
+                sym = sym + perm_action(p, n)
+                alt = alt + perm_action(p, n).scale(p.sign())
             assert s == sym.scale(F(1, factorial(k)))
             assert a == alt.scale(F(1, factorial(k)))
 
@@ -425,7 +425,7 @@ def no_route_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the kind and arity were checked")
 
-    for name in ("is_idempotent", "component_subspaces", "embed", "check_budget",
+    for name in ("is_idempotent", "component_subspaces", "embed", "_check_power",
                  "hecke_minus", "check_parameter_matrix", "orthogonal_idempotent",
                  "symplectic_idempotent"):
         monkeypatch.setattr(pairing_module, name, no_work)

@@ -200,8 +200,9 @@ def test_ideal_slice_builds_its_echelon_once_on_first_use():
 
 def test_importing_the_cli_loads_no_dataclasses():
     """Start-up stays cheap: ``dataclasses`` imports ``inspect``, which
-    imports ``ast`` and ``dis``, all before any computation starts."""
-    heavy = ["ast", "dataclasses", "dis", "inspect"]
+    imports ``ast`` and ``dis``, all before any computation starts; a
+    ``typing.NamedTuple`` would import ``typing`` and ``contextlib``."""
+    heavy = ["ast", "contextlib", "dataclasses", "dis", "inspect", "typing"]
     code = ("import json, sys, maninalg.cli; "
             f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}

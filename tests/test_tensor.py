@@ -11,11 +11,11 @@ from maninalg import idempotents as idem
 from maninalg.freealg import NCPoly, generator_matrix, matrix_gen, poly_grid_product
 from maninalg.idempotents import antisymmetrizer, permutation_op
 from maninalg.linalg import QMatrix
-from maninalg.permutations import Perm, all_perms
+from maninalg.permutations import Perm, all_perms, reduced_word
 from maninalg.freealg import poly_matrix
-from maninalg.tensor import (BudgetExceeded, TensorOperator, compose_chain,
+from maninalg.tensor import (BudgetExceeded, TensorOperator, _check_power, compose_chain,
                              coset_sum, embed, flatten_index, multi_indices,
-                             perm_action, perm_rep, swap_operator,
+                             perm_action, swap_operator,
                              unflatten_index)
 
 
@@ -62,29 +62,39 @@ def test_embed_at_nonadjacent_legs():
     assert embed(P, 3, (1, 2)) == embed(P, 3, 1)
 
 
-def test_perm_rep_identity_and_simple_flip():
-    assert perm_rep(Perm.identity(3), 2) == TensorOperator.identity(2, 3)
-    assert perm_rep(Perm((2, 1)), 2) == swap_operator(2)
+def rho(p: Perm, n: int, sign: int = 1) -> TensorOperator:
+    """rho^+(p), or rho^-(p) = sign(p) rho^+(p) for sign -1."""
+    return perm_action(p, n).scale(p.sign() if sign < 0 else 1)
 
 
-def test_perm_rep_homomorphism():
+def test_perm_action_identity_and_simple_flip():
+    assert perm_action(Perm.identity(3), 2) == TensorOperator.identity(2, 3)
+    assert perm_action(Perm((2, 1)), 2) == swap_operator(2)
+    assert rho(Perm((2, 1)), 2, -1) == -swap_operator(2)
+
+
+def test_perm_action_homomorphism():
     for n in (2, 3):
         for sign in (1, -1):
             for p in all_perms(3):
                 for q in all_perms(3):
-                    assert perm_rep(p * q, n, sign) == \
-                        perm_rep(p, n, sign) * perm_rep(q, n, sign)
+                    assert rho(p * q, n, sign) == rho(p, n, sign) * rho(q, n, sign)
 
 
-def test_perm_rep_signs_and_direct_action():
-    for p in all_perms(3):
-        assert perm_rep(p, 2) == perm_action(p, 2)
-        assert perm_rep(p, 2, -1) == perm_action(p, 2).scale(p.sign())
+def test_perm_action_is_the_product_along_a_reduced_word():
+    for n in (2, 3):
+        for sign in (1, -1):
+            P = swap_operator(n).scale(sign)
+            for p in all_perms(3):
+                along = TensorOperator.identity(n, 3)
+                for a in reduced_word(p):
+                    along = along * embed(P, 3, a)
+                assert along == rho(p, n, sign)
 
 
 def test_signed_rep_inverse_pair():
-    r1 = perm_rep(Perm((2, 3, 1)), 2, -1)   # s1 s2
-    r2 = perm_rep(Perm((3, 1, 2)), 2, -1)   # s2 s1
+    r1 = rho(Perm((2, 3, 1)), 2, -1)   # s1 s2
+    r2 = rho(Perm((3, 1, 2)), 2, -1)   # s2 s1
     assert r1 * r2 == TensorOperator.identity(2, 3)
 
 
@@ -331,8 +341,7 @@ def _simple(a: int, k: int) -> Perm:
 @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from((1, -1)), st.data())
 def test_equal_operators_from_different_routes_hash_equal(n, k, sign, data):
     # rho is a representation, so the product along any word in the adjacent
-    # flips equals perm_rep of the word's permutation, which uses one fixed
-    # reduced word, and the direct action
+    # flips equals the direct action of the word's permutation
     word = data.draw(st.lists(st.integers(1, k - 1), max_size=6))
     P = swap_operator(n).scale(sign)
     along_word = TensorOperator.identity(n, k)
@@ -340,9 +349,9 @@ def test_equal_operators_from_different_routes_hash_equal(n, k, sign, data):
     for a in word:
         along_word = along_word * embed(P, k, a)
         p = p * _simple(a, k)
-    for other in (perm_rep(p, n, sign), perm_action(p, n).scale(p.sign() if sign < 0 else 1)):
-        assert along_word == other
-        assert hash(along_word) == hash(other)
+    other = rho(p, n, sign)
+    assert along_word == other
+    assert hash(along_word) == hash(other)
     a = random_operator(data, n, k)
     for zero in (a - a, a.scale(0), TensorOperator(n, n, k, QMatrix.zero(n ** k))):
         assert zero == TensorOperator.zero(n, k)
@@ -375,6 +384,29 @@ def test_constructors_check_the_budget_first(monkeypatch):
                   lambda: embed(swap_operator(2), 4, (1, 3))):
         with pytest.raises(BudgetExceeded):
             build()
+
+
+@pytest.mark.parametrize("budget, n, k, size", [
+    (None, 2, 12, None), (None, 2, 13, "8192"), (None, 2, 14, "2^14"),
+    (None, 3, 10 ** 9, "3^1000000000"), (None, 1, 10 ** 9, None), (None, 0, 10 ** 9, None),
+    ("0", 1, 10 ** 9, "1"), ("-5", 2, 0, "1"), ("-5", 2, 4, "2^4"),
+    (str(2 ** 70), 3, 44, None), (str(2 ** 70), 3, 45, "at least 2^71"),
+    (str(2 ** 70), 2, 71, "at least 2^71"), (str(2 ** 70), 2, 72, "2^72"),
+])
+def test_power_budget_refuses_from_n_and_k(budget, n, k, size, monkeypatch):
+    # n^k is refused without being formed once n >= 2 and k passes the
+    # budget's bit length; below that it goes through check_budget(n ** k)
+    if budget is None:
+        monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("MANIN_BUDGET", budget)
+    if size is None:
+        _check_power(n, k)
+        return
+    with pytest.raises(BudgetExceeded) as err:
+        _check_power(n, k)
+    assert str(err.value) == (f"component of size {size} exceeds budget "
+                              f"{budget or 4096} (override with MANIN_BUDGET)")
 
 
 # --- integer numerators against the Fraction-row oracle -----------------------
