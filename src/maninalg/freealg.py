@@ -6,12 +6,16 @@ multiply by concatenation.  The monomial order is degree-lexicographic with
 generators compared by (symbol, index tuple); the leftmost letter of a word
 is most significant, matching the tensor multi-index convention.
 
-Products of whole grids with scalar operators (``poly_grid_product``) and
-products of several entries (``_entry_product``, behind chains,
-determinants and permanents) sum integer numerators over one common
-denominator and build one Fraction per result term, rather than chaining
-Fraction-valued NCPoly arithmetic.  One integer grid kernel, ``_grid_times``,
-runs the side products, for the minors and for ``manin.defect_rows``.
+A polynomial is stored as integer numerators over one common denominator
+(``NCPoly.num`` over ``NCPoly.den``), the form of ``tensor.TensorOperator``,
+so its arithmetic runs on ints and Fractions appear only at the edges: the
+constructor, the ``terms`` view, ``repr`` and ``sparse_coords``.  Products
+of whole grids with scalar operators (``poly_grid_product``) and products
+of several entries (``_entry_product``, behind chains, determinants and
+permanents) sum numerators over one common denominator and end with one
+gcd pass per result, rather than chaining NCPoly arithmetic.  One integer
+grid kernel, ``_grid_times``, runs the side products, for the minors and
+for ``manin.defect_rows``.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
-from .linalg import ONE, ZERO, QMatrix, format_rat, rat
+from .linalg import ONE, QMatrix, format_rat, rat
 
 
 DEFAULT_WORD_BUDGET = 20736
@@ -78,83 +82,91 @@ def matrix_gen(sym: str, i: int, j: int) -> Gen:
 
 
 class NCPoly:
-    """Noncommutative polynomial: a map word -> nonzero rational."""
+    """Noncommutative polynomial over Q, as integer numerators over one
+    denominator.
 
-    __slots__ = ("terms",)
+    ``num`` maps a word to a nonzero int and ``den`` is a positive int, so
+    the coefficient of a word w is num[w] / den.  den has no factor in
+    common with all the numerators (it is the least common denominator of
+    the coefficients), so each polynomial has exactly one representation
+    and ``==`` and ``hash`` compare integers.  The constructor reads a map
+    word -> int, Fraction or 'p/q'; ``terms`` is the word -> Fraction view,
+    built on each read, for display and for callers outside the package.
+    A sum or difference adds numerators over lcm(den_a, den_b), a product
+    multiplies them over den_a * den_b, and a scaling by p/q multiplies them
+    by p over den * q; each ends with one gcd pass (``_canonical``).
+    Treated as immutable: polynomials share their ``num`` dicts.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple, Fraction] = {}
+        coeffs = {}
         if terms:
             for word, coeff in terms.items():
                 c = rat(coeff)
                 if c:
-                    self.terms[tuple(word)] = c
+                    coeffs[tuple(word)] = c
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        # the least common denominator is coprime to the numerators as a whole
+        self.num = {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
+        self.den = den
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a new dict word -> Fraction."""
+        den = self.den
+        return {w: Fraction(c, den) for w, c in self.num.items()}
 
     @staticmethod
     def zero() -> "NCPoly":
-        return NCPoly()
+        return _make({}, 1)
 
     @staticmethod
     def one() -> "NCPoly":
-        return NCPoly({(): ONE})
+        return _make({(): 1}, 1)
 
     @staticmethod
     def scalar(c) -> "NCPoly":
-        return NCPoly({(): rat(c)})
+        c = rat(c)
+        return _make({(): c.numerator}, c.denominator) if c else _make({}, 1)
 
     @staticmethod
     def generator(g: Gen) -> "NCPoly":
-        return NCPoly({(g,): ONE})
+        return _make({(g,): 1}, 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, NCPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            nc = out.get(word, ZERO) + c
-            if nc:
-                out[word] = nc
-            else:
-                out.pop(word, None)
-        p = NCPoly()
-        p.terms = out
-        return p
-
-    def __neg__(self) -> "NCPoly":
-        p = NCPoly()
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        return _sum(self, other, -1)
+
+    def __neg__(self) -> "NCPoly":
+        return _make({w: -c for w, c in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[tuple, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        out: dict[tuple, int] = {}
+        for w1, c1 in self.num.items():
+            for w2, c2 in other.num.items():
                 word = w1 + w2
-                nc = out.get(word, ZERO) + c1 * c2
-                if nc:
-                    out[word] = nc
-                else:
-                    out.pop(word, None)
-        p = NCPoly()
-        p.terms = out
-        return p
+                out[word] = out[word] + c1 * c2 if word in out else c1 * c2
+        return _canonical({w: c for w, c in out.items() if c}, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -163,17 +175,19 @@ class NCPoly:
 
     def scale(self, c) -> "NCPoly":
         c = rat(c)
-        p = NCPoly()
-        if c:
-            p.terms = {w: c * x for w, x in self.terms.items()}
-        return p
+        if not c:
+            return _make({}, 1)
+        if c == 1:
+            return self
+        p = c.numerator
+        return _canonical({w: p * x for w, x in self.num.items()}, self.den * c.denominator)
 
     def degree(self) -> int:
         """Maximal word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
+        return max((len(w) for w in self.num), default=-1)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        lengths = {len(w) for w in self.terms}
+        lengths = {len(w) for w in self.num}
         if not lengths:
             return True
         if len(lengths) > 1:
@@ -181,14 +195,15 @@ class NCPoly:
         return d is None or lengths == {d}
 
     def generators(self) -> set:
-        return {g for w in self.terms for g in w}
+        return {g for w in self.num for g in w}
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[word]
+        for word in sorted(terms, key=lambda w: (len(w), w)):
+            c = terms[word]
             body = "*".join(repr(g) for g in word) if word else "1"
             if c == 1 and word:
                 parts.append(body)
@@ -200,6 +215,49 @@ class NCPoly:
                 parts.append(format_rat(c))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _make(num: dict, den: int) -> NCPoly:
+    """Wrap numerators that are already canonical: no zeros, and den > 0
+    without a factor common to all of them."""
+    p = object.__new__(NCPoly)
+    p.num = num
+    p.den = den
+    return p
+
+
+def _canonical(num: dict, den: int) -> NCPoly:
+    """Wrap numerators without zeros over a nonzero den, after dividing den
+    and every numerator by their common factor, signed so that den > 0."""
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {w: c // g for w, c in num.items()}
+        den //= g
+    return _make(num, den)
+
+
+def _sum(a: NCPoly, b: NCPoly, sign: int) -> NCPoly:
+    """a + sign * b, with the numerators of both brought to lcm(a.den, b.den)."""
+    den = lcm(a.den, b.den)
+    return _canonical(_combine(a.num, den // a.den, b.num, sign * (den // b.den)), den)
+
+
+def _combine(a: dict, ma: int, b: dict, mb: int) -> dict:
+    """ma * a + mb * b for word -> int maps and nonzero ints ma and mb,
+    without zero entries."""
+    out = dict(a) if ma == 1 else {w: ma * c for w, c in a.items()}
+    for w, c in b.items():
+        if w in out:
+            v = out[w] + mb * c
+            if v:
+                out[w] = v
+            else:
+                del out[w]
+        else:
+            out[w] = mb * c
+    return out
 
 
 def word_index(word, gen_pos: dict, g: int) -> int:
@@ -270,8 +328,8 @@ def poly_grid_product(grid, left=None, right=None) -> list:
 
     Each side is None, a QMatrix or a TensorOperator.  The grid's entries
     are brought to one common denominator D and their words numbered, the
-    integer grid kernel ``_grid_times`` applies the sides, and one Fraction
-    is built per output term.
+    integer grid kernel ``_grid_times`` applies the sides, and each output
+    entry keeps its integer sums over D times the sides' denominators.
     """
     if left is None and right is None:
         return grid
@@ -337,18 +395,19 @@ def _integer_grid(grid) -> tuple:
     """(D, words, sums): D the common denominator of the grid's entries,
     words the distinct words in order of first appearance, and sums the
     grid with each entry as {position in words: numerator over D}."""
-    den = lcm(*(c.denominator for row in grid for p in row for c in p.terms.values()))
+    den = lcm(*(p.den for row in grid for p in row))
     ids: dict[tuple, int] = {}
     sums = []
     for row in grid:
         out_row = []
         for p in row:
             entry = {}
-            for w, c in p.terms.items():
+            m = den // p.den
+            for w, c in p.num.items():
                 i = ids.get(w)
                 if i is None:
                     i = ids[w] = len(ids)
-                entry[i] = c.numerator * (den // c.denominator)
+                entry[i] = c * m
             out_row.append(entry)
         sums.append(out_row)
     return den, list(ids), sums
@@ -369,9 +428,7 @@ def _integer_rows(op) -> tuple:
 
 
 def _from_integer_sums(entry: dict, words: list, den: int) -> NCPoly:
-    p = NCPoly()
-    p.terms = {words[w]: Fraction(c, den) for w, c in entry.items() if c}
-    return p
+    return _canonical({words[w]: c for w, c in entry.items() if c}, den)
 
 
 def scalar_times_poly_mat(m, p) -> list:
@@ -385,21 +442,21 @@ def poly_mat_times_scalar(p, m) -> list:
 
 
 def _entry_product(factors, num: int = 1, den: int = 1) -> NCPoly:
-    """(num / den) * f_1 * f_2 * ... for NCPoly factors, multiplied directly.
+    """(num / den) * f_1 * f_2 * ... for NCPoly factors and nonzero ints num
+    and den, multiplied directly.
 
     A single-term factor (a generator or a scalar entry) only extends the
     words and multiplies the integers num and den; a factor with several
-    terms is expanded over its common denominator.  One Fraction is built
-    per term of the product, none when a single-term product has
-    coefficient 1.
+    terms is expanded on its numerators, and its den joins den.  One gcd
+    pass ends the product.
     """
     word, prod = (), None   # prod: word -> numerator over den, once needed
     for f in factors:
-        t = f.terms
+        t = f.num
+        den *= f.den
         if len(t) == 1:
             (w, x), = t.items()
-            num *= x.numerator
-            den *= x.denominator
+            num *= x
             if not w:
                 continue
             if prod is None:
@@ -408,24 +465,18 @@ def _entry_product(factors, num: int = 1, den: int = 1) -> NCPoly:
                 prod = {v + w: c for v, c in prod.items()}
             continue
         if not t:
-            return NCPoly()
-        d = lcm(*(x.denominator for x in t.values()))
-        den *= d
-        ints = [(w, x.numerator * (d // x.denominator)) for w, x in t.items()]
+            return _make({}, 1)
         if prod is None:
             prod = {word: 1}
         expanded = {}
         for v, c in prod.items():
-            for w, b in ints:
+            for w, b in t.items():
                 vw = v + w
-                expanded[vw] = expanded.get(vw, 0) + c * b
+                expanded[vw] = expanded[vw] + c * b if vw in expanded else c * b
         prod = expanded
-    p = NCPoly()
     if prod is None:
-        p.terms = {word: ONE if num == den else Fraction(num, den)}
-    else:
-        p.terms = {w: Fraction(c * num, den) for w, c in prod.items() if c}
-    return p
+        return _canonical({word: num}, den)
+    return _canonical({w: c * num for w, c in prod.items() if c}, den)
 
 
 # --- text form ---------------------------------------------------------------

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
 
-from .freealg import NCPoly, NonHomogeneous, sparse_coords, word_budget, word_index
+from .freealg import (NCPoly, NonHomogeneous, _combine, sparse_coords, word_budget,
+                      word_index)
 from .linalg import Record, SparseEchelon, Subspace
 from .tensor import budget_refusal
 
@@ -139,10 +139,10 @@ class PresentedAlgebra:
 
     def congruent(self, lhs: NCPoly, rhs: NCPoly) -> bool:
         """Does lhs - rhs lie in the graded ideal?  ``contains_rows`` tests
-        the difference as one integer row over the common denominator of
-        both sides; it must be homogeneous unless it is zero (else
-        NonHomogeneous), while lhs and rhs need not be."""
-        diff = _integer_difference(lhs.terms, rhs.terms)
+        the difference as one integer row, rhs.den * lhs.num - lhs.den *
+        rhs.num, a nonzero multiple of it; it must be homogeneous unless it
+        is zero (else NonHomogeneous), while lhs and rhs need not be."""
+        diff = _combine(lhs.num, rhs.den, rhs.num, -lhs.den)
         lengths = {len(w) for w in diff}
         if len(lengths) > 1:
             raise NonHomogeneous("membership needs a homogeneous polynomial")
@@ -159,19 +159,6 @@ class PresentedAlgebra:
             return False
         echelon = self.slice(d).echelon
         return all(echelon.contains(row) for row in rows)
-
-
-def _integer_difference(a: dict, b: dict) -> dict:
-    """a - b for two word -> Fraction maps, times the least common
-    denominator of all their coefficients, without zero entries."""
-    den = lcm(*(x.denominator for x in a.values()), *(x.denominator for x in b.values()))
-    out = {w: x.numerator * (den // x.denominator) for w, x in a.items()}
-    if not b:
-        return out
-    for w, x in b.items():
-        c = x.numerator * (den // x.denominator)
-        out[w] = out[w] - c if w in out else -c
-    return {w: c for w, c in out.items() if c}
 
 
 def span_of_polys(polys, gens, degree: int) -> Subspace:
@@ -201,13 +188,20 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     leads are those of inserting w * r for every word w into the full
     slice.  The normal words of degree e - 1 are those of degree e - 2
     followed by each generator, less the leads of E_(e-1).  A word space of
-    more than ``word_budget()`` words is refused before anything is built.
+    more than ``word_budget()`` words is refused before anything is built,
+    and before g^d is formed when d alone shows it too large (the rule of
+    ``tensor._check_power``).
     """
     gens = tuple(gens)
     g = len(gens)
     if d < 2:
         raise ValueError("ideal slices start at degree 2")
-    size, budget = g ** d, word_budget()
+    # with g >= 2 and d past the budget's bit length, g^d >= 2^d > budget:
+    # refused from g and d alone, since forming g^d costs time that grows with d
+    budget = word_budget()
+    if g > 1 and d > budget.bit_length():
+        raise budget_refusal("word space", f"{g}^{d}", budget)
+    size = g ** d
     if size > budget:
         raise budget_refusal("word space", size, budget)
     if below is None:

@@ -15,10 +15,11 @@ their operators directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import ONE, QMatrix, Record, Subspace, ZERO, format_rat, rat
-from .tensor import (TensorOperator, _fixes_rows, _make, flatten_index, multi_indices,
-                     swap_operator)
+from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _make,
+                     flatten_index, multi_indices, swap_operator)
 
 
 class InvalidParameter(ValueError):
@@ -63,7 +64,11 @@ def parse_brackets(rows) -> dict:
 
 
 def check_parameter_matrix(qhat) -> list:
-    """Validate q_ii = 1, q_ij = q_ji^{-1}, entries nonzero; return rows."""
+    """Validate q_ii = 1, q_ij = q_ji^{-1}, entries nonzero; return rows.
+
+    Each pair i < j is visited once, in the order of a row-by-row scan that
+    checks the diagonal of each row first, so the first error is the one
+    that scan meets."""
     rows = rational_grid(qhat, "a parameter matrix")
     n = len(rows)
     if not rows or any(len(r) != n for r in rows):
@@ -71,7 +76,8 @@ def check_parameter_matrix(qhat) -> list:
     for i, row in enumerate(rows):
         if row[i] != 1:
             raise InvalidParameter("parameter matrix needs unit diagonal")
-        for j, q in enumerate(row):
+        for j in range(i + 1, n):
+            q = row[j]
             if not q:
                 raise InvalidParameter("parameter matrix entries must be nonzero")
             # q_ij * q_ji = 1, cross-multiplied on numerators and denominators
@@ -143,16 +149,22 @@ def parameterized_permutation_op(qhat) -> TensorOperator:
 def parameterized_antisymmetrizer(qhat) -> TensorOperator:
     """A_qhat = (1 - P_qhat)/2; presents x^j x^i = q_ij x^i x^j.
 
-    Written row by row: for a != b, row (a, b) is 1/2 at (a, b) and
-    -q_ba/2 at (b, a); the rows (a, a) vanish.
+    Written row by row as integers over 2 * L, L the least common
+    denominator of qhat's entries: for a != b, row (a, b) is L at (a, b)
+    and -q_ba * L at (b, a); the rows (a, a) vanish.
     """
     rows = check_parameter_matrix(qhat)
     n = len(rows)
-    half = Fraction(1, 2)
-    return TensorOperator(n, n, 2, {
-        flatten_index((a, b), n): {flatten_index((a, b), n): half,
-                                   flatten_index((b, a), n): -rows[b - 1][a - 1] * half}
-        for a in range(1, n + 1) for b in range(1, n + 1) if a != b})
+    _check_power(n, 2)
+    common = lcm(*(q.denominator for row in rows for q in row))
+    num = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                q = rows[b][a]
+                num[a * n + b] = {a * n + b: common,
+                                  b * n + a: -q.numerator * (common // q.denominator)}
+    return _canonical(n, n, 2, num, 2 * common)
 
 
 def twisted_antisymmetrizer(qhat) -> TensorOperator:

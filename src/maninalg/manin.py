@@ -102,10 +102,10 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
     if len(M) != n or any(len(row) != m for row in M):
         raise ValueError("matrix shape does not match the pair")
     g = len(gen_pos)
-    den = lcm(*(c.denominator for row in M for e in row for c in e.terms.values()))
+    den = lcm(*(e.den for row in M for e in row))
     try:
-        entries = [{word_index(w, gen_pos, g): c.numerator * (den // c.denominator)
-                    for w, c in e.terms.items()} for row in M for e in row]
+        entries = [{word_index(w, gen_pos, g): c * (den // e.den) for w, c in e.num.items()}
+                   for row in M for e in row]
     except KeyError as exc:
         raise ValueError(f"entry generator {exc.args[0]!r} is not a generator "
                          "of the algebra") from None

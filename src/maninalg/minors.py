@@ -7,12 +7,14 @@ whose entries are normalized permanents and deformed determinants of
 submatrices.  Identities between such expressions are verified modulo a
 presented algebra by exact membership in its graded ideal slice.
 
-Grids of NCPoly stay the input and output type, but the arithmetic runs on
-integers: the chain's entries and the terms of a determinant or permanent
-are multiplied out directly (``freealg._entry_product``), the operators are
-applied by the integer grid kernel of ``freealg.poly_grid_product``, and
-``verify_identity`` decides lhs - rhs as one integer row
-(``PresentedAlgebra.congruent``) without building the difference.  Minors
+Grids of NCPoly, each entry integer numerators over one denominator, are
+the input and output type, and no Fraction is built per term: the chain's
+entries and the terms of a determinant or permanent are multiplied out
+directly (``freealg._entry_product``), the operators are applied by the
+integer grid kernel of ``freealg.poly_grid_product``, and
+``verify_identity`` decides lhs - rhs as the one integer row
+rhs.den * lhs.num - lhs.den * rhs.num (``PresentedAlgebra.congruent``)
+without building the difference.  Minors
 check their operators' arity and local dims against M and k, and
 determinants and permanents validate their k x k parameter matrix once.
 """

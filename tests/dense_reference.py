@@ -17,17 +17,23 @@ entries (``manin.defect_rows``).  Dense operator products, sums and
 transposes are those of ``QMatrix`` itself.
 
 The Fraction routes that the integer minor and identity paths replaced are
-kept here as their oracles: the chained NCPoly products of
-``tensor.compose_chain`` and ``minors.det_qhat``/``perm_qhat``, the
-transposing ``poly_grid_product`` summing Fractions per word, ``verify_identity``
-as ``reduces_to_zero(lhs - rhs)`` through ``sparse_coords``, idempotency as
-the dense product, and the parameter-matrix check and antisymmetrizer built
-from Fraction products.  ``FractionOperator`` keeps the sparse Fraction-row
-operator arithmetic (products, sums, scalings, transposes, embeddings) that
-``TensorOperator`` ran before it moved to integer numerators over one
-common denominator; ``closed_form_multiparam`` keeps the closed form built
-entry by entry on Fractions, re-validating each restricted parameter
-matrix, and
+kept here as their oracles.  Polynomials are word -> Fraction dicts
+(``poly_add``, ``poly_mul``, ``poly_scale``, ``entry_product``,
+``grid_product``, ``congruent``): the arithmetic NCPoly ran before it moved
+to integer numerators over one denominator, with no NCPoly built or read.
+On them run the chained products of ``tensor.compose_chain`` and
+``minors.det_qhat``/``perm_qhat``, the transposing ``poly_grid_product``
+summing Fractions per word, and ``verify_identity`` reducing lhs - rhs as
+Fraction coordinates; NCPoly grids cross only at the edges, through the
+constructor and the ``terms`` view.  Idempotency is the dense product, and
+the parameter-matrix check and antisymmetrizer are built from Fraction
+products, the antisymmetrizer also as Fraction rows read by the
+TensorOperator constructor (``fraction_row_antisymmetrizer``).
+``FractionOperator`` keeps the sparse Fraction-row operator arithmetic
+(products, sums, scalings, transposes, embeddings) that ``TensorOperator``
+ran before it moved to integer numerators over one common denominator;
+``closed_form_multiparam`` keeps the closed form built entry by entry on
+Fractions, re-validating each restricted parameter matrix, and
 ``inversion_parameter_product`` the inversion product read off qhat
 directly; ``generic_pairing`` keeps the dual-basis construction that summed
 Fraction products over the dense inverse of the Gram matrix.
@@ -47,7 +53,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 
-from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, sparse_coords
+from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, word_index
 from maninalg.idempotents import (InvalidParameter, hecke_r_matrix, rational_grid,
                                   restrict_parameter_matrix)
 from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon
@@ -200,69 +206,59 @@ def fixes_subspaces(m: QMatrix, right, left) -> bool:
             and all(m.vecmat(row) == list(row) for row in left.basis.data))
 
 
-def scalar_times_poly_mat(m: QMatrix, p) -> list:
-    """The QMatrix m times the NCPoly grid p, one dense sum per entry."""
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(len(p[0])):
-            acc = NCPoly.zero()
-            for k in range(m.cols):
-                c = m.data[i][k]
-                if c and p[k][j]:
-                    acc = acc + p[k][j].scale(c)
-            row.append(acc)
-        out.append(row)
+# --- polynomials as word -> Fraction dicts ------------------------------------
+#
+# The Fraction arithmetic that NCPoly ran before it moved to integer
+# numerators over one denominator; no NCPoly is built or read here.  Every
+# result holds no zero coefficient.
+
+def poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b."""
+    out = dict(a)
+    for word, c in b.items():
+        v = out.get(word, ZERO) + sign * c
+        if v:
+            out[word] = v
+        else:
+            out.pop(word, None)
     return out
 
 
-def manin_defect(pair, M) -> list:
-    """The grid A M^{(1)} M^{(2)} (1 - B) of NCPoly entries, from dense
-    products of the NCPoly chain with A and with 1 - B built on QMatrix
-    grids: the oracle for ``manin.defect_rows``."""
-    if len(M) != pair.n or any(len(row) != pair.m for row in M):
-        raise ValueError("matrix shape does not match the pair")
-    complement = QMatrix.identity(pair.m ** 2) - pair.B.matrix
-    return poly_mat_times_scalar(scalar_times_poly_mat(pair.A.matrix, compose_chain(M, 2)),
-                                 complement)
+def poly_sub(a: dict, b: dict) -> dict:
+    return poly_add(a, b, -1)
 
 
-def poly_mat_times_scalar(p, m: QMatrix) -> list:
-    """The NCPoly grid p times the QMatrix m, one dense sum per entry."""
-    out = []
-    for i in range(len(p)):
-        row = []
-        for j in range(m.cols):
-            acc = NCPoly.zero()
-            for k in range(m.rows):
-                c = m.data[k][j]
-                if c and p[i][k]:
-                    acc = acc + p[i][k].scale(c)
-            row.append(acc)
-        out.append(row)
+def poly_scale(a: dict, c) -> dict:
+    c = Fraction(c)
+    return {word: c * x for word, x in a.items()} if c else {}
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """The product, one Fraction sum per word."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            word = w1 + w2
+            v = out.get(word, ZERO) + c1 * c2
+            if v:
+                out[word] = v
+            else:
+                out.pop(word, None)
     return out
 
 
-def compose_chain(M, k: int) -> list:
-    """M^{(1)} ... M^{(k)} as chained NCPoly products, one factor at a time."""
-    grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
-    n, m = len(grid), len(grid[0])
-    check_budget(max(n, m) ** k)
-    out = []
-    for row_index in multi_indices(n, k):
-        row = []
-        for col_index in multi_indices(m, k):
-            word = NCPoly.one()
-            for i, j in zip(row_index, col_index):
-                word = word * grid[i - 1][j - 1]
-            row.append(word)
-        out.append(row)
+def entry_product(factors, c=ONE) -> dict:
+    """c * f_1 * f_2 * ..., one poly_mul per factor."""
+    out = {(): Fraction(c)} if c else {}
+    for f in factors:
+        out = poly_mul(out, f)
     return out
 
 
-def poly_grid_product(grid, left=None, right=None) -> list:
-    """left * grid * right with Fraction sums per word; the right side is
-    applied as (right^T grid^T)^T.  Sides are None, QMatrix or TensorOperator."""
+def grid_product(grid, left=None, right=None) -> list:
+    """left * grid * right for a grid of word -> Fraction dicts, with
+    Fraction sums per word; the right side is applied as
+    (right^T grid^T)^T.  Sides are None, QMatrix or TensorOperator."""
     if left is not None:
         grid = _rows_times_grid(left, grid)
     if right is not None:
@@ -284,11 +280,78 @@ def _rows_times_grid(op, grid) -> list:
     for i in range(nrows):
         acc = [{} for _ in grid[0]]
         for k, c in rows.get(i, {}).items():
-            for sums, p in zip(acc, grid[k]):
-                for word, x in p.terms.items():
-                    sums[word] = sums.get(word, ZERO) + c * x
-        out.append([NCPoly(sums) for sums in acc])
+            acc = [poly_add(sums, poly_scale(p, c)) for sums, p in zip(acc, grid[k])]
+        out.append(acc)
     return out
+
+
+def congruent(lhs: dict, rhs: dict, algebra) -> bool:
+    """lhs - rhs built as a dict, then reduced as sparse Fraction
+    coordinates in the slice of its degree that ``slice_from_scratch``
+    builds from the algebra's relations."""
+    return _difference_in(lhs, rhs, algebra, lambda d: slice_from_scratch(
+        len(algebra.gens), algebra.relations, d))
+
+
+def _difference_in(lhs: dict, rhs: dict, algebra, slice_of) -> bool:
+    """Does lhs - rhs lie in the echelon slice_of(d) of its degree d?"""
+    diff = poly_sub(lhs, rhs)
+    if not diff:
+        return True
+    degrees = {len(w) for w in diff}
+    if len(degrees) > 1:
+        raise NonHomogeneous("membership needs a homogeneous polynomial")
+    d = degrees.pop()
+    if d < 2:
+        return False
+    g = len(algebra.gens)
+    return slice_of(d).contains({word_index(w, algebra.gen_pos, g): c for w, c in diff.items()})
+
+
+# --- NCPoly grids through the dict arithmetic ---------------------------------
+
+def _dicts(grid) -> list:
+    return [[p.terms for p in row] for row in grid]
+
+
+def _polys(grid) -> list:
+    return [[NCPoly(p) for p in row] for row in grid]
+
+
+def scalar_times_poly_mat(m: QMatrix, p) -> list:
+    """The QMatrix m times the NCPoly grid p, one dense sum per entry."""
+    return _polys(grid_product(_dicts(p), left=m))
+
+
+def manin_defect(pair, M) -> list:
+    """The grid A M^{(1)} M^{(2)} (1 - B) of NCPoly entries, from dense
+    products of the NCPoly chain with A and with 1 - B built on QMatrix
+    grids: the oracle for ``manin.defect_rows``."""
+    if len(M) != pair.n or any(len(row) != pair.m for row in M):
+        raise ValueError("matrix shape does not match the pair")
+    complement = QMatrix.identity(pair.m ** 2) - pair.B.matrix
+    return poly_mat_times_scalar(scalar_times_poly_mat(pair.A.matrix, compose_chain(M, 2)),
+                                 complement)
+
+
+def poly_mat_times_scalar(p, m: QMatrix) -> list:
+    """The NCPoly grid p times the QMatrix m, one dense sum per entry."""
+    return _polys(grid_product(_dicts(p), right=m))
+
+
+def compose_chain(M, k: int) -> list:
+    """M^{(1)} ... M^{(k)} as chained dict products, one factor at a time."""
+    grid = _dicts(poly_matrix(M.data if isinstance(M, QMatrix) else M))
+    n, m = len(grid), len(grid[0])
+    check_budget(max(n, m) ** k)
+    return [[NCPoly(entry_product(grid[i - 1][j - 1] for i, j in zip(row_index, col_index)))
+             for col_index in multi_indices(m, k)]
+            for row_index in multi_indices(n, k)]
+
+
+def poly_grid_product(grid, left=None, right=None) -> list:
+    """left * grid * right with Fraction sums per word (``grid_product``)."""
+    return _polys(grid_product(_dicts(grid), left, right))
 
 
 def fraction_rows(op: TensorOperator) -> dict:
@@ -298,42 +361,30 @@ def fraction_rows(op: TensorOperator) -> dict:
 
 def det_qhat(qhat, M) -> NCPoly:
     """sum_sigma sgn(sigma) mu(qhat, sigma)^{-1} M^{sigma(1)}_1 ... M^{sigma(k)}_k,
-    one NCPoly product per factor."""
-    M = poly_matrix(M)
-    out = NCPoly.zero()
+    one dict product per factor."""
+    M = _dicts(poly_matrix(M))
+    out = {}
     for sigma in all_perms(len(M)):
-        term = NCPoly.scalar(Fraction(sigma.sign()) / mu(qhat, sigma))
-        for t in range(1, len(M) + 1):
-            term = term * M[sigma(t) - 1][t - 1]
-        out = out + term
-    return out
+        out = poly_add(out, entry_product(
+            (M[sigma(t) - 1][t - 1] for t in range(1, len(M) + 1)),
+            Fraction(sigma.sign()) / mu(qhat, sigma)))
+    return NCPoly(out)
 
 
 def perm_qhat(phat, M) -> NCPoly:
     """sum_sigma mu(phat, sigma) M^1_{sigma(1)} ... M^k_{sigma(k)}."""
-    M = poly_matrix(M)
-    out = NCPoly.zero()
+    M = _dicts(poly_matrix(M))
+    out = {}
     for sigma in all_perms(len(M)):
-        term = NCPoly.scalar(mu(phat, sigma))
-        for t in range(1, len(M) + 1):
-            term = term * M[t - 1][sigma(t) - 1]
-        out = out + term
-    return out
+        out = poly_add(out, entry_product(
+            (M[t - 1][sigma(t) - 1] for t in range(1, len(M) + 1)), mu(phat, sigma)))
+    return NCPoly(out)
 
 
 def verify_identity(lhs: NCPoly, rhs: NCPoly, algebra) -> bool:
-    """lhs - rhs built as an NCPoly, then reduced as sparse Fraction
-    coordinates in the slice of its degree."""
-    p = lhs - rhs
-    if p.is_zero():
-        return True
-    d = p.degree()
-    if not p.is_homogeneous(d):
-        raise NonHomogeneous("membership needs a homogeneous polynomial")
-    if d < 2:
-        return False
-    return algebra.slice(d).echelon.contains(
-        sparse_coords(p, d, algebra.gen_pos, len(algebra.gens)))
+    """lhs - rhs built as a dict, then reduced as sparse Fraction
+    coordinates in the algebra's slice of its degree."""
+    return _difference_in(lhs.terms, rhs.terms, algebra, lambda d: algebra.slice(d).echelon)
 
 
 def is_idempotent(E: TensorOperator) -> bool:
@@ -366,6 +417,19 @@ def parameterized_antisymmetrizer(qhat) -> TensorOperator:
         flatten_index((j, i), n): {flatten_index((i, j), n): rows[i - 1][j - 1]}
         for i in range(1, n + 1) for j in range(1, n + 1)})
     return (TensorOperator.identity(n, 2) - flip).scale(Fraction(1, 2))
+
+
+def fraction_row_antisymmetrizer(qhat) -> TensorOperator:
+    """A_qhat written row by row on Fractions and read by the TensorOperator
+    constructor: for a != b, row (a, b) is 1/2 at (a, b) and -q_ba/2 at
+    (b, a)."""
+    rows = check_parameter_matrix(qhat)
+    n = len(rows)
+    half = Fraction(1, 2)
+    return TensorOperator(n, n, 2, {
+        flatten_index((a, b), n): {flatten_index((a, b), n): half,
+                                   flatten_index((b, a), n): -rows[b - 1][a - 1] * half}
+        for a in range(1, n + 1) for b in range(1, n + 1) if a != b})
 
 
 def closed_form_multiparam(qhat, k: int, kind: str) -> TensorOperator:

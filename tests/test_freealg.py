@@ -1,18 +1,20 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, gen, generator_matrix,
-                              matrix_gen, parse_poly, parse_poly_matrix,
+from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, _entry_product, gen,
+                              generator_matrix, matrix_gen, parse_poly, parse_poly_matrix,
                               poly_grid_product, poly_mat_times_scalar,
                               scalar_times_poly_mat, sparse_coords)
+from maninalg.ideals import PresentedAlgebra
 from maninalg.idempotents import antisymmetrizer, q_symmetrizer
-from maninalg.linalg import ZERO, InvalidRational, QMatrix
+from maninalg.linalg import ONE, ZERO, InvalidRational, QMatrix
 from maninalg.tensor import TensorOperator, compose_chain
 
 A, B = Gen("a"), Gen("b")
@@ -212,3 +214,152 @@ def test_grid_product_with_rectangular_arity_two_operators():
         poly_grid_product(chain, S3)
     with pytest.raises(ValueError):
         poly_grid_product(chain, right=A2)
+
+
+# --- integer numerators over one denominator ----------------------------------
+#
+# NCPoly keeps num (word -> nonzero int) over den (int > 0, no factor common
+# to den and every numerator).  Each operation is compared with the
+# word -> Fraction dict arithmetic of dense_reference, which builds no NCPoly.
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+
+
+# coefficients with denominators 1-6, so sums over lcm(den) cancel factors
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+polys = st.builds(
+    lambda terms: NCPoly({tuple(w): c for w, c in terms}),
+    st.lists(st.tuples(st.lists(st.sampled_from([A, B]), max_size=3), coefficients),
+             max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, coefficients)
+def test_arithmetic_matches_the_fraction_dict_oracle(p, q, c):
+    a, b = p.terms, q.terms
+    for got, want in ((p + q, dense.poly_add(a, b)), (p - q, dense.poly_sub(a, b)),
+                      (p * q, dense.poly_mul(a, b)), (p.scale(c), dense.poly_scale(a, c)),
+                      (c * p, dense.poly_scale(a, c)), (-p, dense.poly_scale(a, -1))):
+        assert got.terms == want
+        assert got == NCPoly(want) and hash(got) == hash(NCPoly(want))
+        assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(polys, max_size=4), st.integers(-6, 6).filter(bool),
+       st.integers(-6, 6).filter(bool))
+def test_entry_product_matches_the_fraction_dict_oracle(factors, num, den):
+    got = _entry_product(factors, num, den)
+    assert got.terms == dense.entry_product([f.terms for f in factors], Fraction(num, den))
+    assert_canonical(got)
+
+
+def _side(draw, rows, cols, arity):
+    """A rows x cols side: a QMatrix, or the TensorOperator of arity ``arity``
+    on local dims whose powers are rows and cols."""
+    m = QMatrix(rows, cols, [[draw(scalars) for _ in range(cols)] for _ in range(rows)])
+    if not draw(st.booleans()):
+        return m
+    local = {1: 1, 2: 2, 4: 2}
+    return TensorOperator(local[rows] if arity == 2 else rows,
+                          local[cols] if arity == 2 else cols, arity, m)
+
+
+@st.composite
+def grid_cases(draw):
+    """A grid with a left and a right side, either one possibly None."""
+    arity = draw(st.sampled_from([1, 2]))
+    sizes = st.sampled_from([1, 4]) if arity == 2 else st.integers(1, 3)
+    r, c, R, C = (draw(sizes) for _ in range(4))
+    grid = [[draw(grid_polys) for _ in range(c)] for _ in range(r)]
+    left = _side(draw, R, r, arity) if draw(st.booleans()) else None
+    right = _side(draw, c, C, arity) if draw(st.booleans()) else None
+    return grid, left, right
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_cases())
+def test_grid_product_matches_the_fraction_dict_oracle(case):
+    grid, left, right = case
+    got = poly_grid_product(grid, left, right)
+    want = dense.grid_product([[p.terms for p in row] for row in grid], left, right)
+    assert [[p.terms for p in row] for row in got] == want
+    for row in got:
+        for p in row:
+            assert_canonical(p)
+
+
+homogeneous_polys = st.integers(2, 3).flatmap(lambda d: st.builds(
+    lambda terms: NCPoly({tuple(w): c for w, c in terms}),
+    st.lists(st.tuples(st.lists(st.sampled_from([A, B]), min_size=d, max_size=d),
+                       coefficients), max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_polys, st.lists(st.tuples(st.lists(st.sampled_from([A, B]), max_size=1),
+                                             st.lists(st.sampled_from([A, B]), max_size=1),
+                                             coefficients), max_size=3),
+       st.booleans(), polys)
+def test_congruent_matches_the_fraction_dict_oracle(lhs, shifts, related, other):
+    """lhs against lhs plus multiples of w1 * r * w2 (always congruent),
+    and against an unrelated polynomial; r = ab - 1/2 ba."""
+    rel = NCPoly({(A, B): 1, (B, A): Fraction(-1, 2)})
+    alg = PresentedAlgebra.from_polys((A, B), [rel])
+    rhs = lhs
+    for w1, w2, c in shifts:
+        rhs = rhs + NCPoly({tuple(w1): 1}) * rel * NCPoly({tuple(w2): c})
+    if not related:
+        rhs = other
+    try:
+        want = dense.congruent(lhs.terms, rhs.terms, alg)
+    except NonHomogeneous:
+        with pytest.raises(NonHomogeneous):
+            alg.congruent(lhs, rhs)
+        return
+    assert alg.congruent(lhs, rhs) is want
+    if related and lhs.degree() == rhs.degree():
+        assert want
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_equal_polynomials_from_different_routes_are_equal_and_hash_equal(p, q):
+    pq = p * q
+    routes = [_entry_product([p, q]), NCPoly(pq.terms), (pq + p) - p, -(-pq),
+              pq.scale(3).scale(Fraction(1, 3)), NCPoly({w: str(c) for w, c in pq.terms.items()}),
+              poly_grid_product([[pq]], left=QMatrix.identity(1))[0][0],
+              poly_grid_product([[pq, pq.scale(2)]], right=QMatrix(2, 1, [[3], [-1]]))[0][0]]
+    for other in routes:
+        assert other == pq and hash(other) == hash(pq)
+        assert other.num == pq.num and other.den == pq.den
+
+
+def test_constructor_reads_ints_fractions_and_text():
+    p = NCPoly({(A,): 2, (B,): Fraction(-1, 6), (A, B): "3/4", (): 0, (B, B): "0/5"})
+    assert p.num == {(A,): 24, (B,): -2, (A, B): 9} and p.den == 12
+    assert p.terms == {(A,): 2, (B,): Fraction(-1, 6), (A, B): Fraction(3, 4)}
+    assert NCPoly.zero().num == {} and NCPoly.zero().den == 1
+    assert NCPoly.scalar(Fraction(-2, 4)).num == {(): -1} and NCPoly.scalar("-1/2").den == 2
+    # sums that cancel the denominator leave den 1
+    half = NCPoly({(A,): Fraction(1, 2)})
+    assert (half + half).den == 1 and (half + half).num == {(A,): 1}
+    assert (half - half).den == 1 and not (half - half).num
+
+
+def test_copy_and_pickle_round_trip():
+    p = NCPoly({(A, B): Fraction(-3, 4), (B,): 2})
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other == p and hash(other) == hash(p) and type(other) is NCPoly
+        assert other.num == p.num and other.den == p.den and other.terms == p.terms
+
+
+def test_terms_is_a_read_only_view():
+    p = NCPoly({(A,): Fraction(1, 3)})
+    with pytest.raises(AttributeError):
+        p.terms = {(B,): ONE}
+    view = p.terms
+    view[(B,)] = ONE
+    assert p.terms == {(A,): Fraction(1, 3)} and p == NCPoly({(A,): Fraction(1, 3)})

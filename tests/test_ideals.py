@@ -1,5 +1,6 @@
 from fractions import Fraction
 import random
+import time
 from math import comb
 
 import pytest
@@ -109,6 +110,30 @@ def test_astronomical_word_space_is_refused_with_the_budget_named():
     alg = commutator_relations([A, B])
     with pytest.raises(BudgetExceeded, match=f"budget {word_budget()}"):
         build_slice_from_subspace(alg.gens, alg.relations, 100_000)
+
+
+def test_huge_degree_is_refused_from_the_generator_count_and_degree_alone():
+    alg = commutator_relations([A, B, C])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=rf"word space of size 3\^1000000000 exceeds "
+                                             rf"budget {word_budget()}"):
+        alg.slice(10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert alg._slices == {}
+
+
+def test_slices_up_to_the_word_budget_are_built_and_past_it_refused(monkeypatch):
+    monkeypatch.setenv("MANIN_BUDGET", "64")   # bit length 7
+    alg = commutator_relations([A, B])
+    # 2^6 = 64 fits, 2^7 = 128 is formed and refused, 2^8 is refused unformed
+    for d in range(2, 7):
+        oracle = dense.slice_from_scratch(2, alg.relations, d)
+        assert alg.slice(d).echelon.reduced_rows() == oracle.reduced_rows(), d
+    with pytest.raises(BudgetExceeded, match="word space of size 128 exceeds budget 64"):
+        alg.slice(7)
+    with pytest.raises(BudgetExceeded, match=r"word space of size 2\^8 exceeds budget 64"):
+        alg.slice(8)
+    assert list(alg._slices) == [2, 3, 4, 5, 6]
 
 
 def test_slice_cache_reused():

@@ -309,6 +309,29 @@ def test_antisymmetrizer_rows_match_the_flip_construction(qhat):
     assert idem.is_idempotent(A)
 
 
+@st.composite
+def fractional_parameter_matrices(draw):
+    """Valid parameter matrices with nonzero entries of either sign and
+    denominators up to 12."""
+    n = draw(st.integers(1, 4))
+    q = [[F(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)
+                           .filter(bool))
+            q[j][i] = 1 / q[i][j]
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractional_parameter_matrices())
+def test_antisymmetrizer_integer_rows_match_the_fraction_rows(qhat):
+    A = idem.parameterized_antisymmetrizer(qhat)
+    want = dense.fraction_row_antisymmetrizer(qhat)
+    assert A.num == want.num and A.den == want.den and A == want
+    assert list(A.num) == list(want.num)
+
+
 @settings(max_examples=80, deadline=None)
 @given(valid_parameter_matrices(), st.data())
 def test_parameter_checks_raise_what_the_fraction_check_raised(qhat, data):
