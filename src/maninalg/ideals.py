@@ -29,7 +29,7 @@ import itertools
 from .freealg import (NCPoly, NonHomogeneous, _combine, sparse_coords, word_budget,
                       word_index)
 from .linalg import Record, SparseEchelon, Subspace
-from .tensor import budget_refusal
+from .tensor import _power_size, budget_refusal
 
 
 class IdealSlice(Record):
@@ -188,22 +188,21 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     leads are those of inserting w * r for every word w into the full
     slice.  The normal words of degree e - 1 are those of degree e - 2
     followed by each generator, less the leads of E_(e-1).  A word space of
-    more than ``word_budget()`` words is refused before anything is built,
-    and before g^d is formed when d alone shows it too large (the rule of
-    ``tensor._check_power``).
+    more than ``word_budget()`` words, or of words longer than that, is
+    refused before anything is built, and before g^d is formed when d alone
+    shows it too large (``tensor._power_size``).
     """
     gens = tuple(gens)
     g = len(gens)
     if d < 2:
         raise ValueError("ideal slices start at degree 2")
-    # with g >= 2 and d past the budget's bit length, g^d >= 2^d > budget:
-    # refused from g and d alone, since forming g^d costs time that grows with d
     budget = word_budget()
-    if g > 1 and d > budget.bit_length():
-        raise budget_refusal("word space", f"{g}^{d}", budget)
-    size = g ** d
+    size = _power_size("word space", g, d, budget)
     if size > budget:
         raise budget_refusal("word space", size, budget)
+    # one generator has one word of each degree, so only its length bounds it
+    if d > budget:
+        raise budget_refusal("word", d, budget)
     if below is None:
         # I_1 = 0, and the empty word (index 0) is the one word of degree 0
         degree, increments, newest, normal = 1, [], {}, (0,)

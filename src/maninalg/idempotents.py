@@ -9,7 +9,9 @@ idempotent attached to a Lie algebra's structure constants.
 Two idempotents are left equivalent iff their row spaces agree, right
 equivalent iff their column spaces agree; left-equivalent idempotents
 present the same quadratic algebra.  Constructors write the sparse rows of
-their operators directly.
+their operators directly.  ``check_parameter_matrix`` validates a parameter
+matrix once into a ``ParameterMatrix``; restriction, conjugation and every
+consumer take one as it is.
 """
 
 from __future__ import annotations
@@ -63,12 +65,22 @@ def parse_brackets(rows) -> dict:
     return brackets
 
 
-def check_parameter_matrix(qhat) -> list:
-    """Validate q_ii = 1, q_ij = q_ji^{-1}, entries nonzero; return rows.
+class ParameterMatrix(tuple):
+    """Row tuples of Fractions that ``check_parameter_matrix`` passed, or a
+    restriction or conjugation of such rows: valid without a second check."""
+
+    __slots__ = ()
+
+
+def check_parameter_matrix(qhat) -> ParameterMatrix:
+    """Validate q_ii = 1, q_ij = q_ji^{-1}, entries nonzero; return the
+    rows as a ParameterMatrix, or a ParameterMatrix unchanged.
 
     Each pair i < j is visited once, in the order of a row-by-row scan that
     checks the diagonal of each row first, so the first error is the one
     that scan meets."""
+    if isinstance(qhat, ParameterMatrix):
+        return qhat
     rows = rational_grid(qhat, "a parameter matrix")
     n = len(rows)
     if not rows or any(len(r) != n for r in rows):
@@ -84,7 +96,7 @@ def check_parameter_matrix(qhat) -> list:
             p = rows[j][i]
             if q.numerator * p.numerator != q.denominator * p.denominator:
                 raise InvalidParameter("parameter matrix needs q_ij * q_ji = 1")
-    return rows
+    return ParameterMatrix(map(tuple, rows))
 
 
 def uniform_parameter_matrix(n: int, q) -> list:
@@ -95,18 +107,25 @@ def uniform_parameter_matrix(n: int, q) -> list:
     return [[q ** sgn(j - i) for j in range(n)] for i in range(n)]
 
 
-def conjugate_parameter_matrix(qhat, sigma) -> list:
-    """(sigma qhat sigma^{-1})_{ij} = q_{sigma^{-1}(i), sigma^{-1}(j)}."""
+def conjugate_parameter_matrix(qhat, sigma) -> ParameterMatrix:
+    """(sigma qhat sigma^{-1})_{ij} = q_{sigma^{-1}(i), sigma^{-1}(j)}: qhat
+    restricted to (sigma^{-1}(1), ..., sigma^{-1}(n))."""
     rows = check_parameter_matrix(qhat)
-    inv = sigma.inverse()
-    n = len(rows)
-    return [[rows[inv(i + 1) - 1][inv(j + 1) - 1] for j in range(n)] for i in range(n)]
+    if sigma.size != len(rows):
+        raise InvalidParameter(f"a permutation of {sigma.size} points does not act on "
+                               f"a {len(rows)} x {len(rows)} parameter matrix")
+    return restrict_parameter_matrix(rows, sorted(range(1, len(rows) + 1), key=sigma))
 
 
-def restrict_parameter_matrix(qhat, index_tuple) -> list:
-    """qhat_II: entry (s,t) is q_{i_s i_t}."""
+def restrict_parameter_matrix(qhat, index_tuple) -> ParameterMatrix:
+    """qhat_II: entry (s,t) is q_{i_s i_t}, for a non-empty I in 1..n."""
     rows = check_parameter_matrix(qhat)
-    return [[rows[a - 1][b - 1] for b in index_tuple] for a in index_tuple]
+    I = tuple(index_tuple)
+    if not I:
+        raise InvalidParameter("parameter matrix must be square and non-empty")
+    if not all(1 <= a <= len(rows) for a in I):
+        raise InvalidParameter(f"index tuple {I!r} leaves 1..{len(rows)}")
+    return ParameterMatrix(tuple(rows[a - 1][b - 1] for b in I) for a in I)
 
 
 # --- constructors -------------------------------------------------------------

@@ -239,7 +239,11 @@ def double_manin_matches_commutators(n: int, m: int) -> bool:
 
 
 def submatrix(M, I, J) -> list:
-    """M_{IJ}: rows and columns picked (repeats allowed), 1-based tuples."""
+    """M_{IJ}: rows and columns picked (repeats allowed), 1-based tuples
+    with rows in 1..len(M) and columns in 1..len(M[0])."""
+    if not (all(1 <= i <= len(M) for i in I) and all(1 <= j <= len(M[0]) for j in J)):
+        raise ValueError(f"rows {tuple(I)!r} or columns {tuple(J)!r} leave the "
+                         f"{len(M)} x {len(M[0])} matrix")
     return [[M[i - 1][j - 1] for j in J] for i in I]
 
 

@@ -15,8 +15,9 @@ integer grid kernel of ``freealg.poly_grid_product``, and
 ``verify_identity`` decides lhs - rhs as the one integer row
 rhs.den * lhs.num - lhs.den * rhs.num (``PresentedAlgebra.congruent``)
 without building the difference.  Minors
-check their operators' arity and local dims against M and k, and
-determinants and permanents validate their k x k parameter matrix once.
+check their operators' arity and local dims against M and k; determinants
+and permanents, one sum over ``permutations.weighted_perms``, validate a
+k x k parameter matrix unless it is already an ``idempotents.ParameterMatrix``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freealg import NCPoly, _entry_product, poly_grid_product, poly_matrix
-from .idempotents import check_parameter_matrix
+from .idempotents import check_parameter_matrix, uniform_parameter_matrix
 from .ideals import PresentedAlgebra
-from .linalg import ONE, QMatrix, Record
-from .permutations import Perm, all_perms, mu, mu_of_rows
+from .linalg import QMatrix, Record
+from .permutations import Perm, mu, weighted_perms
 from .tensor import TensorOperator, compose_chain, flatten_index
 
 
@@ -80,15 +81,7 @@ def det_qhat(qhat, M) -> NCPoly:
 
     qhat must be a valid k x k parameter matrix (``check_parameter_matrix``).
     """
-    M = _square(M, "determinants")
-    k = len(M)
-    rows = _parameter_rows(qhat, k)
-    out = NCPoly.zero()
-    for sigma in all_perms(k):
-        weight = mu_of_rows(rows, sigma)
-        out = out + _entry_product([M[sigma(t) - 1][t - 1] for t in range(1, k + 1)],
-                                   sigma.sign() * weight.denominator, weight.numerator)
-    return out
+    return _weighted_sum(qhat, M, "determinants")
 
 
 def perm_qhat(phat, M) -> NCPoly:
@@ -99,45 +92,40 @@ def perm_qhat(phat, M) -> NCPoly:
     the plain row permanent (2x2 check: perm = ad + p bc).  phat must be a
     valid k x k parameter matrix.
     """
-    M = _square(M, "permanents")
-    k = len(M)
-    rows = _parameter_rows(phat, k)
-    out = NCPoly.zero()
-    for sigma in all_perms(k):
-        weight = mu_of_rows(rows, sigma)
-        out = out + _entry_product([M[t - 1][sigma(t) - 1] for t in range(1, k + 1)],
-                                   weight.numerator, weight.denominator)
-    return out
+    return _weighted_sum(phat, M, "permanents")
 
 
-def _square(M, what: str) -> list:
+def _weighted_sum(qhat, M, what: str) -> NCPoly:
+    """sum_sigma w(sigma) N^1_{sigma(1)} ... N^k_{sigma(k)} over
+    ``weighted_perms``: for the permanent N = M and w = mu(qhat, sigma), for
+    the determinant N = M^T and w = sgn / mu(qhat, sigma) = sgn mu(qhat^T, sigma)."""
     M = poly_matrix(M)
-    if any(len(row) != len(M) for row in M):
+    k = len(M)
+    if any(len(row) != k for row in M):
         raise ValueError(f"{what} take square matrices")
-    return M
-
-
-def _parameter_rows(qhat, k: int) -> list:
-    """The rows of a validated k x k parameter matrix."""
     rows = check_parameter_matrix(qhat)
     if len(rows) != k:
         raise ValueError(f"a {len(rows)} x {len(rows)} parameter matrix does not fit "
                          f"a {k} x {k} matrix")
-    return rows
+    signed = what == "determinants"
+    if signed:
+        M, rows = list(zip(*M)), list(zip(*rows))
+    out = NCPoly.zero()
+    for images, sign, mu in weighted_perms(rows, k):
+        out = out + _entry_product([row[s - 1] for row, s in zip(M, images)],
+                                   sign * mu.numerator if signed else mu.numerator,
+                                   mu.denominator)
+    return out
 
 
 def column_det(M) -> NCPoly:
     """Plain column determinant (all deformation parameters 1)."""
-    k = len(M)
-    ones = [[ONE] * k for _ in range(k)]
-    return det_qhat(ones, M)
+    return det_qhat(uniform_parameter_matrix(len(M), 1), M)
 
 
 def row_perm(M) -> NCPoly:
     """Plain row permanent."""
-    k = len(M)
-    ones = [[ONE] * k for _ in range(k)]
-    return perm_qhat(ones, M)
+    return perm_qhat(uniform_parameter_matrix(len(M), 1), M)
 
 
 def verify_identity(lhs: NCPoly, rhs: NCPoly, ideal: PresentedAlgebra) -> bool:

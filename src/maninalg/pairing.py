@@ -28,9 +28,10 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           fourparam_idempotent, hecke_minus, hecke_r_matrix,
                           is_idempotent, orthogonal_idempotent,
                           parameterized_antisymmetrizer, rank_one_contraction,
-                          symplectic_idempotent, twisted_rank_one_contraction)
+                          restrict_parameter_matrix, symplectic_idempotent,
+                          twisted_rank_one_contraction)
 from .linalg import ONE, ZERO, Record, SparseEchelon, rat
-from .permutations import Perm, all_perms, inv, mu_of_rows, stabilizer_order
+from .permutations import _inversions, stabilizer_order, weighted_perms
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _row_times,
                      _transpose, coset_sum, embed, flatten_index, multi_indices,
@@ -211,8 +212,8 @@ def hecke_basis_change(n: int, k: int, q) -> TensorOperator:
     A_(k) the Hecke one.
 
     On a repetition-free multi-index that is sigma applied to its sorted
-    tuple the entry is (k_q!/k!) q^{2 inv(sigma) - k(k-1)/2}; indices with a
-    repeated digit carry 1.
+    tuple the entry is (k_q!/k!) q^{2 inv - k(k-1)/2}, inv counting its
+    inverted digit pairs; indices with a repeated digit carry 1.
     """
     q = rat(q)
     _check_power(n, k)
@@ -223,10 +224,7 @@ def hecke_basis_change(n: int, k: int, q) -> TensorOperator:
         if len(set(index)) < k:
             out[pos] = {pos: ONE}
         else:
-            ranks = sorted(range(k), key=lambda t: index[t])
-            sigma = Perm(tuple(t + 1 for t in ranks)).inverse()
-            # index[t] = sorted(index)[sigma(t+1)-1]
-            out[pos] = {pos: norm * q ** (2 * inv(sigma) - shift)}
+            out[pos] = {pos: norm * q ** (2 * len(_inversions(index)) - shift)}
     return TensorOperator(n, n, k, out)
 
 
@@ -285,12 +283,11 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     tuples = itertools.combinations if kind == "A" else itertools.combinations_with_replacement
     blocks = []
     for I in tuples(range(1, n + 1), k):
-        qII = [[rows[a - 1][b - 1] for b in I] for a in I]
         weights = {}
-        for sigma in all_perms(k):
-            pos = flatten_index(tuple(I[sigma(t) - 1] for t in range(1, k + 1)), n)
+        for images, sign, mu in weighted_perms(restrict_parameter_matrix(rows, I), k):
+            pos = flatten_index(tuple(I[s - 1] for s in images), n)
             if pos not in weights:
-                weights[pos] = (sigma.sign() if kind == "A" else 1, mu_of_rows(qII, sigma))
+                weights[pos] = (sign if kind == "A" else 1, mu)
         blocks.append((stabilizer_order(I), weights))
     return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
 

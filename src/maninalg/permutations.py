@@ -4,13 +4,15 @@ Permutations act on {1, ..., k} and are stored in one-line notation.
 Products compose right-to-left: (p * q)(x) = p(q(x)).  A word
 (i_1, ..., i_l) of simple-reflection indices therefore multiplies out to
 s_{i_1} * s_{i_2} * ... * s_{i_l}, with the rightmost factor applied first.
+``inv`` (hence ``Perm.sign``), ``mu`` and ``weighted_perms``, S_k with each
+sign and mu and no Perm built, all read one pass: ``_inversions``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .linalg import ONE, QMatrix, rat
 
@@ -91,14 +93,15 @@ def all_perms(k: int):
         yield Perm(images)
 
 
+def _inversions(images) -> list:
+    """The inverted value pairs (s, t) of a one-line tuple: s < t with t
+    listed before s, that is, s < t with p^{-1}(s) > p^{-1}(t)."""
+    return [(b, a) for i, a in enumerate(images) for b in images[i + 1:] if a > b]
+
+
 def inv(p: Perm) -> int:
     """Number of inversions; equals the Coxeter length of p."""
-    count = 0
-    for i in range(p.size):
-        for j in range(i + 1, p.size):
-            if p.images[i] > p.images[j]:
-                count += 1
-    return count
+    return len(_inversions(p.images))
 
 
 def inversion_set(p: Perm) -> frozenset:
@@ -173,18 +176,19 @@ def mu(qhat, p: Perm) -> Fraction:
     1-indexed mathematically (entry q_st is qhat[s-1][t-1]).
     """
     rows = qhat.data if isinstance(qhat, QMatrix) else [[rat(x) for x in r] for r in qhat]
-    return mu_of_rows(rows, p)
+    return _product(rows, _inversions(p.images))
 
 
-def mu_of_rows(rows, p: Perm) -> Fraction:
-    """mu from a parameter matrix already read as rows of rationals."""
-    pinv = p.inverse()
-    out = ONE
-    for s in range(1, p.size + 1):
-        for t in range(s + 1, p.size + 1):
-            if pinv(s) > pinv(t):
-                out *= rows[s - 1][t - 1]
-    return out
+def weighted_perms(rows, k: int):
+    """(images, sgn sigma, mu(rows, sigma)) for each sigma in S_k in the order
+    of ``all_perms``, rows being a k x k parameter matrix of rationals."""
+    for images in itertools.permutations(range(1, k + 1)):
+        pairs = _inversions(images)
+        yield images, -1 if len(pairs) % 2 else 1, _product(rows, pairs)
+
+
+def _product(rows, pairs) -> Fraction:
+    return prod((rows[s - 1][t - 1] for s, t in pairs), start=ONE)
 
 
 def stabilizer_order(index_tuple) -> int:

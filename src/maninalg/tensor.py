@@ -75,19 +75,26 @@ def check_budget(size: int):
         raise budget_refusal("component", size, budget)
 
 
+def _power_size(what: str, n: int, k: int, budget: int) -> int:
+    """n^k, refused as a ``what`` over budget from n and k alone when n >= 2
+    and k passes the budget's bit length, since then n^k >= 2^k > budget:
+    forming n^k would cost time and memory that grow with k, which has no
+    bound."""
+    if n > 1 and k > budget.bit_length():
+        raise budget_refusal(what, f"{n}^{k}", budget)
+    return n ** k
+
+
 def _check_power(n: int, k: int):
-    """check_budget(n ** k), refused from n and k alone when n >= 2 and k
-    passes the budget's bit length, since then n^k >= 2^k > budget: forming
-    n^k would cost time and memory that grow with k, which has no bound.
+    """check_budget(n ** k), with n^k refused unformed by ``_power_size``.
     The budget is read once, since reading MANIN_BUDGET costs as much as
     the rest of the check; a formed size over it is refused by
     check_budget, so that every such refusal passes through that one
     function (``bench/tracing.py`` counts refusals there)."""
     budget = tensor_budget()
-    if n > 1 and k > budget.bit_length():
-        raise budget_refusal("component", f"{n}^{k}", budget)
-    if n ** k > budget:
-        check_budget(n ** k)
+    size = _power_size("component", n, k, budget)
+    if size > budget:
+        check_budget(size)
 
 
 def multi_indices(n: int, k: int):

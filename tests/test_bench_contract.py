@@ -97,6 +97,24 @@ for grid in (am, sm):
     assert len(grid) == len(grid[0]) == 27
 assert Mi.verify_matrix_identity(am, F.poly_mat_times_scalar(am, a_q.matrix), alg)
 assert Mi.verify_matrix_identity(sm, F.scalar_times_poly_mat(s_q.matrix, sm), alg)
+
+# ideal_membership: parameter matrices given as plain lists are restricted
+# to index tuples and conjugated by permutations from all_perms, and read
+# for their inversion products, before the minors and Manin checks use them
+from maninalg import permutations as Pm
+for I in ((1, 3), (2, 3, 1), (3, 3)):
+    assert idem.parameterized_antisymmetrizer(idem.restrict_parameter_matrix(qhat, I)) == \
+        idem.parameterized_antisymmetrizer([[qhat[a - 1][b - 1] for b in I] for a in I])
+det, perm = Mi.det_qhat(qhat, M), Mi.perm_qhat(qhat, M)
+tau = Pm.Perm((3, 1, 2))
+for sigma in Pm.all_perms(3):
+    f = Mi.inversion_parameter_product(qhat, sigma) / Mi.inversion_parameter_product(qhat, tau)
+    assert Mi.inversion_parameter_product(qhat, sigma) == Pm.mu(qhat, sigma.inverse())
+    smt = Mi.row_permuted(Mi.col_permuted(M, tau), sigma)
+    dl = Mi.det_qhat(idem.conjugate_parameter_matrix(qhat, sigma), smt)
+    pl = Mi.perm_qhat(idem.conjugate_parameter_matrix(qhat, tau), smt)
+    assert Mi.verify_identity(dl, det.scale(sigma.sign() * tau.sign() * f), alg)
+    assert Mi.verify_identity(pl, perm.scale(f), alg)
 print("bench contract holds")
 """
 

@@ -122,6 +122,21 @@ def test_huge_degree_is_refused_from_the_generator_count_and_degree_alone():
     assert alg._slices == {}
 
 
+def test_one_generator_is_refused_past_the_word_budget_from_the_degree_alone(monkeypatch):
+    # 1^d = 1 fits every budget, so the word length is what bounds the slice
+    alg = commutator_relations([A])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=rf"word of size 1000000000 exceeds "
+                                             rf"budget {word_budget()}"):
+        alg.slice(10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert alg._slices == {}
+    monkeypatch.setenv("MANIN_BUDGET", "64")
+    assert alg.slice(64).dim == 0
+    with pytest.raises(BudgetExceeded, match="word of size 65 exceeds budget 64"):
+        alg.slice(65)
+
+
 def test_slices_up_to_the_word_budget_are_built_and_past_it_refused(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "64")   # bit length 7
     alg = commutator_relations([A, B])

@@ -4,9 +4,11 @@ import pytest
 
 import dense_reference as dense
 from maninalg import idempotents as idem
+from maninalg.freealg import generator_matrix
 from maninalg.linalg import QMatrix, Subspace
+from maninalg.minors import det_qhat, perm_qhat
 from maninalg.pairing import closed_form_multiparam, corrupt, generic_pairing
-from maninalg.permutations import all_perms
+from maninalg.permutations import Perm, all_perms
 from maninalg.suites import catalog_instances
 from maninalg.tensor import TensorOperator
 
@@ -347,10 +349,48 @@ def test_parameter_checks_raise_what_the_fraction_check_raised(qhat, data):
         want = str(exc)
     else:
         want = None
-    for check in (idem.check_parameter_matrix, idem.parameterized_antisymmetrizer):
+    M = generator_matrix("M", len(bad))
+    for check in (idem.check_parameter_matrix, idem.parameterized_antisymmetrizer,
+                  lambda q: det_qhat(q, M), lambda q: perm_qhat(q, M),
+                  lambda q: closed_form_multiparam(q, 2, "A"),
+                  lambda q: idem.restrict_parameter_matrix(q, (1,)),
+                  lambda q: idem.conjugate_parameter_matrix(q, Perm.identity(len(q)))):
         if want is None:
             check(bad)
         else:
             with pytest.raises(idem.InvalidParameter) as got:
                 check(bad)
             assert str(got.value) == want
+
+
+def test_a_parameter_matrix_passes_its_check_unchanged_and_cannot_be_written_into():
+    qhat = idem.uniform_parameter_matrix(3, 2)
+    checked = idem.check_parameter_matrix(qhat)
+    assert isinstance(checked, idem.ParameterMatrix)
+    assert checked == tuple(map(tuple, qhat))
+    assert idem.check_parameter_matrix(checked) is checked
+    with pytest.raises(TypeError):
+        checked[0][1] = F(5)
+    with pytest.raises(TypeError):
+        checked[0] = (F(1), F(5), F(5))
+    with pytest.raises(AttributeError):
+        checked.rows = qhat
+    qhat[0][1] = F(7)                      # the input list stays the caller's
+    assert checked[0][1] == 2
+
+
+def test_restriction_refuses_indices_outside_the_matrix():
+    qhat = idem.uniform_parameter_matrix(2, 2)
+    assert idem.restrict_parameter_matrix(qhat, (2, 1, 2)) == (
+        (1, F(1, 2), 1), (2, 1, 2), (1, F(1, 2), 1))
+    for I in [(0, 1), (-1, 2), (1, 3), ()]:
+        with pytest.raises(idem.InvalidParameter):
+            idem.restrict_parameter_matrix(qhat, I)
+
+
+def test_conjugation_refuses_a_permutation_of_another_size():
+    qhat = idem.uniform_parameter_matrix(2, 2)
+    assert idem.conjugate_parameter_matrix(qhat, Perm((2, 1))) == ((1, F(1, 2)), (2, 1))
+    for sigma in (Perm((1,)), Perm((2, 3, 1)), Perm((1, 2, 3))):
+        with pytest.raises(idem.InvalidParameter, match="does not act on a 2 x 2"):
+            idem.conjugate_parameter_matrix(qhat, sigma)

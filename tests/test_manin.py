@@ -194,6 +194,14 @@ def test_submatrix_with_repeats():
     assert sub[0][0] == sub[1][0] == NCPoly.generator(matrix_gen("M", 1, 2))
 
 
+def test_submatrix_refuses_indices_outside_the_matrix():
+    M = generator_matrix("M", 2, 3)
+    assert submatrix(M, (2,), (3,)) == [[NCPoly.generator(matrix_gen("M", 2, 3))]]
+    for I, J in [((0, 1), (1,)), ((1, 3), (1,)), ((1,), (-1, 2)), ((1,), (4,))]:
+        with pytest.raises(ValueError, match="leave the 2 x 3 matrix"):
+            submatrix(M, I, J)
+
+
 def test_defect_vanishes_only_modulo_relations():
     gens, M = letters_2x2()
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))

@@ -424,3 +424,27 @@ def test_inversion_parameter_product_is_mu_of_the_inverse():
         assert want == mu(qhat, tau.inverse())
         values.add(want)
     assert len(values) > 6
+
+
+def test_a_restricted_or_conjugated_matrix_is_validated_once(monkeypatch):
+    """Each call chain below validates its list input once: the derived
+    ParameterMatrix passes its consumer without a second check."""
+    grids = []
+    rational_grid = idem.rational_grid
+
+    def counted(value, what):
+        grids.append(what)
+        return rational_grid(value, what)
+
+    monkeypatch.setattr(idem, "rational_grid", counted)
+    qhat = [[1, 2, F(-1, 2)], [F(1, 2), 1, 3], [-2, F(1, 3), 1]]
+    idem.parameterized_antisymmetrizer(idem.restrict_parameter_matrix(qhat, (1, 3)))
+    assert grids == ["a parameter matrix"]
+    grids.clear()
+    M = generator_matrix("M", 3, 3)
+    sigma = Perm((2, 3, 1))
+    got = det_qhat(idem.conjugate_parameter_matrix(qhat, sigma), M)
+    assert grids == ["a parameter matrix"]
+    back = sigma.inverse()
+    conjugated = [[F(qhat[back(i) - 1][back(j) - 1]) for j in (1, 2, 3)] for i in (1, 2, 3)]
+    assert got == dense.det_qhat(conjugated, M)

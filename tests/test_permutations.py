@@ -2,13 +2,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_reference as dense
 from maninalg.idempotents import uniform_parameter_matrix
 from maninalg.pairing import q_factorial
 from maninalg.permutations import (NonReducedWord, Perm, all_perms, from_word,
                                    inv, inversion_set,
                                    inversion_set_from_reduced_word, mu,
-                                   reduced_word, stabilizer_order)
+                                   reduced_word, stabilizer_order, weighted_perms)
 
 
 def test_inv_examples():
@@ -94,3 +97,33 @@ def test_perm_algebra():
 def test_apply_to_tuple():
     p = Perm((2, 3, 1))  # sends position content t_i to slot p(i)
     assert p.apply_to_tuple(("a", "b", "c")) == ("c", "a", "b")
+
+
+@st.composite
+def parameter_matrices(draw):
+    """k x k parameter matrices, k <= 5, with entries of either sign."""
+    k = draw(st.integers(1, 5))
+    q = [[Fraction(1)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            q[i][j] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5)
+                           .filter(bool))
+            q[j][i] = 1 / q[i][j]
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(parameter_matrices())
+def test_weighted_perms_read_each_sign_and_mu_off_the_one_inversion_pass(qhat):
+    """The enumeration lists S_k in the order of all_perms, and each sign,
+    length and mu matches the brute-force inversion set and the inversion
+    product read off qhat directly."""
+    k = len(qhat)
+    perms = list(all_perms(k))
+    weighted = list(weighted_perms(qhat, k))
+    assert [images for images, _, _ in weighted] == [p.images for p in perms]
+    for p, (_, sign, weight) in zip(perms, weighted):
+        length = len(inversion_set(p))
+        assert inv(p) == length
+        assert sign == p.sign() == (-1) ** length
+        assert weight == mu(qhat, p) == dense.inversion_parameter_product(qhat, p.inverse())
