@@ -16,6 +16,12 @@ permanents) sum numerators over one common denominator and end with one
 gcd pass per result, rather than chaining NCPoly arithmetic.  One integer
 grid kernel, ``_grid_times``, runs the side products, for the minors and
 for ``manin.defect_rows``.
+
+The text form (``parse_poly``) joins terms by runs of '+' and '-' and the
+factors of a term by '*'.  A factor is a rational 'p' or 'p/q', or a name
+with an optional index list '[i,j,...]' and an optional power '^e' of a
+non-negative integer e.  Two factors side by side without '*' are bad
+input.
 """
 
 from __future__ import annotations
@@ -290,11 +296,16 @@ def poly_matrix(entries) -> list:
     return out
 
 
+def matrix_generators(sym: str, n: int, m: int) -> tuple:
+    """The generators sym[i,j] of an n x m matrix, row by row."""
+    return tuple(Gen(sym, (i, j)) for i in range(1, n + 1) for j in range(1, m + 1))
+
+
 def generator_matrix(sym: str, n: int, m: int | None = None) -> list:
     """The n x m matrix of generators sym[i,j]."""
     m = n if m is None else m
-    return [[NCPoly.generator(matrix_gen(sym, i, j)) for j in range(1, m + 1)]
-            for i in range(1, n + 1)]
+    gens = matrix_generators(sym, n, m)
+    return [[NCPoly.generator(g) for g in gens[i * m:(i + 1) * m]] for i in range(n)]
 
 
 def poly_mat_mul(a, b) -> list:
@@ -481,104 +492,51 @@ def _entry_product(factors, num: int = 1, den: int = 1) -> NCPoly:
 
 # --- text form ---------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\[\],*+^-]))"
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse {text!r} at position {pos}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            yield ("num", m.group("num"), m.start())
-        elif m.group("name"):
-            yield ("name", m.group("name"), m.start())
-        else:
-            yield ("op", m.group("op"), m.start())
+# The three rules of the text form, each taking the whitespace after it: a
+# run of signs (which opens a term), a factor, and the '*' between factors.
+_SIGNS = re.compile(r"[\s+-]*")
+_FACTOR = re.compile(r"(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)\s*(?:\[([\d,\s]*)\]\s*)?"
+                     r"(?:\^\s*(\d+))?)\s*")
+_TIMES = re.compile(r"\*\s*")
 
 
 def parse_poly(text: str) -> NCPoly:
     """Parse the textual form '2*M[1,1]*M[2,2] - 1/3*M[1,2]*M[2,1]'.
 
-    Malformed text, a zero denominator and a word longer than
+    Terms are joined by runs of '+' and '-', and the factors of a term by
+    '*'.  A factor is a rational 'p' or 'p/q', or a name with an optional
+    index list '[i,j,...]' and an optional power '^e' of a non-negative
+    integer e.  Two factors side by side without '*' are bad input; blank
+    text is zero.  Malformed text, a zero denominator and a word longer than
     ``word_budget()`` letters raise ValueError; the length is checked before
     the word is built.
     """
-    tokens = list(_tokenize(text))
-    out = NCPoly.zero()
-    i = 0
-    n = len(tokens)
     budget = word_budget()
-
-    def fail(where, what):
-        raise ValueError(f"{what} at position {where} in {text!r}")
-
-    while i < n:
-        sign = ONE
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            fail(len(text), "dangling sign")
-        coeff = sign
-        word = []
-        expect_factor = True
-        while i < n:
-            kind, val, where = tokens[i]
-            if kind == "num":
-                coeff *= rat(val)
-                i += 1
-            elif kind == "name":
-                sym = val
-                i += 1
-                idx = ()
-                if i < n and tokens[i][:2] == ("op", "["):
-                    i += 1
-                    nums = []
-                    while i < n and tokens[i][:2] != ("op", "]"):
-                        kind2, val2, where2 = tokens[i]
-                        if kind2 == "num":
-                            nums.append(int(val2))
-                        elif (kind2, val2) != ("op", ","):
-                            fail(where2, "bad index list")
-                        i += 1
-                    if i >= n:
-                        fail(where, "unterminated index bracket")
-                    i += 1
-                    idx = tuple(nums)
-                power = 1
-                if i < n and tokens[i][:2] == ("op", "^"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num" or "/" in tokens[i][1]:
-                        fail(where, "bad exponent")
-                    power = int(tokens[i][1])
-                    i += 1
-                if len(word) + power > budget:
-                    fail(where, f"word longer than the word budget {budget} "
-                                "(override with MANIN_BUDGET)")
-                word.extend([Gen(sym, idx)] * power)
-            else:
-                fail(where, f"unexpected token {val!r}")
-            expect_factor = False
-            if i < n and tokens[i][:2] == ("op", "*"):
-                i += 1
-                expect_factor = True
-                continue
-            if i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-                break
-            if i < n and not expect_factor:
-                fail(tokens[i][2], f"unexpected token {tokens[i][1]!r}")
-        if expect_factor:
-            fail(len(text), "dangling '*'")
-        out = out + NCPoly({tuple(word): coeff})
-    return out
+    if not text.strip():
+        return NCPoly.zero()
+    terms, pos = [], 0   # terms: [coefficient, word] in the order read
+    while not terms or pos < len(text):
+        joint = (terms and _TIMES.match(text, pos)) or _SIGNS.match(text, pos)
+        if terms and joint.end() == pos:
+            raise ValueError(f"expected '*', '+' or '-' at position {pos} in {text!r}")
+        if joint.re is _SIGNS:
+            terms.append([-ONE if joint.group().count("-") % 2 else ONE, []])
+        pos = joint.end()
+        factor = _FACTOR.match(text, pos)
+        if not factor:
+            raise ValueError(f"expected a number or a name at position {pos} in {text!r}")
+        number, sym, idx, power = factor.groups()
+        term = terms[-1]
+        if number:
+            term[0] *= rat(number)
+        else:
+            power = 1 if power is None else int(power)
+            if len(term[1]) + power > budget:
+                raise ValueError(f"word longer than the word budget {budget} (override "
+                                 f"with MANIN_BUDGET) at position {pos} in {text!r}")
+            term[1] += [Gen(sym, tuple(map(int, re.findall(r"\d+", idx or ""))))] * power
+        pos = factor.end()
+    return sum((NCPoly({tuple(word): c}) for c, word in terms), NCPoly.zero())
 
 
 def parse_poly_matrix(text: str) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import ONE, QMatrix, Record, Subspace, ZERO, format_rat, rat
+from .linalg import ONE, QMatrix, Record, Subspace, ZERO, _lead_one, format_rat, rat
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _make,
                      flatten_index, multi_indices, swap_operator)
 
@@ -341,8 +341,7 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     presents the same quadratic algebra as R.
     """
     size = R.cols
-    rows = {lead: {j: Fraction(c, row[lead]) for j, c in row.items()}
-            for lead, row in Subspace.from_matrix(R).rows.items()}
+    rows = _lead_one(Subspace.from_matrix(R).rows)
     n = round(size ** 0.5)
     if n * n == size:
         return TensorOperator(n, n, 2, rows)

@@ -23,7 +23,7 @@ import functools
 import itertools
 from math import lcm
 
-from .freealg import (NCPoly, _grid_times, generator_matrix, matrix_gen,
+from .freealg import (NCPoly, _grid_times, generator_matrix, matrix_generators,
                       poly_grid_product, poly_mat_mul, poly_mat_sub,
                       poly_mat_transpose, word_index)
 from .idempotents import (antisymmetrizer, conjugate, hecke_r_matrix,
@@ -123,8 +123,7 @@ def defect_rows(pair: ManinPair, M, degree: int, gen_pos: dict) -> list:
 
 def universal_relations(pair: ManinPair, symbol: str = "M") -> UniversalRelations:
     n, m = pair.n, pair.m
-    gens = tuple(matrix_gen(symbol, i, j)
-                 for i in range(1, n + 1) for j in range(1, m + 1))
+    gens = matrix_generators(symbol, n, m)
     rows = defect_rows(pair, generator_matrix(symbol, n, m), 1,
                        {g: i for i, g in enumerate(gens)})
     return UniversalRelations(pair, symbol, gens, Subspace.span(rows, len(gens) ** 2))
@@ -204,8 +203,7 @@ def rll_matches_double_qmanin(n: int, m: int, q) -> bool:
     q = rat(q)
     if q in (0, 1, -1):
         raise InvalidParameter("q must avoid {0, 1, -1}")
-    gens = tuple(matrix_gen("L", i, j)
-                 for i in range(1, n + 1) for j in range(1, m + 1))
+    gens = matrix_generators("L", n, m)
     c12 = compose_chain(generator_matrix("L", n, m), 2)
     # L^{(2)} L^{(1)} = P_n (L^{(1)} L^{(2)}) P_m entrywise, so every product
     # with the reversed chain is a product with c12 and the flips folded in
@@ -225,8 +223,7 @@ def rll_matches_double_qmanin(n: int, m: int, q) -> bool:
 
 def double_manin_matches_commutators(n: int, m: int) -> bool:
     """Manin relations of M plus those of M^T span all commutators."""
-    gens = tuple(matrix_gen("M", i, j)
-                 for i in range(1, n + 1) for j in range(1, m + 1))
+    gens = matrix_generators("M", n, m)
     pos = {g: i for i, g in enumerate(gens)}
     M = generator_matrix("M", n, m)
     rows = defect_rows(ManinPair(antisymmetrizer(n), antisymmetrizer(m)), M, 1, pos)

@@ -87,11 +87,17 @@ def _power_size(what: str, n: int, k: int, budget: int) -> int:
 
 def _check_power(n: int, k: int):
     """check_budget(n ** k), with n^k refused unformed by ``_power_size``.
-    The budget is read once, since reading MANIN_BUDGET costs as much as
-    the rest of the check; a formed size over it is refused by
-    check_budget, so that every such refusal passes through that one
-    function (``bench/tracing.py`` counts refusals there)."""
+    At n = 1, where 1^k = 1 bounds nothing while the routes' work still
+    grows with k, the arity gets the bound n >= 2 gets from n^k: k past the
+    budget's bit length is refused.  The budget is read once, since reading
+    MANIN_BUDGET costs as much as the rest of the check; a formed size over
+    it is refused by check_budget, so that every such refusal passes
+    through that one function (``bench/tracing.py`` counts refusals
+    there)."""
     budget = tensor_budget()
+    if n == 1 and k > budget.bit_length():
+        raise budget_refusal("component", f"1^{k} (arity over {budget.bit_length()})",
+                             budget)
     size = _power_size("component", n, k, budget)
     if size > budget:
         check_budget(size)

@@ -43,20 +43,24 @@ recursion with two full products per arity, which the coset sums of
 ``tensor.coset_sum`` replaced.  ``verify_axioms_by_products`` keeps the
 axiom report of ``pairing.verify_axioms`` with every identity decided by
 forming the full operator products, which the row checks of
-``tensor._fixes_rows`` replaced.
+``tensor._fixes_rows`` replaced.  ``parse_poly`` keeps the token parser
+(``_tokenize`` and a token loop with an ``expect_factor`` flag) that the
+pattern loop of ``freealg.parse_poly`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 
-from maninalg.freealg import NCPoly, NonHomogeneous, poly_matrix, word_index
+from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, poly_matrix, word_budget,
+                              word_index)
 from maninalg.idempotents import (InvalidParameter, hecke_r_matrix, rational_grid,
                                   restrict_parameter_matrix)
-from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon
+from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon, rat
 from maninalg.pairing import NotExists, PairingOperator, q_int
 from maninalg.permutations import all_perms, mu, stabilizer_order
 from maninalg.quadratic import component_subspaces
@@ -857,3 +861,105 @@ def eager_slice(g: int, relations, d: int) -> tuple:
                 ech.insert({u * g * g + mid: c for mid, c in rel.items()})
         pivots, normal = ech.pivots, normal_next
     return ech, tuple(normal)
+
+
+# --- the token parser that freealg.parse_poly replaced -------------------------
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\[\],*+^-]))"
+)
+
+
+def _tokenize(text: str):
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError(f"cannot parse {text!r} at position {pos}")
+            break
+        pos = m.end()
+        if m.group("num"):
+            yield ("num", m.group("num"), m.start())
+        elif m.group("name"):
+            yield ("name", m.group("name"), m.start())
+        else:
+            yield ("op", m.group("op"), m.start())
+
+
+def parse_poly(text: str) -> NCPoly:
+    """Parse the textual form '2*M[1,1]*M[2,2] - 1/3*M[1,2]*M[2,1]'.
+
+    Malformed text, a zero denominator and a word longer than
+    ``word_budget()`` letters raise ValueError; the length is checked before
+    the word is built.
+    """
+    tokens = list(_tokenize(text))
+    out = NCPoly.zero()
+    i = 0
+    n = len(tokens)
+    budget = word_budget()
+
+    def fail(where, what):
+        raise ValueError(f"{what} at position {where} in {text!r}")
+
+    while i < n:
+        sign = ONE
+        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            fail(len(text), "dangling sign")
+        coeff = sign
+        word = []
+        expect_factor = True
+        while i < n:
+            kind, val, where = tokens[i]
+            if kind == "num":
+                coeff *= rat(val)
+                i += 1
+            elif kind == "name":
+                sym = val
+                i += 1
+                idx = ()
+                if i < n and tokens[i][:2] == ("op", "["):
+                    i += 1
+                    nums = []
+                    while i < n and tokens[i][:2] != ("op", "]"):
+                        kind2, val2, where2 = tokens[i]
+                        if kind2 == "num":
+                            nums.append(int(val2))
+                        elif (kind2, val2) != ("op", ","):
+                            fail(where2, "bad index list")
+                        i += 1
+                    if i >= n:
+                        fail(where, "unterminated index bracket")
+                    i += 1
+                    idx = tuple(nums)
+                power = 1
+                if i < n and tokens[i][:2] == ("op", "^"):
+                    i += 1
+                    if i >= n or tokens[i][0] != "num" or "/" in tokens[i][1]:
+                        fail(where, "bad exponent")
+                    power = int(tokens[i][1])
+                    i += 1
+                if len(word) + power > budget:
+                    fail(where, f"word longer than the word budget {budget} "
+                                "(override with MANIN_BUDGET)")
+                word.extend([Gen(sym, idx)] * power)
+            else:
+                fail(where, f"unexpected token {val!r}")
+            expect_factor = False
+            if i < n and tokens[i][:2] == ("op", "*"):
+                i += 1
+                expect_factor = True
+                continue
+            if i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
+                break
+            if i < n and not expect_factor:
+                fail(tokens[i][2], f"unexpected token {tokens[i][1]!r}")
+        if expect_factor:
+            fail(len(text), "dangling '*'")
+        out = out + NCPoly({tuple(word): coeff})
+    return out

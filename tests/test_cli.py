@@ -292,6 +292,13 @@ def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsy
     assert phrase in captured.err
 
 
+# Malformed polynomial text, each read from the matrix file and from the
+# relations file of manin-check: a dangling '*', an unclosed index list, two
+# factors side by side, a rational power, an index list on a number and a
+# sign with no term.
+MALFORMED_TEXTS = ["a *", "a[1", "a b", "x[1]^1/2", "2[1]", "+"]
+
+
 # Each row: the command, the matrix file's text, the relations file's text
 # (manin-check only), MANIN_BUDGET or None, and a phrase the error line must
 # contain.
@@ -305,8 +312,14 @@ def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsy
      "word budget 16"),
     ("manin-check", "x[1]; 0\n0; x[2]\n", "x[1]^9*x[2]^8\n", "16", "word budget 16"),
     ("minor", "x[1]; x[2]^20\n0; x[2]\n", None, "16", "word budget 16"),
+    *[("manin-check", f"{text}; 0\n0; x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", None,
+       "position") for text in MALFORMED_TEXTS],
+    *[("manin-check", "x[1]; 0\n0; x[2]\n", f"{text}\n", None, "position")
+      for text in MALFORMED_TEXTS],
 ], ids=["matrix-zero-denominator", "relations-zero-denominator", "minor-zero-denominator",
-        "matrix-word-over-budget", "relations-word-over-budget", "minor-word-over-budget"])
+        "matrix-word-over-budget", "relations-word-over-budget", "minor-word-over-budget",
+        *(f"{file}-malformed-{text}" for file in ("matrix", "relations")
+          for text in MALFORMED_TEXTS)])
 def test_malformed_polynomial_file_is_input_error(command, matrix_text, relations_text,
                                                   budget, phrase, tmp_path, capsys,
                                                   monkeypatch):
@@ -321,8 +334,8 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert phrase in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert phrase in captured.err and "Traceback" not in captured.err
 
 
 # Each row: argv, MANIN_BUDGET or None, and a phrase naming the budget that
@@ -349,10 +362,16 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
       "1000000000"], None, "size 3^1000000000 exceeds budget 4096"),
     (["minor", "--pair", "{pair}", "--matrix", "{matrix}", "--k", "1000000000",
       "--kind", "A"], None, "size 2^1000000000 exceeds budget 4096"),
+    (["pairing", "--family", "RhatMinus", "--n", "1", "--q", "2", "--k", "1000000000",
+      "--kind", "S", "--method", "hecke"], None,
+     "size 1^1000000000 (arity over 13) exceeds budget 4096"),
+    (["pairing", "--family", "A_n", "--n", "1", "--k", "1000000000", "--kind", "S",
+      "--method", "group"], None, "size 1^1000000000 (arity over 13) exceeds budget 4096"),
 ], ids=["dims-astronomical-degree", "pairing-astronomical-arity",
         "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer",
         "hecke-billion-arity", "brauer-billion-arity", "dims-billion-degree",
-        "minor-billion-arity"])
+        "minor-billion-arity", "hecke-one-generator-billion-arity",
+        "group-one-generator-billion-arity"])
 def test_budget_refusal_names_the_budget(argv, budget, phrase, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MANIN_BUDGET", None)

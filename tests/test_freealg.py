@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
@@ -131,6 +131,48 @@ def test_parse_refuses_zero_denominator_and_long_words(monkeypatch):
     for text in ("a^9", "a^5*b^4", "a*a*a*a*a*a*a*a*a"):
         with pytest.raises(ValueError, match="word budget 8"):
             parse_poly(text)
+
+
+# Fragments of polynomial text, valid and broken, joined at random: the
+# parsers meet dangling signs and '*', unclosed and misplaced index lists,
+# rational powers, zero denominators, factors side by side, names with a
+# non-ASCII letter and spaces between the pieces of a factor.
+TEXT_FRAGMENTS = ["0", "1", "2", "12", "1/0", "3/4", "/", "a", "b", "x1", "_y", "x\u00e9",
+                  "\u00e9", "[", "]", ",", "*", "^", "+", "-", " ", "\t",
+                  "x[1,2]", "M [ 1 2 ] ^2", "a ^ 2", "b^0", "x[1]^3", " * ", " - "]
+
+
+def parse_outcome(parse, text):
+    """The polynomial parsed from text, or ValueError when it is refused;
+    any other exception propagates."""
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("budget", [None, "8"])
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=16).map("".join))
+def test_parse_poly_matches_the_token_parser(budget, text, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("MANIN_BUDGET", budget)
+    assert parse_outcome(parse_poly, text) == parse_outcome(dense.parse_poly, text)
+
+
+text_gens = st.builds(Gen, st.sampled_from(["a", "M", "x1", "_y", "x\u00e9"]),
+                      st.lists(st.integers(0, 12), max_size=3).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.lists(text_gens, max_size=4).map(tuple),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                       max_size=5).map(NCPoly))
+def test_parse_reads_back_every_repr(p):
+    assert parse_poly(repr(p)) == p
 
 
 def test_parse_matrix():

@@ -388,14 +388,17 @@ def test_constructors_check_the_budget_first(monkeypatch):
 
 @pytest.mark.parametrize("budget, n, k, size", [
     (None, 2, 12, None), (None, 2, 13, "8192"), (None, 2, 14, "2^14"),
-    (None, 3, 10 ** 9, "3^1000000000"), (None, 1, 10 ** 9, None), (None, 0, 10 ** 9, None),
-    ("0", 1, 10 ** 9, "1"), ("-5", 2, 0, "1"), ("-5", 2, 4, "2^4"),
+    (None, 3, 10 ** 9, "3^1000000000"), (None, 1, 13, None),
+    (None, 1, 14, "1^14 (arity over 13)"), (None, 1, 10 ** 9, "1^1000000000 (arity over 13)"),
+    (None, 0, 10 ** 9, None), ("0", 1, 10 ** 9, "1^1000000000 (arity over 0)"),
+    ("-5", 2, 0, "1"), ("-5", 2, 4, "2^4"),
     (str(2 ** 70), 3, 44, None), (str(2 ** 70), 3, 45, "at least 2^71"),
     (str(2 ** 70), 2, 71, "at least 2^71"), (str(2 ** 70), 2, 72, "2^72"),
 ])
 def test_power_budget_refuses_from_n_and_k(budget, n, k, size, monkeypatch):
     # n^k is refused without being formed once n >= 2 and k passes the
-    # budget's bit length; below that it goes through check_budget(n ** k)
+    # budget's bit length, and so is every such k at n = 1; below that it
+    # goes through check_budget(n ** k)
     if budget is None:
         monkeypatch.delenv("MANIN_BUDGET", raising=False)
     else:
