@@ -540,13 +540,21 @@ def parse_poly(text: str) -> NCPoly:
 
 
 def parse_poly_matrix(text: str) -> list:
-    """Parse a matrix of polynomials: rows on lines, entries split by ';'."""
+    """Parse a matrix of polynomials: rows on lines, entries split by ';'.
+
+    An entry that is blank after stripping is bad input (ValueError naming
+    its line and entry); zero is written '0'."""
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([parse_poly(part) for part in line.split(";")])
+        parts = line.split(";")
+        for entry, part in enumerate(parts, 1):
+            if not part.strip():
+                raise ValueError(f"empty entry {entry} on line {number} of the "
+                                 f"matrix text {line!r} (write zero as '0')")
+        rows.append([parse_poly(part) for part in parts])
     if not rows:
         raise ValueError("empty matrix text")
     width = len(rows[0])

@@ -26,8 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .freealg import (NCPoly, NonHomogeneous, _combine, sparse_coords, word_budget,
-                      word_index)
+from .freealg import NCPoly, NonHomogeneous, _combine, word_budget, word_index
 from .linalg import Record, SparseEchelon, Subspace
 from .tensor import _power_size, budget_refusal
 
@@ -164,11 +163,17 @@ class PresentedAlgebra:
 def span_of_polys(polys, gens, degree: int) -> Subspace:
     """Echelonized span of homogeneous degree-d polynomials in the lex word
     coordinates of ``gens``; any other nonzero polynomial raises
-    NonHomogeneous."""
+    NonHomogeneous.  Each row is a polynomial's integer numerators, the
+    polynomial times its denominator, which spans the same line."""
     gens = tuple(gens)
-    pos = {g: i for i, g in enumerate(gens)}
-    return Subspace.span((sparse_coords(p, degree, pos, len(gens))
-                          for p in polys if not p.is_zero()), len(gens) ** degree)
+    pos, g = {x: i for i, x in enumerate(gens)}, len(gens)
+    rows = []
+    for p in polys:
+        if not p.is_homogeneous(degree):
+            raise NonHomogeneous(f"polynomial is not homogeneous of degree {degree}")
+        if p:
+            rows.append({word_index(w, pos, g): c for w, c in p.num.items()})
+    return Subspace.span(rows, g ** degree)
 
 
 def build_slice_from_subspace(gens, relations: Subspace, d: int,

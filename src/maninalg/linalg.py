@@ -5,11 +5,12 @@ lowest terms with positive denominator).  :class:`QMatrix` is a dense
 row-major matrix for parsed grids, the change of basis of
 ``manin.transport`` and the dense views kept for outside callers.  All row
 reduction goes through one engine, the sparse :class:`SparseEchelon`, which
-eliminates fraction-free on primitive integer rows; Fractions enter it only
-as incoming rows, scaled to integers by their common denominator.  A row
-space is a :class:`Subspace`, which keeps the engine's fully reduced
-primitive integer rows, a unique basis, so that two subspaces are equal iff
-their rows are identical; Fractions leave only through lead-1 views.
+eliminates fraction-free on primitive integer rows.  An incoming row of
+ints is copied as it is, less its zeros; Fractions enter only as incoming
+rows, which are scaled to integers by their common denominator.  A row space
+is a :class:`Subspace`, which keeps the engine's fully reduced primitive
+integer rows, a unique basis, so that two subspaces are equal iff their
+rows are identical; Fractions leave only through lead-1 views.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from operator import attrgetter
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
+# whether an iterable of types holds int alone, stopping at the first other
+_all_int = frozenset((int,)).issuperset
 
 
 class AmbientMismatch(ValueError):
@@ -377,11 +379,15 @@ class SparseEchelon:
     proceeds strictly left to right and terminates in one ascending sweep;
     a step clears a lead without division, as ``(a/g) row - (c/g) pivot``
     where ``a`` is the pivot's lead, ``c`` the row's entry there and
-    ``g = gcd(a, c)`` (Bareiss's fraction-free elimination).  Incoming rows
-    may hold Fractions: they are scaled to integers by their common
-    denominator.  ``reduced_integer_rows`` back-substitutes the pivots on
-    integers, which gives the rows of the span's ``Subspace``;
-    ``reduced_rows`` is their lead-1 Fraction view.
+    ``g = gcd(a, c)`` (Bareiss's fraction-free elimination).  ``reduce``,
+    ``insert`` and ``contains`` accept rows of ints, Fractions and zeros
+    and never change them.  A row whose values are all of type ``int``, the
+    rows the package's own callers hand in, is copied as it is, less its
+    zeros; a row holding a Fraction (even one with denominator 1) or a bool
+    is scaled to integers by the lcm of its denominators.
+    ``reduced_integer_rows`` back-substitutes the pivots on integers, which
+    gives the rows of the span's ``Subspace``; ``reduced_rows`` is their
+    lead-1 Fraction view.
 
     ``leads`` holds every lead of the span and ``pivots`` maps a lead to its
     pivot row.  By default they are one dict.  An echelon given a separate
@@ -447,14 +453,19 @@ def _lead_one(rows: dict) -> dict:
 
 def _integer_row(row: dict) -> dict:
     """The nonzero entries of a row of ints and Fractions, times the least
-    common denominator, as a fresh dict of ints."""
+    common denominator, as a fresh dict of ints.
+
+    A row whose values are all of type ``int`` is copied as it is, less its
+    zeros; any other row (a Fraction, even one with denominator 1, or a
+    bool) is scaled by the lcm of its denominators, and its zeros are
+    dropped after scaling, where they are ints.
+    """
     values = row.values()
+    if _all_int(map(type, values)):
+        return dict(row) if 0 not in values else {j: c for j, c in row.items() if c}
     den = lcm(*map(_denominator, values))
-    if den == 1:
-        out = dict(zip(row, map(_numerator, values)))
-    else:
-        out = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
-    if 0 in values:
+    out = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+    if 0 in out.values():
         out = {j: c for j, c in out.items() if c}
     return out
 

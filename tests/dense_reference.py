@@ -4,10 +4,11 @@ The library reduces rows only with ``linalg.SparseEchelon``, which
 eliminates on primitive integer rows, builds ideal slices degree by degree,
 and stores tensor operators as sparse rows.  This module keeps independent
 routes so that tests can check those results against them: the earlier
-``Fraction`` echelon (pivots with lead 1), the all-positions slice
-builder that echelonizes every w1 * r * w2 from scratch and the eager
-slice builder that shifted every pivot row up each degree, plus dense routes
-written directly on ``QMatrix`` grids: row-echelon forms, kernels,
+``Fraction`` echelon (pivots with lead 1) and the lcm scaling of every
+incoming row (``integer_row``), the all-positions slice builder that
+echelonizes every w1 * r * w2 from scratch and the eager slice builder that
+shifted every pivot row up each degree, plus dense routes written directly
+on ``QMatrix`` grids: row-echelon forms, kernels,
 inverses, the intersection subspaces of ``quadratic`` (computed here as
 joint kernels of the stacked embedded operators), the embeddings of
 ``tensor``, the fixed-vector check of ``pairing.verify_axioms`` and the
@@ -799,6 +800,22 @@ class FractionEchelon:
         for lead in sorted(self.pivots, reverse=True):
             reduced[lead] = _eliminate(dict(self.pivots[lead]), reduced)
         return dict(sorted(reduced.items()))
+
+
+def integer_row(row: dict) -> dict:
+    """The nonzero entries of a row of ints and Fractions, times the least
+    common denominator, as a fresh dict of ints: the scaling that
+    ``linalg._integer_row`` applied to every row before rows of ints were
+    copied as they are."""
+    values = row.values()
+    den = lcm(*(c.denominator for c in values))
+    if den == 1:
+        out = dict(zip(row, (c.numerator for c in values)))
+    else:
+        out = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+    if 0 in values:
+        out = {j: c for j, c in out.items() if c}
+    return out
 
 
 def _eliminate(row: dict, pivots: dict) -> dict:

@@ -316,10 +316,19 @@ MALFORMED_TEXTS = ["a *", "a[1", "a b", "x[1]^1/2", "2[1]", "+"]
        "position") for text in MALFORMED_TEXTS],
     *[("manin-check", "x[1]; 0\n0; x[2]\n", f"{text}\n", None, "position")
       for text in MALFORMED_TEXTS],
+    ("manin-check", "x[1];\n0; x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", None,
+     "empty entry 2 on line 1"),
+    ("manin-check", "x[1]; 0\n;x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", None,
+     "empty entry 1 on line 2"),
+    ("manin-check", "x[1];;x[2]\n0; x[2]\n", "x[2]*x[1] - 2*x[1]*x[2]\n", None,
+     "empty entry 2 on line 1"),
+    ("minor", "# a comment\nx[1]; 0\n0;  \n", None, None, "empty entry 2 on line 3"),
 ], ids=["matrix-zero-denominator", "relations-zero-denominator", "minor-zero-denominator",
         "matrix-word-over-budget", "relations-word-over-budget", "minor-word-over-budget",
         *(f"{file}-malformed-{text}" for file in ("matrix", "relations")
-          for text in MALFORMED_TEXTS)])
+          for text in MALFORMED_TEXTS),
+        "matrix-empty-last-entry", "matrix-empty-first-entry", "matrix-empty-middle-entry",
+        "minor-blank-entry"])
 def test_malformed_polynomial_file_is_input_error(command, matrix_text, relations_text,
                                                   budget, phrase, tmp_path, capsys,
                                                   monkeypatch):

@@ -4,10 +4,12 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maninalg import idempotents as idem
 from maninalg import ideals
-from maninalg.freealg import Gen, NCPoly, NonHomogeneous, word_budget
+from maninalg.freealg import Gen, NCPoly, NonHomogeneous, sparse_coords, word_budget
 from maninalg.ideals import (PresentedAlgebra, build_slice_from_subspace,
                              commutator_relations, free_presentation, span_of_polys)
 from maninalg.linalg import SparseEchelon, Subspace
@@ -83,6 +85,27 @@ def test_non_homogeneous_rejected():
         PresentedAlgebra.from_polys([A, B], [NCPoly({(A,): 1, (A, B): 1})])
     with pytest.raises(NonHomogeneous):
         PresentedAlgebra.from_polys([A, B], [NCPoly({(A, B, A): 1})])
+
+
+# homogeneous polynomials of one degree in A, B, C with denominators up to
+# 6, zero included, as (degree, polys)
+same_degree_polys = st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.dictionaries(st.lists(st.sampled_from([A, B, C]), min_size=d, max_size=d).map(tuple),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                    max_size=4).map(NCPoly), max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_degree_polys)
+def test_span_of_polys_is_the_span_of_the_fraction_rows(case):
+    d, polys = case
+    gens = [A, B, C]
+    pos = {g: i for i, g in enumerate(gens)}
+    fraction_rows = [sparse_coords(p, d, pos, 3) for p in polys if not p.is_zero()]
+    assert span_of_polys(polys, gens, d) == Subspace.span(fraction_rows, 3 ** d)
+    if d > 1:
+        with pytest.raises(NonHomogeneous, match=f"degree {d - 1}"):
+            span_of_polys(polys + [NCPoly({(A,) * d: 1})], gens, d - 1)
 
 
 def test_from_polys_is_the_span_of_the_polynomials():

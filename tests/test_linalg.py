@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maninalg import idempotents as idem
+from maninalg import linalg, quadratic
+from maninalg.freealg import Gen, NCPoly
+from maninalg.ideals import PresentedAlgebra, commutator_relations, span_of_polys
 from maninalg.linalg import (AmbientMismatch, InvalidRational, QMatrix, SparseEchelon,
                              Subspace, invert, rat)
+from maninalg.manin import ManinPair, is_manin, universal_relations
+from maninalg.pairing import generic_pairing
+from maninalg.quadratic import QuadAlgebra, graded_dimension
 
 import dense_reference as dense
 from dense_reference import kernel, rref
@@ -317,3 +324,74 @@ def test_integer_echelon_clears_denominators_and_content():
     assert ech.insert({1: 5, 4: -7, 6: 0})
     assert ech.pivots[4] == {4: 1}
     assert ech.reduced_rows() == {1: {1: Fraction(1)}, 4: {4: Fraction(1)}}
+
+
+# values of every type _integer_row accepts: ints near zero and beyond 2^64,
+# bools, Fractions with denominator 1 and Fractions with larger ones
+row_values = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80), st.booleans(),
+                       st.integers(-5, 5).map(Fraction), small_rationals)
+incoming_rows = st.one_of(
+    st.dictionaries(st.integers(0, 30), st.integers(-2 ** 80, 2 ** 80), max_size=8),
+    st.dictionaries(st.integers(0, 30), row_values, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(incoming_rows)
+def test_integer_row_matches_the_lcm_scaling(row):
+    before = list(row.items())
+    before_types = [type(c) for c in row.values()]
+    out = linalg._integer_row(row)
+    assert out == dense.integer_row(row)
+    assert list(out) == list(dense.integer_row(row)), "entries not in the row's order"
+    assert all(type(c) is int and c for c in out.values()), "not a row of nonzero ints"
+    assert out is not row
+    assert list(row.items()) == before and [type(c) for c in row.values()] == before_types
+
+
+def test_integer_row_copies_int_rows_and_scales_the_rest():
+    row = {3: 2 ** 70, 5: -1}
+    assert linalg._integer_row(row) == row
+    assert linalg._integer_row({0: 0, 2: -4}) == {2: -4}
+    for other in ({1: True, 2: 3}, {1: Fraction(2), 2: 3}):
+        out = linalg._integer_row(other)
+        assert out == {1: other[1], 2: 3} and type(out[1]) is int
+    assert linalg._integer_row({1: Fraction(1, 2), 2: 0, 4: 1}) == {1: 1, 4: 2}
+
+
+def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch):
+    # every row on these paths reaches the engine as nonzero ints, so it is
+    # copied as it is; a producer that starts emitting Fractions fails here
+    seen = []
+    original = linalg._integer_row
+
+    def spy(row):
+        seen.append(row)
+        return original(row)
+
+    monkeypatch.setattr(linalg, "_integer_row", spy)
+    quadratic._component_subspaces.cache_clear()
+    for E, variant, k in [(idem.hecke_minus(3, Fraction(2, 3)), "X", 4),
+                          (idem.hecke_minus(2, Fraction(5, 7)), "Xi", 5),
+                          (idem.symplectic_idempotent(4), "Xistar", 3),
+                          (idem.fourparam_idempotent(2, Fraction(1, 2), 3, Fraction(2, 5)),
+                           "Xstar", 4)]:
+        graded_dimension(QuadAlgebra(E, variant), k)
+    x1, x2 = Gen("x", (1,)), Gen("x", (2,))
+    plane = PresentedAlgebra((x1, x2), span_of_polys(
+        [NCPoly({(x2, x1): 1, (x1, x2): Fraction(-2, 3)})], (x1, x2), 2))
+    diagonal = [[NCPoly.generator(x1), NCPoly.zero()], [NCPoly.zero(), NCPoly.generator(x2)]]
+    pair = ManinPair(idem.q_antisymmetrizer(2, Fraction(2, 3)), idem.antisymmetrizer(2))
+    assert is_manin(pair, diagonal, plane)
+    # a defect whose terms cancel: the zeros are dropped before the engine
+    X1, X2 = NCPoly.generator(x1), NCPoly.generator(x2)
+    assert is_manin(ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2)),
+                    [[X1, X2], [X2, X1]], commutator_relations((x1, x2)))
+    assert plane.congruent(NCPoly({(x2, x1, x2): Fraction(3, 4)}),
+                           NCPoly({(x1, x2, x2): Fraction(1, 2)}))
+    universal_relations(pair).algebra().slice(3)
+    generic_pairing(idem.hecke_minus(2, Fraction(2, 3)), 3, "A")
+    generic_pairing(idem.hecke_minus(3, Fraction(3, 2)), 3, "S")
+    assert len(seen) > 100
+    bad = [row for row in seen if not all(type(c) is int and c for c in row.values())]
+    assert not bad, bad[:3]
+    quadratic._component_subspaces.cache_clear()
