@@ -15,12 +15,10 @@ from fractions import Fraction
 from . import idempotents as idem
 from .freealg import parse_poly, parse_poly_matrix, sorted_generators
 from .ideals import PresentedAlgebra
-from .linalg import QMatrix, format_rat, rat
+from .linalg import QMatrix, format_rat
 from .manin import ManinPair, is_manin
 from .minors import a_minor, s_minor
-from .pairing import (NotExists, brauer_pairing, closed_form_multiparam,
-                      fourparam_A3, generic_pairing, group_average,
-                      hecke_pairing, verify_axioms)
+from .pairing import METHODS, NotExists, build_pairing, generic_pairing, verify_axioms
 from .quadratic import VARIANTS, QuadAlgebra, dimension_table
 from .scenarios import bcd_report, fourparam_report, lie_seed
 from .suites import run_suite, suite_names
@@ -157,10 +155,6 @@ def cmd_manin_check(args) -> int:
     return 0 if ok else 1
 
 
-METHODS = ("generic", "group", "hecke", "brauer", "closed")
-BRAUER_FAMILIES = {"B_n": ("so", "S"), "Btilde_n": ("sp", "A")}  # group, kind given
-
-
 def cmd_pairing(args) -> int:
     spec, E = load_spec(args)
     op = build_pairing(spec, E, args.k, args.kind, args.method)
@@ -174,40 +168,6 @@ def cmd_pairing(args) -> int:
     doc["axioms"] = {k: v for k, v in report.items()}
     emit({"exists": True, "operator": doc})
     return 0 if report["pass"] else 1
-
-
-def build_pairing(spec, E, k: int, kind: str, method: str):
-    if method == "generic":
-        return generic_pairing(E, k, kind)
-    if method == "group":
-        return group_average(E, k, kind)
-    if method == "hecke":
-        if spec.family not in ("RhatMinus",):
-            raise ValueError("the Hecke recursion serves the RhatMinus family")
-        return hecke_pairing(rat(spec.params["q"]), spec.n, k, kind)
-    if method == "brauer":
-        if spec.family not in BRAUER_FAMILIES:
-            raise ValueError("the Brauer products serve the B_n / Btilde_n families")
-        group, given = BRAUER_FAMILIES[spec.family]
-        if kind != given:
-            raise ValueError(f"the Brauer products give {spec.family} kind {given}, not {kind}")
-        return brauer_pairing(group, spec.n, k)
-    if method == "closed":
-        if spec.family == "Aqhat":
-            return closed_form_multiparam(spec.params["qhat"], k, kind)
-        if spec.family == "Aq":
-            return closed_form_multiparam(
-                idem.uniform_parameter_matrix(spec.n, rat(spec.params["q"])), k, kind)
-        if spec.family == "A_n":
-            return closed_form_multiparam(
-                idem.uniform_parameter_matrix(spec.n, 1), k, kind)
-        if spec.family == "FourParam":
-            if k != 3 or kind != "A":
-                raise ValueError("the 4-parameter closed form is the third A-operator")
-            p = spec.params
-            return fourparam_A3(p["a"], p["b"], p["c"], p.get("kappa", 0))
-        raise ValueError("no closed form for this family")
-    raise ValueError(f"method must be one of {METHODS}")
 
 
 def cmd_minor(args) -> int:

@@ -19,9 +19,9 @@ for ``manin.defect_rows``.
 
 The text form (``parse_poly``) joins terms by runs of '+' and '-' and the
 factors of a term by '*'.  A factor is a rational 'p' or 'p/q', or a name
-with an optional index list '[i,j,...]' and an optional power '^e' of a
-non-negative integer e.  Two factors side by side without '*' are bad
-input.
+with an optional index list '[i,j,...]' of integers split by single commas
+and an optional power '^e' of a non-negative integer e.  Two factors side
+by side without '*' are bad input.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def sorted_generators(gens) -> list:
 # --- matrices with NCPoly entries -------------------------------------------
 
 def poly_matrix(entries) -> list:
-    """Normalize a grid of NCPoly / rational entries to NCPoly."""
+    """Normalize a grid of NCPoly / rational entries, or a QMatrix, to NCPoly."""
     out = []
-    for row in entries:
+    for row in entries.data if isinstance(entries, QMatrix) else entries:
         out.append([e if isinstance(e, NCPoly) else NCPoly.scalar(e) for e in row])
     return out
 
@@ -495,8 +495,8 @@ def _entry_product(factors, num: int = 1, den: int = 1) -> NCPoly:
 # The three rules of the text form, each taking the whitespace after it: a
 # run of signs (which opens a term), a factor, and the '*' between factors.
 _SIGNS = re.compile(r"[\s+-]*")
-_FACTOR = re.compile(r"(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)\s*(?:\[([\d,\s]*)\]\s*)?"
-                     r"(?:\^\s*(\d+))?)\s*")
+_FACTOR = re.compile(r"(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)\s*"
+                     r"(?:\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]\s*)?(?:\^\s*(\d+))?)\s*")
 _TIMES = re.compile(r"\*\s*")
 
 
@@ -505,9 +505,10 @@ def parse_poly(text: str) -> NCPoly:
 
     Terms are joined by runs of '+' and '-', and the factors of a term by
     '*'.  A factor is a rational 'p' or 'p/q', or a name with an optional
-    index list '[i,j,...]' and an optional power '^e' of a non-negative
-    integer e.  Two factors side by side without '*' are bad input; blank
-    text is zero.  Malformed text, a zero denominator and a word longer than
+    index list '[i,j,...]' of one or more non-negative integers split by
+    single commas and an optional power '^e' of a non-negative integer e.
+    Two factors side by side without '*' are bad input; blank text is zero.
+    Malformed text, a zero denominator and a word longer than
     ``word_budget()`` letters raise ValueError; the length is checked before
     the word is built.
     """
@@ -534,7 +535,7 @@ def parse_poly(text: str) -> NCPoly:
             if len(term[1]) + power > budget:
                 raise ValueError(f"word longer than the word budget {budget} (override "
                                  f"with MANIN_BUDGET) at position {pos} in {text!r}")
-            term[1] += [Gen(sym, tuple(map(int, re.findall(r"\d+", idx or ""))))] * power
+            term[1] += [Gen(sym, tuple(map(int, idx.split(","))) if idx else ())] * power
         pos = factor.end()
     return sum((NCPoly({tuple(word): c}) for c, word in terms), NCPoly.zero())
 

@@ -349,8 +349,9 @@ class Subspace:
 
 
 def _sparse(vector, ambient_dim: int) -> dict:
-    """Nonzero entries of a dense vector as index -> Fraction."""
-    vector = [rat(x) for x in vector]
+    """Nonzero entries of a dense vector as index -> value: an entry of type
+    int as it is, any other through ``rat`` (so a bool is refused)."""
+    vector = [x if type(x) is int else rat(x) for x in vector]
     if len(vector) != ambient_dim:
         raise AmbientMismatch("vector lives in a different ambient space")
     return {j: x for j, x in enumerate(vector) if x}

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .freealg import NCPoly, _entry_product, poly_grid_product, poly_matrix
 from .idempotents import check_parameter_matrix, uniform_parameter_matrix
 from .ideals import PresentedAlgebra
-from .linalg import QMatrix, Record
+from .linalg import Record
 from .permutations import Perm, mu, weighted_perms
 from .tensor import TensorOperator, compose_chain, flatten_index
 
@@ -66,7 +66,7 @@ def a_minor(M, a_op: TensorOperator, k: int) -> list:
 def _checked_chain(M, k: int, left=None, right=None) -> list:
     """M^{(1)} ... M^{(k)}, once the operators on either side have arity k
     and the local dims of M (n rows on the left, m columns on the right)."""
-    M = poly_matrix(M.data if isinstance(M, QMatrix) else M)
+    M = poly_matrix(M)
     if any(op is not None and op.arity != k for op in (left, right)):
         raise ValueError("operator arities must equal k")
     if (left is not None and left.col_dim != len(M)) or \

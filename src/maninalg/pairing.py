@@ -16,6 +16,8 @@ plus closed-form entries for the multi-parameter deformation and the
 rank-one third operator of the 3-dimensional 4-parameter family.  The group
 and Hecke routes share one kernel: both factor their (q-)symmetrizer over
 the coset representatives of S_{j-1} in S_j through ``tensor.coset_sum``.
+``build_pairing`` maps a catalog family and a method name to its route; the
+``pairing`` command and the cross-validation suite both call it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           is_idempotent, orthogonal_idempotent,
                           parameterized_antisymmetrizer, rank_one_contraction,
                           restrict_parameter_matrix, symplectic_idempotent,
-                          twisted_rank_one_contraction)
+                          twisted_rank_one_contraction, uniform_parameter_matrix)
 from .linalg import ONE, ZERO, Record, SparseEchelon, rat
 from .permutations import _inversions, stabilizer_order, weighted_perms
 from .quadratic import component_subspaces
@@ -243,16 +245,16 @@ def brauer_pairing(family: str, n: int, k: int) -> PairingOperator:
     products; 'so' gives kind S, 'sp' gives kind A (n even, k <= n/2 + 1)."""
     if family not in ("so", "sp"):
         raise ValueError("family must be 'so' or 'sp'")
-    if k < 1:
-        raise ValueError("arity starts at 1")
+    kind = "S" if family == "so" else "A"
+    _check_route(kind, k)
     if family == "so":
-        source, omega, twisted, kind = orthogonal_idempotent(n), n, False, "S"
+        source, omega, twisted = orthogonal_idempotent(n), n, False
     else:
         if n % 2:
             raise InvalidParameter("the symplectic family needs even n")
         if k > n // 2 + 1:
             raise InvalidParameter("symplectic arity is limited to n/2 + 1")
-        source, omega, twisted, kind = symplectic_idempotent(n), -n, True, "A"
+        source, omega, twisted = symplectic_idempotent(n), -n, True
     op = TensorOperator.identity(n, k)
     for b in range(2, k + 1):
         denom = rat(2 * b + omega - 4)
@@ -389,6 +391,48 @@ def fourparam_A3(a, b, c, kappa):
           for r, x in enumerate(w1) if x}
     return PairingOperator("A", 3, source, TensorOperator(3, 3, 3, op),
                            "closed_form")
+
+
+# --- the route of each family and method ---------------------------------------
+
+METHODS = ("generic", "group", "hecke", "brauer", "closed")
+BRAUER_FAMILIES = {"B_n": ("so", "S"), "Btilde_n": ("sp", "A")}  # group, kind given
+
+
+def build_pairing(spec, E: TensorOperator, k: int, kind: str, method: str):
+    """The ``kind`` operator of arity k of the catalog idempotent E that
+    ``spec`` names, built by ``method``: 'generic' and 'group' take any E
+    (the group route needs 1 - 2E to satisfy the braid relation), 'hecke'
+    serves RhatMinus, 'brauer' B_n (kind S) and Btilde_n (kind A), 'closed'
+    A_n, Aq, Aqhat and FourParam (its third A-operator); else ValueError."""
+    if method == "generic":
+        return generic_pairing(E, k, kind)
+    if method == "group":
+        return group_average(E, k, kind)
+    if method == "hecke":
+        if spec.family not in ("RhatMinus",):
+            raise ValueError("the Hecke recursion serves the RhatMinus family")
+        return hecke_pairing(rat(spec.params["q"]), spec.n, k, kind)
+    if method == "brauer":
+        if spec.family not in BRAUER_FAMILIES:
+            raise ValueError("the Brauer products serve the B_n / Btilde_n families")
+        group, given = BRAUER_FAMILIES[spec.family]
+        if kind != given:
+            raise ValueError(f"the Brauer products give {spec.family} kind {given}, not {kind}")
+        return brauer_pairing(group, spec.n, k)
+    if method == "closed":
+        if spec.family == "Aqhat":
+            return closed_form_multiparam(spec.params["qhat"], k, kind)
+        if spec.family in ("A_n", "Aq"):   # A_n is Aq at q = 1
+            return closed_form_multiparam(
+                uniform_parameter_matrix(spec.n, spec.params.get("q", 1)), k, kind)
+        if spec.family == "FourParam":
+            if k != 3 or kind != "A":
+                raise ValueError("the 4-parameter closed form is the third A-operator")
+            p = spec.params
+            return fourparam_A3(p["a"], p["b"], p["c"], p.get("kappa", 0))
+        raise ValueError("no closed form for this family")
+    raise ValueError(f"method must be one of {METHODS}")
 
 
 # --- axiom verification ----------------------------------------------------------

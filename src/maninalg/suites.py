@@ -21,8 +21,8 @@ from .minors import (a_minor, col_permuted, det_qhat, inversion_parameter_produc
                      perm_qhat, row_permuted, verify_identity,
                      verify_matrix_identity)
 from .pairing import (BraidRelationFailed, NotExists, PairingOperator,
-                      braid_relation_holds, brauer_pairing, closed_form_multiparam,
-                      corrupt, fourparam_A3, generic_pairing, group_average,
+                      braid_relation_holds, brauer_pairing, build_pairing,
+                      closed_form_multiparam, corrupt, fourparam_A3, group_average,
                       hecke_basis_change, hecke_pairing, q_factorial, verify_axioms)
 from .permutations import (NonReducedWord, all_perms, inv,
                            inversion_set_from_reduced_word, stabilizer_order)
@@ -164,23 +164,14 @@ def check_bcd_dims():
 # ---------------------------------------------------------------------------
 
 def pairing_constructions(tag: str, n: int, k: int, kind: str):
-    """All applicable constructions for one idempotent instance."""
-    q = Q(2)
-    out = {}
-    if tag in ("A_n", "Aqhat"):
-        # A_n is the multi-parameter antisymmetrizer at the all-ones matrix
-        qhat = [[Q(1)] * n for _ in range(n)] if tag == "A_n" else generic_parameter_matrix(n)
-        E = idem.parameterized_antisymmetrizer(qhat)
-        out["generic"] = generic_pairing(E, k, kind)
-        out["group"] = group_average(E, k, kind)
-        out["closed"] = closed_form_multiparam(qhat, k, kind)
-    elif tag == "RhatMinus":
-        E = idem.hecke_minus(n, q)
-        out["generic"] = generic_pairing(E, k, kind)
-        out["hecke"] = hecke_pairing(q, n, k, kind)
-    else:
-        raise ValueError(tag)
-    return out
+    """All applicable constructions for one idempotent instance, each built
+    by ``pairing.build_pairing``, the dispatch of the ``pairing`` command."""
+    params = {"A_n": {}, "Aqhat": {"qhat": generic_parameter_matrix(n)},
+              "RhatMinus": {"q": Q(2)}}[tag]
+    spec = idem.IdempotentSpec(tag, n, params)
+    E = idem.build(spec)
+    methods = ("generic", "hecke") if tag == "RhatMinus" else ("generic", "group", "closed")
+    return {method: build_pairing(spec, E, k, kind, method) for method in methods}
 
 
 def check_pairing_cross_validation():
@@ -399,21 +390,23 @@ def _tensor_product_setup():
                         idem.parameterized_antisymmetrizer(phat))
     pair_nl = ManinPair(idem.parameterized_antisymmetrizer(phat),
                         idem.parameterized_antisymmetrizer(rhat))
-    uM = universal_relations(pair_mn, "M")
-    uN = universal_relations(pair_nl, "N")
-    Mg = generator_matrix("M", 2, 2)
-    Ng = generator_matrix("N", 2, 2)
-    gens = uM.gens + uN.gens
-    polys = (_polys_from_relations(uM) + _polys_from_relations(uN)
-             + cross_commutators(Mg, Ng))
-    ambient = PresentedAlgebra.from_polys(gens, polys)
-    return qhat, phat, rhat, pair_mn, pair_nl, Mg, Ng, ambient
+    return (qhat, phat, rhat, pair_mn, pair_nl) + _product_ambient(pair_mn, pair_nl)
 
 
-def _polys_from_relations(uni):
-    g = len(uni.gens)
-    return [NCPoly({(uni.gens[pos // g], uni.gens[pos % g]): c for pos, c in row.items()})
-            for row in uni.space.rows.values()]
+def _product_ambient(pair_mn, pair_nl):
+    """The generator matrices M of U_{pair_mn} and N of U_{pair_nl}, and the
+    algebra that their relations present together with every entry of M
+    commuting with every entry of N: the ambient of the product M N."""
+    M = generator_matrix("M", pair_mn.n, pair_mn.m)
+    N = generator_matrix("N", pair_nl.n, pair_nl.m)
+    gens, polys = (), []
+    for pair, symbol in ((pair_mn, "M"), (pair_nl, "N")):
+        uni = universal_relations(pair, symbol)
+        g = len(uni.gens)
+        gens += uni.gens
+        polys += [NCPoly({(uni.gens[pos // g], uni.gens[pos % g]): c for pos, c in row.items()})
+                  for row in uni.space.rows.values()]
+    return M, N, PresentedAlgebra.from_polys(gens, polys + cross_commutators(M, N))
 
 
 def check_cauchy_binet_det():
@@ -457,15 +450,7 @@ def check_product_of_manin_matrices():
 
 def check_product_plain():
     p = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
-    uM = universal_relations(p, "M")
-    uN = universal_relations(p, "N")
-    Mg = generator_matrix("M", 2, 2)
-    Ng = generator_matrix("N", 2, 2)
-    ambient = PresentedAlgebra.from_polys(
-        uM.gens + uN.gens,
-        _polys_from_relations(uM) + _polys_from_relations(uN)
-        + cross_commutators(Mg, Ng))
-    return product_is_manin(p, p, Mg, Ng, ambient), "universal (A_2, A_2, A_2)"
+    return product_is_manin(p, p, *_product_ambient(p, p)), "universal (A_2, A_2, A_2)"
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .freealg import _budget_from_env, _entry_product, poly_matrix
+from .freealg import _budget_from_env, _combine, _entry_product, poly_matrix
 from .linalg import ZERO, QMatrix, Subspace, rat
 from .permutations import Perm
 
@@ -357,27 +357,19 @@ def _fixes_rows(rows, num: dict, den: int) -> bool:
 
 
 def _sum(a: TensorOperator, b: TensorOperator, sign: int) -> TensorOperator:
-    """a + sign * b, with the numerators of both brought to lcm(a.den, b.den)."""
+    """a + sign * b, with the numerators of both brought to lcm(a.den, b.den).
+    A row of one operand is shared at multiplier 1 (rows are never mutated)
+    and scaled otherwise; a row of both is merged by ``freealg._combine``."""
     den = lcm(a.den, b.den)
     ma, mb = den // a.den, sign * (den // b.den)
-    # rows are never mutated, so unscaled rows are shared
     out = dict(a.num) if ma == 1 else \
         {i: {j: ma * x for j, x in row.items()} for i, row in a.num.items()}
     for i, brow in b.num.items():
         row = out.get(i)
         if row is None:
             out[i] = brow if mb == 1 else {j: mb * x for j, x in brow.items()}
-            continue
-        if ma == 1:
-            row = dict(row)
-        for j, x in brow.items():
-            v = row.get(j, 0) + mb * x
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-        if row:
-            out[i] = row
+        elif merged := _combine(row, 1, brow, mb):
+            out[i] = merged
         else:
             del out[i]
     return _canonical(a.row_dim, a.col_dim, a.arity, out, den)
@@ -485,7 +477,7 @@ def compose_chain(M, k: int):
     Returns the n^k x m^k grid of NCPoly entries: entry (I, J) is the word
     M^{i_1}_{j_1} M^{i_2}_{j_2} ... M^{i_k}_{j_k}, multiplied out directly.
     """
-    grid = poly_matrix(M.data if isinstance(M, QMatrix) else M)
+    grid = poly_matrix(M)
     n = len(grid)
     m = len(grid[0])
     _check_power(max(n, m), k)

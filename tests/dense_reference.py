@@ -941,17 +941,21 @@ def parse_poly(text: str) -> NCPoly:
                 i += 1
                 idx = ()
                 if i < n and tokens[i][:2] == ("op", "["):
-                    i += 1
+                    # integers split by single commas: '[' num (',' num)* ']'
                     nums = []
-                    while i < n and tokens[i][:2] != ("op", "]"):
+                    while not nums or (i < n and tokens[i][:2] == ("op", ",")):
+                        i += 1
+                        if i >= n:
+                            fail(where, "unterminated index bracket")
                         kind2, val2, where2 = tokens[i]
-                        if kind2 == "num":
-                            nums.append(int(val2))
-                        elif (kind2, val2) != ("op", ","):
+                        if kind2 != "num" or "/" in val2:
                             fail(where2, "bad index list")
+                        nums.append(int(val2))
                         i += 1
                     if i >= n:
                         fail(where, "unterminated index bracket")
+                    if tokens[i][:2] != ("op", "]"):
+                        fail(tokens[i][2], "bad index list")
                     i += 1
                     idx = tuple(nums)
                 power = 1

@@ -126,3 +126,31 @@ def test_tracer_installs_and_bench_calls_work():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "bench contract holds" in proc.stdout
+
+
+# Every seed that a benchmark run may draw: one pass of each seeded workload
+# at seeds 1-10 and of suite_all (which reads no seed) once, each with its
+# own Checks, as bench/worker.py runs them.
+SWEEP = r"""
+import workloads
+
+for name, seeds in (("pairing_ladder", range(1, 11)), ("graded_dims", range(1, 11)),
+                    ("ideal_membership", range(1, 11)), ("suite_all", (1,))):
+    wl = workloads.WORKLOADS[name]
+    mods = wl.imports()
+    for seed in seeds:
+        checks = workloads.Checks()
+        wl.run(mods, wl.setup(mods, seed), checks, lambda trace_id, fn: fn())
+        assert checks.attempted > 0, (name, seed)
+        assert not checks.failures, (name, seed, checks.failures)
+print("seed sweep holds")
+"""
+
+
+def test_every_workload_passes_at_seeds_1_to_10():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
+    env.pop("MANIN_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", SWEEP], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "seed sweep holds" in proc.stdout

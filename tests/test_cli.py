@@ -295,8 +295,11 @@ def test_malformed_input_is_input_error(argv, spec_text, phrase, tmp_path, capsy
 # Malformed polynomial text, each read from the matrix file and from the
 # relations file of manin-check: a dangling '*', an unclosed index list, two
 # factors side by side, a rational power, an index list on a number and a
-# sign with no term.
-MALFORMED_TEXTS = ["a *", "a[1", "a b", "x[1]^1/2", "2[1]", "+"]
+# sign with no term; then index lists with an empty slot or a space for a
+# comma, once read as x[1,2], x[1] or bare x, so that a typo named another
+# generator.
+MALFORMED_TEXTS = ["a *", "a[1", "a b", "x[1]^1/2", "2[1]", "+",
+                   "x[1,,2]", "x[1 2]", "x[1,2,]", "x[,1]", "x[,]", "x[]"]
 
 
 # Each row: the command, the matrix file's text, the relations file's text

@@ -121,6 +121,12 @@ def test_parse_errors_carry_position():
         parse_poly("a[1")
     with pytest.raises(ValueError):
         parse_poly("+")
+    # an index list is integers split by single commas
+    for text in ("x[1,,2]", "x[1 2]", "x[1,2,]", "x[,1]", "x[,]", "x[]", "M [ 1 2 ] ^2",
+                 "x[1/2]", "2*x[1,,2] + y"):
+        with pytest.raises(ValueError, match="position"):
+            parse_poly(text)
+    assert parse_poly("M [ 1 , 2 ] ^2") == parse_poly("M[1,2]*M[1,2]")
 
 
 def test_parse_refuses_zero_denominator_and_long_words(monkeypatch):

@@ -358,6 +358,22 @@ def test_integer_row_copies_int_rows_and_scales_the_rest():
     assert linalg._integer_row({1: Fraction(1, 2), 2: 0, 4: 1}) == {1: 1, 4: 2}
 
 
+def test_dense_int_vectors_stay_ints():
+    out = linalg._sparse([3, 0, -2], 3)
+    assert out == {0: 3, 2: -2} and all(type(x) is int for x in out.values())
+    assert linalg._sparse([Fraction(3, 2), 0, "1/3"], 3) == {0: Fraction(3, 2), 2: Fraction(1, 3)}
+    with pytest.raises(InvalidRational, match="boolean"):
+        linalg._sparse([1, True], 2)
+    with pytest.raises(AmbientMismatch):
+        linalg._sparse([1, 2], 3)
+    ints = [[2, 0, -4, 6], [0, 3, 3, 0], [2, 3, -1, 6]]
+    fracs = [[Fraction(x, d) for x in row] for row, d in zip(ints, (2, 3, 1))]
+    span = Subspace.from_rows(ints, 4)
+    assert span == Subspace.from_rows(fracs, 4) and span.dim == 2
+    assert span.contains([4, 3, -5, 12]) and span.contains([Fraction(1), 0, -2, 3])
+    assert not span.contains([1, 0, 0, 0])
+
+
 def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch):
     # every row on these paths reaches the engine as nonzero ints, so it is
     # copied as it is; a producer that starts emitting Fractions fails here

@@ -455,9 +455,12 @@ def test_integer_arithmetic_matches_the_fraction_rows(n, m, k, data):
     elif choice == "shifted":
         b, B = a + b, A + B
     t = data.draw(st.one_of(st.sampled_from((0, 1, -1, Fraction(-3, 2))), mixed))
+    # sums share the rows of their operands, which must come out unchanged
+    before = [{i: dict(row) for i, row in op.num.items()} for op in (a, b)]
     results = {"mul": (a * c, A * C), "mul_back": (c * a, C * A),
                "add": (a + b, A + B), "sub": (a - b, A - B), "neg": (-a, -A),
                "scale": (a.scale(t), A.scale(t)), "transpose": (a.transpose(), A.transpose())}
+    assert [a.num, b.num] == before
     for name, (op, oracle) in results.items():
         assert_same(op, oracle, name)
     assert (a - a).is_zero() and (a - a).den == 1
