@@ -498,6 +498,9 @@ _SIGNS = re.compile(r"[\s+-]*")
 _FACTOR = re.compile(r"(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)\s*"
                      r"(?:\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]\s*)?(?:\^\s*(\d+))?)\s*")
 _TIMES = re.compile(r"\*\s*")
+# The longest valid start of an index list: where it ends is its bad slot.
+# Only the error path reads it, so it is compiled there, not on import.
+_INDEX_START = r"\[(?:\s*\d+\s*,)*(?:\s*\d+)?"
 
 
 def parse_poly(text: str) -> NCPoly:
@@ -507,7 +510,8 @@ def parse_poly(text: str) -> NCPoly:
     '*'.  A factor is a rational 'p' or 'p/q', or a name with an optional
     index list '[i,j,...]' of one or more non-negative integers split by
     single commas and an optional power '^e' of a non-negative integer e.
-    Two factors side by side without '*' are bad input; blank text is zero.
+    Two factors side by side without '*' are bad input, and a malformed
+    index list is refused at its first bad slot; blank text is zero.
     Malformed text, a zero denominator and a word longer than
     ``word_budget()`` letters raise ValueError; the length is checked before
     the word is built.
@@ -527,6 +531,9 @@ def parse_poly(text: str) -> NCPoly:
         if not factor:
             raise ValueError(f"expected a number or a name at position {pos} in {text!r}")
         number, sym, idx, power = factor.groups()
+        if sym and idx is None and power is None and text.startswith("[", factor.end()):
+            bad = re.compile(_INDEX_START).match(text, factor.end()).end()
+            raise ValueError(f"bad index list at position {bad} in {text!r}")
         term = terms[-1]
         if number:
             term[0] *= rat(number)

@@ -14,11 +14,13 @@ has a normal prefix of length e - 2, while a row of E_j shifted by two or
 more letters has a lead of I_(e-2) as that prefix; so degree e is built
 from the rows of E_(e-1) shifted by one generator and those of E_e alone.
 ``PresentedAlgebra`` owns the slices: it caches each requested degree,
-grows a new one from the highest cached degree below it, and has one
-membership test, ``contains_rows``, which ``congruent`` and the Manin
-checks call: integer rows of degree d lie in the ideal when each reduces to
-zero against the echelon of the degree-d slice, which builds a deeper
-shifted row only when a reduction reaches its lead.
+grows a new one from the highest cached degree below it, counts the normal
+words of every degree when the slice of degree 3 certifies that count
+(``normal_word_counts``), and has one membership test, ``contains_rows``,
+which ``congruent`` and the Manin checks call: integer rows of degree d lie
+in the ideal when each reduces to zero against the echelon of the degree-d
+slice, which builds a deeper shifted row only when a reduction reaches its
+lead.
 """
 
 from __future__ import annotations
@@ -131,6 +133,29 @@ class PresentedAlgebra:
             cached = self._slices[d] = build_slice_from_subspace(
                 self.gens, self.relations, d, below)
         return cached
+
+    def normal_word_counts(self, d: int) -> list | None:
+        """The quotient's dimensions in degrees 0..d counted as normal
+        words, those holding no lead of I_2 as a factor, when that count is
+        exact; else None.  A word holding such a lead is a lead of I_e, so
+        the count bounds dim A_e from above.  It equals dim A_3 exactly when
+        every overlap of two leads resolves; then the relations are a
+        Groebner basis (Bergman's diamond lemma) and it equals dim A_e in
+        every degree.  Builds the slice of degree 3 alone, whose first
+        increment holds the leads of I_2; the numbers ends[y] of normal
+        words ending in generator y carry each degree to the next."""
+        g, top = len(self.gens), self.slice(3)
+        leads = top.increments[0]
+        follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
+        counts, ends = [1, g], [1] * g
+        while len(counts) <= max(d, 3):
+            step = [0] * g
+            for x, c in enumerate(ends):
+                for y in follow[x]:
+                    step[y] += c
+            ends = step
+            counts.append(sum(ends))
+        return counts[:d + 1] if counts[3] == g ** 3 - top.dim else None
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""

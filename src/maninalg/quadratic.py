@@ -19,10 +19,14 @@ pairing kind: (V_k, Vbar_k) for "S" and (W_k, Wbar_k) for "A".
 ``KIND_VARIANTS`` is the only place that maps a kind to its two variants.
 These pairs are memoized per (E, k, kind), at most 16 of them at a time.
 Graded dimensions are not: each call reads a fresh presentation, so the
-slices of one algebra are freed before those of the next are built.  A
-dimension reads only the rank of a slice, which is arithmetic on its
-increments, so it builds no echelon and no row shifted by more than one
-generator.
+slices of one algebra are freed before those of the next are built.  Past
+degree 3 a dimension is first counted as normal words on the leads of the
+relations (``PresentedAlgebra.normal_word_counts``), which builds the slice
+of degree 3 alone and is exact when its count there equals dim A_3: the
+PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
+3, the dimensions read only the ranks of the degree-k slice and of the
+degrees below it, which are arithmetic on its increments, so they build no
+echelon and no row shifted by more than one generator.
 """
 
 from __future__ import annotations
@@ -78,28 +82,36 @@ def relation_space(alg: QuadAlgebra) -> Subspace:
 
 
 def graded_dimension(alg: QuadAlgebra, k: int) -> int:
-    """dim of the degree-k component: n^k minus the ideal slice dimension."""
-    n = alg.n
-    if k == 0:
-        return 1
-    if k == 1:
-        return n
-    _check_power(n, k)
-    return n ** k - alg.presentation().slice(k).dim
+    """dim of the degree-k component: n^k minus the ideal slice dimension,
+    read from ``dimension_table``."""
+    return dimension_table(alg, k)[k]
 
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
-    """Graded dimensions in degrees 0..max_degree, read in ascending order
-    from one presentation, so that each slice grows from the one below and
-    degree k reduces only dim A_(k-2) * dim R rows: those of the normal
-    words of degree k - 2, which the slice of degree k - 1 carries."""
+    """Graded dimensions in degrees 0..max_degree from one presentation,
+    after the budget check on n^max_degree.
+
+    Past degree 3 they are the counts of normal words when the degree-3 PBW
+    certificate holds; they are exact then, since the relations are a
+    Groebner basis (``PresentedAlgebra.normal_word_counts``).  Otherwise
+    they are read from the increments of the degree-max_degree slice, grown
+    from the degree-3 one that the certificate check built: rank I_k =
+    n * rank I_(k-1) + |E_k|, and degree k reduces only dim A_(k-2) * dim R
+    rows, those of the normal words of degree k - 2."""
     if max_degree < 0:
         raise ValueError(f"max degree must be non-negative, got {max_degree}")
     n = alg.n
     _check_power(n, max_degree)
+    if max_degree < 2:
+        return [1, n][:max_degree + 1]
     presentation = alg.presentation()
-    return [n ** k if k < 2 else n ** k - presentation.slice(k).dim
-            for k in range(max_degree + 1)]
+    counts = presentation.normal_word_counts(max_degree) if max_degree > 3 else None
+    if counts is not None:
+        return counts
+    ranks = [0, 0]
+    for rows in presentation.slice(max_degree).increments:
+        ranks.append(n * ranks[-1] + len(rows))
+    return [n ** k - rank for k, rank in enumerate(ranks)]
 
 
 def component_subspaces(E: TensorOperator, k: int, kind: str):

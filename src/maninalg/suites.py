@@ -7,6 +7,7 @@ callable returning (ok, detail); items are deterministic and exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -457,14 +458,22 @@ def check_product_plain():
 # criterion 7: Hecke/q minor transport
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _hecke_antisymmetrizers(n: int, k: int) -> tuple:
+    """A_(k) at q = 2 from the Hecke route and from the closed form at the
+    uniform parameter matrix.  The three heckeminor items share them, and
+    ``run_suite`` clears the memo, so each is built once per run."""
+    q = Q(2)
+    return (hecke_pairing(q, n, k, "A").operator,
+            closed_form_multiparam(idem.uniform_parameter_matrix(n, q), k, "A").operator)
+
+
 def check_g_transport():
     bad = []
     q = Q(2)
     for n in (2, 3):
         for k in (1, 2, 3):
-            Ah = hecke_pairing(q, n, k, "A").operator
-            Acf = closed_form_multiparam(
-                idem.uniform_parameter_matrix(n, q), k, "A").operator
+            Ah, Acf = _hecke_antisymmetrizers(n, k)
             G = hecke_basis_change(n, k, q)
             if G * Ah != Acf:
                 bad.append(f"n={n} k={k}")
@@ -480,9 +489,7 @@ def check_minor_transport():
                          idem.parameterized_antisymmetrizer(phat))
         alg = universal_relations(pair).algebra()
         M = generator_matrix("M", n, n)
-        Ah = hecke_pairing(q, n, 2, "A").operator
-        Acf = closed_form_multiparam(idem.uniform_parameter_matrix(n, q), 2,
-                                     "A").operator
+        Ah, Acf = _hecke_antisymmetrizers(n, 2)
         G = hecke_basis_change(n, 2, q)
         lhs = a_minor(M, Acf, 2)
         rhs = poly_grid_product(a_minor(M, Ah, 2), left=G)
@@ -493,14 +500,11 @@ def check_minor_transport():
 
 def check_minor_entry_agreement():
     """Shared-basis entries of the two A-minor operators coincide."""
-    q = Q(2)
     bad = []
     for n in (2, 3):
         phat = generic_parameter_matrix(n, offset=2)
         M = generator_matrix("M", n, n)
-        Ah = hecke_pairing(q, n, 2, "A").operator
-        Acf = closed_form_multiparam(idem.uniform_parameter_matrix(n, q), 2,
-                                     "A").operator
+        Ah, Acf = _hecke_antisymmetrizers(n, 2)
         Atld = closed_form_multiparam(phat, 2, "A").operator
         # entry (I, J) of (2 A') Min Atilde contracts a minor grid with row I
         # of 2 A' and column J of Atilde
@@ -706,6 +710,7 @@ def run_suite(name: str):
         items = SUITES[name]
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
+    _hecke_antisymmetrizers.cache_clear()
     results = []
     for item_id, fn in items:
         ok, detail = fn()

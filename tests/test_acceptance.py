@@ -7,6 +7,7 @@ prints one PASS/FAIL line per item.  The suites are the same ones exposed by
 
 import pytest
 
+from maninalg import suites
 from maninalg.suites import run_suite
 
 CRITERIA = [
@@ -34,3 +35,16 @@ def test_acceptance(label, suites):
             if not ok:
                 failures.append(f"{item_id}: {detail}")
     assert not failures, f"{label} failed items: {failures}"
+
+
+def test_heckeminor_builds_each_operator_once_per_run(monkeypatch):
+    # three items read A_(2) of the Hecke route and of the closed form for
+    # n = 2, 3; each (n, k) is built once per run, and again in the next run
+    built = []
+    hecke = suites.hecke_pairing
+    monkeypatch.setattr(suites, "hecke_pairing",
+                        lambda q, n, k, kind: built.append((n, k)) or hecke(q, n, k, kind))
+    for _ in range(2):
+        built.clear()
+        assert all(ok for _, ok, _ in run_suite("heckeminor"))
+        assert sorted(built) == [(n, k) for n in (2, 3) for k in (1, 2, 3)]

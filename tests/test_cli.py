@@ -407,6 +407,20 @@ def test_unknown_suite_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_certified_dims_past_the_budget_are_refused(capsys, monkeypatch):
+    # X of A_2 has a PBW certificate, so its dimensions are counted as normal
+    # words past degree 3; a degree past the budget is still refused
+    monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    argv = ["dims", "--family", "A_n", "--n", "2", "--variant", "X", "--max-degree"]
+    assert main(argv + ["12"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == list(range(1, 14))
+    assert main(argv + ["13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: component of size 8192 exceeds budget 4096 "
+                            "(override with MANIN_BUDGET)\n")
+
+
 @pytest.mark.parametrize("family, n, k, method, size", [
     (["A_n"], "2", "13", "group", 8192),
     (["RhatMinus", "--q", "2"], "3", "8", "hecke", 6561),

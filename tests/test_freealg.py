@@ -121,11 +121,20 @@ def test_parse_errors_carry_position():
         parse_poly("a[1")
     with pytest.raises(ValueError):
         parse_poly("+")
-    # an index list is integers split by single commas
+    # an index list is integers split by single commas; the error names the
+    # list and its first bad slot
     for text in ("x[1,,2]", "x[1 2]", "x[1,2,]", "x[,1]", "x[,]", "x[]", "M [ 1 2 ] ^2",
                  "x[1/2]", "2*x[1,,2] + y"):
         with pytest.raises(ValueError, match="position"):
             parse_poly(text)
+    for text, pos in (("x[1,,2]", 4), ("x[1 2]", 3), ("x[1,2,]", 6), ("x[,1]", 2),
+                      ("x[,]", 2), ("x[]", 2)):
+        with pytest.raises(ValueError) as refused:
+            parse_poly(text)
+        assert str(refused.value) == f"bad index list at position {pos} in {text!r}"
+        with pytest.raises(ValueError) as oracle:
+            dense.parse_poly(text)
+        assert str(oracle.value) == str(refused.value)
     assert parse_poly("M [ 1 , 2 ] ^2") == parse_poly("M[1,2]*M[1,2]")
 
 

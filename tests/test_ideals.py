@@ -331,7 +331,9 @@ def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, vari
     dim_r = alg.presentation().relations.dim
     echelonizing_r, calls[0] = calls[0], 0
     table = dimension_table(alg, 5)
-    assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(2, 6)) * dim_r
+    # a certified table builds degrees 2 and 3 alone (hecke_minus)
+    top = 3 if name == "hecke_minus" else 5
+    assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(2, top + 1)) * dim_r
 
 
 def _probes(g: int, relations, d: int, rng) -> list:
@@ -436,13 +438,18 @@ def _spy_on_slices(monkeypatch) -> tuple:
     return built, deeper
 
 
-@pytest.mark.parametrize("E, variant, k", [
-    (idem.hecke_minus(3, F(2)), "X", 6), (idem.hecke_minus(3, F(2)), "Xi", 6),
-    (idem.symplectic_idempotent(4), "Xistar", 5), (idem.orthogonal_idempotent(3), "Xstar", 6),
-    (idem.fourparam_idempotent(2, 2, 2, 1), "X", 6)])
-def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, monkeypatch):
-    # a graded dimension reads only the rank: each degree e holds E_(e-1)
-    # shifted by one generator and E_e, and no echelon of a slice is built
+@pytest.mark.parametrize("E, variant, k, certified", [
+    (idem.hecke_minus(3, F(2)), "X", 6, True), (idem.hecke_minus(3, F(2)), "Xi", 6, True),
+    (idem.symplectic_idempotent(4), "Xistar", 5, False),
+    (idem.orthogonal_idempotent(3), "Xstar", 6, True),
+    (idem.fourparam_idempotent(2, 2, 2, 1), "X", 6, False)])
+def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, certified,
+                                                                monkeypatch):
+    # a certified graded dimension builds the slice of degree 3 alone and
+    # counts normal words; an uncertified one grows the degree-k slice from
+    # it and reads its ranks.  Every slice, and the degree-k one read directly, holds at
+    # each degree e only E_(e-1) shifted by one generator and E_e, and no
+    # echelon of a slice is built
     alg = QuadAlgebra(E, variant)
     want = [E.row_dim ** e - dense.slice_from_scratch(E.row_dim, alg.presentation().relations,
                                                      e).rank if e >= 2 else E.row_dim ** e
@@ -450,7 +457,12 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
     built, deeper = _spy_on_slices(monkeypatch)
     assert graded_dimension(alg, k) == want[k]
     assert dimension_table(alg, k) == want
-    assert [s.degree for s in built] == [k] + list(range(2, k + 1))
+    if certified:
+        assert [s.degree for s in built] == [3, 3]
+    else:
+        assert [s.degree for s in built] == [3, k, 3, k]
+    assert alg.presentation().slice(k).dim == E.row_dim ** k - want[k]
+    assert built[-1].degree == k
     for s in built:
         assert "echelon" not in vars(s), s.degree
         below = s.increments[-2] if s.degree > 2 else {}

@@ -2,13 +2,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maninalg import ideals, idempotents as idem, quadratic
-from maninalg.quadratic import (QuadAlgebra, component_subspaces,
+from maninalg.quadratic import (VARIANTS, QuadAlgebra, component_subspaces,
                                 dimension_table, graded_dimension,
                                 relation_space)
-from maninalg.suites import generic_parameter_matrix
-from maninalg.tensor import BudgetExceeded, flatten_index
+from maninalg.freealg import Gen
+from maninalg.linalg import Subspace
+from maninalg.suites import catalog_instances, generic_parameter_matrix
+from maninalg.tensor import BudgetExceeded, flatten_index, tensor_budget
 
 import dense_reference as dense
 
@@ -166,7 +170,14 @@ def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
         dimension_table(alg, 5)
     assert builds == []
     assert dimension_table(alg, 4) == [comb(k + 2, k) for k in range(5)]
-    assert builds == [2, 3, 4]
+    assert builds == [3]  # certified: the normal words are counted
+    # no PBW certificate: the degree-4 slice grows from the degree-3 slice
+    # that the certificate check built
+    alg = QuadAlgebra(idem.fourparam_idempotent(2, 3, F(1, 2), 1), "X")
+    want = [1, 3] + [3 ** k - alg.presentation().slice(k).dim for k in (2, 3, 4)]
+    builds.clear()
+    assert dimension_table(alg, 4) == want
+    assert builds == [3, 4]
 
 
 def test_component_subspaces_miss_builds_two_slices(monkeypatch):
@@ -191,3 +202,80 @@ def test_component_subspaces_budget_checked_before_memo(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "8")  # 2^4 = 16 words
     with pytest.raises(BudgetExceeded):
         component_subspaces(E, 4, "A")
+
+
+# The catalog algebras whose degree-2 relations are not a Groebner basis in
+# the given generator order: their normal-word counts overshoot.
+UNCERTIFIED = {("Btilde_4", v) for v in VARIANTS} | {
+    ("FourParam", "X"), ("FourParam", "Xi"), ("Lie_sl2", "Xi")}
+
+
+def _naive_count(relations: Subspace, g: int, d: int) -> int:
+    """The words of degree d with no lead of the relations as a factor,
+    counted one by one."""
+    leads = set(relations.rows)
+    return sum(all(w // g ** i % (g * g) not in leads for i in range(d - 1))
+               for w in range(g ** d))
+
+
+CATALOG = catalog_instances()
+
+
+@pytest.mark.parametrize("name, E", CATALOG, ids=[name for name, _ in CATALOG])
+def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch):
+    # every degree within the default budget, both functions, each variant;
+    # an uncertified algebra must take the slice route, since its count of
+    # normal words is not its dimension
+    n = E.row_dim
+    top = max(k for k in range(13) if n ** k <= tensor_budget())
+    builds = _count_slice_builds(monkeypatch)
+    for variant in VARIANTS:
+        alg = QuadAlgebra(E, variant)
+        presentation = alg.presentation()
+        want = [n ** k - presentation.slice(k).dim if k > 1 else n ** k
+                for k in range(top + 1)]
+        assert dimension_table(alg, top) == want, variant
+        assert [graded_dimension(alg, k) for k in range(top + 1)] == want, variant
+        builds.clear()
+        assert graded_dimension(alg, top) == want[top]
+        counts = alg.presentation().normal_word_counts(top)
+        if (name, variant) in UNCERTIFIED:
+            assert builds == [3, top, 3] and counts is None, variant
+            # without the degree-3 check, dimension_table would return this
+            assert _naive_count(presentation.relations, n, 3) > want[3], variant
+        else:
+            assert builds == [3, 3] and counts == want, variant
+
+
+@st.composite
+def relation_spaces(draw):
+    """(monomial, g, relations) on g = 2 or 3 generators: single-word rows,
+    which are always a Groebner basis, or dense rows of small integers,
+    which mostly are not."""
+    g = draw(st.integers(2, 3))
+    monomial = draw(st.booleans())
+    if monomial:
+        rows = [{w: 1} for w in draw(st.lists(st.integers(0, g * g - 1), max_size=g * g))]
+    else:
+        entries = st.lists(st.integers(-2, 2), min_size=g * g, max_size=g * g)
+        rows = [{i: c for i, c in enumerate(row) if c}
+                for row in draw(st.lists(entries, max_size=g * g))]
+    return monomial, g, Subspace.span(rows, g * g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_spaces())
+def test_normal_word_counts_against_slices_from_scratch(case):
+    monomial, g, relations = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MANIN_BUDGET", "81")  # degree 6 on two generators, 4 on three
+        top = 6 if g == 2 else 4
+        gens = [Gen("t", (i,)) for i in range(g)]
+        counts = ideals.PresentedAlgebra(gens, relations).normal_word_counts(top)
+        want = [g ** d - dense.slice_from_scratch(g, relations, d).rank if d > 1 else g ** d
+                for d in range(top + 1)]
+        if counts is None:
+            assert not monomial
+            assert _naive_count(relations, g, 3) > want[3]
+        else:
+            assert counts == want
