@@ -2,25 +2,27 @@
 
 Given a subspace R of the degree-2 word space over g generators, the
 degree-d slice I_d of the ideal generated by R is spanned by all products
-w1 * r * w2 with |w1| + |w2| = d - 2.  A slice is kept as its increments:
-E_e is the set of pivot rows that degree e adds, so that
+w1 * r * w2 with |w1| + |w2| = d - 2.  A slice is its increments: E_e is
+the set of pivot rows that degree e adds, so that
 I_e = I_(e-1) * V + span E_e, every pivot row of I_d is a row of some E_j
 shifted on the right by a word of d - j letters, and
-rank I_e = g * rank I_(e-1) + |E_e|.  Degree e reduces the rows u * r only
-for the normal words u of degree e - 2, those that are not leads of
-I_(e-2): V^(e-2) = I_(e-2) + N_(e-2) (Bergman's diamond lemma), and
-I_(e-2) * R lies in I_(e-1) * V.  Such a row, and every pivot row it meets,
-has a normal prefix of length e - 2, while a row of E_j shifted by two or
-more letters has a lead of I_(e-2) as that prefix; so degree e is built
-from the rows of E_(e-1) shifted by one generator and those of E_e alone.
-``PresentedAlgebra`` owns the slices: it caches each requested degree,
-grows a new one from the highest cached degree below it, counts the normal
-words of every degree when the slice of degree 3 certifies that count
-(``normal_word_counts``), and has one membership test, ``contains_rows``,
-which ``congruent`` and the Manin checks call: integer rows of degree d lie
-in the ideal when each reduces to zero against the echelon of the degree-d
-slice, which builds a deeper shifted row only when a reduction reaches its
-lead.
+rank I_e = g * rank I_(e-1) + |E_e|.  The increments of I_d begin with
+those of every lower degree, so a lower slice is a prefix of a higher one.
+Degree e reduces the rows u * r only for the normal words u of degree
+e - 2, those that are not leads of I_(e-2): V^(e-2) = I_(e-2) + N_(e-2)
+(Bergman's diamond lemma), and I_(e-2) * R lies in I_(e-1) * V.  Such a
+row, and every pivot row it meets, has a normal prefix of length e - 2,
+while a row of E_j shifted by two or more letters has a lead of I_(e-2)
+as that prefix; so degree e is built from the rows of E_(e-1) shifted by
+one generator and those of E_e alone.  ``PresentedAlgebra`` owns the
+slices: it caches each requested degree and builds a new one from the
+increments of the deepest cached slice, so a lower degree costs no
+elimination; it counts the normal words of every degree when the slice
+of degree 3 certifies that count (``normal_word_counts``), and has one
+membership test, ``contains_rows``, which ``congruent`` and the Manin
+checks call: integer rows of degree d lie in the ideal when each reduces
+to zero against the echelon of the degree-d slice, which holds the rows
+of E_d and builds a shifted row only when a reduction reaches its lead.
 """
 
 from __future__ import annotations
@@ -37,23 +39,18 @@ class IdealSlice(Record):
     """The degree-d slice of the ideal generated by R, kept as increments.
 
     ``increments`` holds E_2, ..., E_d, each a dict lead -> primitive
-    integer row of the pivot rows that its degree adds; ``top_rows`` holds
-    the rows the build made at degree d, those of E_(d-1) shifted by one
-    generator and those of E_d.  ``normal_below`` holds, ascending, the
-    word indices of degree d - 1 that are not leads of the slice at degree
-    d - 1: the words u whose rows u * r the next degree inserts.  Only
-    ``build_slice_from_subspace`` fills them.  ``dim`` is arithmetic on the
-    increments; ``echelon`` is built on first use.  Two slices are equal
-    only if they are the same object.
+    integer row of the pivot rows that its degree adds; those of a lower
+    degree are a prefix of them.  ``dim`` is arithmetic on the increments;
+    ``echelon`` is built on first use.  Two slices are equal only if they
+    are the same object.
     """
 
-    _fields = ("gens", "degree", "increments", "top_rows", "normal_below")
+    _fields = ("gens", "degree", "increments")
     __slots__ = _fields + ("__dict__",)  # the cached echelon
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, gens: tuple, degree: int, increments: tuple, top_rows: dict,
-                 normal_below: tuple):
-        super().__init__(gens, degree, increments, top_rows, normal_below)
+    def __init__(self, gens: tuple, degree: int, increments: tuple):
+        super().__init__(gens, degree, increments)
 
     @property
     def generator_count(self) -> int:
@@ -66,15 +63,14 @@ class IdealSlice(Record):
 
     @functools.cached_property
     def echelon(self) -> SparseEchelon:
-        """The slice as an echelon over every lead of I_d: the rows of
-        ``top_rows`` at once, any other row when a reduction first reaches
-        its lead."""
+        """The slice as an echelon over every lead of I_d: the rows of E_d
+        at once, any other row when a reduction first reaches its lead."""
         g, d = self.generator_count, self.degree
         leads = set()
         for j, rows in enumerate(self.increments, 2):
             size = g ** (d - j)
             leads.update(lead * size + w for lead in rows for w in range(size))
-        return SparseEchelon(_ShiftedRows(self.top_rows, self.increments, g, d), leads)
+        return SparseEchelon(_ShiftedRows(self.increments, g, d), leads)
 
     def subspace(self) -> Subspace:
         """The slice as a Subspace of the g^d-dimensional word space."""
@@ -82,19 +78,19 @@ class IdealSlice(Record):
 
 
 class _ShiftedRows(dict):
-    """Pivot rows of a degree-d slice keyed by lead.  A lead missing from
-    the dict is l * g^(d-j) + w for one lead l of the increment E_j,
-    j <= d - 2, and a word w of d - j letters; its row is that of l shifted
-    by w, built on the first lookup and kept."""
+    """Pivot rows of a degree-d slice keyed by lead, starting from the rows
+    of E_d.  A lead missing from the dict is l * g^(d-j) + w for one lead l
+    of the increment E_j, j < d, and a word w of d - j letters; its row is
+    that of l shifted by w, built on the first lookup and kept."""
 
     __slots__ = ("increments", "g", "d")
 
-    def __init__(self, rows: dict, increments: tuple, g: int, d: int):
-        super().__init__(rows)
+    def __init__(self, increments: tuple, g: int, d: int):
+        super().__init__(increments[-1])
         self.increments, self.g, self.d = increments, g, d
 
     def __missing__(self, lead: int) -> dict:
-        for j, rows in enumerate(self.increments[:-2], 2):
+        for j, rows in enumerate(self.increments[:-1], 2):
             size = self.g ** (self.d - j)
             row = rows.get(lead // size)
             if row is not None:
@@ -109,7 +105,8 @@ class PresentedAlgebra:
 
     ``relations`` is a Subspace of the g^2-dimensional degree-2 word space in
     the lex coordinates of ``gens``.  Slices are cached per requested
-    degree; a new one grows from the highest cached degree below it.
+    degree; a new one is built from the increments of the deepest cached
+    slice, so a lower degree is a prefix of them.
     """
 
     def __init__(self, gens, relations: Subspace):
@@ -128,10 +125,9 @@ class PresentedAlgebra:
     def slice(self, d: int) -> IdealSlice:
         cached = self._slices.get(d)
         if cached is None:
-            lower = [e for e in self._slices if e < d]
-            below = self._slices[max(lower)] if lower else None
+            known = max((s.increments for s in self._slices.values()), key=len, default=())
             cached = self._slices[d] = build_slice_from_subspace(
-                self.gens, self.relations, d, below)
+                self.gens, self.relations, d, known)
         return cached
 
     def normal_word_counts(self, d: int) -> list | None:
@@ -141,9 +137,9 @@ class PresentedAlgebra:
         the count bounds dim A_e from above.  It equals dim A_3 exactly when
         every overlap of two leads resolves; then the relations are a
         Groebner basis (Bergman's diamond lemma) and it equals dim A_e in
-        every degree.  Builds the slice of degree 3 alone, whose first
-        increment holds the leads of I_2; the numbers ends[y] of normal
-        words ending in generator y carry each degree to the next."""
+        every degree.  Reads the slice of degree 3 alone (a prefix of any
+        deeper cached slice), whose first increment holds the leads of I_2;
+        the numbers ends[y] of normal words ending in y carry each degree on."""
         g, top = len(self.gens), self.slice(3)
         leads = top.increments[0]
         follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
@@ -202,25 +198,26 @@ def span_of_polys(polys, gens, degree: int) -> Subspace:
 
 
 def build_slice_from_subspace(gens, relations: Subspace, d: int,
-                              below: IdealSlice | None = None) -> IdealSlice:
+                              known: tuple = ()) -> IdealSlice:
     """Echelonize span{w1 * r * w2 : r in R, |w1| + |w2| = d - 2}, as the
     increments E_2, ..., E_d.
 
-    The slice is grown degree by degree, from ``below`` (a slice of the same
-    ideal at a lower degree, left unchanged) or else from the zero slice at
-    degree 1.  Degree e starts one plain echelon with the rows of E_(e-1)
-    shifted by each generator, whose leads have a normal prefix of length
-    e - 2, and inserts the rows u * r for the normal words u of degree
-    e - 2; the rows that raise its rank are E_e.  The pivot rows of
-    E_j * V^(e-j) for j <= e - 2 lead with words whose prefix of length
-    e - 2 is a lead of I_(e-2), and neither u * r nor any row it meets
-    holds such a word, so they are never built: the increments, rank and
-    leads are those of inserting w * r for every word w into the full
-    slice.  The normal words of degree e - 1 are those of degree e - 2
-    followed by each generator, less the leads of E_(e-1).  A word space of
-    more than ``word_budget()`` words, or of words longer than that, is
-    refused before anything is built, and before g^d is formed when d alone
-    shows it too large (``tensor._power_size``).
+    ``known`` holds increments E_2, E_3, ... already built for the same
+    ideal (of any depth); those up to degree d are kept as they are, and
+    the degrees past them are built one by one.  Degree e starts one plain
+    echelon with the rows of E_(e-1) shifted by each generator, whose leads
+    have a normal prefix of length e - 2, and inserts the rows u * r for
+    the normal words u of degree e - 2; the rows that raise its rank are
+    E_e.  The pivot rows of E_j * V^(e-j) for j <= e - 2 lead with words
+    whose prefix of length e - 2 is a lead of I_(e-2), and neither u * r
+    nor any row it meets holds such a word, so they are never built: the
+    increments, rank and leads are those of inserting w * r for every word
+    w into the full slice.  The normal words of degree e - 1 are those of
+    degree e - 2 followed by each generator, less the leads of E_(e-1),
+    replayed through the known degrees too.  A word space of more than
+    ``word_budget()`` words, or of words longer than that, is refused
+    before anything is built, and before g^d is formed when d alone shows
+    it too large (``tensor._power_size``).
     """
     gens = tuple(gens)
     g = len(gens)
@@ -233,33 +230,29 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # one generator has one word of each degree, so only its length bounds it
     if d > budget:
         raise budget_refusal("word", d, budget)
-    if below is None:
-        # I_1 = 0, and the empty word (index 0) is the one word of degree 0
-        degree, increments, newest, normal = 1, [], {}, (0,)
-    elif below.gens == gens and 2 <= below.degree < d:
-        degree, increments = below.degree, list(below.increments)
-        newest, normal = increments[-1], below.normal_below
-    else:
-        raise ValueError("a slice grows only from a lower-degree slice on the same generators")
+    increments = list(known[:d - 1])
     relation_rows = list(relations.rows.values())
     # one int object per word position, shared as a key by every row that
     # holds it, rather than a fresh int per entry
     word = list(range(size))
-    for e in range(degree + 1, d + 1):
-        ech = SparseEchelon()
-        rows = ech.pivots
-        for lead, row in newest.items():
-            for x in range(g):
-                rows[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
-        shifted = len(rows)
-        for u in normal:
-            left = u * g * g
-            for rel in relation_rows:
-                ech.insert({word[left + mid]: c for mid, c in rel.items()})
+    # I_1 = 0, and the empty word (index 0) is the one word of degree 0
+    newest, normal = {}, [0]
+    for e in range(2, d + 1):
+        if e - 2 == len(increments):
+            ech = SparseEchelon()
+            rows = ech.pivots
+            for lead, row in newest.items():
+                for x in range(g):
+                    rows[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
+            shifted = len(rows)
+            for u in normal:
+                left = u * g * g
+                for rel in relation_rows:
+                    ech.insert({word[left + mid]: c for mid, c in rel.items()})
+            increments.append(dict(itertools.islice(rows.items(), shifted, None)))
         normal = [w for u in normal for w in word[u * g:u * g + g] if w not in newest]
-        newest = dict(itertools.islice(rows.items(), shifted, None))
-        increments.append(newest)
-    return IdealSlice(gens, d, tuple(increments), rows, tuple(normal))
+        newest = increments[e - 2]
+    return IdealSlice(gens, d, tuple(increments))
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

@@ -467,7 +467,9 @@ def build(spec: IdempotentSpec) -> TensorOperator:
             raise InvalidParameter(
                 f"family {spec.family} takes no parameter {key!r} (it takes "
                 f"{', '.join(map(repr, taken)) or 'none'})")
-    if sized and spec.n < 1:
-        raise InvalidParameter(
-            f"family {spec.family} needs a local dimension n >= 1, got {spec.n}")
+    if sized:
+        if spec.n < 1:
+            raise InvalidParameter(
+                f"family {spec.family} needs a local dimension n >= 1, got {spec.n}")
+        _check_power(spec.n, 2)
     return make(spec)

@@ -24,9 +24,10 @@ degree 3 a dimension is first counted as normal words on the leads of the
 relations (``PresentedAlgebra.normal_word_counts``), which builds the slice
 of degree 3 alone and is exact when its count there equals dim A_3: the
 PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
-3, the dimensions read only the ranks of the degree-k slice and of the
-degrees below it, which are arithmetic on its increments, so they build no
-echelon and no row shifted by more than one generator.
+3, the dimensions read the ranks of the degree-k slice and of the degrees
+below it from its increments alone (a slice is its increments, and a lower
+degree's are a prefix), so they build no echelon and shift no row by more
+than one generator.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
     Past degree 3 they are the counts of normal words when the degree-3 PBW
     certificate holds; they are exact then, since the relations are a
     Groebner basis (``PresentedAlgebra.normal_word_counts``).  Otherwise
-    they are read from the increments of the degree-max_degree slice, grown
-    from the degree-3 one that the certificate check built: rank I_k =
+    they are read from the increments of the degree-max_degree slice, which
+    keeps those of the degree-3 slice the certificate check built: rank I_k =
     n * rank I_(k-1) + |E_k|, and degree k reduces only dim A_(k-2) * dim R
     rows, those of the normal words of degree k - 2."""
     if max_degree < 0:

@@ -467,6 +467,7 @@ def perm_action(p: Perm, n: int) -> TensorOperator:
 
 def swap_operator(n: int) -> TensorOperator:
     """The flip v (x) w -> w (x) v on C^n (x) C^n."""
+    _check_power(n, 2)
     return _make(n, n, 2, {j * n + i: {i * n + j: 1}
                            for i in range(n) for j in range(n)}, 1)
 

@@ -859,13 +859,12 @@ def slice_from_scratch(g: int, relations, d: int) -> FractionEchelon:
     return ech
 
 
-def eager_slice(g: int, relations, d: int) -> tuple:
+def eager_slice(g: int, relations, d: int) -> SparseEchelon:
     """The degree-d slice grown degree by degree with every pivot row of
     I_(e-1) shifted by each generator into the echelon of degree e, the
     builder that the increment form of ``ideals.IdealSlice`` replaced: the
     rows u * r are inserted for the normal words u of degree e - 2 into the
-    full slice.  Returns the SparseEchelon of I_d and the normal words of
-    degree d - 1 as an ascending tuple."""
+    full slice.  Returns the SparseEchelon of I_d."""
     pivots, normal, rels = {}, [0], list(relations.rows.values())
     for e in range(2, d + 1):
         normal_next = [w for w in range(g ** (e - 1)) if w not in pivots]
@@ -877,7 +876,7 @@ def eager_slice(g: int, relations, d: int) -> tuple:
             for rel in rels:
                 ech.insert({u * g * g + mid: c for mid, c in rel.items()})
         pivots, normal = ech.pivots, normal_next
-    return ech, tuple(normal)
+    return ech
 
 
 # --- the token parser that freealg.parse_poly replaced -------------------------

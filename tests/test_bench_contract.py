@@ -82,6 +82,21 @@ alg.slice(3)
 alg.slice(3)
 assert isinstance(alg._slices, dict) and list(alg._slices) == [3]
 assert tracer.counts["ideals.slice.hits"] == 1
+# a deeper slice, then a lower one served as a prefix of its increments:
+# each is a miss, and the wrapped builder takes the increments already
+# built as its fourth positional argument (9^5 words exceed the word budget,
+# so the deeper degree is 4)
+from maninalg import ideals
+misses = tracer.counts["ideals.slice.misses"]
+alg.slice(4)
+alg.slice(2)
+assert list(alg._slices) == [3, 4, 2]
+assert tracer.counts["ideals.slice.hits"] == 1
+assert tracer.counts["ideals.slice.misses"] == misses + 2
+known = alg.slice(4).increments
+assert alg.slice(2).increments == known[:1]
+prefix = ideals.build_slice_from_subspace(alg.gens, alg.relations, 3, known)
+assert prefix.increments == known[:2] and prefix.dim == alg.slice(3).dim
 
 # ideal_membership: relation rows read densely, minors multiplied by the
 # dense view of arity-3 operators

@@ -354,7 +354,8 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
 # the one error line must contain; {pair} and {matrix} name the files of
 # manin_inputs.  n^k has 47,712 digits in the first row and 30,103 in the
 # next three, more than Python will print.  The k = 10^9 rows are refused
-# from n and k, without forming n^k, so each exits within the time limit.
+# from n and k, without forming n^k, so each exits within the time limit;
+# the flip rows are refused from n before any of its n^2 entries is built.
 @pytest.mark.parametrize("argv, budget, phrase", [
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "99999"],
      None, "exceeds budget 4096"),
@@ -379,11 +380,15 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
      "size 1^1000000000 (arity over 13) exceeds budget 4096"),
     (["pairing", "--family", "A_n", "--n", "1", "--k", "1000000000", "--kind", "S",
       "--method", "group"], None, "size 1^1000000000 (arity over 13) exceeds budget 4096"),
+    (["catalog", "--family", "P_n", "--n", "65"], None, "size 4225 exceeds budget 4096"),
+    (["check-idempotent", "--family", "P_n", "--n", "65"], None,
+     "size 4225 exceeds budget 4096"),
 ], ids=["dims-astronomical-degree", "pairing-astronomical-arity",
         "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer",
         "hecke-billion-arity", "brauer-billion-arity", "dims-billion-degree",
         "minor-billion-arity", "hecke-one-generator-billion-arity",
-        "group-one-generator-billion-arity"])
+        "group-one-generator-billion-arity", "catalog-flip-past-the-budget",
+        "check-idempotent-flip-past-the-budget"])
 def test_budget_refusal_names_the_budget(argv, budget, phrase, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MANIN_BUDGET", None)

@@ -222,11 +222,10 @@ def test_a_slice_grows_from_the_cached_one_below_and_caches_only_its_degree():
     below = alg.slice(3)
     pivots = {lead: dict(below.echelon.pivots[lead]) for lead in below.echelon.leads}
     increments = [{lead: dict(row) for lead, row in rows.items()} for rows in below.increments]
-    top_rows = {lead: dict(row) for lead, row in below.top_rows.items()}
     alg.slice(5)
     assert list(alg._slices) == [3, 5]
     assert alg.slice(3) is below and below.echelon.pivots == pivots
-    assert list(below.increments) == increments and below.top_rows == top_rows
+    assert list(below.increments) == increments
     assert alg.slice(5).subspace() == build_slice_from_subspace(
         alg.gens, alg.relations, 5).subspace()
 
@@ -246,47 +245,49 @@ def test_over_budget_slice_is_refused_before_any_lower_degree_is_built(monkeypat
     assert inserted and list(alg._slices) == [4]
 
 
-def test_a_slice_grows_only_from_a_lower_degree_of_the_same_generators():
-    alg = commutator_relations([A, B])
-    with pytest.raises(ValueError):
-        build_slice_from_subspace(alg.gens, alg.relations, 3, below=alg.slice(3))
-    with pytest.raises(ValueError):
-        build_slice_from_subspace((B, A), alg.relations, 4, below=alg.slice(3))
-
-
 def _assert_slice_matches_oracle(grown, oracle_slices, where):
     """grown (an IdealSlice of degree d) has the rank, the leads and the
-    reduced rows of the oracle's degree-d slice, and lists as normal_below
-    the words of degree d - 1 that the oracle's degree-(d - 1) slice does
-    not lead."""
-    d, g = grown.degree, grown.generator_count
-    oracle = oracle_slices[d]
+    reduced rows of the oracle's degree-d slice."""
+    oracle = oracle_slices[grown.degree]
     assert grown.dim == grown.echelon.rank == oracle.rank, where
     assert set(grown.echelon.leads) == set(oracle.pivots), where
     assert grown.echelon.reduced_rows() == oracle.reduced_rows(), where
-    leads_below = oracle_slices[d - 1].pivots if d > 2 else {}
-    normal = tuple(w for w in range(g ** (d - 1)) if w not in leads_below)
-    assert grown.normal_below == normal, where
+
+
+def _oracle_inserts(oracle_slices, g: int, dim_r: int, b: int, d: int) -> int:
+    """The rows that growing degree d from the increments of degree b
+    inserts: |N_(e-2)| * dim R for each degree e = b+1..d, where N_m holds
+    the words of degree m that the oracle's degree-m slice does not lead
+    (every word below degree 2)."""
+    return dim_r * sum(g ** (e - 2) - (oracle_slices[e - 2].rank if e > 3 else 0)
+                       for e in range(b + 1, d + 1))
 
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
-def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name):
+def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name, monkeypatch):
     # the rows u * r come only from normal words u: growing from any cached
-    # degree below must give the slice that every w1 * r * w2 spans
+    # degree below must give the slice that every w1 * r * w2 spans, after
+    # one row per normal word of the degrees past it and relation
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
+    dim_r = relations.dim
     oracle = {d: dense.slice_from_scratch(g, relations, d) for d in range(2, 6)}
+    calls = _count_inserts(monkeypatch)
     for d in range(3, 6):
         for b in range(2, d):
             alg = PRESENTATIONS[name]()
             below = alg.slice(b)
             _assert_slice_matches_oracle(below, oracle, (b,))
+            calls[0] = 0
             _assert_slice_matches_oracle(alg.slice(d), oracle, (b, d))
+            assert calls[0] == _oracle_inserts(oracle, g, dim_r, b, d), (b, d)
     assert g ** 6 <= word_budget()
     oracle[6] = dense.slice_from_scratch(g, relations, 6)
     alg = PRESENTATIONS[name]()
-    for d in (2, 4, 6):
+    for b, d in ((1, 2), (2, 4), (4, 6)):
+        calls[0] = 0
         _assert_slice_matches_oracle(alg.slice(d), oracle, ("chain", d))
+        assert calls[0] == _oracle_inserts(oracle, g, dim_r, b, d), ("chain", d)
     assert list(alg._slices) == [2, 4, 6]
 
 
@@ -300,6 +301,50 @@ def _count_inserts(monkeypatch) -> list:
         return insert(self, row)
     monkeypatch.setattr(SparseEchelon, "insert", counted)
     return calls
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_lower_degrees_are_prefixes_of_the_deepest_cached_slice(name, monkeypatch):
+    # degrees asked for from the top down and in a shuffled order: each is
+    # the oracle's slice and a fresh build's, and one below the deepest
+    # cached degree reduces no row at all
+    base = PRESENTATIONS[name]()
+    g, relations = len(base.gens), base.relations
+    oracle = {d: dense.slice_from_scratch(g, relations, d) for d in range(2, 6)}
+    fresh = {d: build_slice_from_subspace(base.gens, relations, d).echelon
+             for d in range(2, 6)}
+    shuffled = [2, 3, 4, 5]
+    random.Random(name).shuffle(shuffled)
+    calls = _count_inserts(monkeypatch)
+    for order in ([5, 4, 3, 2], shuffled):
+        alg = PRESENTATIONS[name]()
+        for d in order:
+            deepest = max(alg._slices, default=0)
+            calls[0] = 0
+            sl = alg.slice(d)
+            if d < deepest:
+                assert calls[0] == 0, (order, d)
+            ech = sl.echelon
+            assert sl.dim == ech.rank == fresh[d].rank == oracle[d].rank, (order, d)
+            assert set(ech.leads) == set(fresh[d].leads) == set(oracle[d].pivots), (order, d)
+            assert ech.reduced_rows() == fresh[d].reduced_rows() == oracle[d].reduced_rows(), \
+                (order, d)
+        assert list(alg._slices) == order
+
+
+def test_lower_degrees_of_the_universal_3x3_algebra_reduce_no_row(monkeypatch):
+    qhat = [[1, 2, 3], [F(1, 2), 1, 2], [F(1, 3), F(1, 2), 1]]
+    pair = ManinPair(idem.parameterized_antisymmetrizer(qhat),
+                     idem.parameterized_antisymmetrizer(qhat))
+    alg = universal_relations(pair, "M").algebra()
+    top = alg.slice(4)
+    calls = _count_inserts(monkeypatch)
+    for d in (2, 3):
+        assert alg.slice(d).increments == top.increments[:d - 1], d
+    assert calls[0] == 0
+    for d in (2, 3):
+        fresh = build_slice_from_subspace(alg.gens, alg.relations, d)
+        assert alg.slice(d).subspace() == fresh.subspace(), d
 
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
@@ -401,22 +446,22 @@ def test_contains_rows_agrees_with_congruent_and_the_slice_oracle(name):
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
 def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
-    # the echelon of a slice holds the rows of its top two degrees and
-    # shifts a deeper increment row the first time a reduction reaches its
-    # lead; each row, the lead set, membership and subspace() must be those
-    # of the builder that shifted every pivot row up each degree
+    # the echelon of a slice holds the rows of E_d and shifts a row of a
+    # lower increment the first time a reduction reaches its lead; each
+    # row, the lead set, membership and subspace() must be those of the
+    # builder that shifted every pivot row up each degree
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
     rng = random.Random(name)
     for d in range(2, 7):
-        eager, normal = dense.eager_slice(g, relations, d)
+        eager = dense.eager_slice(g, relations, d)
         probes = _probes(g, relations, d, rng)
         alg = PRESENTATIONS[name]()
         sl = alg.slice(d)
-        assert sl.dim == eager.rank and sl.normal_below == normal, d
-        assert [lead for lead in sl.top_rows if lead not in eager.pivots] == [], d
+        assert sl.dim == eager.rank, d
+        assert [lead for lead in sl.increments[-1] if lead not in eager.pivots] == [], d
         ech = sl.echelon
-        assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.top_rows), d
+        assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.increments[-1]), d
         assert [ech.contains(p) for p in probes] == [eager.contains(p) for p in probes], d
         for lead in sorted(ech.pivots):
             assert ech.pivots[lead] == eager.pivots[lead], (d, lead)
@@ -447,9 +492,9 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
                                                                 monkeypatch):
     # a certified graded dimension builds the slice of degree 3 alone and
     # counts normal words; an uncertified one grows the degree-k slice from
-    # it and reads its ranks.  Every slice, and the degree-k one read directly, holds at
-    # each degree e only E_(e-1) shifted by one generator and E_e, and no
-    # echelon of a slice is built
+    # its increments and reads its ranks.  No slice, not even the degree-k
+    # one read directly, builds its echelon or shifts a row by more than
+    # one generator
     alg = QuadAlgebra(E, variant)
     want = [E.row_dim ** e - dense.slice_from_scratch(E.row_dim, alg.presentation().relations,
                                                      e).rank if e >= 2 else E.row_dim ** e
@@ -465,6 +510,4 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
     assert built[-1].degree == k
     for s in built:
         assert "echelon" not in vars(s), s.degree
-        below = s.increments[-2] if s.degree > 2 else {}
-        assert len(s.top_rows) == E.row_dim * len(below) + len(s.increments[-1]), s.degree
     assert deeper == []

@@ -10,7 +10,7 @@ from maninalg.minors import det_qhat, perm_qhat
 from maninalg.pairing import closed_form_multiparam, corrupt, generic_pairing
 from maninalg.permutations import Perm, all_perms
 from maninalg.suites import catalog_instances
-from maninalg.tensor import TensorOperator
+from maninalg.tensor import BudgetExceeded, TensorOperator
 
 F = Fraction
 
@@ -210,6 +210,24 @@ def test_build_checks_family_then_parameters_then_size(spec, message):
     with pytest.raises(idem.InvalidParameter) as err:
         idem.build(spec)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("spec", [idem.IdempotentSpec("RhatMinus", 65, {"q": "2"}),
+                                  idem.IdempotentSpec("Pq", 65, {"q": "2"}),
+                                  idem.IdempotentSpec("B_n", 65)], ids=lambda s: s.family)
+def test_build_refuses_a_sized_family_from_n_before_any_constructor(spec, monkeypatch):
+    # 65^2 = 4225 > 4096: the refusal comes from n alone, before any
+    # constructor builds one of the n^2 entries
+    monkeypatch.delenv("MANIN_BUDGET", raising=False)
+    called = []
+    for name in ("hecke_minus", "hecke_r_matrix", "q_permutation_op",
+                 "uniform_parameter_matrix", "parameterized_permutation_op",
+                 "orthogonal_idempotent", "antisymmetrizer", "rank_one_contraction",
+                 "permutation_op"):
+        monkeypatch.setattr(idem, name, lambda *args, name=name: called.append(name))
+    with pytest.raises(BudgetExceeded, match="component of size 4225 exceeds budget 4096"):
+        idem.build(spec)
+    assert called == []
 
 
 def test_catalog_families_are_idempotent_with_rank_trace():

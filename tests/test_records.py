@@ -45,8 +45,7 @@ RECORDS = {
                          (PAIR, "M", ("m11", "m12"), A2.row_space())),
     MinorOperator: (("arity", "left", "right", "entries"), (2, A2, A2, ((),))),
     QuadAlgebra: (("idempotent", "variant"), (A2, "Xi")),
-    IdealSlice: (("gens", "degree", "increments", "top_rows", "normal_below"),
-                 (("x", "y"), 2, ({0: {0: 1}},), {0: {0: 1}}, (1,))),
+    IdealSlice: (("gens", "degree", "increments"), (("x", "y"), 2, ({0: {0: 1}},))),
     IdempotentSpec: (("family", "n", "params"), ("Aq", 2, {"q": "2/3"})),
     ScenarioReport: (("scenario", "data", "checks"), ("fourparam", {"x": 1}, {"ok": True})),
 }

@@ -381,7 +381,7 @@ def test_constructors_check_the_budget_first(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "8")
     for build in (lambda: TensorOperator.identity(2, 4), lambda: TensorOperator.zero(2, 4),
                   lambda: perm_action(Perm((2, 1, 3, 4)), 2),
-                  lambda: embed(swap_operator(2), 4, (1, 3))):
+                  lambda: embed(swap_operator(2), 4, (1, 3)), lambda: swap_operator(3)):
         with pytest.raises(BudgetExceeded):
             build()
 
