@@ -10,12 +10,12 @@ behind the Hecke R-matrix split.
 from fractions import Fraction
 
 from maninalg import idempotents as idem
-from maninalg.tensor import TensorOperator
+from maninalg.tensor import TensorOperator, swap_operator
 
 q = Fraction(2)
 
 print("== the permutation operator is an involution, not an idempotent")
-P = idem.permutation_op(2)
+P = swap_operator(2)
 print("P^2 == 1:", P * P == TensorOperator.identity(2, 2))
 print("P idempotent:", idem.is_idempotent(P))
 

@@ -13,9 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import idempotents as idem
-from .freealg import parse_poly, parse_poly_matrix, sorted_generators
+from .freealg import content_lines, parse_poly, parse_poly_matrix, sorted_generators
 from .ideals import PresentedAlgebra
-from .linalg import QMatrix, format_rat
+from .linalg import format_rat
 from .manin import ManinPair, is_manin
 from .minors import a_minor, s_minor
 from .pairing import METHODS, NotExists, build_pairing, generic_pairing, verify_axioms
@@ -37,12 +37,6 @@ def operator_to_json(spec_name: str, op: TensorOperator) -> dict:
         "arity": op.arity,
         "matrix": grid,
     }
-
-
-def operator_from_json(doc: dict) -> TensorOperator:
-    return TensorOperator(int(doc["local_rows"]), int(doc["local_cols"]),
-                          int(doc["arity"]),
-                          QMatrix.from_strings(doc["matrix"]))
 
 
 def read_json(path: str):
@@ -142,8 +136,7 @@ def cmd_manin_check(args) -> int:
     with open(args.matrix_file) as fh:
         M = parse_poly_matrix(fh.read())
     with open(args.relations) as fh:
-        rel_polys = [parse_poly(line) for line in fh
-                     if line.strip() and not line.startswith("#")]
+        rel_polys = [parse_poly(line) for _, line in content_lines(fh.read())]
     gens = sorted_generators(
         {g for row in M for e in row for g in e.generators()}
         | {g for p in rel_polys for g in p.generators()})

@@ -79,10 +79,6 @@ class Gen(tuple):
         return f"{self.sym}[{','.join(str(i) for i in self.idx)}]"
 
 
-def gen(sym: str, *idx) -> Gen:
-    return Gen(sym, tuple(int(i) for i in idx))
-
-
 def matrix_gen(sym: str, i: int, j: int) -> Gen:
     return Gen(sym, (i, j))
 
@@ -547,16 +543,21 @@ def parse_poly(text: str) -> NCPoly:
     return sum((NCPoly({tuple(word): c}) for c, word in terms), NCPoly.zero())
 
 
+def content_lines(text: str):
+    """(number, stripped line) for each line that is not blank or a '#' comment."""
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, line
+
+
 def parse_poly_matrix(text: str) -> list:
     """Parse a matrix of polynomials: rows on lines, entries split by ';'.
 
     An entry that is blank after stripping is bad input (ValueError naming
     its line and entry); zero is written '0'."""
     rows = []
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(text):
         parts = line.split(";")
         for entry, part in enumerate(parts, 1):
             if not part.strip():

@@ -17,7 +17,7 @@ consumer take one as it is.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .linalg import ONE, QMatrix, Record, Subspace, ZERO, _lead_one, format_rat, rat
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _make,
@@ -130,17 +130,12 @@ def restrict_parameter_matrix(qhat, index_tuple) -> ParameterMatrix:
 
 # --- constructors -------------------------------------------------------------
 
-def permutation_op(n: int) -> TensorOperator:
-    """P_n, the tensor flip (an involution, not an idempotent)."""
-    return swap_operator(n)
-
-
 def antisymmetrizer(n: int) -> TensorOperator:
-    return (TensorOperator.identity(n, 2) - permutation_op(n)).scale(Fraction(1, 2))
+    return (TensorOperator.identity(n, 2) - swap_operator(n)).scale(Fraction(1, 2))
 
 
 def symmetrizer(n: int) -> TensorOperator:
-    return (TensorOperator.identity(n, 2) + permutation_op(n)).scale(Fraction(1, 2))
+    return (TensorOperator.identity(n, 2) + swap_operator(n)).scale(Fraction(1, 2))
 
 
 def q_permutation_op(n: int, q) -> TensorOperator:
@@ -342,7 +337,7 @@ def make_idempotent(R: QMatrix) -> TensorOperator:
     """
     size = R.cols
     rows = _lead_one(Subspace.from_matrix(R).rows)
-    n = round(size ** 0.5)
+    n = isqrt(size)
     if n * n == size:
         return TensorOperator(n, n, 2, rows)
     return TensorOperator(size, size, 1, rows)
@@ -428,7 +423,7 @@ def _custom(spec: IdempotentSpec) -> TensorOperator:
     m = QMatrix.from_rows(rational_grid(spec.param("matrix"), "custom 'matrix'"))
     if m.rows != m.cols:
         raise InvalidParameter("custom operator must be square")
-    loc = round(m.rows ** 0.5)
+    loc = isqrt(m.rows)
     if loc * loc != m.rows:
         raise InvalidParameter("custom operator must act on a tensor square")
     return TensorOperator(loc, loc, 2, m)
@@ -439,7 +434,7 @@ def _custom(spec: IdempotentSpec) -> TensorOperator:
 CATALOG = {
     "A_n": ((), True, lambda s: antisymmetrizer(s.n)),
     "S_n": ((), True, lambda s: symmetrizer(s.n)),
-    "P_n": ((), True, lambda s: permutation_op(s.n)),
+    "P_n": ((), True, lambda s: swap_operator(s.n)),
     "Aq": (("q",), True, lambda s: q_antisymmetrizer(s.n, s.param("q"))),
     "Pq": (("q",), True, lambda s: q_permutation_op(s.n, s.param("q"))),
     "Aqhat": (("qhat",), False, lambda s: parameterized_antisymmetrizer(s.param("qhat"))),

@@ -242,13 +242,6 @@ class QMatrix:
     def rank(self) -> int:
         return Subspace.from_matrix(self).dim
 
-    def to_strings(self):
-        return [[format_rat(x) for x in row] for row in self.data]
-
-    @staticmethod
-    def from_strings(grid) -> "QMatrix":
-        return QMatrix.from_rows([[rat(x) for x in row] for row in grid])
-
     def _check_shape(self, other: "QMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

@@ -171,7 +171,7 @@ def product_is_manin(pair_ab: ManinPair, pair_bc: ManinPair, M, N,
     return ambient.contains_rows(rows, 2 * degree)
 
 
-def transport(pair: ManinPair, M, sigma, tau) -> ManinPair:
+def transport(pair: ManinPair, sigma, tau) -> ManinPair:
     """The pair under which sigma M tau^{-1} is Manin whenever M is.
 
     sigma and tau act on rows and columns; permutations or invertible

@@ -4,6 +4,7 @@ Permutations act on {1, ..., k} and are stored in one-line notation.
 Products compose right-to-left: (p * q)(x) = p(q(x)).  A word
 (i_1, ..., i_l) of simple-reflection indices therefore multiplies out to
 s_{i_1} * s_{i_2} * ... * s_{i_l}, with the rightmost factor applied first.
+Reduced words are input only, and one that is not reduced is refused.
 ``inv`` (hence ``Perm.sign``), ``mu`` and ``weighted_perms``, S_k with each
 sign and mu and no Perm built, all read one pass: ``_inversions``.
 """
@@ -75,18 +76,6 @@ class Perm:
     def sign(self) -> int:
         return -1 if inv(self) % 2 else 1
 
-    def matrix(self) -> QMatrix:
-        """Operator on C^k acting as e_i -> e_{sigma(i)}."""
-        m = QMatrix.zero(self.size, self.size)
-        for i, img in enumerate(self.images, start=1):
-            m.data[img - 1][i - 1] = ONE
-        return m
-
-    def apply_to_tuple(self, t: tuple) -> tuple:
-        """sigma(t_1,...,t_k) = (t_{sigma^{-1}(1)}, ..., t_{sigma^{-1}(k)})."""
-        inv_ = self.inverse()
-        return tuple(t[inv_(i) - 1] for i in range(1, self.size + 1))
-
 
 def all_perms(k: int):
     for images in itertools.permutations(range(1, k + 1)):
@@ -104,45 +93,12 @@ def inv(p: Perm) -> int:
     return len(_inversions(p.images))
 
 
-def inversion_set(p: Perm) -> frozenset:
-    """Brute-force inversion set {(i, j) : i < j, p(i) > p(j)}."""
-    return frozenset(
-        (i, j)
-        for i in range(1, p.size + 1)
-        for j in range(i + 1, p.size + 1)
-        if p(i) > p(j)
-    )
-
-
 def from_word(word, k: int) -> Perm:
     """Product s_{i_1} * ... * s_{i_l} (rightmost applied first)."""
     p = Perm.identity(k)
     for a in word:
         p = p * Perm.transposition(k, a)
     return p
-
-
-def reduced_word(p: Perm) -> tuple:
-    """Canonical reduced word by bubble-sort descent.
-
-    Repeatedly strips the smallest descent from the left; the returned word
-    (i_1, ..., i_l) satisfies from_word(word, k) == p and l == inv(p).
-    """
-    word = []
-    images = list(p.images)
-    # sorting the one-line notation with adjacent swaps; recording swap a at
-    # position t means multiplying by s_a on the right of what remains
-    while True:
-        for a in range(len(images) - 1):
-            if images[a] > images[a + 1]:
-                images[a], images[a + 1] = images[a + 1], images[a]
-                word.append(a + 1)
-                break
-        else:
-            break
-    # the recorded swaps sort p to the identity: p * s_{a_1} * ... = id,
-    # hence p = s_{a_m} * ... * s_{a_1} reversed
-    return tuple(reversed(word))
 
 
 def inversion_set_from_reduced_word(word, k: int) -> frozenset:

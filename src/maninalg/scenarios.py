@@ -13,8 +13,8 @@ from .freealg import NCPoly, matrix_gen
 from .idempotents import (IdempotentSpec, antisymmetrizer, is_idempotent,
                           lie_idempotent, lie_structure_operator,
                           orthogonal_idempotent, rank_one_contraction,
-                          swap_operator, symplectic_idempotent,
-                          twisted_rank_one_contraction, fourparam_idempotent)
+                          symplectic_idempotent, twisted_rank_one_contraction,
+                          fourparam_idempotent)
 from .ideals import span_of_polys
 from .linalg import Record, rat
 from .manin import (ManinPair, orthogonal_pair_relations,
@@ -22,7 +22,7 @@ from .manin import (ManinPair, orthogonal_pair_relations,
 from .pairing import (NotExists, fourparam_A3, fourparam_conditions,
                       fourparam_xi3_dimension, verify_axioms)
 from .quadratic import QuadAlgebra, dimension_table, graded_dimension
-from .tensor import embed, flatten_index
+from .tensor import embed, flatten_index, swap_operator
 
 
 class ScenarioReport(Record):

@@ -89,28 +89,30 @@ def check_catalog():
 # criterion 2: Hecke structure
 # ---------------------------------------------------------------------------
 
-def check_hecke_braid(n: int, q=Q(2)):
-    return braid_relation_holds(idem.hecke_r_matrix(n, q)), f"n={n}"
+def check_hecke_braid(n: int):
+    return braid_relation_holds(idem.hecke_r_matrix(n, Q(2))), f"n={n}"
 
 
-def check_hecke_relation(n: int, q=Q(2)):
+def check_hecke_relation(n: int):
+    q = Q(2)
     R = idem.hecke_r_matrix(n, q)
     one = TensorOperator.identity(n, 2)
     ok = ((R - one.scale(1 / q)) * (R + one.scale(q))).is_zero()
     return ok, f"n={n}"
 
 
-def check_hecke_split(n: int, q=Q(2)):
-    Rp, Rm = idem.hecke_plus(n, q), idem.hecke_minus(n, q)
+def check_hecke_split(n: int):
+    Rp, Rm = idem.hecke_plus(n, Q(2)), idem.hecke_minus(n, Q(2))
     one = TensorOperator.identity(n, 2)
     ok = (Rp + Rm == one and idem.is_idempotent(Rp) and idem.is_idempotent(Rm)
           and (Rp * Rm).is_zero() and (Rm * Rp).is_zero())
     return ok, f"n={n}"
 
 
-def check_hecke_equivalences(n: int, q=Q(2)):
+def check_hecke_equivalences(n: int):
+    q = Q(2)
     Rm = idem.hecke_minus(n, q)
-    P = idem.permutation_op(n)
+    P = swap_operator(n)
     Aq = idem.q_antisymmetrizer(n, q)
     Aqi = idem.q_antisymmetrizer(n, 1 / q)
     two_q = q + 1 / q
@@ -304,13 +306,12 @@ def check_row_law():
     return not bad, "; ".join(bad) or "free-algebra identity holds"
 
 
-def _universal_multiparam(k: int, qoff=0, poff=2, symbol="M"):
-    qhat = generic_parameter_matrix(k, qoff)
-    phat = generic_parameter_matrix(k, poff)
+def _universal_multiparam(k: int):
+    qhat = generic_parameter_matrix(k)
+    phat = generic_parameter_matrix(k, offset=2)
     pair = ManinPair(idem.parameterized_antisymmetrizer(qhat),
                      idem.parameterized_antisymmetrizer(phat))
-    uni = universal_relations(pair, symbol)
-    return qhat, phat, uni
+    return qhat, phat, universal_relations(pair)
 
 
 def check_column_law():

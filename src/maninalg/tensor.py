@@ -22,9 +22,9 @@ them over lcm(den_a, den_b), and a scaling by p/q multiplies them by p over
 den * q; each ends with one gcd pass that restores the canonical form.
 Transposes, negations and embeddings move numerators and keep den.
 
-``embed`` places an operator on any tuple of distinct legs, ``perm_action``
-is the one S_k action rho^+ (rho^- = sign * rho^+), and both read the flat
-offset of every digit tuple on a set of legs from one table, ``_offsets``.
+``embed`` places an operator on any tuple of distinct legs, reading the
+flat offset of every digit tuple on a set of legs from one table,
+``_offsets``.
 ``coset_sum`` adds the weighted words g^(j-i) ... g^(j-1) prev in one
 accumulator over one denominator; the group and Hecke pairing routes build
 their (q-)symmetrizers from it.
@@ -44,7 +44,6 @@ from math import gcd, lcm
 
 from .freealg import _budget_from_env, _combine, _entry_product, poly_matrix
 from .linalg import ZERO, QMatrix, Subspace, rat
-from .permutations import Perm
 
 DEFAULT_TENSOR_BUDGET = 4096
 
@@ -115,14 +114,6 @@ def flatten_index(index, n: int) -> int:
     return out
 
 
-def unflatten_index(flat: int, n: int, k: int) -> tuple:
-    digits = []
-    for _ in range(k):
-        digits.append(flat % n + 1)
-        flat //= n
-    return tuple(reversed(digits))
-
-
 class TensorOperator:
     """Operator on tensor powers, possibly rectangular across local dims.
 
@@ -188,10 +179,9 @@ class TensorOperator:
         return _make(n, n, arity, {i: {i: 1} for i in range(n ** arity)}, 1)
 
     @staticmethod
-    def zero(n: int, arity: int, m: int | None = None) -> "TensorOperator":
-        m = n if m is None else m
-        _check_power(max(n, m), arity)
-        return _make(n, m, arity, {}, 1)
+    def zero(n: int, arity: int) -> "TensorOperator":
+        _check_power(n, arity)
+        return _make(n, n, arity, {}, 1)
 
     def row_space(self) -> Subspace:
         """The span of the rows inside the col_dim^arity-dimensional space."""
@@ -453,16 +443,6 @@ def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperato
                     arow[c] = arow.get(c, 0) + m * x
     num = {r: nz for r, row in acc.items() if (nz := {c: x for c, x in row.items() if x})}
     return _canonical(prev.row_dim, prev.row_dim, j, num, den)
-
-
-def perm_action(p: Perm, n: int) -> TensorOperator:
-    """rho^+(p): e_{i_1...i_k} -> e_{j_1...j_k} with j_{p(t)} = i_t; the
-    signed rho^-(p) is ``perm_action(p, n).scale(p.sign())``."""
-    k = p.size
-    _check_power(n, k)
-    weight = [n ** (k - t) for t in range(1, k + 1)]
-    moved = _offsets(n, [weight[p(t) - 1] for t in range(1, k + 1)])
-    return _make(n, n, k, {row: {col: 1} for col, row in enumerate(moved)}, 1)
 
 
 def swap_operator(n: int) -> TensorOperator:

@@ -46,7 +46,10 @@ axiom report of ``pairing.verify_axioms`` with every identity decided by
 forming the full operator products, which the row checks of
 ``tensor._fixes_rows`` replaced.  ``parse_poly`` keeps the token parser
 (``_tokenize`` and a token loop with an ``expect_factor`` flag) that the
-pattern loop of ``freealg.parse_poly`` replaced.
+pattern loop of ``freealg.parse_poly`` replaced.  ``perm_action``, the
+permutation action rho^+ on a tensor power written index by index, and
+``inversion_set`` and ``reduced_word``, the brute-force inversion set and a
+reduced word by bubble sort, are the oracles of the S_k combinatorics.
 """
 
 from __future__ import annotations
@@ -63,10 +66,9 @@ from maninalg.idempotents import (InvalidParameter, hecke_r_matrix, rational_gri
                                   restrict_parameter_matrix)
 from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon, rat
 from maninalg.pairing import NotExists, PairingOperator, q_int
-from maninalg.permutations import all_perms, mu, stabilizer_order
+from maninalg.permutations import Perm, all_perms, mu, stabilizer_order
 from maninalg.quadratic import component_subspaces
-from maninalg.tensor import (TensorOperator, check_budget, flatten_index, multi_indices,
-                             unflatten_index)
+from maninalg.tensor import TensorOperator, check_budget, flatten_index, multi_indices
 from maninalg.tensor import embed as embed_op
 
 
@@ -200,7 +202,7 @@ def embed_pair(op: TensorOperator, total_arity: int, leg_a: int, leg_b: int) -> 
             x = dense[r][src]
             if x:
                 row_index = list(col_index)
-                row_index[leg_a - 1], row_index[leg_b - 1] = unflatten_index(r, n, 2)
+                row_index[leg_a - 1], row_index[leg_b - 1] = r // n + 1, r % n + 1
                 out.data[flatten_index(tuple(row_index), n)][col] = x
     return out
 
@@ -877,6 +879,54 @@ def eager_slice(g: int, relations, d: int) -> SparseEchelon:
                 ech.insert({u * g * g + mid: c for mid, c in rel.items()})
         pivots, normal = ech.pivots, normal_next
     return ech
+
+
+# --- permutations: the S_k action on tensor powers and reduced words ----------
+
+def perm_action(p: Perm, n: int) -> TensorOperator:
+    """rho^+(p): e_{i_1...i_k} -> e_{j_1...j_k} with j_{p(t)} = i_t; the
+    signed rho^-(p) is ``perm_action(p, n).scale(p.sign())``."""
+    k = p.size
+    rows = {}
+    for index in multi_indices(n, k):
+        moved = [0] * k
+        for t, i in enumerate(index, 1):
+            moved[p(t) - 1] = i
+        rows[flatten_index(moved, n)] = {flatten_index(index, n): 1}
+    return TensorOperator(n, n, k, rows)
+
+
+def inversion_set(p: Perm) -> frozenset:
+    """Brute-force inversion set {(i, j) : i < j, p(i) > p(j)}."""
+    return frozenset(
+        (i, j)
+        for i in range(1, p.size + 1)
+        for j in range(i + 1, p.size + 1)
+        if p(i) > p(j)
+    )
+
+
+def reduced_word(p: Perm) -> tuple:
+    """Canonical reduced word by bubble-sort descent.
+
+    Repeatedly strips the smallest descent from the left; the returned word
+    (i_1, ..., i_l) satisfies from_word(word, k) == p and l == inv(p).
+    """
+    word = []
+    images = list(p.images)
+    # sorting the one-line notation with adjacent swaps; recording swap a at
+    # position t means multiplying by s_a on the right of what remains
+    while True:
+        for a in range(len(images) - 1):
+            if images[a] > images[a + 1]:
+                images[a], images[a + 1] = images[a + 1], images[a]
+                word.append(a + 1)
+                break
+        else:
+            break
+    # the recorded swaps sort p to the identity: p * s_{a_1} * ... = id,
+    # hence p = s_{a_m} * ... * s_{a_1} reversed
+    return tuple(reversed(word))
 
 
 # --- the token parser that freealg.parse_poly replaced -------------------------

@@ -4,13 +4,14 @@ import pytest
 
 import dense_reference as dense
 from maninalg import idempotents as idem
+from maninalg.cli import operator_to_json
 from maninalg.freealg import generator_matrix
 from maninalg.linalg import QMatrix, Subspace
 from maninalg.minors import det_qhat, perm_qhat
 from maninalg.pairing import closed_form_multiparam, corrupt, generic_pairing
 from maninalg.permutations import Perm, all_perms
 from maninalg.suites import catalog_instances
-from maninalg.tensor import BudgetExceeded, TensorOperator
+from maninalg.tensor import BudgetExceeded, TensorOperator, swap_operator
 
 F = Fraction
 
@@ -23,7 +24,7 @@ def test_antisymmetrizer_rank_one_for_n2():
 
 
 def test_permutation_is_not_idempotent():
-    P = idem.permutation_op(3)
+    P = swap_operator(3)
     assert not idem.is_idempotent(P)
     assert P * P == TensorOperator.identity(3, 2)
     assert idem.is_idempotent(idem.antisymmetrizer(3))
@@ -41,7 +42,7 @@ def test_hecke_minus_equals_scaled_flip_product():
     q = F(2)
     for n in (2, 3):
         Rm = idem.hecke_minus(n, q)
-        P = idem.permutation_op(n)
+        P = swap_operator(n)
         expected = (P * idem.q_permutation_op(n, q) - P).scale(1 / (q + 1 / q))
         assert Rm == expected
         assert Rm == (P * idem.q_antisymmetrizer(n, q)).scale(-2 / (q + 1 / q))
@@ -63,7 +64,7 @@ def test_make_idempotent_toy_two_dim():
 
 
 def test_make_idempotent_from_flip_relations():
-    P = idem.permutation_op(2)
+    P = swap_operator(2)
     R = P.matrix - QMatrix.identity(4)
     E = idem.make_idempotent(R)
     assert idem.is_idempotent(E)
@@ -83,7 +84,7 @@ def test_left_right_equivalence_examples():
 
 def test_equivalence_needs_idempotents():
     with pytest.raises(ValueError):
-        idem.left_equivalent(idem.permutation_op(2), idem.antisymmetrizer(2))
+        idem.left_equivalent(swap_operator(2), idem.antisymmetrizer(2))
 
 
 def test_conjugation_transport():
@@ -148,19 +149,19 @@ def test_spec_json_roundtrip():
     rebuilt = idem.IdempotentSpec.from_json(doc)
     assert idem.build(rebuilt) == idem.build(spec)
     custom = idem.IdempotentSpec(
-        "Custom", 2, {"matrix": idem.antisymmetrizer(2).matrix.to_strings()})
+        "Custom", 2, {"matrix": operator_to_json("A_n", idem.antisymmetrizer(2))["matrix"]})
     assert idem.build(custom) == idem.antisymmetrizer(2)
 
 
 QHAT = [[1, F(2)], [F(1, 2), 1]]
 SL2_ROWS = [[1, 2, 3, 1], [2, 1, 3, -1], [3, 1, 1, 2], [1, 3, 1, -2], [3, 2, 2, -2],
             [2, 3, 2, 2]]
-CUSTOM = idem.hecke_minus(2, 3).matrix.to_strings()
+CUSTOM = operator_to_json("RhatMinus", idem.hecke_minus(2, 3))["matrix"]
 # spec -> the direct constructor call that build(spec) must equal
 DIRECT_BUILDS = [
     (idem.IdempotentSpec("A_n", 3), lambda: idem.antisymmetrizer(3)),
     (idem.IdempotentSpec("S_n", 3), lambda: idem.symmetrizer(3)),
-    (idem.IdempotentSpec("P_n", 2), lambda: idem.permutation_op(2)),
+    (idem.IdempotentSpec("P_n", 2), lambda: swap_operator(2)),
     (idem.IdempotentSpec("Aq", 3, {"q": "2/3"}), lambda: idem.q_antisymmetrizer(3, F(2, 3))),
     (idem.IdempotentSpec("Pq", 2, {"q": "-2"}), lambda: idem.q_permutation_op(2, -2)),
     (idem.IdempotentSpec("Aqhat", 0, {"qhat": QHAT}),
@@ -178,7 +179,7 @@ DIRECT_BUILDS = [
     (idem.IdempotentSpec("Lie", 0, {"brackets": SL2_ROWS, "dim": "3"}),
      lambda: idem.lie_idempotent(idem.sl2_brackets(), 3)),
     (idem.IdempotentSpec("Custom", 0, {"matrix": CUSTOM}),
-     lambda: TensorOperator(2, 2, 2, QMatrix.from_strings(CUSTOM))),
+     lambda: TensorOperator(2, 2, 2, QMatrix.from_rows(CUSTOM))),
 ]
 
 
@@ -223,7 +224,7 @@ def test_build_refuses_a_sized_family_from_n_before_any_constructor(spec, monkey
     for name in ("hecke_minus", "hecke_r_matrix", "q_permutation_op",
                  "uniform_parameter_matrix", "parameterized_permutation_op",
                  "orthogonal_idempotent", "antisymmetrizer", "rank_one_contraction",
-                 "permutation_op"):
+                 "swap_operator"):
         monkeypatch.setattr(idem, name, lambda *args, name=name: called.append(name))
     with pytest.raises(BudgetExceeded, match="component of size 4225 exceeds budget 4096"):
         idem.build(spec)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maninalg import idempotents as idem
-from maninalg.cli import operator_from_json, operator_to_json
+from maninalg.cli import operator_to_json
 from maninalg.linalg import format_rat
 
 nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -88,7 +88,9 @@ def test_operator_json_roundtrip_is_the_identity(spec):
     op = idem.build(spec)
     doc = operator_to_json(spec.family, op)
     written = json.dumps(doc)
-    rebuilt = operator_from_json(json.loads(written))
+    # read back as a Custom spec, the one way the CLI takes a written matrix
+    rebuilt = idem.build(idem.IdempotentSpec("Custom", 0,
+                                             {"matrix": json.loads(written)["matrix"]}))
     assert rebuilt == op
     assert json.dumps(operator_to_json(spec.family, rebuilt)) == written
 

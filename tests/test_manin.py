@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.freealg import (Gen, NCPoly, generator_matrix, matrix_gen,
-                              poly_matrix, sparse_coords)
+                              poly_grid_product, poly_matrix, sparse_coords)
 from maninalg.ideals import (PresentedAlgebra, commutator_relations,
                              free_presentation, span_of_polys)
 from maninalg.manin import (ManinPair, cross_commutators, defect_rows, is_manin,
@@ -16,7 +16,8 @@ from maninalg.manin import (ManinPair, cross_commutators, defect_rows, is_manin,
                             double_manin_matches_commutators,
                             rll_matches_double_qmanin,
                             submatrix, transport, universal_relations)
-from maninalg.minors import minor_operator
+from maninalg.linalg import QMatrix, invert
+from maninalg.minors import col_permuted, minor_operator, row_permuted
 from maninalg.permutations import Perm
 from maninalg.suites import catalog_instances
 from maninalg.tensor import TensorOperator
@@ -177,15 +178,33 @@ def test_manin_relations_are_proper_subspace_of_commutators():
 
 def test_transport_identity_and_flip():
     pair = ManinPair(idem.antisymmetrizer(2), idem.q_antisymmetrizer(2, 2))
-    M = generator_matrix("M", 2, 2)
     ident = Perm.identity(2)
-    assert transport(pair, M, ident, ident) == pair
+    assert transport(pair, ident, ident) == pair
     swap = Perm((2, 1))
-    moved = transport(pair, M, swap, swap)
+    moved = transport(pair, swap, swap)
     assert moved.A == pair.A  # the plain antisymmetrizer is conjugation-fixed
     expected = idem.parameterized_antisymmetrizer(
         idem.conjugate_parameter_matrix(idem.uniform_parameter_matrix(2, 2), swap))
     assert moved.B == expected
+
+
+def test_transport_makes_the_moved_universal_matrix_manin():
+    """g M h^-1 is Manin for transport(pair, g, h) when M is Manin for the
+    pair: checked on the universal M over its relations, with g and h
+    permutations (acting as e_i -> e_g(i)), invertible matrices, or one of
+    each; the pair itself rejects the moved matrix."""
+    pair = ManinPair(idem.q_antisymmetrizer(2, 2),
+                     idem.parameterized_antisymmetrizer([[1, 3], [Fraction(1, 3), 1]]))
+    alg = universal_relations(pair).algebra()
+    M = generator_matrix("M", 2, 2)
+    flip = Perm((2, 1))
+    g, h = QMatrix(2, 2, [[1, 1], [0, 1]]), QMatrix(2, 2, [[2, 1], [1, 1]])
+    cases = [(flip, flip, col_permuted(row_permuted(M, flip), flip)),
+             (g, h, poly_grid_product(M, left=g, right=invert(h))),
+             (flip, h, poly_grid_product(row_permuted(M, flip), right=invert(h)))]
+    for sigma, tau, moved in cases:
+        assert is_manin(transport(pair, sigma, tau), moved, alg)
+        assert not is_manin(pair, moved, alg)
 
 
 def test_submatrix_with_repeats():

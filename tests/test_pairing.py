@@ -21,7 +21,7 @@ from maninalg.pairing import (BraidRelationFailed, NotExists, PairingOperator,
 from maninalg.permutations import Perm, all_perms, inv
 from maninalg.quadratic import VARIANTS, QuadAlgebra, component_subspaces, relation_space
 from maninalg.suites import generic_parameter_matrix, run_suite
-from maninalg.tensor import BudgetExceeded, TensorOperator, compose_chain, embed, perm_action
+from maninalg.tensor import BudgetExceeded, TensorOperator, compose_chain, embed
 
 F = Fraction
 
@@ -150,8 +150,8 @@ def test_group_average_symmetrizers():
             sym = TensorOperator.zero(n, k)
             alt = TensorOperator.zero(n, k)
             for p in all_perms(k):
-                sym = sym + perm_action(p, n)
-                alt = alt + perm_action(p, n).scale(p.sign())
+                sym = sym + dense.perm_action(p, n)
+                alt = alt + dense.perm_action(p, n).scale(p.sign())
             assert s == sym.scale(F(1, factorial(k)))
             assert a == alt.scale(F(1, factorial(k)))
 
@@ -650,7 +650,7 @@ def test_library_and_cli_build_no_dense_views(no_dense_views, tmp_path, capsys):
     assert idem.left_equivalent(Aq, Rm) and not idem.right_equivalent(Aq, Rm)
     flip = Perm((2, 1))
     assert idem.conjugate(idem.conjugate(Aq, flip), flip) == Aq
-    assert transport(pair, M, flip, QMatrix(2, 2, [[1, 1], [0, 1]])).A == idem.conjugate(A2, flip)
+    assert transport(pair, flip, QMatrix(2, 2, [[1, 1], [0, 1]])).A == idem.conjugate(A2, flip)
     made = idem.make_idempotent(QMatrix(1, 4, [[0, 1, -1, 0]]))
     assert (made.den, made.num) == (1, {1: {1: 1, 2: -1}})
 
