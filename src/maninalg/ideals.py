@@ -14,7 +14,12 @@ e - 2, those that are not leads of I_(e-2): V^(e-2) = I_(e-2) + N_(e-2)
 row, and every pivot row it meets, has a normal prefix of length e - 2,
 while a row of E_j shifted by two or more letters has a lead of I_(e-2)
 as that prefix; so degree e is built from the rows of E_(e-1) shifted by
-one generator and those of E_e alone.  ``PresentedAlgebra`` owns the
+one generator and those of E_e alone.  When the relations pass the
+degree-3 PBW certificate (``_pbw_certified``: the leads of I_3 are the
+words holding a lead of I_2), the leads of every I_e are those words
+(Bergman's diamond lemma), and degrees past 3 need no elimination: E_e is
+the rows u * r whose lead u * l has no lead of E_(e-1) as its prefix of
+length e - 1, taken as they are.  ``PresentedAlgebra`` owns the
 slices: it caches each requested degree and builds a new one from the
 increments of the deepest cached slice, so a lower degree costs no
 elimination; it counts the normal words of every degree when the slice
@@ -135,11 +140,12 @@ class PresentedAlgebra:
         words, those holding no lead of I_2 as a factor, when that count is
         exact; else None.  A word holding such a lead is a lead of I_e, so
         the count bounds dim A_e from above.  It equals dim A_3 exactly when
-        every overlap of two leads resolves; then the relations are a
-        Groebner basis (Bergman's diamond lemma) and it equals dim A_e in
-        every degree.  Reads the slice of degree 3 alone (a prefix of any
-        deeper cached slice), whose first increment holds the leads of I_2;
-        the numbers ends[y] of normal words ending in y carry each degree on."""
+        the degree-3 PBW certificate holds (``_pbw_certified``); then the
+        relations are a Groebner basis (Bergman's diamond lemma) and it
+        equals dim A_e in every degree.  Reads the slice of degree 3 alone
+        (a prefix of any deeper cached slice), whose first increment holds
+        the leads of I_2; the numbers ends[y] of normal words ending in y
+        carry each degree on."""
         g, top = len(self.gens), self.slice(3)
         leads = top.increments[0]
         follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
@@ -151,7 +157,7 @@ class PresentedAlgebra:
                     step[y] += c
             ends = step
             counts.append(sum(ends))
-        return counts[:d + 1] if counts[3] == g ** 3 - top.dim else None
+        return counts[:d + 1] if _pbw_certified(top.increments, g) else None
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""
@@ -218,6 +224,19 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     ``word_budget()`` words, or of words longer than that, is refused
     before anything is built, and before g^d is formed when d alone shows
     it too large (``tensor._power_size``).
+
+    Once E_2 and E_3 are known, built or kept, the degree-3 certificate is
+    decided (``_pbw_certified``).  When it holds, degree e >= 4 builds no
+    echelon: E_e is the set of rows u * r, for the normal words u of degree
+    e - 2 and the rows r of E_2, whose word u * x is not a lead of E_(e-1),
+    x being the first letter of r's lead l.  The leads of I_e are then the
+    words holding a lead of I_2, so these rows lie in I_e, lead with
+    distinct words u * l outside I_(e-1) * V and number
+    dim I_e - g * dim I_(e-1): with the shifted E_(e-1) they are an echelon
+    basis, though not a reduced one.  The skipped rows u * r, whose lead
+    prefix of length e - 1 is a lead of E_(e-1), reduce to zero.  Without
+    the certificate every degree is eliminated as above, which needs the
+    rows of E_(e-1) reduced, so the two paths never mix.
     """
     gens = tuple(gens)
     g = len(gens)
@@ -236,23 +255,50 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # holds it, rather than a fresh int per entry
     word = list(range(size))
     # I_1 = 0, and the empty word (index 0) is the one word of degree 0
-    newest, normal = {}, [0]
+    newest, normal, certified = {}, [0], False
     for e in range(2, d + 1):
         if e - 2 == len(increments):
-            ech = SparseEchelon()
-            rows = ech.pivots
-            for lead, row in newest.items():
-                for x in range(g):
-                    rows[word[lead * g + x]] = {word[pos * g + x]: c for pos, c in row.items()}
-            shifted = len(rows)
-            for u in normal:
-                left = u * g * g
-                for rel in relation_rows:
-                    ech.insert({word[left + mid]: c for mid, c in rel.items()})
-            increments.append(dict(itertools.islice(rows.items(), shifted, None)))
+            if certified:
+                rows, firsts = {}, [(lead // g, lead, rel)
+                                    for lead, rel in increments[0].items()]
+                for u in normal:
+                    left, prefix = u * g * g, u * g
+                    for x, lead, rel in firsts:
+                        if prefix + x not in newest:
+                            rows[word[left + lead]] = {word[left + mid]: c
+                                                       for mid, c in rel.items()}
+                increments.append(rows)
+            else:
+                ech = SparseEchelon()
+                rows = ech.pivots
+                for lead, row in newest.items():
+                    for x in range(g):
+                        rows[word[lead * g + x]] = {word[pos * g + x]: c
+                                                    for pos, c in row.items()}
+                shifted = len(rows)
+                for u in normal:
+                    left = u * g * g
+                    for rel in relation_rows:
+                        ech.insert({word[left + mid]: c for mid, c in rel.items()})
+                increments.append(dict(itertools.islice(rows.items(), shifted, None)))
+        if e == 3:
+            certified = _pbw_certified(increments, g)
         normal = [w for u in normal for w in word[u * g:u * g + g] if w not in newest]
         newest = increments[e - 2]
     return IdealSlice(gens, d, tuple(increments))
+
+
+def _pbw_certified(increments, g: int) -> bool:
+    """The degree-3 PBW certificate on the increments E_2, E_3, ...  Each
+    word holding a lead of I_2 is a lead of I_3 (x * r leads with x * l),
+    and those outside I_2 * V are the words x * l for a generator x and a
+    lead l of E_2 whose prefix x * l_1 is not a lead of E_2; so |E_3| is at
+    least their number, and equality, the certificate, says that they are
+    all of E_3's leads: every overlap of two leads resolves, R is a
+    Groebner basis (Bergman's diamond lemma), and in every degree e the
+    leads of I_e are the words holding a lead of I_2."""
+    leads, third = increments[0], increments[1]
+    return len(third) == sum(x * g + lead // g not in leads for x in range(g) for lead in leads)
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

@@ -27,7 +27,9 @@ PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
 3, the dimensions read the ranks of the degree-k slice and of the degrees
 below it from its increments alone (a slice is its increments, and a lower
 degree's are a prefix), so they build no echelon and shift no row by more
-than one generator.
+than one generator.  The same certificate lets ``component_subspaces`` build
+a slice past degree 3 with no elimination at all, from the rows u * r alone
+(``ideals.build_slice_from_subspace``).
 """
 
 from __future__ import annotations

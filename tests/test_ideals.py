@@ -1,4 +1,5 @@
 from fractions import Fraction
+import functools
 import random
 import time
 from math import comb
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maninalg import idempotents as idem
-from maninalg import ideals
+from maninalg import ideals, suites
 from maninalg.freealg import Gen, NCPoly, NonHomogeneous, sparse_coords, word_budget
-from maninalg.ideals import (PresentedAlgebra, build_slice_from_subspace,
+from maninalg.ideals import (PresentedAlgebra, _pbw_certified, build_slice_from_subspace,
                              commutator_relations, free_presentation, span_of_polys)
 from maninalg.linalg import SparseEchelon, Subspace
 from maninalg.manin import ManinPair, universal_relations
@@ -254,24 +255,42 @@ def _assert_slice_matches_oracle(grown, oracle_slices, where):
     assert grown.echelon.reduced_rows() == oracle.reduced_rows(), where
 
 
+def _certified_by_oracle(oracle_slices, g: int) -> bool:
+    """The degree-3 PBW certificate read from the oracle's slices: the rank
+    of degree 3 is the number of degree-3 words holding a lead of degree 2
+    as a factor."""
+    leads = set(oracle_slices[2].pivots)
+    held = sum(w // g in leads or w % (g * g) in leads for w in range(g ** 3))
+    return oracle_slices[3].rank == held
+
+
 def _oracle_inserts(oracle_slices, g: int, dim_r: int, b: int, d: int) -> int:
     """The rows that growing degree d from the increments of degree b
-    inserts: |N_(e-2)| * dim R for each degree e = b+1..d, where N_m holds
-    the words of degree m that the oracle's degree-m slice does not lead
-    (every word below degree 2)."""
+    inserts: |N_(e-2)| * dim R for each eliminated degree e = b+1..d, where
+    N_m holds the words of degree m that the oracle's degree-m slice does
+    not lead (every word below degree 2).  Past degree 3 a degree is
+    eliminated only without the certificate."""
+    top = min(d, 3) if _certified_by_oracle(oracle_slices, g) else d
     return dim_r * sum(g ** (e - 2) - (oracle_slices[e - 2].rank if e > 3 else 0)
-                       for e in range(b + 1, d + 1))
+                       for e in range(b + 1, top + 1))
+
+
+# the presentations of PRESENTATIONS without the degree-3 PBW certificate
+UNCERTIFIED = {f"symplectic4.{v}" for v in VARIANTS} | {"fourparam_2_2_2_1.X",
+                                                        "fourparam_2_2_2_1.Xi"}
 
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
 def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name, monkeypatch):
     # the rows u * r come only from normal words u: growing from any cached
     # degree below must give the slice that every w1 * r * w2 spans, after
-    # one row per normal word of the degrees past it and relation
+    # one row per normal word of the eliminated degrees past it and
+    # relation; a certified presentation eliminates no degree past 3
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
     dim_r = relations.dim
     oracle = {d: dense.slice_from_scratch(g, relations, d) for d in range(2, 6)}
+    assert _certified_by_oracle(oracle, g) == (name not in UNCERTIFIED)
     calls = _count_inserts(monkeypatch)
     for d in range(3, 6):
         for b in range(2, d):
@@ -349,21 +368,27 @@ def test_lower_degrees_of_the_universal_3x3_algebra_reduce_no_row(monkeypatch):
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
 def test_each_degree_inserts_one_row_per_normal_word_and_relation(name, monkeypatch):
-    # degree e inserts dim A_(e-2) * dim R rows, both from scratch and from
-    # the cached slice one degree below, not g^(e-2) * dim R
+    # an eliminated degree e inserts dim A_(e-2) * dim R rows, both from
+    # scratch and from the cached slice one degree below, not
+    # g^(e-2) * dim R; with the certificate no degree past 3 is eliminated
+    # and none inserts a row
     alg = PRESENTATIONS[name]()
     g, dim_r = len(alg.gens), alg.relations.dim
-    quotient = [1, g] + [g ** e - alg.slice(e).dim for e in range(2, 5)]
+    oracle = {e: dense.slice_from_scratch(g, alg.relations, e) for e in range(2, 5)}
+    quotient = [1, g] + [g ** e - oracle[e].rank for e in range(2, 5)]
+    certified = _certified_by_oracle(oracle, g)
+    assert certified == (name not in UNCERTIFIED)
+    inserts = [quotient[e - 2] * dim_r if e <= 3 or not certified else 0 for e in range(6)]
     calls = _count_inserts(monkeypatch)
     for d in range(2, 6):
         calls[0] = 0
         build_slice_from_subspace(alg.gens, alg.relations, d)
-        assert calls[0] == sum(quotient[e - 2] for e in range(2, d + 1)) * dim_r, d
+        assert calls[0] == sum(inserts[2:d + 1]), d
     chained = PRESENTATIONS[name]()
     for e in range(2, 6):
         calls[0] = 0
         chained.slice(e)
-        assert calls[0] == quotient[e - 2] * dim_r, e
+        assert calls[0] == inserts[e], e
 
 
 @pytest.mark.parametrize("name, variant", [("hecke_minus", "X"), ("hecke_minus", "Xi"),
@@ -444,14 +469,39 @@ def test_contains_rows_agrees_with_congruent_and_the_slice_oracle(name):
         alg = PRESENTATIONS[name]()
 
 
+def _certified_row(lead: int, d: int, g: int, two: dict, three: dict) -> dict:
+    """The pivot row at a lead of degree d >= 3 of a certified slice, from
+    the oracle's pivot rows of degree 2 (two) and 3 (three).  The lead holds
+    a lead of degree 2 as a factor; for the first such factor l, at
+    position p, the row is w1 * r * w2, r being the row of l, when p >= 2,
+    and the degree-3 row at the lead's first three letters, shifted by the
+    rest, when p < 2."""
+    p = 0
+    while lead // g ** (d - p - 2) % (g * g) not in two:
+        p += 1
+    if p < 2:
+        size = g ** (d - 3)
+        return {pos * size + lead % size: c for pos, c in three[lead // size].items()}
+    size = g ** (d - p - 2)
+    left = lead // (size * g * g) * g * g
+    return {(left + mid) * size + lead % size: c
+            for mid, c in two[lead // size % (g * g)].items()}
+
+
 @pytest.mark.parametrize("name", list(PRESENTATIONS))
 def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
     # the echelon of a slice holds the rows of E_d and shifts a row of a
-    # lower increment the first time a reduction reaches its lead; each
-    # row, the lead set, membership and subspace() must be those of the
-    # builder that shifted every pivot row up each degree
+    # lower increment the first time a reduction reaches its lead; the
+    # lead set, membership, the reduced rows and subspace() must be those
+    # of the builder that shifted every pivot row up each degree.  Up to
+    # degree 3, and at every degree without the certificate, so must each
+    # row; past degree 3 a certified slice eliminates nothing, and its row
+    # at a lead w1 * l * w2, l the first degree-2 lead the word holds at
+    # position 2 or later, is w1 * r * w2 for the row r of l
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
+    two, three = (dense.eager_slice(g, relations, e).pivots for e in (2, 3))
+    certified = name not in UNCERTIFIED
     rng = random.Random(name)
     for d in range(2, 7):
         eager = dense.eager_slice(g, relations, d)
@@ -463,11 +513,16 @@ def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
         ech = sl.echelon
         assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.increments[-1]), d
         assert [ech.contains(p) for p in probes] == [eager.contains(p) for p in probes], d
-        for lead in sorted(ech.pivots):
-            assert ech.pivots[lead] == eager.pivots[lead], (d, lead)
-        for lead, row in eager.pivots.items():
-            assert ech.pivots[lead] == row, (d, lead)
-        assert ech.pivots == eager.pivots, d
+        if certified and d > 3:
+            for lead in sorted(ech.leads):
+                assert ech.pivots[lead] == _certified_row(lead, d, g, two, three), (d, lead)
+            assert ech.reduced_rows() == eager.reduced_rows(), d
+        else:
+            for lead in sorted(ech.pivots):
+                assert ech.pivots[lead] == eager.pivots[lead], (d, lead)
+            for lead, row in eager.pivots.items():
+                assert ech.pivots[lead] == row, (d, lead)
+            assert ech.pivots == eager.pivots, d
         assert PRESENTATIONS[name]().slice(d).subspace() == eager.dense_basis(g ** d), d
 
 
@@ -511,3 +566,184 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
     for s in built:
         assert "echelon" not in vars(s), s.degree
     assert deeper == []
+
+
+# --- slices built from the degree-3 PBW certificate ---------------------------
+# Past degree 3 a certified slice is built with no elimination, from the
+# rows u * r alone.  Every catalog algebra in all four variants, and three
+# universal-relation ambients, is compared at each degree within reach with
+# the Fraction oracle that echelonizes every w1 * r * w2, and probed for
+# membership with hypothesis-drawn members and non-members.
+
+# the catalog algebras are compared at each degree d <= 6 with g^d words at
+# most this many
+CATALOG_WORDS = 1024
+
+# the catalog algebras without the degree-3 PBW certificate
+UNCERTIFIED_CATALOG = ({f"Btilde_4.{v}" for v in VARIANTS}
+                       | {"FourParam.X", "FourParam.Xi", "Lie_sl2.Xi"})
+
+
+def _u33():
+    """U_{qhat,phat} of two generic 3 x 3 parameter matrices: 9 generators."""
+    qhat = [[1, 2, 3], [F(1, 2), 1, -2], [F(1, 3), F(-1, 2), 1]]
+    phat = [[1, F(-1, 2), 5], [-2, 1, F(2, 3)], [F(1, 5), F(3, 2), 1]]
+    pair = ManinPair(idem.parameterized_antisymmetrizer(qhat),
+                     idem.parameterized_antisymmetrizer(phat))
+    return universal_relations(pair, "M").algebra()
+
+
+def _product_2x2x2():
+    """The suite's ambient of M N over U_{qhat,phat} (x) U_{phat,rhat}, both
+    2 x 2: 8 generators."""
+    return suites._tensor_product_setup()[-1]
+
+
+def _tensor_2x3x2():
+    """``suites._product_ambient`` of a 2 x 3 M and a 3 x 2 N: 12
+    generators, whose degree-4 word space fills the default word budget."""
+    anti = idem.parameterized_antisymmetrizer
+    qhat = [[1, F(2)], [F(1, 2), 1]]
+    phat = [[1, 2, F(-1, 2)], [F(1, 2), 1, 3], [-2, F(1, 3), 1]]
+    rhat = [[1, F(-2)], [F(-1, 2), 1]]
+    return suites._product_ambient(ManinPair(anti(qhat), anti(phat)),
+                                   ManinPair(anti(phat), anti(rhat)))[-1]
+
+
+AMBIENTS = {"u33": _u33, "product_2x2x2": _product_2x2x2, "tensor_2x3x2": _tensor_2x3x2}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog() -> dict:
+    """'<catalog name>.<variant>' -> its QuadAlgebra, for every catalog
+    instance of the suite in all four variants."""
+    return {f"{name}.{v}": QuadAlgebra(E, v)
+            for name, E in suites.catalog_instances() for v in VARIANTS}
+
+
+def _fresh_presentation(name: str):
+    """A new presentation of a catalog algebra or an ambient, no slice built."""
+    if name in AMBIENTS:
+        return AMBIENTS[name]()
+    return _catalog()[name].presentation()
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_presentation(name: str):
+    """One presentation per name, shared by the hypothesis examples."""
+    return _fresh_presentation(name)
+
+
+def _top_degree(name: str, g: int) -> int:
+    """The deepest degree compared: within the word budget for an ambient,
+    within CATALOG_WORDS and 6 for a catalog algebra."""
+    cap = word_budget() if name in AMBIENTS else CATALOG_WORDS
+    d = 2
+    while g ** (d + 1) <= cap and (name in AMBIENTS or d < 6):
+        d += 1
+    return d
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(name: str, d: int):
+    alg = _cached_presentation(name)
+    return dense.slice_from_scratch(len(alg.gens), alg.relations, d)
+
+
+def _oracle_certified(name: str) -> bool:
+    return _certified_by_oracle({e: _oracle(name, e) for e in (2, 3)},
+                                len(_cached_presentation(name).gens))
+
+
+def test_105_catalog_algebras_certify_and_7_do_not():
+    certified = {name for name in _catalog() if _oracle_certified(name)}
+    assert len(_catalog()) == 112 and len(certified) == 105
+    assert set(_catalog()) - certified == UNCERTIFIED_CATALOG
+    for name in _catalog():
+        alg = _cached_presentation(name)
+        assert _pbw_certified(alg.slice(3).increments, len(alg.gens)) == (name in certified)
+    for name in AMBIENTS:
+        assert _oracle_certified(name), name
+
+
+@pytest.mark.parametrize("name", sorted(_catalog()) + sorted(AMBIENTS))
+def test_slices_match_the_dense_oracle_at_each_degree(name, monkeypatch):
+    # each degree grown from the cached one below and built from nothing,
+    # after the inserts of the eliminated degrees: with the certificate
+    # degrees 2 and 3 alone
+    alg = _fresh_presentation(name)
+    g, dim_r = len(alg.gens), alg.relations.dim
+    calls = _count_inserts(monkeypatch)
+    for d in range(2, _top_degree(name, g) + 1):
+        oracle = {e: _oracle(name, e) for e in range(2, max(d, 3) + 1)}
+        calls[0] = 0
+        _assert_slice_matches_oracle(alg.slice(d), oracle, ("grown", d))
+        assert calls[0] == _oracle_inserts(oracle, g, dim_r, d - 1, d), ("grown", d)
+        calls[0] = 0
+        fresh = build_slice_from_subspace(alg.gens, alg.relations, d)
+        assert calls[0] == _oracle_inserts(oracle, g, dim_r, 1, d), ("fresh", d)
+        _assert_slice_matches_oracle(fresh, oracle, ("fresh", d))
+        if g ** d <= CATALOG_WORDS:
+            assert fresh.subspace() == Subspace.span(list(oracle[d].reduced_rows().values()),
+                                                     g ** d), d
+
+
+@st.composite
+def drawn_probes(draw):
+    """(name, degree, member, other): member is a sum of a few c * w1 r w2
+    over the relation rows r (zero without relations), other is member
+    plus a few random words."""
+    name = draw(st.sampled_from(sorted(_catalog()) + sorted(AMBIENTS)))
+    alg = _cached_presentation(name)
+    g = len(alg.gens)
+    d = draw(st.integers(2, _top_degree(name, g)))
+    rels = list(alg.relations.rows.values())
+    member = {}
+    for _ in range(draw(st.integers(1, 3)) if rels else 0):
+        left = draw(st.integers(0, d - 2))
+        right_size = g ** (d - 2 - left)
+        w1 = draw(st.integers(0, g ** left - 1))
+        w2 = draw(st.integers(0, right_size - 1))
+        c = draw(st.integers(-3, 3).filter(bool))
+        for mid, x in draw(st.sampled_from(rels)).items():
+            j = (w1 * g * g + mid) * right_size + w2
+            member[j] = member.get(j, 0) + c * x
+    noise = draw(st.dictionaries(st.integers(0, g ** d - 1), st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=3))
+    other = dict(member)
+    for j, c in noise.items():
+        other[j] = other.get(j, 0) + c
+    return name, d, member, other
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_probes())
+def test_membership_of_drawn_members_and_non_members_agrees_with_the_oracle(probe):
+    name, d, member, other = probe
+    alg, oracle = _cached_presentation(name), _oracle(name, d)
+    assert oracle.contains(member) and alg.contains_rows([member], d)
+    assert alg.contains_rows([other], d) == oracle.contains(other)
+    assert alg.contains_rows([member, other], d) == oracle.contains(other)
+
+
+@pytest.mark.parametrize("name", sorted(_catalog()))
+def test_a_slice_grown_from_the_cached_degree_3_inserts_no_row_past_it(name, monkeypatch):
+    # slice(3), then slice(6) from its increments: certified, degrees 4..6
+    # insert nothing and lead with exactly the words that hold a lead of
+    # degree 2; uncertified, they are eliminated
+    alg = _fresh_presentation(name)
+    g = len(alg.gens)
+    assert g ** 6 <= word_budget()
+    two = alg.slice(3).increments[0]
+    calls = _count_inserts(monkeypatch)
+    top = alg.slice(6)
+    assert list(alg._slices) == [3, 6]
+    if name in UNCERTIFIED_CATALOG:
+        assert calls[0] > 0
+        assert top.dim == dense.eager_slice(g, alg.relations, 6).rank
+        return
+    assert calls[0] == 0
+    held = {w for w in range(g ** 6)
+            if any(w // g ** (4 - p) % (g * g) in two for p in range(5))}
+    assert top.echelon.leads == held
+    assert top.dim == len(held) == g ** 6 - alg.normal_word_counts(6)[6]
