@@ -190,8 +190,8 @@ def cmd_scenario(args) -> int:
         if not isinstance(doc, dict):
             raise ValueError("a Lie scenario file must be a JSON object "
                              "with 'dim' and 'brackets'")
-        _, report = lie_seed(idem.parse_brackets(doc.get("brackets")),
-                             idem.parse_integer(doc.get("dim"), "'dim'"))
+        report = lie_seed(idem.parse_brackets(doc.get("brackets")),
+                          idem.parse_integer(doc.get("dim"), "'dim'"))
     emit(report.to_json())
     return 0 if report.passed else 1
 

@@ -79,10 +79,6 @@ class Gen(tuple):
         return f"{self.sym}[{','.join(str(i) for i in self.idx)}]"
 
 
-def matrix_gen(sym: str, i: int, j: int) -> Gen:
-    return Gen(sym, (i, j))
-
-
 class NCPoly:
     """Noncommutative polynomial over Q, as integer numerators over one
     denominator.
@@ -123,10 +119,6 @@ class NCPoly:
     @staticmethod
     def zero() -> "NCPoly":
         return _make({}, 1)
-
-    @staticmethod
-    def one() -> "NCPoly":
-        return _make({(): 1}, 1)
 
     @staticmethod
     def scalar(c) -> "NCPoly":
@@ -342,7 +334,8 @@ def poly_grid_product(grid, left=None, right=None) -> list:
         return grid
     den, words, sums = _integer_grid(grid)
     factor, sums = _grid_times(sums, left, right)
-    return [[_from_integer_sums(entry, words, den * factor) for entry in row]
+    den *= factor
+    return [[_canonical({words[w]: c for w, c in entry.items() if c}, den) for entry in row]
             for row in sums]
 
 
@@ -432,10 +425,6 @@ def _integer_rows(op) -> tuple:
         if nz:
             rows[i] = nz
     return den, rows, op.rows, op.cols
-
-
-def _from_integer_sums(entry: dict, words: list, den: int) -> NCPoly:
-    return _canonical({words[w]: c for w, c in entry.items() if c}, den)
 
 
 def scalar_times_poly_mat(m, p) -> list:

@@ -3,7 +3,8 @@
 Given a subspace R of the degree-2 word space over g generators, the
 degree-d slice I_d of the ideal generated by R is spanned by all products
 w1 * r * w2 with |w1| + |w2| = d - 2.  A slice is its increments: E_e is
-the set of pivot rows that degree e adds, so that
+the set of pivot rows that degree e adds, E_2 being the reduced rows of R
+itself, so that
 I_e = I_(e-1) * V + span E_e, every pivot row of I_d is a row of some E_j
 shifted on the right by a word of d - j letters, and
 rank I_e = g * rank I_(e-1) + |E_e|.  The increments of I_d begin with
@@ -147,17 +148,19 @@ class PresentedAlgebra:
         the leads of I_2; the numbers ends[y] of normal words ending in y
         carry each degree on."""
         g, top = len(self.gens), self.slice(3)
+        if not _pbw_certified(top.increments, g):
+            return None
         leads = top.increments[0]
         follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
         counts, ends = [1, g], [1] * g
-        while len(counts) <= max(d, 3):
+        while len(counts) <= d:
             step = [0] * g
             for x, c in enumerate(ends):
                 for y in follow[x]:
                     step[y] += c
             ends = step
             counts.append(sum(ends))
-        return counts[:d + 1] if _pbw_certified(top.increments, g) else None
+        return counts[:d + 1]
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""
@@ -210,10 +213,13 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
 
     ``known`` holds increments E_2, E_3, ... already built for the same
     ideal (of any depth); those up to degree d are kept as they are, and
-    the degrees past them are built one by one.  Degree e starts one plain
-    echelon with the rows of E_(e-1) shifted by each generator, whose leads
-    have a normal prefix of length e - 2, and inserts the rows u * r for
-    the normal words u of degree e - 2; the rows that raise its rank are
+    the degrees past them are built one by one.  Without them E_2 is
+    ``relations.rows``, whose reduced primitive rows with ascending leads
+    are the pivot rows an echelon would make of them.  Degree e >= 3
+    starts one plain echelon with the rows of E_(e-1) shifted by each
+    generator, whose leads have a normal prefix of length e - 2, and
+    inserts the rows u * r for the normal words u of degree e - 2 and the
+    rows r of E_2; the rows that raise its rank are
     E_e.  The pivot rows of E_j * V^(e-j) for j <= e - 2 lead with words
     whose prefix of length e - 2 is a lead of I_(e-2), and neither u * r
     nor any row it meets holds such a word, so they are never built: the
@@ -249,8 +255,7 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # one generator has one word of each degree, so only its length bounds it
     if d > budget:
         raise budget_refusal("word", d, budget)
-    increments = list(known[:d - 1])
-    relation_rows = list(relations.rows.values())
+    increments = list(known[:d - 1]) or [relations.rows]
     # one int object per word position, shared as a key by every row that
     # holds it, rather than a fresh int per entry
     word = list(range(size))
@@ -278,7 +283,7 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
                 shifted = len(rows)
                 for u in normal:
                     left = u * g * g
-                    for rel in relation_rows:
+                    for rel in increments[0].values():
                         ech.insert({word[left + mid]: c for mid, c in rel.items()})
                 increments.append(dict(itertools.islice(rows.items(), shifted, None)))
         if e == 3:

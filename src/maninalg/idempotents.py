@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .linalg import ONE, QMatrix, Record, Subspace, ZERO, _lead_one, format_rat, rat
+from .linalg import ONE, QMatrix, Record, Subspace, ZERO, _lead_one, rat
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _make,
                      flatten_index, multi_indices, swap_operator)
 
@@ -378,15 +378,13 @@ def conjugate(E: TensorOperator, sigma) -> TensorOperator:
 # --- named catalog ------------------------------------------------------------
 
 class IdempotentSpec(Record):
-    """A serializable handle for a catalog operator."""
+    """A catalog operator by name, as read from a JSON spec: the family,
+    the local dimension n and the family's parameters."""
 
     __slots__ = _fields = ("family", "n", "params")
 
     def __init__(self, family: str, n: int = 0, params: dict | None = None):
         super().__init__(family, n, {} if params is None else params)
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "n": self.n, "params": _json_value(self.params)}
 
     @staticmethod
     def from_json(doc) -> "IdempotentSpec":
@@ -405,18 +403,6 @@ class IdempotentSpec(Record):
         except KeyError:
             raise InvalidParameter(
                 f"family {self.family} needs the parameter {key!r}") from None
-
-
-def _json_value(value):
-    """value with every Fraction, at any depth of lists and dicts, written
-    as a 'p' or 'p/q' string."""
-    if isinstance(value, Fraction):
-        return format_rat(value)
-    if isinstance(value, dict):
-        return {key: _json_value(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
 
 
 def _custom(spec: IdempotentSpec) -> TensorOperator:

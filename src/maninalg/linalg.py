@@ -396,10 +396,6 @@ class SparseEchelon:
         self.pivots: dict[int, dict[int, int]] = {} if pivots is None else pivots
         self.leads = self.pivots if leads is None else leads
 
-    @property
-    def rank(self) -> int:
-        return len(self.leads)
-
     def reduce(self, row: dict) -> dict:
         """A nonzero integer multiple of the remainder of row modulo the span
         (empty iff row lies in the span)."""

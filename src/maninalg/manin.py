@@ -248,26 +248,26 @@ def bracket(x: NCPoly, y: NCPoly) -> NCPoly:
     return x * y - y * x
 
 
-def orthogonal_pair_relations(n: int, m: int, symbol: str = "M") -> list:
+def orthogonal_pair_relations(n: int, m: int) -> list:
     """The (A_n, B_m) relations with the central element eliminated:
     p^{ij}_{kl} = delta_{k+l,m+1} Lambda^{ij}, Lambda^{ij} = p^{ij}_{1m}
     (``_eliminated_relations``)."""
     return _eliminated_relations(
-        n, m, symbol, lambda i, j, k, l: (i, j, 1, m) if k + l == m + 1 else None)
+        n, m, lambda i, j, k, l: (i, j, 1, m) if k + l == m + 1 else None)
 
 
-def symplectic_pair_relations(n: int, m: int, symbol: str = "M") -> list:
+def symplectic_pair_relations(n: int, m: int) -> list:
     """The (B~_n, A_m) relations with the central element eliminated:
     p^{ij}_{kl} = delta_{i+j,n+1} Lambda~_{kl}, Lambda~_{kl} = p^{1n}_{kl}
     (``_eliminated_relations``)."""
     return _eliminated_relations(
-        n, m, symbol, lambda i, j, k, l: (1, n, k, l) if i + j == n + 1 else None)
+        n, m, lambda i, j, k, l: (1, n, k, l) if i + j == n + 1 else None)
 
 
-def _eliminated_relations(n: int, m: int, symbol: str, central) -> list:
+def _eliminated_relations(n: int, m: int, central) -> list:
     """p^{ij}_{kl} = [M^i_k, M^j_l] + [M^i_l, M^j_k] for i < j and k <= l,
     less p at the indices central(i, j, k, l) where that is not None."""
-    M = generator_matrix(symbol, n, m)
+    M = generator_matrix("M", n, m)
 
     @functools.cache  # each central term serves several relations
     def p(i, j, k, l):

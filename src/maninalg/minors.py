@@ -16,8 +16,9 @@ integer grid kernel of ``freealg.poly_grid_product``, and
 rhs.den * lhs.num - lhs.den * rhs.num (``PresentedAlgebra.congruent``)
 without building the difference.  Minors
 check their operators' arity and local dims against M and k; determinants
-and permanents, one sum over ``permutations.weighted_perms``, validate a
-k x k parameter matrix unless it is already an ``idempotents.ParameterMatrix``.
+and permanents, one sum over ``permutations.weighted_perms``, and
+``inversion_parameter_product`` validate a parameter matrix unless it is
+already an ``idempotents.ParameterMatrix``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .idempotents import check_parameter_matrix, uniform_parameter_matrix
 from .ideals import PresentedAlgebra
 from .linalg import Record
 from .permutations import Perm, mu, weighted_perms
-from .tensor import TensorOperator, compose_chain, flatten_index
+from .tensor import TensorOperator, compose_chain
 
 
 class MinorOperator(Record):
@@ -41,10 +42,6 @@ class MinorOperator(Record):
     def __init__(self, arity: int, left: TensorOperator, right: TensorOperator,
                  entries: tuple):
         super().__init__(arity, left, right, entries)
-
-    def entry(self, row_index, col_index) -> NCPoly:
-        return self.entries[flatten_index(row_index, self.left.row_dim)][
-            flatten_index(col_index, self.right.col_dim)]
 
 
 def minor_operator(T: TensorOperator, Ttilde: TensorOperator, M, k: int) -> MinorOperator:
@@ -161,5 +158,6 @@ def col_permuted(M, tau: Perm) -> list:
 
 
 def inversion_parameter_product(qhat, tau: Perm) -> Fraction:
-    """prod of q_ij over i < j with tau(i) > tau(j), which is mu(qhat, tau^-1)."""
-    return mu(qhat, tau.inverse())
+    """prod of q_ij over i < j with tau(i) > tau(j), which is mu(qhat, tau^-1),
+    for a valid parameter matrix qhat (``check_parameter_matrix``)."""
+    return mu(check_parameter_matrix(qhat), tau.inverse())

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, prod
 
-from .linalg import ONE, QMatrix, rat
+from .linalg import ONE
 
 
 class NonReducedWord(ValueError):
@@ -124,14 +124,10 @@ def inversion_set_from_reduced_word(word, k: int) -> frozenset:
     return out
 
 
-def mu(qhat, p: Perm) -> Fraction:
+def mu(rows, p: Perm) -> Fraction:
     """Inversion-indexed parameter product: prod of q_st over s < t with
-    p^{-1}(s) > p^{-1}(t).
-
-    qhat is a parameter matrix given as QMatrix or nested sequences,
-    1-indexed mathematically (entry q_st is qhat[s-1][t-1]).
-    """
-    rows = qhat.data if isinstance(qhat, QMatrix) else [[rat(x) for x in r] for r in qhat]
+    p^{-1}(s) > p^{-1}(t), rows being a parameter matrix of rationals,
+    1-indexed mathematically (entry q_st is rows[s-1][t-1])."""
     return _product(rows, _inversions(p.images))
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .freealg import NCPoly, matrix_gen
-from .idempotents import (IdempotentSpec, antisymmetrizer, is_idempotent,
+from .freealg import NCPoly
+from .idempotents import (antisymmetrizer, is_idempotent,
                           lie_idempotent, lie_structure_operator,
                           orthogonal_idempotent, rank_one_contraction,
                           symplectic_idempotent, twisted_rank_one_contraction,
@@ -109,11 +109,10 @@ def bcd_report(family: str, n: int) -> ScenarioReport:
     report.data[f"{variant}_dims"] = dims
     report.checks[f"{variant}_dims_formula"] = dims == [formula(n, k) for k in range(4)]
     if n == 2 and sign > 0:
+        m11, m12, m21, m22 = uni.gens
         d_crit = span_of_polys(
-            [NCPoly({(matrix_gen("M", 1, 1), matrix_gen("M", 2, 1)): 1,
-                     (matrix_gen("M", 2, 1), matrix_gen("M", 1, 1)): -1}),
-             NCPoly({(matrix_gen("M", 1, 2), matrix_gen("M", 2, 2)): 1,
-                     (matrix_gen("M", 2, 2), matrix_gen("M", 1, 2)): -1})],
+            [NCPoly({(m11, m21): 1, (m21, m11): -1}),
+             NCPoly({(m12, m22): 1, (m22, m12): -1})],
             uni.gens, 2)
         report.checks["two_by_two_criterion"] = uni.space == d_crit
     elif n == 2:
@@ -191,18 +190,13 @@ def _psi_product_table_holds(algebra, op, a, b, c, kappa) -> bool:
     return True
 
 
-def lie_seed(brackets, dim: int) -> tuple:
-    """Idempotent and report from Lie structure constants.
+def lie_seed(brackets, dim: int) -> ScenarioReport:
+    """The report on the idempotent of Lie structure constants.
 
     The construction only sees the degree-2 data, so constants violating
     the Jacobi identity still give an idempotent; the report flags whether
     Jacobi holds.
     """
-    spec_params = {"dim": dim,
-                   "brackets": [[i, j, k, str(v)]
-                                for (i, j), comps in sorted(brackets.items())
-                                for k, v in sorted(comps.items())]}
-    spec = IdempotentSpec("Lie", dim + 1, spec_params)
     report = ScenarioReport(f"lie-dim{dim}")
     C = lie_structure_operator(brackets, dim)
     A = antisymmetrizer(dim + 1)
@@ -214,7 +208,7 @@ def lie_seed(brackets, dim: int) -> tuple:
     dims = dimension_table(QuadAlgebra(E, "X"), 2)
     report.data["X_dims"] = dims
     report.data["jacobi_holds"] = _jacobi_holds(brackets, dim)
-    return spec, report
+    return report
 
 
 def _jacobi_holds(brackets, dim: int) -> bool:

@@ -582,7 +582,7 @@ def check_bcd_reports():
 
 
 def check_lie_seed():
-    _, rep = lie_seed(idem.sl2_brackets(), 3)
+    rep = lie_seed(idem.sl2_brackets(), 3)
     dims_ok = rep.data["X_dims"] == [1, 4, 10]
     return rep.passed and dims_ok and rep.data["jacobi_holds"], str(rep.data)
 
@@ -591,7 +591,7 @@ def check_lie_jacobi_blind():
     """Degree-2 construction accepts non-Lie antisymmetric constants."""
     brackets = {(1, 2): {1: 1}, (2, 1): {1: -1},
                 (1, 3): {2: 1}, (3, 1): {2: -1}}
-    _, rep = lie_seed(brackets, 3)
+    rep = lie_seed(brackets, 3)
     return rep.passed and not rep.data["jacobi_holds"], str(rep.data)
 
 

@@ -30,8 +30,8 @@ accumulator over one denominator; the group and Hecke pairing routes build
 their (q-)symmetrizers from it.
 
 Fractions appear only at the edges.  The constructor reads Fraction, int or
-'p/q' entries, or a dense :class:`QMatrix`; ``trace`` and ``entry`` return
-one Fraction.  ``num`` over ``den`` is the one view that the package reads.
+'p/q' entries, or a dense :class:`QMatrix`; ``trace`` returns one
+Fraction.  ``num`` over ``den`` is the one view that the package reads.
 The dense QMatrix view ``matrix`` is built on first use and kept only for
 callers outside the package (tests, demos and benchmarks).
 """
@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .freealg import _budget_from_env, _combine, _entry_product, poly_matrix
-from .linalg import ZERO, QMatrix, Subspace, rat
+from .linalg import QMatrix, Subspace, rat
 
 DEFAULT_TENSOR_BUDGET = 4096
 
@@ -187,11 +187,6 @@ class TensorOperator:
         """The span of the rows inside the col_dim^arity-dimensional space."""
         return Subspace.span((self.num[i] for i in sorted(self.num)),
                              self.col_dim ** self.arity)
-
-    def entry(self, row_index, col_index):
-        row = self.num.get(flatten_index(row_index, self.row_dim))
-        x = row.get(flatten_index(col_index, self.col_dim)) if row else None
-        return Fraction(x, self.den) if x else ZERO
 
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
         if not isinstance(other, TensorOperator):

@@ -50,6 +50,10 @@ pattern loop of ``freealg.parse_poly`` replaced.  ``perm_action``, the
 permutation action rho^+ on a tensor power written index by index, and
 ``inversion_set`` and ``reduced_word``, the brute-force inversion set and a
 reduced word by bubble sort, are the oracles of the S_k combinatorics.
+``entry`` reads one entry of an operator by multi-indices, and
+``spec_to_json`` writes an idempotent spec as the JSON that
+``IdempotentSpec.from_json`` reads, for the round-trip tests; the library
+reads specs and does not write them.
 """
 
 from __future__ import annotations
@@ -364,6 +368,12 @@ def poly_grid_product(grid, left=None, right=None) -> list:
 def fraction_rows(op: TensorOperator) -> dict:
     """The entries of op as sparse Fraction rows row -> {col: num / den}."""
     return {i: {j: Fraction(x, op.den) for j, x in row.items()} for i, row in op.num.items()}
+
+
+def entry(op: TensorOperator, row_index, col_index) -> Fraction:
+    """Entry (I, J) of op, for multi-indices I and J with digits from 1."""
+    row = op.num.get(flatten_index(row_index, op.row_dim), {})
+    return Fraction(row.get(flatten_index(col_index, op.col_dim), 0), op.den)
 
 
 def det_qhat(qhat, M) -> NCPoly:
@@ -1033,3 +1043,19 @@ def parse_poly(text: str) -> NCPoly:
             fail(len(text), "dangling '*'")
         out = out + NCPoly({tuple(word): coeff})
     return out
+
+
+def spec_to_json(spec) -> dict:
+    """An IdempotentSpec as a JSON object, with every Fraction of its params,
+    at any depth of lists and dicts, written as a 'p' or 'p/q' string."""
+    return {"family": spec.family, "n": spec.n, "params": _json_value(spec.params)}
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dense_reference as dense
 from maninalg.freealg import (Gen, NCPoly, NonHomogeneous, _entry_product,
-                              generator_matrix, matrix_gen, parse_poly, parse_poly_matrix,
+                              generator_matrix, parse_poly, parse_poly_matrix,
                               poly_grid_product, poly_mat_times_scalar,
                               scalar_times_poly_mat, sparse_coords)
 from maninalg.ideals import PresentedAlgebra
@@ -18,8 +18,7 @@ from maninalg.linalg import ONE, ZERO, InvalidRational, QMatrix
 from maninalg.tensor import TensorOperator, compose_chain
 
 A, B = Gen("a"), Gen("b")
-M11, M12, M21, M22 = (matrix_gen("M", i, j)
-                      for i in (1, 2) for j in (1, 2))
+M11, M12, M21, M22 = (Gen("M", (i, j)) for i in (1, 2) for j in (1, 2))
 
 
 def test_generator_is_the_pair_of_symbol_and_index():
@@ -36,8 +35,8 @@ def test_generator_is_the_pair_of_symbol_and_index():
 
 def test_one_is_neutral():
     p = NCPoly({(A, B): Fraction(2), (B,): Fraction(-1, 3)})
-    assert NCPoly.one() * p == p
-    assert p * NCPoly.one() == p
+    assert NCPoly.scalar(1) * p == p
+    assert p * NCPoly.scalar(1) == p
 
 
 def test_generator_product_is_a_word():
@@ -78,7 +77,7 @@ def test_sparse_coords_zero_and_unit():
 
 
 def test_sparse_coords_two_terms():
-    gens = [matrix_gen("M", 1, 1), matrix_gen("M", 1, 2)]
+    gens = [Gen("M", (1, 1)), Gen("M", (1, 2))]
     pos = {g: i for i, g in enumerate(gens)}
     p = NCPoly({(gens[0], gens[1]): 2, (gens[1], gens[0]): -3})
     assert sparse_coords(p, 2, pos, 2) == {1: 2, 2: -3}

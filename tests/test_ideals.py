@@ -213,7 +213,7 @@ def test_grown_slices_match_slices_from_scratch(name):
         chained = alg.slice(d).echelon
         fresh = build_slice_from_subspace(alg.gens, alg.relations, d).echelon
         oracle = dense.slice_from_scratch(g, alg.relations, d)
-        assert chained.rank == fresh.rank == oracle.rank, d
+        assert len(chained.leads) == len(fresh.leads) == oracle.rank, d
         assert set(chained.leads) == set(fresh.leads) == set(oracle.pivots), d
         assert chained.reduced_rows() == fresh.reduced_rows() == oracle.reduced_rows(), d
 
@@ -250,7 +250,7 @@ def _assert_slice_matches_oracle(grown, oracle_slices, where):
     """grown (an IdealSlice of degree d) has the rank, the leads and the
     reduced rows of the oracle's degree-d slice."""
     oracle = oracle_slices[grown.degree]
-    assert grown.dim == grown.echelon.rank == oracle.rank, where
+    assert grown.dim == len(grown.echelon.leads) == oracle.rank, where
     assert set(grown.echelon.leads) == set(oracle.pivots), where
     assert grown.echelon.reduced_rows() == oracle.reduced_rows(), where
 
@@ -268,11 +268,12 @@ def _oracle_inserts(oracle_slices, g: int, dim_r: int, b: int, d: int) -> int:
     """The rows that growing degree d from the increments of degree b
     inserts: |N_(e-2)| * dim R for each eliminated degree e = b+1..d, where
     N_m holds the words of degree m that the oracle's degree-m slice does
-    not lead (every word below degree 2).  Past degree 3 a degree is
-    eliminated only without the certificate."""
+    not lead (every word below degree 2).  Degree 2 is R itself and
+    eliminates nothing; past degree 3 a degree is eliminated only without
+    the certificate."""
     top = min(d, 3) if _certified_by_oracle(oracle_slices, g) else d
     return dim_r * sum(g ** (e - 2) - (oracle_slices[e - 2].rank if e > 3 else 0)
-                       for e in range(b + 1, top + 1))
+                       for e in range(max(b + 1, 3), top + 1))
 
 
 # the presentations of PRESENTATIONS without the degree-3 PBW certificate
@@ -310,6 +311,19 @@ def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name, monke
     assert list(alg._slices) == [2, 4, 6]
 
 
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_the_first_increment_is_the_relation_rows(name, monkeypatch):
+    # E_2 is R: degree 2 takes the reduced rows of R, in their order, and
+    # inserts none
+    alg = PRESENTATIONS[name]()
+    calls = _count_inserts(monkeypatch)
+    two = alg.slice(2)
+    assert calls[0] == 0
+    assert list(two.increments[0].items()) == list(alg.relations.rows.items())
+    oracle = {2: dense.slice_from_scratch(len(alg.gens), alg.relations, 2)}
+    _assert_slice_matches_oracle(two, oracle, name)
+
+
 def _count_inserts(monkeypatch) -> list:
     """A one-element list that counts the calls of SparseEchelon.insert."""
     calls = [0]
@@ -344,7 +358,7 @@ def test_lower_degrees_are_prefixes_of_the_deepest_cached_slice(name, monkeypatc
             if d < deepest:
                 assert calls[0] == 0, (order, d)
             ech = sl.echelon
-            assert sl.dim == ech.rank == fresh[d].rank == oracle[d].rank, (order, d)
+            assert sl.dim == len(ech.leads) == len(fresh[d].leads) == oracle[d].rank, (order, d)
             assert set(ech.leads) == set(fresh[d].leads) == set(oracle[d].pivots), (order, d)
             assert ech.reduced_rows() == fresh[d].reduced_rows() == oracle[d].reduced_rows(), \
                 (order, d)
@@ -370,15 +384,16 @@ def test_lower_degrees_of_the_universal_3x3_algebra_reduce_no_row(monkeypatch):
 def test_each_degree_inserts_one_row_per_normal_word_and_relation(name, monkeypatch):
     # an eliminated degree e inserts dim A_(e-2) * dim R rows, both from
     # scratch and from the cached slice one degree below, not
-    # g^(e-2) * dim R; with the certificate no degree past 3 is eliminated
-    # and none inserts a row
+    # g^(e-2) * dim R; degree 2 is R and inserts no row, and with the
+    # certificate no degree past 3 is eliminated and none inserts a row
     alg = PRESENTATIONS[name]()
     g, dim_r = len(alg.gens), alg.relations.dim
     oracle = {e: dense.slice_from_scratch(g, alg.relations, e) for e in range(2, 5)}
     quotient = [1, g] + [g ** e - oracle[e].rank for e in range(2, 5)]
     certified = _certified_by_oracle(oracle, g)
     assert certified == (name not in UNCERTIFIED)
-    inserts = [quotient[e - 2] * dim_r if e <= 3 or not certified else 0 for e in range(6)]
+    inserts = [quotient[e - 2] * dim_r if e == 3 or e > 3 and not certified else 0
+               for e in range(6)]
     calls = _count_inserts(monkeypatch)
     for d in range(2, 6):
         calls[0] = 0
@@ -401,9 +416,9 @@ def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, vari
     dim_r = alg.presentation().relations.dim
     echelonizing_r, calls[0] = calls[0], 0
     table = dimension_table(alg, 5)
-    # a certified table builds degrees 2 and 3 alone (hecke_minus)
+    # degree 2 is R, and a certified table eliminates degree 3 alone (hecke_minus)
     top = 3 if name == "hecke_minus" else 5
-    assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(2, top + 1)) * dim_r
+    assert calls[0] - echelonizing_r == sum(table[e - 2] for e in range(3, top + 1)) * dim_r
 
 
 def _probes(g: int, relations, d: int, rng) -> list:
@@ -508,7 +523,7 @@ def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
         probes = _probes(g, relations, d, rng)
         alg = PRESENTATIONS[name]()
         sl = alg.slice(d)
-        assert sl.dim == eager.rank, d
+        assert sl.dim == len(eager.leads), d
         assert [lead for lead in sl.increments[-1] if lead not in eager.pivots] == [], d
         ech = sl.echelon
         assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.increments[-1]), d
@@ -670,7 +685,7 @@ def test_105_catalog_algebras_certify_and_7_do_not():
 def test_slices_match_the_dense_oracle_at_each_degree(name, monkeypatch):
     # each degree grown from the cached one below and built from nothing,
     # after the inserts of the eliminated degrees: with the certificate
-    # degrees 2 and 3 alone
+    # degree 3 alone
     alg = _fresh_presentation(name)
     g, dim_r = len(alg.gens), alg.relations.dim
     calls = _count_inserts(monkeypatch)
@@ -740,7 +755,7 @@ def test_a_slice_grown_from_the_cached_degree_3_inserts_no_row_past_it(name, mon
     assert list(alg._slices) == [3, 6]
     if name in UNCERTIFIED_CATALOG:
         assert calls[0] > 0
-        assert top.dim == dense.eager_slice(g, alg.relations, 6).rank
+        assert top.dim == len(dense.eager_slice(g, alg.relations, 6).leads)
         return
     assert calls[0] == 0
     held = {w for w in range(g ** 6)

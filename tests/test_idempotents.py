@@ -145,7 +145,7 @@ def test_lie_identities():
 def test_spec_json_roundtrip():
     spec = idem.IdempotentSpec("Aqhat", 2,
                                {"qhat": [[1, 2], [F(1, 2), 1]]})
-    doc = spec.to_json()
+    doc = dense.spec_to_json(spec)
     rebuilt = idem.IdempotentSpec.from_json(doc)
     assert idem.build(rebuilt) == idem.build(spec)
     custom = idem.IdempotentSpec(

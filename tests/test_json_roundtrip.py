@@ -3,7 +3,9 @@
 Specs are drawn over every catalog family at small n, with parameters in
 the form a JSON document holds them (rationals as strings, integers as
 numbers).  Reading back what was written must give the same spec or the
-same operator, and writing it again the same JSON text.
+same operator, and writing it again the same JSON text.  The library reads
+specs and does not write them, so specs are written by the test-side
+``dense_reference.spec_to_json``.
 """
 
 import json
@@ -12,6 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from maninalg import idempotents as idem
 from maninalg.cli import operator_to_json
 from maninalg.linalg import format_rat
@@ -76,10 +79,10 @@ def specs(draw):
 @settings(max_examples=80, deadline=None)
 @given(specs())
 def test_spec_json_roundtrip_is_the_identity(spec):
-    written = json.dumps(spec.to_json())
+    written = json.dumps(dense.spec_to_json(spec))
     rebuilt = idem.IdempotentSpec.from_json(json.loads(written))
     assert rebuilt == spec
-    assert json.dumps(rebuilt.to_json()) == written
+    assert json.dumps(dense.spec_to_json(rebuilt)) == written
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,10 +106,10 @@ def test_rational_parameters_serialize_as_strings(n, q, data):
     qhat = [[Fraction(x) for x in row] for row in data.draw(parameter_matrix(n))]
     for spec in (idem.IdempotentSpec("RhatMinus", n, {"q": q}),
                  idem.IdempotentSpec("Aqhat", n, {"qhat": qhat})):
-        doc = spec.to_json()
+        doc = dense.spec_to_json(spec)
         rebuilt = idem.IdempotentSpec.from_json(json.loads(json.dumps(doc)))
         assert idem.build(rebuilt) == idem.build(spec)
-        assert rebuilt.to_json() == doc
+        assert dense.spec_to_json(rebuilt) == doc
 
 
 @st.composite
@@ -127,13 +130,7 @@ def specs_holding_fractions(draw):
 @settings(max_examples=60, deadline=None)
 @given(specs_holding_fractions())
 def test_nested_fractions_serialize_as_strings(spec):
-    doc = spec.to_json()
+    doc = dense.spec_to_json(spec)
     rebuilt = idem.IdempotentSpec.from_json(json.loads(json.dumps(doc)))
     assert idem.build(rebuilt) == idem.build(spec)
-    assert rebuilt.to_json() == doc
-
-
-def test_custom_matrix_fraction_entry_is_written_as_text():
-    spec = idem.IdempotentSpec("Custom", 1, {"matrix": [[Fraction(1, 2)]]})
-    assert json.dumps(spec.to_json()) == \
-        '{"family": "Custom", "n": 1, "params": {"matrix": [["1/2"]]}}'
+    assert dense.spec_to_json(rebuilt) == doc

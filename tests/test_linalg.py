@@ -157,7 +157,7 @@ def test_sparse_echelon_matches_dense_rank(m):
     ech = SparseEchelon()
     for row in m.data:
         ech.insert({j: x for j, x in enumerate(row) if x})
-    assert ech.rank == rref(m)[1] == m.rank()
+    assert len(ech.leads) == rref(m)[1] == m.rank()
     assert ech.dense_basis(m.cols).basis == dense.row_basis(m.data, m.cols)
 
 
@@ -261,7 +261,7 @@ def test_integer_echelon_matches_fraction_oracle(case):
         before = dict(row)
         assert ech.insert(row) == oracle.insert(row)
         assert row == before, "insert changed its argument"
-    assert ech.rank == oracle.rank
+    assert len(ech.leads) == oracle.rank
     assert set(ech.pivots) == set(oracle.pivots)
     assert ech.reduced_rows() == oracle.reduced_rows()
     for probe in probes:
@@ -301,7 +301,7 @@ def test_a_separate_lead_set_matches_the_plain_echelon(case, data):
     keep = data.draw(st.sets(st.sampled_from(leads)) if leads else st.just(set()))
     on_demand = _RowsOnDemand(plain.pivots, keep)
     split = SparseEchelon(on_demand, set(leads))
-    assert split.rank == plain.rank
+    assert len(split.leads) == len(plain.leads)
     for probe in probes + rows:
         assert split.reduce(probe) == plain.reduce(probe)
         assert split.contains(probe) == plain.contains(probe)
@@ -310,7 +310,7 @@ def test_a_separate_lead_set_matches_the_plain_echelon(case, data):
     assert split.pivots == plain.pivots and split.leads == set(plain.pivots)
     for probe in probes:
         assert split.insert(probe) == plain.insert(probe)
-        assert split.rank == plain.rank
+        assert len(split.leads) == len(plain.leads)
     assert split.leads == set(plain.pivots)
     assert split.reduced_rows() == plain.reduced_rows()
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dense_reference as dense
 from maninalg import idempotents as idem
-from maninalg.freealg import (Gen, NCPoly, generator_matrix, matrix_gen,
+from maninalg.freealg import (Gen, NCPoly, generator_matrix,
                               poly_grid_product, poly_matrix, sparse_coords)
 from maninalg.ideals import (PresentedAlgebra, commutator_relations,
                              free_presentation, span_of_polys)
@@ -105,7 +105,7 @@ def test_generator_matrix_passes_its_own_relations():
 
 def test_non_homogeneous_entries_rejected():
     gens, M = letters_2x2()
-    M[0][0] = M[0][0] + NCPoly.one()
+    M[0][0] = M[0][0] + NCPoly.scalar(1)
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
     with pytest.raises(ValueError):
         is_manin(pair, M, commutator_relations(gens))
@@ -145,8 +145,8 @@ def test_product_requires_commuting_factors():
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
     Mg = generator_matrix("M", 2, 2)
     Ng = generator_matrix("N", 2, 2)
-    gens = tuple(matrix_gen("M", i, j) for i in (1, 2) for j in (1, 2)) + \
-        tuple(matrix_gen("N", i, j) for i in (1, 2) for j in (1, 2))
+    gens = tuple(Gen("M", (i, j)) for i in (1, 2) for j in (1, 2)) + \
+        tuple(Gen("N", (i, j)) for i in (1, 2) for j in (1, 2))
     with pytest.raises(ValueError):
         product_is_manin(pair, pair, Mg, Ng, free_presentation(gens))
 
@@ -210,12 +210,12 @@ def test_transport_makes_the_moved_universal_matrix_manin():
 def test_submatrix_with_repeats():
     M = generator_matrix("M", 3, 3)
     sub = submatrix(M, (1, 1), (2, 3))
-    assert sub[0][0] == sub[1][0] == NCPoly.generator(matrix_gen("M", 1, 2))
+    assert sub[0][0] == sub[1][0] == NCPoly.generator(Gen("M", (1, 2)))
 
 
 def test_submatrix_refuses_indices_outside_the_matrix():
     M = generator_matrix("M", 2, 3)
-    assert submatrix(M, (2,), (3,)) == [[NCPoly.generator(matrix_gen("M", 2, 3))]]
+    assert submatrix(M, (2,), (3,)) == [[NCPoly.generator(Gen("M", (2, 3)))]]
     for I, J in [((0, 1), (1,)), ((1, 3), (1,)), ((1,), (-1, 2)), ((1,), (4,))]:
         with pytest.raises(ValueError, match="leave the 2 x 3 matrix"):
             submatrix(M, I, J)
@@ -395,7 +395,7 @@ def test_universal_relations_match_the_ncpoly_span():
 def test_defect_errors_keep_their_order():
     gens, M = letters_2x2()
     pair = ManinPair(idem.antisymmetrizer(2), idem.antisymmetrizer(2))
-    ragged = [M[0], M[1] + [NCPoly.one()]]
+    ragged = [M[0], M[1] + [NCPoly.scalar(1)]]
     with pytest.raises(ValueError, match="homogeneous of degree 1") as exc:
         is_manin(pair, ragged, commutator_relations(gens))
     assert type(exc.value) is ValueError

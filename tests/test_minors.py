@@ -62,7 +62,7 @@ def test_det_q_two_by_two():
 def test_det_of_identity():
     ident = poly_matrix([[1, 0], [0, 1]])
     qhat = idem.uniform_parameter_matrix(2, 3)
-    assert det_qhat(qhat, ident) == NCPoly.one()
+    assert det_qhat(qhat, ident) == NCPoly.scalar(1)
 
 
 def test_column_det_specialization():
@@ -424,6 +424,12 @@ def test_inversion_parameter_product_is_mu_of_the_inverse():
         assert want == mu(qhat, tau.inverse())
         values.add(want)
     assert len(values) > 6
+
+
+def test_inversion_parameter_product_refuses_an_invalid_parameter_matrix():
+    # q_12 * q_21 = 4: the matrix is validated, not read as it is
+    with pytest.raises(idem.InvalidParameter, match=r"q_ij \* q_ji = 1"):
+        inversion_parameter_product([[1, 2], [2, 1]], Perm((2, 1)))
 
 
 def test_a_restricted_or_conjugated_matrix_is_validated_once(monkeypatch):

@@ -269,7 +269,7 @@ def test_hecke_antisymmetrizer_entries():
                 col = tuple(I[tau(t) - 1] for t in range(1, k + 1))
                 expected = (scale * sigma.sign() * tau.sign()
                             * q ** (-inv(sigma) - inv(tau)))
-                assert A.entry(row, col) == expected
+                assert dense.entry(A, row, col) == expected
 
 
 def test_hecke_trace_is_binomial():
@@ -322,7 +322,7 @@ def test_closed_form_reduces_to_symmetrizers():
 
 def test_closed_form_single_entry():
     cf = closed_form_multiparam(idem.uniform_parameter_matrix(2, 2), 2, "A")
-    assert cf.operator.entry((1, 2), (2, 1)) == F(-1, 4)
+    assert dense.entry(cf.operator, (1, 2), (2, 1)) == F(-1, 4)
     assert cf.operator.trace() == 1
 
 
@@ -462,9 +462,9 @@ def test_hecke_basis_change_entries():
     q = F(2)
     G = hecke_basis_change(2, 2, q)
     norm = q_factorial(2, q) / 2
-    assert G.entry((1, 2), (1, 2)) == norm * q ** (-1)  # identity arrangement
-    assert G.entry((2, 1), (2, 1)) == norm * q         # one inversion
-    assert G.entry((1, 1), (1, 1)) == 1                 # repeated index
+    assert dense.entry(G, (1, 2), (1, 2)) == norm * q ** (-1)  # identity arrangement
+    assert dense.entry(G, (2, 1), (2, 1)) == norm * q         # one inversion
+    assert dense.entry(G, (1, 1), (1, 1)) == 1                 # repeated index
 
 
 def test_group_average_axioms_up_to_degree_four():

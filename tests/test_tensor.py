@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dense_reference as dense
 from maninalg import idempotents as idem
-from maninalg.freealg import NCPoly, generator_matrix, matrix_gen, poly_grid_product
+from maninalg.freealg import Gen, NCPoly, generator_matrix, poly_grid_product
 from maninalg.idempotents import antisymmetrizer
 from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
@@ -108,7 +108,7 @@ def test_compose_chain_base_cases():
     one = compose_chain(QMatrix.identity(2), 3)
     for i, row in enumerate(one):
         for j, e in enumerate(row):
-            assert e == (NCPoly.one() if i == j else NCPoly.zero())
+            assert e == (NCPoly.scalar(1) if i == j else NCPoly.zero())
 
 
 def test_compose_chain_entry_is_a_word():
@@ -117,7 +117,7 @@ def test_compose_chain_entry_is_a_word():
     row = flatten_index((1, 2), 2)
     col = flatten_index((1, 2), 2)
     assert chain[row][col] == NCPoly(
-        {(matrix_gen("M", 1, 1), matrix_gen("M", 2, 2)): 1})
+        {(Gen("M", (1, 1)), Gen("M", (2, 2))): 1})
 
 
 def _reversed_chain_reference(M, k):
@@ -127,7 +127,7 @@ def _reversed_chain_reference(M, k):
     for row_index in multi_indices(len(grid), k):
         row = []
         for col_index in multi_indices(len(grid[0]), k):
-            word = NCPoly.one()
+            word = NCPoly.scalar(1)
             for i, j in reversed(list(zip(row_index, col_index))):
                 word = word * grid[i - 1][j - 1]
             row.append(word)
@@ -152,7 +152,7 @@ def test_reversed_chain_matches_right_to_left_product(n, m):
     assert words == _reversed_chain_reference(M, 2)
     # entry (12, 21) is M^2_1 M^1_2, the reverse of compose_chain's word
     assert words[flatten_index((1, 2), n)][flatten_index((2, 1), m)] == NCPoly(
-        {(matrix_gen("M", 2, 1), matrix_gen("M", 1, 2)): 1})
+        {(Gen("M", (2, 1)), Gen("M", (1, 2))): 1})
 
 
 def test_budget_guard(monkeypatch):
