@@ -159,5 +159,10 @@ def col_permuted(M, tau: Perm) -> list:
 
 def inversion_parameter_product(qhat, tau: Perm) -> Fraction:
     """prod of q_ij over i < j with tau(i) > tau(j), which is mu(qhat, tau^-1),
-    for a valid parameter matrix qhat (``check_parameter_matrix``)."""
-    return mu(check_parameter_matrix(qhat), tau.inverse())
+    for a valid parameter matrix qhat (``check_parameter_matrix``) of tau's
+    size."""
+    rows = check_parameter_matrix(qhat)
+    if len(rows) != tau.size:
+        raise ValueError(f"a {len(rows)} x {len(rows)} parameter matrix does not fit "
+                         f"a permutation of {tau.size} points")
+    return mu(rows, tau.inverse())

@@ -18,12 +18,16 @@ from the same sparse slice echelon, read from the algebra's presentation
 pairing kind: (V_k, Vbar_k) for "S" and (W_k, Wbar_k) for "A".
 ``KIND_VARIANTS`` is the only place that maps a kind to its two variants.
 These pairs are memoized per (E, k, kind), at most 16 of them at a time.
-Graded dimensions are not: each call reads a fresh presentation, so the
-slices of one algebra are freed before those of the next are built.  Past
-degree 3 a dimension is first counted as normal words on the leads of the
-relations (``PresentedAlgebra.normal_word_counts``), which builds the slice
-of degree 3 alone and is exact when its count there equals dim A_3: the
-PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
+Graded dimensions are memoized by relation space, as int tables; no slice
+is kept: each miss reads a fresh presentation, so the slices of one
+algebra are freed before those of the next are built.  For a symmetric
+idempotent, A = A^T, Xstar has the relations of X and Xistar those of Xi,
+so each such pair is built once: one table serves both variants, and one
+annihilator is both members of a (right, left) pair.  Past degree 3 a
+dimension is first counted as normal words on the leads of the relations
+(``PresentedAlgebra.normal_word_counts``), which builds the slice of
+degree 3 alone and is exact when its count there equals dim A_3: the PBW
+certificate, by Bergman's diamond lemma.  Without it, and up to degree
 3, the dimensions read the ranks of the degree-k slice and of the degrees
 below it from its increments alone (a slice is its increments, and a lower
 degree's are a prefix), so they build no echelon and shift no row by more
@@ -67,8 +71,12 @@ class QuadAlgebra(Record):
 
     def presentation(self) -> PresentedAlgebra:
         """The algebra on anonymous generators t[1..n] and its relations."""
-        gens = tuple(Gen("t", (i,)) for i in range(1, self.n + 1))
-        return PresentedAlgebra(gens, relation_space(self))
+        return _presentation(self.n, relation_space(self))
+
+
+def _presentation(n: int, relations: Subspace) -> PresentedAlgebra:
+    """A fresh presentation of ``relations`` on the generators t[1..n]."""
+    return PresentedAlgebra(tuple(Gen("t", (i,)) for i in range(1, n + 1)), relations)
 
 
 def relation_space(alg: QuadAlgebra) -> Subspace:
@@ -92,7 +100,11 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
     """Graded dimensions in degrees 0..max_degree from one presentation,
-    after the budget check on n^max_degree.
+    after the budget check on n^max_degree.  They are memoized by (n,
+    relation space, max_degree), so an algebra with the relations of one
+    already tabulated, such as Xstar of a symmetric idempotent after X,
+    builds no slice; the budget is checked on every call, and each call
+    returns a new list.
 
     Past degree 3 they are the counts of normal words when the degree-3 PBW
     certificate holds; they are exact then, since the relations are a
@@ -107,14 +119,21 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
     _check_power(n, max_degree)
     if max_degree < 2:
         return [1, n][:max_degree + 1]
-    presentation = alg.presentation()
+    return list(_dimension_table(n, relation_space(alg), max_degree))
+
+
+# n leads the key: a Subspace compare across ambient sizes raises, and a
+# key that differs in n is told apart before the relations are compared.
+@functools.lru_cache(maxsize=16)
+def _dimension_table(n: int, relations: Subspace, max_degree: int) -> tuple:
+    presentation = _presentation(n, relations)
     counts = presentation.normal_word_counts(max_degree) if max_degree > 3 else None
     if counts is not None:
-        return counts
+        return tuple(counts)
     ranks = [0, 0]
     for rows in presentation.slice(max_degree).increments:
         ranks.append(n * ranks[-1] + len(rows))
-    return [n ** k - rank for k, rank in enumerate(ranks)]
+    return tuple(n ** k - rank for k, rank in enumerate(ranks))
 
 
 def component_subspaces(E: TensorOperator, k: int, kind: str):
@@ -124,7 +143,9 @@ def component_subspaces(E: TensorOperator, k: int, kind: str):
     V_k is the joint right kernel of the embedded copies of E at adjacent
     legs, Vbar_k the joint left kernel; W uses S = 1 - E.  Each is the
     annihilator of a degree-k ideal slice (``KIND_VARIANTS``).  For k < 2
-    both are the full space.  The budget is checked on every call, so a
+    both are the full space.  When the two variants share their relations,
+    as for a symmetric E, one slice is built and its annihilator is returned
+    as both right and left.  The budget is checked on every call, so a
     lowered budget refuses a size already in the memo.  Callers share the
     memoized subspaces and must not modify them.
     """
@@ -139,5 +160,10 @@ def _component_subspaces(E: TensorOperator, k: int, kind: str) -> tuple:
     if k < 2:
         full = Subspace.zero(E.row_dim ** k).annihilator()
         return full, full
-    return tuple(QuadAlgebra(E, variant).presentation().slice(k).subspace().annihilator()
-                 for variant in KIND_VARIANTS[kind])
+    right, left = (relation_space(QuadAlgebra(E, variant)) for variant in KIND_VARIANTS[kind])
+
+    def annihilator(relations: Subspace) -> Subspace:
+        return _presentation(E.row_dim, relations).slice(k).subspace().annihilator()
+
+    right_space = annihilator(right)
+    return right_space, right_space if left == right else annihilator(left)

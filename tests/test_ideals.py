@@ -409,7 +409,8 @@ def test_each_degree_inserts_one_row_per_normal_word_and_relation(name, monkeypa
 @pytest.mark.parametrize("name, variant", [("hecke_minus", "X"), ("hecke_minus", "Xi"),
                                            ("symplectic", "Xistar"), ("symplectic", "X")])
 def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, variant,
-                                                                      monkeypatch):
+                                                                      monkeypatch,
+                                                                      cold_quadratic):
     E = idem.hecke_minus(3, F(2)) if name == "hecke_minus" else idem.symplectic_idempotent(4)
     alg = QuadAlgebra(E, variant)
     calls = _count_inserts(monkeypatch)
@@ -559,7 +560,7 @@ def _spy_on_slices(monkeypatch) -> tuple:
     (idem.orthogonal_idempotent(3), "Xstar", 6, True),
     (idem.fourparam_idempotent(2, 2, 2, 1), "X", 6, False)])
 def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, certified,
-                                                                monkeypatch):
+                                                                monkeypatch, cold_quadratic):
     # a certified graded dimension builds the slice of degree 3 alone and
     # counts normal words; an uncertified one grows the degree-k slice from
     # its increments and reads its ranks.  No slice, not even the degree-k
@@ -571,11 +572,16 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
             for e in range(k + 1)]
     built, deeper = _spy_on_slices(monkeypatch)
     assert graded_dimension(alg, k) == want[k]
+    cold_quadratic()
     assert dimension_table(alg, k) == want
     if certified:
         assert [s.degree for s in built] == [3, 3]
     else:
         assert [s.degree for s in built] == [3, k, 3, k]
+    # warm, the memoized table builds no slice
+    built.clear()
+    assert dimension_table(alg, k) == want
+    assert built == []
     assert alg.presentation().slice(k).dim == E.row_dim ** k - want[k]
     assert built[-1].degree == k
     for s in built:

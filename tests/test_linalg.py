@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maninalg import idempotents as idem
-from maninalg import linalg, quadratic
+from maninalg import linalg
 from maninalg.freealg import Gen, NCPoly
 from maninalg.ideals import PresentedAlgebra, commutator_relations, span_of_polys
 from maninalg.linalg import (AmbientMismatch, InvalidRational, QMatrix, SparseEchelon,
@@ -374,7 +374,7 @@ def test_dense_int_vectors_stay_ints():
     assert not span.contains([1, 0, 0, 0])
 
 
-def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch):
+def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch, cold_quadratic):
     # every row on these paths reaches the engine as nonzero ints, so it is
     # copied as it is; a producer that starts emitting Fractions fails here
     seen = []
@@ -385,7 +385,6 @@ def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch):
         return original(row)
 
     monkeypatch.setattr(linalg, "_integer_row", spy)
-    quadratic._component_subspaces.cache_clear()
     for E, variant, k in [(idem.hecke_minus(3, Fraction(2, 3)), "X", 4),
                           (idem.hecke_minus(2, Fraction(5, 7)), "Xi", 5),
                           (idem.symplectic_idempotent(4), "Xistar", 3),
@@ -410,4 +409,3 @@ def test_library_producers_hand_the_engine_rows_of_nonzero_ints(monkeypatch):
     assert len(seen) > 100
     bad = [row for row in seen if not all(type(c) is int and c for c in row.values())]
     assert not bad, bad[:3]
-    quadratic._component_subspaces.cache_clear()

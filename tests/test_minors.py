@@ -432,6 +432,17 @@ def test_inversion_parameter_product_refuses_an_invalid_parameter_matrix():
         inversion_parameter_product([[1, 2], [2, 1]], Perm((2, 1)))
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_inversion_parameter_product_refuses_a_permutation_of_another_size(size):
+    # a 1 x 1 matrix has no q_12 to read, and a 3 x 3 one would be read
+    # silently through its top-left corner
+    qhat = [[1 if i == j else 2 if i < j else Fraction(1, 2) for j in range(size)]
+            for i in range(size)]
+    with pytest.raises(ValueError, match=f"a {size} x {size} parameter matrix does not fit "
+                                         "a permutation of 2 points"):
+        inversion_parameter_product(qhat, Perm((2, 1)))
+
+
 def test_a_restricted_or_conjugated_matrix_is_validated_once(monkeypatch):
     """Each call chain below validates its list input once: the derived
     ParameterMatrix passes its consumer without a second check."""

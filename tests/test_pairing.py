@@ -590,9 +590,7 @@ def axiom_cases():
 
 
 def test_verify_axioms_forms_no_products(axiom_cases, no_operator_products,
-                                         no_dense_views):
-    import maninalg.quadratic as quadratic
-    quadratic._component_subspaces.cache_clear()
+                                         no_dense_views, cold_quadratic):
     one = TensorOperator.identity(2, 1)
     with pytest.raises(AssertionError, match="product"):
         one * one

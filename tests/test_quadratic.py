@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maninalg import ideals, idempotents as idem, quadratic
+from maninalg import ideals, idempotents as idem
 from maninalg.quadratic import (VARIANTS, QuadAlgebra, component_subspaces,
                                 dimension_table, graded_dimension,
                                 relation_space)
@@ -109,10 +109,12 @@ def _differential_cases():
 
 
 @pytest.mark.parametrize("E, k", _differential_cases())
-def test_component_subspaces_match_dense_joint_kernels(E, k):
+def test_component_subspaces_match_dense_joint_kernels(E, k, cold_quadratic):
+    # cold, so a symmetric E takes the one-slice path at every k
     S = idem.TensorOperator.identity(E.row_dim, 2) - E
     for kind, killer in (("S", E), ("A", S)):
         right, left = component_subspaces(E, k, kind)
+        assert (right is left) == (E.transpose() == E), kind
         assert (right.basis, left.basis) == dense.joint_kernels(killer, k), kind
 
 
@@ -162,7 +164,7 @@ def _count_slice_builds(monkeypatch):
     return builds
 
 
-def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
+def test_dimension_table_refuses_before_building_any_degree(monkeypatch, cold_quadratic):
     builds = _count_slice_builds(monkeypatch)
     alg = QuadAlgebra(idem.antisymmetrizer(3), "X")
     monkeypatch.setenv("MANIN_BUDGET", "100")  # 3^4 = 81 fits, 3^5 = 243 does not
@@ -180,15 +182,27 @@ def test_dimension_table_refuses_before_building_any_degree(monkeypatch):
     assert builds == [3, 4]
 
 
-def test_component_subspaces_miss_builds_two_slices(monkeypatch):
-    quadratic._component_subspaces.cache_clear()
+def test_component_subspaces_miss_of_a_symmetric_idempotent_builds_one_slice(
+        monkeypatch, cold_quadratic):
+    # hecke_minus is symmetric: Xistar and Xi share their relations, and so
+    # W_3 and Wbar_3 are one subspace
     builds = _count_slice_builds(monkeypatch)
-    component_subspaces(idem.hecke_minus(3, 2), 3, "A")
+    right, left = component_subspaces(idem.hecke_minus(3, 2), 3, "A")
+    assert builds == [3]
+    assert right is left
+
+
+def test_component_subspaces_miss_builds_two_slices(monkeypatch, cold_quadratic):
+    # a non-symmetric E: X and Xstar have different relations
+    E = idem.fourparam_idempotent(2, 3, F(1, 2), 1)
+    assert relation_space(QuadAlgebra(E, "X")) != relation_space(QuadAlgebra(E, "Xstar"))
+    builds = _count_slice_builds(monkeypatch)
+    right, left = component_subspaces(E, 3, "S")
     assert builds == [3, 3]
+    assert right != left
 
 
-def test_component_subspaces_memo_is_by_value(monkeypatch):
-    quadratic._component_subspaces.cache_clear()
+def test_component_subspaces_memo_is_by_value(monkeypatch, cold_quadratic):
     first = component_subspaces(idem.orthogonal_idempotent(3), 3, "S")
     builds = _count_slice_builds(monkeypatch)
     again = idem.orthogonal_idempotent(3)  # equal, but a separate object
@@ -202,6 +216,58 @@ def test_component_subspaces_budget_checked_before_memo(monkeypatch):
     monkeypatch.setenv("MANIN_BUDGET", "8")  # 2^4 = 16 words
     with pytest.raises(BudgetExceeded):
         component_subspaces(E, 4, "A")
+
+
+def test_dimension_table_memo_builds_no_slice_when_warm(monkeypatch, cold_quadratic):
+    alg = QuadAlgebra(idem.fourparam_idempotent(2, 3, F(1, 2), 1), "X")
+    first = dimension_table(alg, 4)
+    builds = _count_slice_builds(monkeypatch)
+    assert dimension_table(alg, 4) == first
+    assert dimension_table(QuadAlgebra(alg.idempotent, "X"), 4) == first
+    assert builds == []
+
+
+SYMMETRIC = [(name, E) for name, E in catalog_instances() if E.transpose() == E]
+
+
+@pytest.mark.parametrize("name, E", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_starred_tables_of_a_symmetric_idempotent_build_no_slice(name, E, monkeypatch,
+                                                                  cold_quadratic):
+    # A = A^T: Xstar has the relations of X and Xistar those of Xi
+    builds = _count_slice_builds(monkeypatch)
+    for plain, starred in (("X", "Xstar"), ("Xi", "Xistar")):
+        want = dimension_table(QuadAlgebra(E, plain), 4)
+        assert builds, plain
+        builds.clear()
+        assert dimension_table(QuadAlgebra(E, starred), 4) == want, starred
+        assert builds == [], starred
+
+
+def test_starred_table_with_other_relations_is_built(monkeypatch, cold_quadratic):
+    E = dict(catalog_instances())["Aq_2"]
+    assert relation_space(QuadAlgebra(E, "X")) != relation_space(QuadAlgebra(E, "Xstar"))
+    want = dimension_table(QuadAlgebra(E, "X"), 4)
+    builds = _count_slice_builds(monkeypatch)
+    assert dimension_table(QuadAlgebra(E, "Xstar"), 4) == want  # both quantum planes
+    assert builds == [3]
+
+
+def test_dimension_table_returns_a_new_list(cold_quadratic):
+    alg = QuadAlgebra(idem.orthogonal_idempotent(3), "X")
+    table = dimension_table(alg, 4)
+    want = list(table)
+    table[4] = -1
+    table.append(0)
+    assert dimension_table(alg, 4) == want
+    assert graded_dimension(alg, 4) == want[4]
+
+
+def test_dimension_table_budget_checked_before_memo(monkeypatch, cold_quadratic):
+    alg = QuadAlgebra(idem.antisymmetrizer(2), "Xi")
+    dimension_table(alg, 4)
+    monkeypatch.setenv("MANIN_BUDGET", "8")  # 2^4 = 16 words
+    with pytest.raises(BudgetExceeded):
+        dimension_table(alg, 4)
 
 
 # The catalog algebras whose degree-2 relations are not a Groebner basis in
@@ -222,7 +288,7 @@ CATALOG = catalog_instances()
 
 
 @pytest.mark.parametrize("name, E", CATALOG, ids=[name for name, _ in CATALOG])
-def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch):
+def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch, cold_quadratic):
     # every degree within the default budget, both functions, each variant;
     # an uncertified algebra must take the slice route, since its count of
     # normal words is not its dimension
@@ -236,6 +302,7 @@ def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch):
                 for k in range(top + 1)]
         assert dimension_table(alg, top) == want, variant
         assert [graded_dimension(alg, k) for k in range(top + 1)] == want, variant
+        cold_quadratic()
         builds.clear()
         assert graded_dimension(alg, top) == want[top]
         counts = alg.presentation().normal_word_counts(top)
@@ -245,6 +312,10 @@ def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch):
             assert _naive_count(presentation.relations, n, 3) > want[3], variant
         else:
             assert builds == [3, 3] and counts == want, variant
+        # the table is memoized by its relations: a warm call builds nothing
+        builds.clear()
+        assert graded_dimension(alg, top) == want[top]
+        assert builds == [], variant
 
 
 @st.composite
