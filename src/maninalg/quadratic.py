@@ -17,17 +17,17 @@ from the same sparse slice echelon, read from the algebra's presentation
 ``component_subspaces(E, k, kind)`` gives the (right, left) pair of one
 pairing kind: (V_k, Vbar_k) for "S" and (W_k, Wbar_k) for "A".
 ``KIND_VARIANTS`` is the only place that maps a kind to its two variants.
-These pairs are memoized per (E, k, kind), at most 16 of them at a time.
-Graded dimensions are memoized by relation space, as int tables; no slice
-is kept: each miss reads a fresh presentation, so the slices of one
-algebra are freed before those of the next are built.  For a symmetric
-idempotent, A = A^T, Xstar has the relations of X and Xistar those of Xi,
-so each such pair is built once: one table serves both variants, and one
-annihilator is both members of a (right, left) pair.  Past degree 3 a
-dimension is first counted as normal words on the leads of the relations
-(``PresentedAlgebra.normal_word_counts``), which builds the slice of
-degree 3 alone and is exact when its count there equals dim A_3: the PBW
-certificate, by Bergman's diamond lemma.  Without it, and up to degree
+Relation spaces are memoized per algebra, and graded dimensions, as int
+tables, and the annihilators that make up these pairs by relation space;
+no slice is kept: each miss reads a fresh presentation, so the slices of
+one algebra are freed before those of the next are built.  For a
+symmetric idempotent, A = A^T, Xstar has the relations of X and Xistar
+those of Xi, so each such pair is built once: one table serves both
+variants, and one annihilator is both members of a (right, left) pair.
+Past degree 3 a dimension is first counted as normal words on the leads
+of the relations (``PresentedAlgebra.normal_word_counts``), which builds
+the slice of degree 3 alone and is exact when its count there equals
+dim A_3: the PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
 3, the dimensions read the ranks of the degree-k slice and of the degrees
 below it from its increments alone (a slice is its increments, and a lower
 degree's are a prefix), so they build no echelon and shift no row by more
@@ -46,6 +46,12 @@ from .linalg import Record, Subspace
 from .tensor import TensorOperator, _check_power
 
 VARIANTS = ("X", "Xi", "Xstar", "Xistar")
+
+# The most entries each memo of this module keeps.  The largest caller, one
+# run of every suite item, asks for 35 distinct tables and 45 distinct
+# annihilators, which stay, and for 91 distinct relation spaces, of which
+# 5 are evicted and computed again in tens of microseconds each.
+_MEMO_ENTRIES = 64
 
 # The algebras whose degree-k ideal slices annihilate the (right, left)
 # intersection subspaces of each pairing kind.
@@ -79,8 +85,10 @@ def _presentation(n: int, relations: Subspace) -> PresentedAlgebra:
     return PresentedAlgebra(tuple(Gen("t", (i,)) for i in range(1, n + 1)), relations)
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def relation_space(alg: QuadAlgebra) -> Subspace:
-    """The degree-2 relation subspace inside the n^2-dimensional word space."""
+    """The degree-2 relation subspace inside the n^2-dimensional word space,
+    memoized: callers share it and must not modify it."""
     A = alg.idempotent
     if alg.variant == "X":
         return A.row_space()
@@ -124,7 +132,7 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
 
 # n leads the key: a Subspace compare across ambient sizes raises, and a
 # key that differs in n is told apart before the relations are compared.
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _dimension_table(n: int, relations: Subspace, max_degree: int) -> tuple:
     presentation = _presentation(n, relations)
     counts = presentation.normal_word_counts(max_degree) if max_degree > 3 else None
@@ -142,28 +150,25 @@ def component_subspaces(E: TensorOperator, k: int, kind: str):
 
     V_k is the joint right kernel of the embedded copies of E at adjacent
     legs, Vbar_k the joint left kernel; W uses S = 1 - E.  Each is the
-    annihilator of a degree-k ideal slice (``KIND_VARIANTS``).  For k < 2
-    both are the full space.  When the two variants share their relations,
-    as for a symmetric E, one slice is built and its annihilator is returned
-    as both right and left.  The budget is checked on every call, so a
-    lowered budget refuses a size already in the memo.  Callers share the
-    memoized subspaces and must not modify them.
+    annihilator of a degree-k ideal slice (``KIND_VARIANTS``), memoized by
+    (n, relation space, k): two variants with the same relations, as for a
+    symmetric E or for idempotents sharing a kernel, share one subspace.
+    For k < 2 both are the full space.  The budget is checked on every
+    call, so a lowered budget refuses a size already in the memo.  Callers
+    share the memoized subspaces and must not modify them.
     """
     if kind not in KIND_VARIANTS:
         raise ValueError(f"kind must be one of {tuple(KIND_VARIANTS)}")
-    _check_power(E.row_dim, k)
-    return _component_subspaces(E, k, kind)
-
-
-@functools.lru_cache(maxsize=16)
-def _component_subspaces(E: TensorOperator, k: int, kind: str) -> tuple:
+    n = E.row_dim
+    _check_power(n, k)
     if k < 2:
-        full = Subspace.zero(E.row_dim ** k).annihilator()
+        full = Subspace.zero(n ** k).annihilator()
         return full, full
-    right, left = (relation_space(QuadAlgebra(E, variant)) for variant in KIND_VARIANTS[kind])
+    return tuple(_annihilator(n, relation_space(QuadAlgebra(E, variant)), k)
+                 for variant in KIND_VARIANTS[kind])
 
-    def annihilator(relations: Subspace) -> Subspace:
-        return _presentation(E.row_dim, relations).slice(k).subspace().annihilator()
 
-    right_space = annihilator(right)
-    return right_space, right_space if left == right else annihilator(left)
+# keyed like _dimension_table
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _annihilator(n: int, relations: Subspace, k: int) -> Subspace:
+    return _presentation(n, relations).slice(k).subspace().annihilator()

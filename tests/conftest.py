@@ -4,8 +4,9 @@ from maninalg import quadratic
 
 
 def _clear_quadratic_memos():
+    quadratic.relation_space.cache_clear()
     quadratic._dimension_table.cache_clear()
-    quadratic._component_subspaces.cache_clear()
+    quadratic._annihilator.cache_clear()
 
 
 @pytest.fixture

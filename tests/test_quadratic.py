@@ -206,8 +206,21 @@ def test_component_subspaces_memo_is_by_value(monkeypatch, cold_quadratic):
     first = component_subspaces(idem.orthogonal_idempotent(3), 3, "S")
     builds = _count_slice_builds(monkeypatch)
     again = idem.orthogonal_idempotent(3)  # equal, but a separate object
-    assert component_subspaces(again, 3, "S") is first
+    assert all(a is b for a, b in zip(component_subspaces(again, 3, "S"), first))
     assert builds == []
+
+
+def test_component_subspaces_of_idempotents_with_equal_relations_share_slices(
+        monkeypatch, cold_quadratic):
+    # q_antisymmetrizer and hecke_minus are left equivalent: the relations of
+    # X are the same, and hecke_minus is symmetric, so its V_3 and Vbar_3 are
+    # both the V_3 of q_antisymmetrizer
+    E1, E2 = idem.q_antisymmetrizer(3, F(2)), idem.hecke_minus(3, F(2))
+    v3, _ = component_subspaces(E1, 3, "S")
+    builds = _count_slice_builds(monkeypatch)
+    right, left = component_subspaces(E2, 3, "S")
+    assert builds == []
+    assert right is left is v3
 
 
 def test_component_subspaces_budget_checked_before_memo(monkeypatch):
