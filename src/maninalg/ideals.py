@@ -23,12 +23,14 @@ the rows u * r whose lead u * l has no lead of E_(e-1) as its prefix of
 length e - 1, taken as they are.  ``PresentedAlgebra`` owns the
 slices: it caches each requested degree and builds a new one from the
 increments of the deepest cached slice, so a lower degree costs no
-elimination; it counts the normal words of every degree when the slice
-of degree 3 certifies that count (``normal_word_counts``), and has one
-membership test, ``contains_rows``, which ``congruent`` and the Manin
-checks call: integer rows of degree d lie in the ideal when each reduces
-to zero against the echelon of the degree-d slice, which holds the rows
-of E_d and builds a shifted row only when a reduction reaches its lead.
+elimination.  It owns the graded dimensions of the quotient too
+(``dimensions``), counted as normal words past degree 3 when the slice of
+degree 3 certifies that count, else read from one slice's increments; and
+it has one membership test, ``contains_rows``, which ``congruent`` and
+the Manin checks call: integer rows of degree d lie in the ideal when
+each reduces to zero against the echelon of the degree-d slice, which
+holds the rows of E_d and builds a shifted row only when a reduction
+reaches its lead.
 """
 
 from __future__ import annotations
@@ -136,31 +138,41 @@ class PresentedAlgebra:
                 self.gens, self.relations, d, known)
         return cached
 
-    def normal_word_counts(self, d: int) -> list | None:
-        """The quotient's dimensions in degrees 0..d counted as normal
-        words, those holding no lead of I_2 as a factor, when that count is
-        exact; else None.  A word holding such a lead is a lead of I_e, so
-        the count bounds dim A_e from above.  It equals dim A_3 exactly when
-        the degree-3 PBW certificate holds (``_pbw_certified``); then the
-        relations are a Groebner basis (Bergman's diamond lemma) and it
-        equals dim A_e in every degree.  Reads the slice of degree 3 alone
-        (a prefix of any deeper cached slice), whose first increment holds
-        the leads of I_2; the numbers ends[y] of normal words ending in y
-        carry each degree on."""
-        g, top = len(self.gens), self.slice(3)
-        if not _pbw_certified(top.increments, g):
-            return None
-        leads = top.increments[0]
-        follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
-        counts, ends = [1, g], [1] * g
-        while len(counts) <= d:
-            step = [0] * g
-            for x, c in enumerate(ends):
-                for y in follow[x]:
-                    step[y] += c
-            ends = step
-            counts.append(sum(ends))
-        return counts[:d + 1]
+    def dimensions(self, d: int) -> list:
+        """The quotient's dimensions in degrees 0..d, refused like
+        ``slice(d)`` before any slice is built.  Past degree 3, when the
+        degree-3 PBW certificate holds (``_pbw_certified``), they are the
+        counts of normal words, those holding no lead of I_2 as a factor:
+        the relations are then a Groebner basis (Bergman's diamond lemma).
+        The count reads the slice of degree 3 alone (a prefix of any deeper
+        cached slice), whose first increment holds the leads of I_2, and
+        the numbers ends[y] of normal words ending in y carry each degree
+        on.  Otherwise they are g^e - rank I_e, read from the increments of
+        the degree-d slice: rank I_e = g * rank I_(e-1) + |E_e|."""
+        if d < 0:
+            raise ValueError(f"max degree must be non-negative, got {d}")
+        g = len(self.gens)
+        _word_space_size(g, d)
+        if d < 2:
+            return [1, g][:d + 1]
+        if d > 3:
+            increments = self.slice(3).increments
+            if _pbw_certified(increments, g):
+                leads = increments[0]
+                follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
+                counts, ends = [1, g], [1] * g
+                while len(counts) <= d:
+                    step = [0] * g
+                    for x, c in enumerate(ends):
+                        for y in follow[x]:
+                            step[y] += c
+                    ends = step
+                    counts.append(sum(ends))
+                return counts
+        ranks = [0, 0]
+        for rows in self.slice(d).increments:
+            ranks.append(g * ranks[-1] + len(rows))
+        return [g ** e - rank for e, rank in enumerate(ranks)]
 
     def reduces_to_zero(self, p: NCPoly) -> bool:
         """Membership of a homogeneous polynomial in the graded ideal."""
@@ -226,10 +238,8 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     increments, rank and leads are those of inserting w * r for every word
     w into the full slice.  The normal words of degree e - 1 are those of
     degree e - 2 followed by each generator, less the leads of E_(e-1),
-    replayed through the known degrees too.  A word space of more than
-    ``word_budget()`` words, or of words longer than that, is refused
-    before anything is built, and before g^d is formed when d alone shows
-    it too large (``tensor._power_size``).
+    replayed through the known degrees too.  A word space over the budget
+    is refused before anything is built (``_word_space_size``).
 
     Once E_2 and E_3 are known, built or kept, the degree-3 certificate is
     decided (``_pbw_certified``).  When it holds, degree e >= 4 builds no
@@ -248,13 +258,7 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     g = len(gens)
     if d < 2:
         raise ValueError("ideal slices start at degree 2")
-    budget = word_budget()
-    size = _power_size("word space", g, d, budget)
-    if size > budget:
-        raise budget_refusal("word space", size, budget)
-    # one generator has one word of each degree, so only its length bounds it
-    if d > budget:
-        raise budget_refusal("word", d, budget)
+    size = _word_space_size(g, d)
     increments = list(known[:d - 1]) or [relations.rows]
     # one int object per word position, shared as a key by every row that
     # holds it, rather than a fresh int per entry
@@ -291,6 +295,20 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
         normal = [w for u in normal for w in word[u * g:u * g + g] if w not in newest]
         newest = increments[e - 2]
     return IdealSlice(gens, d, tuple(increments))
+
+
+def _word_space_size(g: int, d: int) -> int:
+    """g^d, the number of words of degree d, refused when it passes
+    ``word_budget()`` or d passes the longest word, before g^d is formed
+    when d alone shows it too large (``tensor._power_size``)."""
+    budget = word_budget()
+    size = _power_size("word space", g, d, budget)
+    if size > budget:
+        raise budget_refusal("word space", size, budget)
+    # one generator has one word of each degree, so only its length bounds it
+    if d > budget:
+        raise budget_refusal("word", d, budget)
+    return size
 
 
 def _pbw_certified(increments, g: int) -> bool:

@@ -24,16 +24,11 @@ one algebra are freed before those of the next are built.  For a
 symmetric idempotent, A = A^T, Xstar has the relations of X and Xistar
 those of Xi, so each such pair is built once: one table serves both
 variants, and one annihilator is both members of a (right, left) pair.
-Past degree 3 a dimension is first counted as normal words on the leads
-of the relations (``PresentedAlgebra.normal_word_counts``), which builds
-the slice of degree 3 alone and is exact when its count there equals
-dim A_3: the PBW certificate, by Bergman's diamond lemma.  Without it, and up to degree
-3, the dimensions read the ranks of the degree-k slice and of the degrees
-below it from its increments alone (a slice is its increments, and a lower
-degree's are a prefix), so they build no echelon and shift no row by more
-than one generator.  The same certificate lets ``component_subspaces`` build
-a slice past degree 3 with no elimination at all, from the rows u * r alone
-(``ideals.build_slice_from_subspace``).
+Graded dimensions are those of the presentation
+(``PresentedAlgebra.dimensions``): past degree 3 they count normal words
+and build the slice of degree 3 alone when the PBW certificate holds, and
+that certificate lets ``component_subspaces`` build a slice past degree 3
+with no elimination at all (``ideals.build_slice_from_subspace``).
 """
 
 from __future__ import annotations
@@ -107,26 +102,15 @@ def graded_dimension(alg: QuadAlgebra, k: int) -> int:
 
 
 def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
-    """Graded dimensions in degrees 0..max_degree from one presentation,
-    after the budget check on n^max_degree.  They are memoized by (n,
-    relation space, max_degree), so an algebra with the relations of one
-    already tabulated, such as Xstar of a symmetric idempotent after X,
-    builds no slice; the budget is checked on every call, and each call
-    returns a new list.
-
-    Past degree 3 they are the counts of normal words when the degree-3 PBW
-    certificate holds; they are exact then, since the relations are a
-    Groebner basis (``PresentedAlgebra.normal_word_counts``).  Otherwise
-    they are read from the increments of the degree-max_degree slice, which
-    keeps those of the degree-3 slice the certificate check built: rank I_k =
-    n * rank I_(k-1) + |E_k|, and degree k reduces only dim A_(k-2) * dim R
-    rows, those of the normal words of degree k - 2."""
-    if max_degree < 0:
-        raise ValueError(f"max degree must be non-negative, got {max_degree}")
+    """Graded dimensions in degrees 0..max_degree of the algebra's
+    presentation (``PresentedAlgebra.dimensions``), after the budget check
+    on n^max_degree.  They are memoized by (n, relation space,
+    max_degree), so an algebra with the relations of one already
+    tabulated, such as Xstar of a symmetric idempotent after X, builds no
+    slice; the budget is checked on every call, and each call returns a
+    new list."""
     n = alg.n
     _check_power(n, max_degree)
-    if max_degree < 2:
-        return [1, n][:max_degree + 1]
     return list(_dimension_table(n, relation_space(alg), max_degree))
 
 
@@ -134,14 +118,7 @@ def dimension_table(alg: QuadAlgebra, max_degree: int) -> list:
 # key that differs in n is told apart before the relations are compared.
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _dimension_table(n: int, relations: Subspace, max_degree: int) -> tuple:
-    presentation = _presentation(n, relations)
-    counts = presentation.normal_word_counts(max_degree) if max_degree > 3 else None
-    if counts is not None:
-        return tuple(counts)
-    ranks = [0, 0]
-    for rows in presentation.slice(max_degree).increments:
-        ranks.append(n * ranks[-1] + len(rows))
-    return tuple(n ** k - rank for k, rank in enumerate(ranks))
+    return tuple(_presentation(n, relations).dimensions(max_degree))
 
 
 def component_subspaces(E: TensorOperator, k: int, kind: str):

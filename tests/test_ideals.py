@@ -769,4 +769,63 @@ def test_a_slice_grown_from_the_cached_degree_3_inserts_no_row_past_it(name, mon
     held = {w for w in range(g ** 6)
             if any(w // g ** (4 - p) % (g * g) in two for p in range(5))}
     assert top.echelon.leads == held
-    assert top.dim == len(held) == g ** 6 - alg.normal_word_counts(6)[6]
+    assert top.dim == len(held) == g ** 6 - alg.dimensions(6)[6]
+
+
+def test_dimensions_refuse_like_the_slice_before_building_any(monkeypatch):
+    alg = QuadAlgebra(idem.antisymmetrizer(3), "X").presentation()
+    builds = []
+    build = ideals.build_slice_from_subspace
+    monkeypatch.setattr(ideals, "build_slice_from_subspace",
+                        lambda *args: builds.append(args[2]) or build(*args))
+    monkeypatch.setenv("MANIN_BUDGET", "100")  # 3^4 = 81 words fit, 3^5 = 243 do not
+    with pytest.raises(BudgetExceeded) as refused:
+        alg.dimensions(5)
+    assert builds == [] and alg._slices == {}
+    with pytest.raises(BudgetExceeded) as sliced:
+        alg.slice(5)
+    assert str(refused.value) == str(sliced.value)
+    builds.clear()
+    assert alg.dimensions(4) == [comb(k + 2, k) for k in range(5)]
+    assert builds == [3]  # certified: the normal words are counted
+    assert alg.dimensions(0) == [1] and alg.dimensions(1) == [1, 3]
+    with pytest.raises(ValueError, match="max degree must be non-negative, got -1"):
+        alg.dimensions(-1)
+    # one generator: only the length of a word bounds its word space
+    line = free_presentation([A])
+    with pytest.raises(BudgetExceeded, match="word of size 101 exceeds budget 100"):
+        line.dimensions(101)
+    assert line.dimensions(100) == [1] * 101
+
+
+def test_dimensions_of_an_uncertified_algebra_read_the_top_slice():
+    name = "FourParam.X"
+    alg = _fresh_presentation(name)
+    g = len(alg.gens)
+    top = _top_degree(name, g)
+    dims = alg.dimensions(top)
+    assert list(alg._slices) == [3, top]
+    assert not _pbw_certified(alg.slice(3).increments, g)
+    assert dims == [g ** d - _oracle(name, d).rank if d > 1 else g ** d
+                    for d in range(top + 1)]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_dimensions_of_the_universal_algebra_of_two_antisymmetrizers(n, m):
+    # U = U_{A_n, A_m} on n * m generators, checked against the Fraction
+    # oracle at every degree within the word budget and against the series
+    # identity H_U(t) * H_{U^!}(-t) = 1 of a Koszul algebra, where U^! has
+    # dimension C(n, k) * C(m + k - 1, k) in degree k, the product of those
+    # of the exterior algebra on n and the symmetric algebra on m generators
+    alg = universal_relations(ManinPair(idem.antisymmetrizer(n),
+                                        idem.antisymmetrizer(m))).algebra()
+    g = len(alg.gens)
+    top = max(d for d in range(2, 13) if g ** d <= word_budget())
+    dims = alg.dimensions(top)
+    dual = [(-1) ** k * comb(n, k) * comb(m + k - 1, k) for k in range(top + 1)]
+    series = [1]
+    for d in range(1, top + 1):
+        series.append(-sum(dual[k] * series[d - k] for k in range(1, d + 1)))
+    assert dims == series
+    for d in range(2, top + 1):
+        assert dims[d] == g ** d - dense.slice_from_scratch(g, alg.relations, d).rank, d

@@ -301,7 +301,7 @@ CATALOG = catalog_instances()
 
 
 @pytest.mark.parametrize("name, E", CATALOG, ids=[name for name, _ in CATALOG])
-def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch, cold_quadratic):
+def test_dimensions_equal_the_slice_dimensions(name, E, monkeypatch, cold_quadratic):
     # every degree within the default budget, both functions, each variant;
     # an uncertified algebra must take the slice route, since its count of
     # normal words is not its dimension
@@ -315,16 +315,18 @@ def test_normal_word_counts_equal_the_slice_dimensions(name, E, monkeypatch, col
                 for k in range(top + 1)]
         assert dimension_table(alg, top) == want, variant
         assert [graded_dimension(alg, k) for k in range(top + 1)] == want, variant
+        uncertified = (name, variant) in UNCERTIFIED
+        assert ideals._pbw_certified(presentation.slice(3).increments, n) != uncertified
         cold_quadratic()
         builds.clear()
         assert graded_dimension(alg, top) == want[top]
-        counts = alg.presentation().normal_word_counts(top)
-        if (name, variant) in UNCERTIFIED:
-            assert builds == [3, top, 3] and counts is None, variant
-            # without the degree-3 check, dimension_table would return this
+        if uncertified:
+            assert builds == [3, top], variant
+            # counted as normal words, degree 3 would read this
             assert _naive_count(presentation.relations, n, 3) > want[3], variant
         else:
-            assert builds == [3, 3] and counts == want, variant
+            assert builds == [3], variant
+        assert alg.presentation().dimensions(top) == want, variant
         # the table is memoized by its relations: a warm call builds nothing
         builds.clear()
         assert graded_dimension(alg, top) == want[top]
@@ -349,17 +351,21 @@ def relation_spaces(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(relation_spaces())
-def test_normal_word_counts_against_slices_from_scratch(case):
+def test_dimensions_against_slices_from_scratch(case):
+    # a certified algebra counts normal words over the degree-3 slice
+    # alone; any other reads the increments of the top slice
     monomial, g, relations = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MANIN_BUDGET", "81")  # degree 6 on two generators, 4 on three
         top = 6 if g == 2 else 4
         gens = [Gen("t", (i,)) for i in range(g)]
-        counts = ideals.PresentedAlgebra(gens, relations).normal_word_counts(top)
+        alg = ideals.PresentedAlgebra(gens, relations)
         want = [g ** d - dense.slice_from_scratch(g, relations, d).rank if d > 1 else g ** d
                 for d in range(top + 1)]
-        if counts is None:
+        assert alg.dimensions(top) == want
+        if ideals._pbw_certified(alg.slice(3).increments, g):
+            assert list(alg._slices) == [3]
+        else:
+            assert list(alg._slices) == [3, top]
             assert not monomial
             assert _naive_count(relations, g, 3) > want[3]
-        else:
-            assert counts == want
