@@ -30,10 +30,10 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           fourparam_idempotent, hecke_minus, hecke_r_matrix,
                           is_idempotent, orthogonal_idempotent,
                           parameterized_antisymmetrizer, rank_one_contraction,
-                          restrict_parameter_matrix, symplectic_idempotent,
-                          twisted_rank_one_contraction, uniform_parameter_matrix)
+                          symplectic_idempotent, twisted_rank_one_contraction,
+                          uniform_parameter_matrix)
 from .linalg import ONE, ZERO, Record, SparseEchelon, rat
-from .permutations import _inversions, stabilizer_order, weighted_perms
+from .permutations import _inversions, _product, rearrangements, stabilizer_order
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _row_times,
                      _transpose, coset_sum, embed, flatten_index, multi_indices,
@@ -164,12 +164,14 @@ def group_average(E: TensorOperator, k: int, kind: str) -> PairingOperator:
 
 
 def _coset_recursion(g: TensorOperator, k: int, weights, scale) -> TensorOperator:
-    """op_k from op_1 = 1 by op_j = scale(j) coset_sum(op_{j-1} (x) 1, g,
+    """op_k from op_1 = 1 by op_j = coset_sum(op_{j-1} (x) 1, g, scale(j)
     weights(j)): the coset factorization of a (q-)symmetrizer over S_j into
-    the words of ``tensor.coset_sum`` times the one over S_{j-1}."""
+    the words of ``tensor.coset_sum`` times the one over S_{j-1}.  The
+    level's scale rides in the weights, so each level ends in the one gcd
+    pass of ``coset_sum``."""
     op = TensorOperator.identity(g.row_dim, 1)
     for j in range(2, k + 1):
-        op = coset_sum(embed(op, j, 1), g, weights(j)).scale(scale(j))
+        op = coset_sum(embed(op, j, 1), g, [w * scale(j) for w in weights(j)])
     return op
 
 
@@ -276,6 +278,11 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     tuple I: (1/k!) sgn(sigma) sgn(tau) mu(q_II, sigma) / mu(q_II, tau).
     S-entries on rearrangements of a weakly increasing I:
     (nu_I / k!) mu(q_II, sigma) / mu(q_II, tau).
+
+    Each distinct word w of each sorted I is visited once and gets one
+    weight, sign and mu read off the inverted letter pairs of w itself
+    (equal letters are never inverted), so the work follows the nonzero
+    rows, at most n^k, and not the k! permutations of each I.
     """
     _check_route(kind, k)
     rows = check_parameter_matrix(qhat)
@@ -286,10 +293,10 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     blocks = []
     for I in tuples(range(1, n + 1), k):
         weights = {}
-        for images, sign, mu in weighted_perms(restrict_parameter_matrix(rows, I), k):
-            pos = flatten_index(tuple(I[s - 1] for s in images), n)
-            if pos not in weights:
-                weights[pos] = (sign if kind == "A" else 1, mu)
+        for word in rearrangements(I):
+            pairs = _inversions(word)
+            weights[flatten_index(word, n)] = (
+                -1 if kind == "A" and len(pairs) % 2 else 1, _product(rows, pairs))
         blocks.append((stabilizer_order(I), weights))
     return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
 

@@ -7,6 +7,7 @@ s_{i_1} * s_{i_2} * ... * s_{i_l}, with the rightmost factor applied first.
 Reduced words are input only, and one that is not reduced is refused.
 ``inv`` (hence ``Perm.sign``), ``mu`` and ``weighted_perms``, S_k with each
 sign and mu and no Perm built, all read one pass: ``_inversions``.
+``rearrangements`` lists each distinct word of a sorted tuple once.
 """
 
 from __future__ import annotations
@@ -137,6 +138,24 @@ def weighted_perms(rows, k: int):
     for images in itertools.permutations(range(1, k + 1)):
         pairs = _inversions(images)
         yield images, -1 if len(pairs) % 2 else 1, _product(rows, pairs)
+
+
+def rearrangements(index_tuple):
+    """Each distinct rearrangement of the weakly increasing ``index_tuple``
+    once, in lexicographic order (the next-permutation step)."""
+    w = list(index_tuple)
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
 
 
 def _product(rows, pairs) -> Fraction:

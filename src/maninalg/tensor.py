@@ -26,7 +26,8 @@ Transposes, negations and embeddings move numerators and keep den.
 flat offset of every digit tuple on a set of legs from one table,
 ``_offsets``.
 ``coset_sum`` adds the weighted words g^(j-i) ... g^(j-1) prev in one
-accumulator over one denominator; the group and Hecke pairing routes build
+accumulator over one denominator, applying g on its two adjacent legs in
+place rather than embedding it; the group and Hecke pairing routes build
 their (q-)symmetrizers from it.
 
 Fractions appear only at the edges.  The constructor reads Fraction, int or
@@ -404,8 +405,12 @@ def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperato
     words run over the coset representatives of S_{j-1} in S_j, so with
     prev the sum over S_{j-1} the result is the sum over S_j.
 
-    Runs on integer numerators: Y_0 = prev and Y_i = g^(j-i) Y_{i-1}, each
-    row of Y_i one ``_row_times`` of a row of the embedded g, and every
+    Runs on integer numerators: Y_0 = prev and Y_i = g^(j-i) Y_{i-1}, with
+    g applied leg-locally and no embedded copy of g built.  Legs
+    (j-i, j-i+1) carry the digit pair p at offset p low, low = n^(i-1),
+    so row hi + p low + lo of Y_i is sum_p' g[p, p'] Y_{i-1}[hi + p' low + lo]:
+    a single-entry row of g shares (at a unit entry) or scales the row of
+    Y_{i-1} it selects, and any other row is one ``_row_times``.  Every
     w_i Y_i is added into one accumulator over the lcm of the denominators
     prev.den g.den^i den(w_i); one gcd pass ends it.  The words stop early
     once Y is zero.
@@ -418,12 +423,26 @@ def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperato
         raise ValueError("coset_sum needs one weight per coset word")
     den = lcm(*(prev.den * g.den ** i * w.denominator
                 for i, w in enumerate(weights) if w))
+    n = prev.row_dim
     acc = {}
     y = prev.num
     for i, w in enumerate(weights):
         if i:
-            y = {r: row for r, grow in embed(g, j, j - i).num.items()
-                 if (row := _row_times(grow, y))}
+            low = n ** (i - 1)
+            local = [(p * low, [(c * low, x) for c, x in grow.items()])
+                     for p, grow in g.num.items()]
+            new = {}
+            for hi in range(0, n ** j, n * n * low):
+                for base in range(hi, hi + low):
+                    for r, cols in local:
+                        if len(cols) == 1:
+                            (c, x), = cols
+                            if (row := y.get(base + c)) is not None:
+                                new[base + r] = row if x == 1 else \
+                                    {t: x * v for t, v in row.items()}
+                        elif row := _row_times({base + c: x for c, x in cols}, y):
+                            new[base + r] = row
+            y = new
             if not y:
                 break
         if not w:
@@ -437,7 +456,7 @@ def coset_sum(prev: TensorOperator, g: TensorOperator, weights) -> TensorOperato
                 for c, x in row.items():
                     arow[c] = arow.get(c, 0) + m * x
     num = {r: nz for r, row in acc.items() if (nz := {c: x for c, x in row.items() if x})}
-    return _canonical(prev.row_dim, prev.row_dim, j, num, den)
+    return _canonical(n, n, j, num, den)
 
 
 def swap_operator(n: int) -> TensorOperator:

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -185,6 +186,29 @@ def test_routes_refuse_an_over_budget_arity_before_any_work(monkeypatch):
                   lambda: group_average(idem.antisymmetrizer(2), 13, "A")):
         with pytest.raises(BudgetExceeded, match="exceeds budget 4096"):
             route()
+
+
+def test_coset_words_place_no_generator(monkeypatch):
+    """The coset words apply g on their two legs in place: the only
+    placements are op_(j-1) (x) 1 for j = 2..k (at j = 3 that is the
+    arity-2 op_2), and the group route's braid check on the two windows
+    of arity 3.  Embedding g for each word would add (2, j, j - i)."""
+    import maninalg.pairing as pairing_module
+    import maninalg.tensor as tensor_module
+    placed = []
+
+    def spy(op, total_arity, legs):
+        placed.append((op.arity, total_arity, legs))
+        return embed(op, total_arity, legs)
+    monkeypatch.setattr(tensor_module, "embed", spy)
+    monkeypatch.setattr(pairing_module, "embed", spy)
+    levels = [(j - 1, j, 1) for j in range(2, 6)]
+    hecke_pairing(F(2), 3, 5, "S")
+    hecke_pairing(F(2), 4, 5, "A")
+    assert placed == levels * 2
+    placed.clear()
+    group_average(idem.antisymmetrizer(3), 5, "S")
+    assert placed == [(2, 3, 1), (2, 3, 2)] + levels
 
 
 def test_group_average_matches_the_enumerated_closure():
@@ -704,9 +728,9 @@ def test_closed_form_matches_the_restricting_route():
 
 @st.composite
 def signed_parameter_matrices(draw):
-    """A parameter matrix of size 1 to 3 with signed entries of mixed
+    """A parameter matrix of size 1 to 4 with signed entries of mixed
     numerators and denominators above the diagonal."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     entry = st.fractions(-12, 12, max_denominator=12).filter(bool)
     q = [[Fraction(1)] * n for _ in range(n)]
     for i in range(n):
@@ -719,10 +743,65 @@ def signed_parameter_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(signed_parameter_matrices(), st.integers(1, 4), st.sampled_from(["S", "A"]))
 def test_integer_closed_form_matches_the_fraction_entries(qhat, k, kind):
+    """One weight per distinct word, on integers, gives the operator that
+    the oracle builds entry by entry from all k! permutations of every
+    index tuple."""
     got = closed_form_multiparam(qhat, k, kind).operator
     want = dense.closed_form_multiparam(qhat, k, kind)
     assert got == want
     assert (got.den, got.num) == (want.den, want.num)
+
+
+SIGNED_QHAT2 = [[1, F(-3, 2)], [F(-2, 3), 1]]
+
+
+@pytest.mark.parametrize("qhat, k", [(SIGNED_QHAT2, 8), (SIGNED_QHAT2, 9), (SIGNED_QHAT2, 10),
+                                     (generic_parameter_matrix(3), 6)])
+def test_closed_form_matches_the_generic_route_past_the_permutation_reach(qhat, k):
+    """At sizes where enumerating S_k for every index tuple is out of reach
+    (9! permutations for each of the 10 tuples at n = 2, k = 9), the
+    closed form still equals the dual-basis route."""
+    E = idem.parameterized_antisymmetrizer(qhat)
+    assert closed_form_multiparam(qhat, k, "S").operator == \
+        generic_pairing(E, k, "S").operator
+
+
+@pytest.mark.parametrize("n, k, kind", [
+    (2, 12, "S"), (1, 12, "S"), (3, 6, "S"), (3, 1, "S"), (4, 4, "A"), (5, 3, "A"),
+    (3, 2, "A"), (2, 3, "A")])
+def test_closed_form_forms_one_weight_per_word(monkeypatch, n, k, kind):
+    """The closed route reads one inversion list per distinct word: sum_I
+    of the rearrangements of I, which is n^k for kind S and k! C(n, k) for
+    kind A, not k! per index tuple.  The blocks are kept, not multiplied
+    out, so n = 2, k = 12 forms none of its 2.7 million entries here."""
+    import maninalg.pairing as pairing_module
+    from maninalg.permutations import _inversions
+    words, blocks = [], []
+
+    def counted(word):
+        words.append(word)
+        return _inversions(word)
+
+    def kept(n_, k_, parts):
+        blocks.extend(parts)
+        return TensorOperator.zero(n_, k_)
+    monkeypatch.setattr(pairing_module, "_inversions", counted)
+    monkeypatch.setattr(pairing_module, "_rank_one_blocks", kept)
+    closed_form_multiparam(idem.uniform_parameter_matrix(n, 2), k, kind)
+    want = n ** k if kind == "S" else factorial(k) * comb(n, k)
+    assert len(words) == len(set(words)) == want
+    assert sum(len(weights) for _, weights in blocks) == want
+
+
+def test_closed_route_at_one_letter_and_arity_twelve(capsys):
+    """1^12 is inside the budget, and the work follows the one word, not
+    the 12! permutations of its letters."""
+    argv = ["pairing", "--family", "Aq", "--n", "1", "--q", "2", "--k", "12",
+            "--kind", "S", "--method", "closed"]
+    assert cli_main(argv) == 0
+    out = json.loads(capsys.readouterr().out)["operator"]
+    assert out["matrix"] == [["1"]] and out["axioms"]["pass"]
+    assert all(v for v in out["axioms"].values() if v is not None)
 
 
 @pytest.mark.parametrize("qhat", [

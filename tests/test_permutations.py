@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ import dense_reference as dense
 from maninalg.idempotents import uniform_parameter_matrix
 from maninalg.pairing import q_factorial
 from maninalg.permutations import (NonReducedWord, Perm, all_perms, from_word, inv,
-                                   inversion_set_from_reduced_word, mu, stabilizer_order,
-                                   weighted_perms)
+                                   inversion_set_from_reduced_word, mu, rearrangements,
+                                   stabilizer_order, weighted_perms)
 
 
 def test_inv_examples():
@@ -118,3 +119,20 @@ def test_weighted_perms_read_each_sign_and_mu_off_the_one_inversion_pass(qhat):
         assert inv(p) == length
         assert sign == p.sign() == (-1) ** length
         assert weight == mu(qhat, p) == dense.inversion_parameter_product(qhat, p.inverse())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+def test_rearrangements_list_each_distinct_word_once_in_lex_order(letters):
+    """The next-permutation loop gives exactly the distinct words among the
+    k! position permutations, sorted, and as many as k! over the
+    stabilizer order."""
+    index = tuple(sorted(letters))
+    words = list(rearrangements(index))
+    assert words == sorted(set(itertools.permutations(index)))
+    assert len(words) * stabilizer_order(index) == factorial(len(index))
+
+
+def test_rearrangements_of_a_constant_word_is_that_word():
+    assert list(rearrangements((2,) * 12)) == [(2,) * 12]
+    assert list(rearrangements((1, 2, 2))) == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
