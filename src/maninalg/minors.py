@@ -16,7 +16,7 @@ integer grid kernel of ``freealg.poly_grid_product``, and
 rhs.den * lhs.num - lhs.den * rhs.num (``PresentedAlgebra.congruent``)
 without building the difference.  Minors
 check their operators' arity and local dims against M and k; determinants
-and permanents, one sum over ``permutations.weighted_perms``, and
+and permanents, one sum over ``permutations.weighted_words``, and
 ``inversion_parameter_product`` validate a parameter matrix unless it is
 already an ``idempotents.ParameterMatrix``.
 """
@@ -29,7 +29,7 @@ from .freealg import NCPoly, _entry_product, poly_grid_product, poly_matrix
 from .idempotents import check_parameter_matrix, uniform_parameter_matrix
 from .ideals import PresentedAlgebra
 from .linalg import Record
-from .permutations import Perm, mu, weighted_perms
+from .permutations import Perm, mu, weighted_words
 from .tensor import TensorOperator, compose_chain
 
 
@@ -93,9 +93,9 @@ def perm_qhat(phat, M) -> NCPoly:
 
 
 def _weighted_sum(qhat, M, what: str) -> NCPoly:
-    """sum_sigma w(sigma) N^1_{sigma(1)} ... N^k_{sigma(k)} over
-    ``weighted_perms``: for the permanent N = M and w = mu(qhat, sigma), for
-    the determinant N = M^T and w = sgn / mu(qhat, sigma) = sgn mu(qhat^T, sigma)."""
+    """sum_sigma w(sigma) N^1_{sigma(1)} ... N^k_{sigma(k)} over the
+    ``weighted_words`` of 1..k: for the permanent N = M and w = mu(qhat, sigma),
+    for the determinant N = M^T and w = sgn / mu(qhat, sigma) = sgn mu(qhat^T, sigma)."""
     M = poly_matrix(M)
     k = len(M)
     if any(len(row) != k for row in M):
@@ -108,8 +108,8 @@ def _weighted_sum(qhat, M, what: str) -> NCPoly:
     if signed:
         M, rows = list(zip(*M)), list(zip(*rows))
     out = NCPoly.zero()
-    for images, sign, mu in weighted_perms(rows, k):
-        out = out + _entry_product([row[s - 1] for row, s in zip(M, images)],
+    for word, sign, mu in weighted_words(rows, range(1, k + 1)):
+        out = out + _entry_product([row[s - 1] for row, s in zip(M, word)],
                                    sign * mu.numerator if signed else mu.numerator,
                                    mu.denominator)
     return out
@@ -146,15 +146,23 @@ def verify_matrix_identity(lhs, rhs, ideal) -> bool:
 def row_permuted(M, tau: Perm) -> list:
     """^tau M: row i moves to row tau(i)."""
     M = poly_matrix(M)
-    tinv = tau.inverse()
+    tinv = _fitted_inverse(tau, len(M), "rows")
     return [M[tinv(r) - 1] for r in range(1, len(M) + 1)]
 
 
 def col_permuted(M, tau: Perm) -> list:
     """_tau M = M tau^{-1}: column j moves to column tau(j)."""
     M = poly_matrix(M)
-    tinv = tau.inverse()
+    tinv = _fitted_inverse(tau, len(M[0]), "columns")
     return [[row[tinv(c) - 1] for c in range(1, len(M[0]) + 1)] for row in M]
+
+
+def _fitted_inverse(tau: Perm, size: int, what: str) -> Perm:
+    """tau^-1, once tau permutes as many points as there are rows or columns."""
+    if tau.size != size:
+        raise ValueError(f"a permutation of {tau.size} points does not fit "
+                         f"a matrix with {size} {what}")
+    return tau.inverse()
 
 
 def inversion_parameter_product(qhat, tau: Perm) -> Fraction:

@@ -33,7 +33,7 @@ from .idempotents import (InvalidParameter, check_parameter_matrix,
                           symplectic_idempotent, twisted_rank_one_contraction,
                           uniform_parameter_matrix)
 from .linalg import ONE, ZERO, Record, SparseEchelon, rat
-from .permutations import _inversions, _product, rearrangements, stabilizer_order
+from .permutations import _inversions, stabilizer_order, weighted_words
 from .quadratic import component_subspaces
 from .tensor import (TensorOperator, _canonical, _check_power, _fixes_rows, _row_times,
                      _transpose, coset_sum, embed, flatten_index, multi_indices,
@@ -279,10 +279,10 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     S-entries on rearrangements of a weakly increasing I:
     (nu_I / k!) mu(q_II, sigma) / mu(q_II, tau).
 
-    Each distinct word w of each sorted I is visited once and gets one
-    weight, sign and mu read off the inverted letter pairs of w itself
-    (equal letters are never inverted), so the work follows the nonzero
-    rows, at most n^k, and not the k! permutations of each I.
+    Each distinct word w of each sorted I gets one weight from
+    ``weighted_words``, sign and mu read off w's own inverted letter pairs,
+    so the work follows the nonzero rows, at most n^k, and not the k!
+    permutations of each I.
     """
     _check_route(kind, k)
     rows = check_parameter_matrix(qhat)
@@ -292,11 +292,8 @@ def closed_form_multiparam(qhat, k: int, kind: str) -> PairingOperator:
     tuples = itertools.combinations if kind == "A" else itertools.combinations_with_replacement
     blocks = []
     for I in tuples(range(1, n + 1), k):
-        weights = {}
-        for word in rearrangements(I):
-            pairs = _inversions(word)
-            weights[flatten_index(word, n)] = (
-                -1 if kind == "A" and len(pairs) % 2 else 1, _product(rows, pairs))
+        weights = {flatten_index(word, n): (sign if kind == "A" else 1, mu)
+                   for word, sign, mu in weighted_words(rows, I)}
         blocks.append((stabilizer_order(I), weights))
     return PairingOperator(kind, k, source, _rank_one_blocks(n, k, blocks), "closed_form")
 

@@ -1,13 +1,13 @@
 """Symmetric-group combinatorics: inversions, signs, reduced words.
 
-Permutations act on {1, ..., k} and are stored in one-line notation.
-Products compose right-to-left: (p * q)(x) = p(q(x)).  A word
-(i_1, ..., i_l) of simple-reflection indices therefore multiplies out to
-s_{i_1} * s_{i_2} * ... * s_{i_l}, with the rightmost factor applied first.
-Reduced words are input only, and one that is not reduced is refused.
-``inv`` (hence ``Perm.sign``), ``mu`` and ``weighted_perms``, S_k with each
-sign and mu and no Perm built, all read one pass: ``_inversions``.
-``rearrangements`` lists each distinct word of a sorted tuple once.
+Permutations act on {1, ..., k} in one-line notation; none is multiplied.
+A word (i_1, ..., i_l) of simple reflections, s_{i_1} ... s_{i_l} with the
+rightmost applied first, multiplies out on one image list, letter a
+swapping positions a and a + 1.  Reduced words are input only, and one
+that is not reduced is refused.  ``weighted_words``, each distinct
+rearrangement of a tuple once with its sign and mu and no Perm built, is
+the one enumeration behind every weighted sum over S_k; it, ``inv``
+(hence ``Perm.sign``) and ``mu`` read one pass: ``_inversions``.
 """
 
 from __future__ import annotations
@@ -29,23 +29,11 @@ class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        self.images = tuple(int(x) for x in images)
+        self.images = tuple(images)
         k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
+        if any(type(x) is not int for x in self.images) or \
+                sorted(self.images) != list(range(1, k + 1)):
             raise ValueError(f"{images!r} is not a permutation of 1..{k}")
-
-    @staticmethod
-    def identity(k: int) -> "Perm":
-        return Perm(range(1, k + 1))
-
-    @staticmethod
-    def transposition(k: int, a: int) -> "Perm":
-        """The simple reflection s_a swapping a and a+1, 1 <= a < k."""
-        if not 1 <= a < k:
-            raise ValueError("simple reflection index out of range")
-        images = list(range(1, k + 1))
-        images[a - 1], images[a] = images[a], images[a - 1]
-        return Perm(images)
 
     @property
     def size(self) -> int:
@@ -53,11 +41,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.size != other.size:
-            raise ValueError("permutations of different sizes")
-        return Perm(self.images[other.images[i] - 1] for i in range(self.size))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.size
@@ -94,32 +77,22 @@ def inv(p: Perm) -> int:
     return len(_inversions(p.images))
 
 
-def from_word(word, k: int) -> Perm:
-    """Product s_{i_1} * ... * s_{i_l} (rightmost applied first)."""
-    p = Perm.identity(k)
-    for a in word:
-        p = p * Perm.transposition(k, a)
-    return p
-
-
 def inversion_set_from_reduced_word(word, k: int) -> frozenset:
-    """Inversion set of s_{i_1}...s_{i_l} computed root by root.
+    """Inversion set {(i, j) : i < j, p(i) > p(j)} of p = s_{i_1}...s_{i_l}.
 
-    Realizes the reduced-expression formula for the set of positive roots
-    sent negative: the t-th root is s_{i_l} ... s_{i_{t+1}} applied to the
-    simple root alpha_{i_t}.  A non-reduced word repeats or negates a root
-    and is rejected (detected by cardinality mismatch).
+    The word multiplies out on one list of images, each letter a swapping
+    positions a and a + 1 (a right factor s_a), and the set is read off
+    that list.  The word is reduced iff its length is the number of
+    inversions, the Coxeter length of p; one that is not is rejected.
     """
     word = tuple(word)
-    roots = []
-    for t, a in enumerate(word):
+    images = list(range(1, k + 1))
+    for a in word:
         if not 1 <= a < k:
             raise ValueError("simple reflection index out of range")
-        # s_{i_l} o ... o s_{i_{t+1}}, the factor closest to alpha acting first
-        u = from_word(tuple(reversed(word[t + 1 :])), k)
-        root = (u(a), u(a + 1))  # image of alpha_a = e_a - e_{a+1}
-        roots.append(root if root[0] < root[1] else (root[1], root[0]))
-    out = frozenset(roots)
+        images[a - 1], images[a] = images[a], images[a - 1]
+    out = frozenset((i + 1, j + 1) for i, j in itertools.combinations(range(k), 2)
+                    if images[i] > images[j])
     if len(out) != len(word):
         raise NonReducedWord(f"word {word} is not reduced")
     return out
@@ -132,18 +105,19 @@ def mu(rows, p: Perm) -> Fraction:
     return _product(rows, _inversions(p.images))
 
 
-def weighted_perms(rows, k: int):
-    """(images, sgn sigma, mu(rows, sigma)) for each sigma in S_k in the order
-    of ``all_perms``, rows being a k x k parameter matrix of rationals."""
-    for images in itertools.permutations(range(1, k + 1)):
-        pairs = _inversions(images)
-        yield images, -1 if len(pairs) % 2 else 1, _product(rows, pairs)
+def weighted_words(rows, index_tuple):
+    """(word, sign, mu) for each distinct rearrangement of ``index_tuple``
+    in lex order, read off the word's inverted letter pairs against the
+    parameter matrix ``rows``; on the letters 1..k, S_k with sgn and mu."""
+    for word in rearrangements(index_tuple):
+        pairs = _inversions(word)
+        yield word, -1 if len(pairs) % 2 else 1, _product(rows, pairs)
 
 
 def rearrangements(index_tuple):
-    """Each distinct rearrangement of the weakly increasing ``index_tuple``
-    once, in lexicographic order (the next-permutation step)."""
-    w = list(index_tuple)
+    """Each distinct rearrangement of ``index_tuple`` once, in lexicographic
+    order (the next-permutation step from the sorted letters)."""
+    w = sorted(index_tuple)
     while True:
         yield tuple(w)
         i = len(w) - 2

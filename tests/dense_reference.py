@@ -49,7 +49,12 @@ forming the full operator products, which the row checks of
 pattern loop of ``freealg.parse_poly`` replaced.  ``perm_action``, the
 permutation action rho^+ on a tensor power written index by index, and
 ``inversion_set`` and ``reduced_word``, the brute-force inversion set and a
-reduced word by bubble sort, are the oracles of the S_k combinatorics.
+reduced word by bubble sort, are the oracles of the S_k combinatorics, with
+``compose`` and ``from_word``, the product of permutations and of the
+simple reflections of a word as image lists, and
+``inversion_set_from_reduced_word``, the inversion set read root by root
+(one product per suffix of the word), which the one swap per letter of
+``permutations.inversion_set_from_reduced_word`` replaced.
 ``entry`` reads one entry of an operator by multi-indices, and
 ``spec_to_json`` writes an idempotent spec as the JSON that
 ``IdempotentSpec.from_json`` reads, for the round-trip tests; the library
@@ -70,7 +75,7 @@ from maninalg.idempotents import (InvalidParameter, hecke_r_matrix, rational_gri
                                   restrict_parameter_matrix)
 from maninalg.linalg import ONE, ZERO, QMatrix, SparseEchelon, rat
 from maninalg.pairing import NotExists, PairingOperator, q_int
-from maninalg.permutations import Perm, all_perms, mu, stabilizer_order
+from maninalg.permutations import NonReducedWord, Perm, all_perms, mu, stabilizer_order
 from maninalg.quadratic import component_subspaces
 from maninalg.tensor import TensorOperator, check_budget, flatten_index, multi_indices
 from maninalg.tensor import embed as embed_op
@@ -1059,3 +1064,46 @@ def _json_value(value):
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
     return value
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """The product p * q, composed right to left: (p * q)(x) = p(q(x))."""
+    if p.size != q.size:
+        raise ValueError("permutations of different sizes")
+    return Perm([p(q(x)) for x in range(1, q.size + 1)])
+
+
+def from_word(word, k: int) -> Perm:
+    """s_{i_1} * ... * s_{i_l} (rightmost applied first), one ``compose``
+    with the image list of a simple reflection per letter."""
+    p = Perm(range(1, k + 1))
+    for a in word:
+        if not 1 <= a < k:
+            raise ValueError("simple reflection index out of range")
+        images = list(range(1, k + 1))
+        images[a - 1], images[a] = a + 1, a
+        p = compose(p, Perm(images))
+    return p
+
+
+def inversion_set_from_reduced_word(word, k: int) -> frozenset:
+    """Inversion set of s_{i_1}...s_{i_l} computed root by root.
+
+    Realizes the reduced-expression formula for the set of positive roots
+    sent negative: the t-th root is s_{i_l} ... s_{i_{t+1}} applied to the
+    simple root alpha_{i_t}.  A non-reduced word repeats or negates a root
+    and is rejected (detected by cardinality mismatch).
+    """
+    word = tuple(word)
+    roots = []
+    for t, a in enumerate(word):
+        if not 1 <= a < k:
+            raise ValueError("simple reflection index out of range")
+        # s_{i_l} o ... o s_{i_{t+1}}, the factor closest to alpha acting first
+        u = from_word(tuple(reversed(word[t + 1:])), k)
+        root = (u(a), u(a + 1))  # image of alpha_a = e_a - e_{a+1}
+        roots.append(root if root[0] < root[1] else (root[1], root[0]))
+    out = frozenset(roots)
+    if len(out) != len(word):
+        raise NonReducedWord(f"word {word} is not reduced")
+    return out

@@ -373,7 +373,7 @@ def test_parameter_checks_raise_what_the_fraction_check_raised(qhat, data):
                   lambda q: det_qhat(q, M), lambda q: perm_qhat(q, M),
                   lambda q: closed_form_multiparam(q, 2, "A"),
                   lambda q: idem.restrict_parameter_matrix(q, (1,)),
-                  lambda q: idem.conjugate_parameter_matrix(q, Perm.identity(len(q)))):
+                  lambda q: idem.conjugate_parameter_matrix(q, Perm(range(1, len(q) + 1)))):
         if want is None:
             check(bad)
         else:

@@ -178,7 +178,7 @@ def test_manin_relations_are_proper_subspace_of_commutators():
 
 def test_transport_identity_and_flip():
     pair = ManinPair(idem.antisymmetrizer(2), idem.q_antisymmetrizer(2, 2))
-    ident = Perm.identity(2)
+    ident = Perm((1, 2))
     assert transport(pair, ident, ident) == pair
     swap = Perm((2, 1))
     moved = transport(pair, swap, swap)

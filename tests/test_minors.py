@@ -443,6 +443,30 @@ def test_inversion_parameter_product_refuses_a_permutation_of_another_size(size)
         inversion_parameter_product(qhat, Perm((2, 1)))
 
 
+@pytest.mark.parametrize("tau", [Perm((2, 1)), Perm((2, 1, 3, 4))])
+def test_row_and_column_permutations_refuse_a_permutation_of_another_size(tau):
+    # on a 3 x 3 matrix a permutation of 2 points used to raise a bare
+    # IndexError, and one of 4 points was read through its first 3 images
+    M = generator_matrix("M", 3, 3)
+    with pytest.raises(ValueError, match=f"a permutation of {tau.size} points does not fit "
+                                         "a matrix with 3 rows"):
+        row_permuted(M, tau)
+    with pytest.raises(ValueError, match=f"a permutation of {tau.size} points does not fit "
+                                         "a matrix with 3 columns"):
+        col_permuted(M, tau)
+
+
+def test_row_and_column_permutations_of_a_non_square_matrix_take_their_own_size():
+    M = generator_matrix("M", 2, 3)
+    assert row_permuted(M, Perm((2, 1))) == [M[1], M[0]]
+    # column j moves to column tau(j)
+    assert col_permuted(M, Perm((2, 3, 1))) == [[row[2], row[0], row[1]] for row in M]
+    with pytest.raises(ValueError, match="3 points does not fit a matrix with 2 rows"):
+        row_permuted(M, Perm((2, 3, 1)))
+    with pytest.raises(ValueError, match="2 points does not fit a matrix with 3 columns"):
+        col_permuted(M, Perm((2, 1)))
+
+
 def test_a_restricted_or_conjugated_matrix_is_validated_once(monkeypatch):
     """Each call chain below validates its list input once: the derived
     ParameterMatrix passes its consumer without a second check."""

@@ -770,11 +770,13 @@ def test_closed_form_matches_the_generic_route_past_the_permutation_reach(qhat, 
     (2, 12, "S"), (1, 12, "S"), (3, 6, "S"), (3, 1, "S"), (4, 4, "A"), (5, 3, "A"),
     (3, 2, "A"), (2, 3, "A")])
 def test_closed_form_forms_one_weight_per_word(monkeypatch, n, k, kind):
-    """The closed route reads one inversion list per distinct word: sum_I
+    """The closed route reads one inversion list per distinct word
+    (``permutations.weighted_words``): sum_I
     of the rearrangements of I, which is n^k for kind S and k! C(n, k) for
     kind A, not k! per index tuple.  The blocks are kept, not multiplied
     out, so n = 2, k = 12 forms none of its 2.7 million entries here."""
     import maninalg.pairing as pairing_module
+    import maninalg.permutations as permutations_module
     from maninalg.permutations import _inversions
     words, blocks = [], []
 
@@ -785,7 +787,7 @@ def test_closed_form_forms_one_weight_per_word(monkeypatch, n, k, kind):
     def kept(n_, k_, parts):
         blocks.extend(parts)
         return TensorOperator.zero(n_, k_)
-    monkeypatch.setattr(pairing_module, "_inversions", counted)
+    monkeypatch.setattr(permutations_module, "_inversions", counted)
     monkeypatch.setattr(pairing_module, "_rank_one_blocks", kept)
     closed_form_multiparam(idem.uniform_parameter_matrix(n, 2), k, kind)
     want = n ** k if kind == "S" else factorial(k) * comb(n, k)
