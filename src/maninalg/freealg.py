@@ -39,14 +39,18 @@ DEFAULT_WORD_BUDGET = 20736
 
 
 def _budget_from_env(default: int) -> int:
-    """The integer in MANIN_BUDGET, or ``default`` when it is unset."""
+    """The positive integer in MANIN_BUDGET, or ``default`` when it is
+    unset; any other value is refused."""
     text = os.environ.get("MANIN_BUDGET")
     if text is None:
         return default
     try:
-        return int(text)
+        budget = int(text)
     except ValueError:
         raise ValueError(f"MANIN_BUDGET must be an integer, got {text!r}") from None
+    if budget < 1:
+        raise ValueError(f"MANIN_BUDGET must be a positive integer, got {text!r}")
+    return budget
 
 
 def word_budget() -> int:

@@ -15,22 +15,23 @@ e - 2, those that are not leads of I_(e-2): V^(e-2) = I_(e-2) + N_(e-2)
 row, and every pivot row it meets, has a normal prefix of length e - 2,
 while a row of E_j shifted by two or more letters has a lead of I_(e-2)
 as that prefix; so degree e is built from the rows of E_(e-1) shifted by
-one generator and those of E_e alone.  When the relations pass the
-degree-3 PBW certificate (``_pbw_certified``: the leads of I_3 are the
-words holding a lead of I_2), the leads of every I_e are those words
-(Bergman's diamond lemma), and degrees past 3 need no elimination: E_e is
-the rows u * r whose lead u * l has no lead of E_(e-1) as its prefix of
+one generator and those of E_e alone.  Whether the reduced rows of R are
+a Groebner basis in the given generator order is decided once per
+relation space, from the overlaps of the leads of E_2 (``_certified``).
+When they are, the leads of every I_e are the words holding a lead of I_2
+(Bergman's diamond lemma), and no degree needs elimination: E_e is the
+rows u * r whose lead u * l has no lead of E_(e-1) as its prefix of
 length e - 1, taken as they are.  ``PresentedAlgebra`` owns the
 slices: it caches each requested degree and builds a new one from the
 increments of the deepest cached slice, so a lower degree costs no
 elimination.  It owns the graded dimensions of the quotient too
-(``dimensions``), counted as normal words past degree 3 when the slice of
-degree 3 certifies that count, else read from one slice's increments; and
-it has one membership test, ``contains_rows``, which ``congruent`` and
-the Manin checks call: integer rows of degree d lie in the ideal when
-each reduces to zero against the echelon of the degree-d slice, which
-holds the rows of E_d and builds a shifted row only when a reduction
-reaches its lead.
+(``dimensions``), counted as normal words with no slice built when the
+relations are a Groebner basis, else read from the increments of one
+slice; and it has one membership test, ``contains_rows``, which
+``congruent`` and the Manin checks call: integer rows of degree d lie in
+the ideal when each reduces to zero against the echelon of the degree-d
+slice, which holds the rows of E_d and builds a shifted row only when a
+reduction reaches its lead.
 """
 
 from __future__ import annotations
@@ -140,35 +141,31 @@ class PresentedAlgebra:
 
     def dimensions(self, d: int) -> list:
         """The quotient's dimensions in degrees 0..d, refused like
-        ``slice(d)`` before any slice is built.  Past degree 3, when the
-        degree-3 PBW certificate holds (``_pbw_certified``), they are the
-        counts of normal words, those holding no lead of I_2 as a factor:
-        the relations are then a Groebner basis (Bergman's diamond lemma).
-        The count reads the slice of degree 3 alone (a prefix of any deeper
-        cached slice), whose first increment holds the leads of I_2, and
-        the numbers ends[y] of normal words ending in y carry each degree
-        on.  Otherwise they are g^e - rank I_e, read from the increments of
-        the degree-d slice: rank I_e = g * rank I_(e-1) + |E_e|."""
+        ``slice(d)`` before anything is built.  When the relations are a
+        Groebner basis (``_certified``), and in degree 2 for any relations,
+        they are the counts of normal words, those holding no lead of I_2 as
+        a factor (Bergman's diamond lemma), and no slice is built: the
+        numbers ends[y] of normal words ending in y carry each degree on.
+        Otherwise they are g^e - rank I_e, read from the increments of the
+        degree-d slice: rank I_e = g * rank I_(e-1) + |E_e|."""
         if d < 0:
             raise ValueError(f"max degree must be non-negative, got {d}")
         g = len(self.gens)
         _word_space_size(g, d)
         if d < 2:
             return [1, g][:d + 1]
-        if d > 3:
-            increments = self.slice(3).increments
-            if _pbw_certified(increments, g):
-                leads = increments[0]
-                follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
-                counts, ends = [1, g], [1] * g
-                while len(counts) <= d:
-                    step = [0] * g
-                    for x, c in enumerate(ends):
-                        for y in follow[x]:
-                            step[y] += c
-                    ends = step
-                    counts.append(sum(ends))
-                return counts
+        if d == 2 or _certified(g, self.relations):
+            leads = self.relations.rows
+            follow = [[y for y in range(g) if x * g + y not in leads] for x in range(g)]
+            counts, ends = [1, g], [1] * g
+            while len(counts) <= d:
+                step = [0] * g
+                for x, c in enumerate(ends):
+                    for y in follow[x]:
+                        step[y] += c
+                ends = step
+                counts.append(sum(ends))
+            return counts
         ranks = [0, 0]
         for rows in self.slice(d).increments:
             ranks.append(g * ranks[-1] + len(rows))
@@ -227,32 +224,34 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     ideal (of any depth); those up to degree d are kept as they are, and
     the degrees past them are built one by one.  Without them E_2 is
     ``relations.rows``, whose reduced primitive rows with ascending leads
-    are the pivot rows an echelon would make of them.  Degree e >= 3
-    starts one plain echelon with the rows of E_(e-1) shifted by each
-    generator, whose leads have a normal prefix of length e - 2, and
-    inserts the rows u * r for the normal words u of degree e - 2 and the
-    rows r of E_2; the rows that raise its rank are
+    are the pivot rows an echelon would make of them.  The normal words
+    of degree e - 1 are those of degree e - 2 followed by each generator,
+    less the leads of E_(e-1), replayed through the known degrees too.  A
+    word space over the budget is refused before anything is built
+    (``_word_space_size``).
+
+    When the rows of E_2 are a Groebner basis (``_certified``, decided
+    from E_2 alone), degree e >= 3 builds no echelon: E_e is the set of
+    rows u * r, for the normal words u of degree e - 2 and the rows r of
+    E_2, whose word u * x is not a lead of E_(e-1), x being the first
+    letter of r's lead l.  The leads of I_e are then the words holding a
+    lead of I_2, so these rows lie in I_e, lead with distinct words u * l
+    outside I_(e-1) * V and number dim I_e - g * dim I_(e-1): with the
+    shifted E_(e-1) they are an echelon basis, though not a reduced one.
+    The skipped rows u * r, whose lead prefix of length e - 1 is a lead of
+    E_(e-1), reduce to zero.
+
+    Otherwise degree e >= 3 starts one plain echelon with the rows of
+    E_(e-1) shifted by each generator, whose leads have a normal prefix of
+    length e - 2, and inserts the rows u * r for the normal words u of
+    degree e - 2 and the rows r of E_2; the rows that raise its rank are
     E_e.  The pivot rows of E_j * V^(e-j) for j <= e - 2 lead with words
     whose prefix of length e - 2 is a lead of I_(e-2), and neither u * r
     nor any row it meets holds such a word, so they are never built: the
     increments, rank and leads are those of inserting w * r for every word
-    w into the full slice.  The normal words of degree e - 1 are those of
-    degree e - 2 followed by each generator, less the leads of E_(e-1),
-    replayed through the known degrees too.  A word space over the budget
-    is refused before anything is built (``_word_space_size``).
-
-    Once E_2 and E_3 are known, built or kept, the degree-3 certificate is
-    decided (``_pbw_certified``).  When it holds, degree e >= 4 builds no
-    echelon: E_e is the set of rows u * r, for the normal words u of degree
-    e - 2 and the rows r of E_2, whose word u * x is not a lead of E_(e-1),
-    x being the first letter of r's lead l.  The leads of I_e are then the
-    words holding a lead of I_2, so these rows lie in I_e, lead with
-    distinct words u * l outside I_(e-1) * V and number
-    dim I_e - g * dim I_(e-1): with the shifted E_(e-1) they are an echelon
-    basis, though not a reduced one.  The skipped rows u * r, whose lead
-    prefix of length e - 1 is a lead of E_(e-1), reduce to zero.  Without
-    the certificate every degree is eliminated as above, which needs the
-    rows of E_(e-1) reduced, so the two paths never mix.
+    w into the full slice.  This needs the rows of E_(e-1) reduced, as
+    E_2 and every eliminated degree are; the verdict belongs to the
+    relations, so the two rules never meet in one slice.
     """
     gens = tuple(gens)
     g = len(gens)
@@ -264,10 +263,10 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
     # holds it, rather than a fresh int per entry
     word = list(range(size))
     # I_1 = 0, and the empty word (index 0) is the one word of degree 0
-    newest, normal, certified = {}, [0], False
+    newest, normal = {}, [0]
     for e in range(2, d + 1):
         if e - 2 == len(increments):
-            if certified:
+            if _certified(g, relations):
                 rows, firsts = {}, [(lead // g, lead, rel)
                                     for lead, rel in increments[0].items()]
                 for u in normal:
@@ -290,8 +289,6 @@ def build_slice_from_subspace(gens, relations: Subspace, d: int,
                     for rel in increments[0].values():
                         ech.insert({word[left + mid]: c for mid, c in rel.items()})
                 increments.append(dict(itertools.islice(rows.items(), shifted, None)))
-        if e == 3:
-            certified = _pbw_certified(increments, g)
         normal = [w for u in normal for w in word[u * g:u * g + g] if w not in newest]
         newest = increments[e - 2]
     return IdealSlice(gens, d, tuple(increments))
@@ -311,17 +308,32 @@ def _word_space_size(g: int, d: int) -> int:
     return size
 
 
-def _pbw_certified(increments, g: int) -> bool:
-    """The degree-3 PBW certificate on the increments E_2, E_3, ...  Each
-    word holding a lead of I_2 is a lead of I_3 (x * r leads with x * l),
-    and those outside I_2 * V are the words x * l for a generator x and a
-    lead l of E_2 whose prefix x * l_1 is not a lead of E_2; so |E_3| is at
-    least their number, and equality, the certificate, says that they are
-    all of E_3's leads: every overlap of two leads resolves, R is a
-    Groebner basis (Bergman's diamond lemma), and in every degree e the
-    leads of I_e are the words holding a lead of I_2."""
-    leads, third = increments[0], increments[1]
-    return len(third) == sum(x * g + lead // g not in leads for x in range(g) for lead in leads)
+# The verdicts kept, keyed like the memos of ``quadratic`` (g leads the key,
+# so relation spaces of different sizes are told apart before a compare):
+# one ``verify-suite --suite all`` pass decides 75 relation spaces in 142
+# lookups, of which none is decided twice with 64 entries.
+@functools.lru_cache(maxsize=64)
+def _certified(g: int, relations: Subspace) -> bool:
+    """Are the reduced rows of R, on g generators in their given order, a
+    Groebner basis?  By Bergman's diamond lemma they are iff every overlap
+    of two leads resolves; then the leads of every I_e are the words
+    holding a lead of I_2.  It is decided in degree 3.  The rows x * r
+    whose lead x * l does not start with a lead of E_2, with E_2 shifted
+    right by one generator, lead once with each degree-3 word that holds a
+    lead.  They span I_3, and are then E_3 as the u * r rule of
+    ``build_slice_from_subspace`` builds it, iff every other row x * r (an
+    overlap) reduces to zero against them; the first that does not ends
+    the check."""
+    two, rows, overlaps = relations.rows, {}, []
+    for x in range(g):
+        for lead, rel in two.items():
+            row = {x * g * g + mid: c for mid, c in rel.items()}
+            if x * g + lead // g in two:
+                overlaps.append(row)
+            else:
+                rows[x * g * g + lead] = row
+    echelon = IdealSlice(tuple(range(g)), 3, (two, rows)).echelon
+    return all(map(echelon.contains, overlaps))
 
 
 def commutator_relations(gens) -> "PresentedAlgebra":

@@ -25,10 +25,11 @@ symmetric idempotent, A = A^T, Xstar has the relations of X and Xistar
 those of Xi, so each such pair is built once: one table serves both
 variants, and one annihilator is both members of a (right, left) pair.
 Graded dimensions are those of the presentation
-(``PresentedAlgebra.dimensions``): past degree 3 they count normal words
-and build the slice of degree 3 alone when the PBW certificate holds, and
-that certificate lets ``component_subspaces`` build a slice past degree 3
-with no elimination at all (``ideals.build_slice_from_subspace``).
+(``PresentedAlgebra.dimensions``): when the relations are a Groebner basis
+in the generator order, decided once per relation space from the overlaps
+of their leads (``ideals._certified``), they count normal words and build
+no slice, and ``component_subspaces`` builds a slice of any degree with no
+elimination at all (``ideals.build_slice_from_subspace``).
 """
 
 from __future__ import annotations

@@ -378,6 +378,10 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
       "--method", "group"], None, "exceeds budget 4096"),
     (["dims", "--family", "A_n", "--n", "3", "--variant", "Xi", "--max-degree", "4"],
      "abc", "MANIN_BUDGET must be an integer"),
+    (["dims", "--family", "A_n", "--n", "2", "--variant", "X"], "0",
+     "MANIN_BUDGET must be a positive integer, got '0'"),
+    (["dims", "--family", "A_n", "--n", "2", "--variant", "X"], "-5",
+     "MANIN_BUDGET must be a positive integer, got '-5'"),
     (["pairing", "--family", "RhatMinus", "--n", "3", "--q", "2", "--k", "1000000000",
       "--kind", "S", "--method", "hecke"], None, "size 3^1000000000 exceeds budget 4096"),
     (["pairing", "--family", "B_n", "--n", "3", "--k", "1000000000", "--kind", "S",
@@ -396,6 +400,7 @@ def test_malformed_polynomial_file_is_input_error(command, matrix_text, relation
      "size 4225 exceeds budget 4096"),
 ], ids=["dims-astronomical-degree", "pairing-astronomical-arity",
         "hecke-astronomical-arity", "group-astronomical-arity", "budget-not-an-integer",
+        "budget-zero", "budget-negative",
         "hecke-billion-arity", "brauer-billion-arity", "dims-billion-degree",
         "minor-billion-arity", "hecke-one-generator-billion-arity",
         "group-one-generator-billion-arity", "catalog-flip-past-the-budget",

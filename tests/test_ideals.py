@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from maninalg import idempotents as idem
 from maninalg import ideals, suites
 from maninalg.freealg import Gen, NCPoly, NonHomogeneous, sparse_coords, word_budget
-from maninalg.ideals import (PresentedAlgebra, _pbw_certified, build_slice_from_subspace,
-                             commutator_relations, free_presentation, span_of_polys)
+from maninalg.ideals import (PresentedAlgebra, build_slice_from_subspace, commutator_relations,
+                             free_presentation, span_of_polys)
 from maninalg.linalg import SparseEchelon, Subspace
 from maninalg.manin import ManinPair, universal_relations
 from maninalg.quadratic import VARIANTS, QuadAlgebra, dimension_table, graded_dimension
@@ -242,8 +242,9 @@ def test_over_budget_slice_is_refused_before_any_lower_degree_is_built(monkeypat
         alg.slice(5)
     assert alg._slices == {}
     assert inserted == []
-    alg.slice(4)
-    assert inserted and list(alg._slices) == [4]
+    # the commutators are a Groebner basis: degree 4 is built with no insert
+    assert alg.slice(4).dim == 3 ** 4 - comb(4 + 2, 2)
+    assert inserted == [] and list(alg._slices) == [4]
 
 
 def _assert_slice_matches_oracle(grown, oracle_slices, where):
@@ -256,9 +257,9 @@ def _assert_slice_matches_oracle(grown, oracle_slices, where):
 
 
 def _certified_by_oracle(oracle_slices, g: int) -> bool:
-    """The degree-3 PBW certificate read from the oracle's slices: the rank
-    of degree 3 is the number of degree-3 words holding a lead of degree 2
-    as a factor."""
+    """Are the relations a Groebner basis, read from the oracle's slices:
+    the rank of degree 3 is the number of degree-3 words holding a lead of
+    degree 2 as a factor."""
     leads = set(oracle_slices[2].pivots)
     held = sum(w // g in leads or w % (g * g) in leads for w in range(g ** 3))
     return oracle_slices[3].rank == held
@@ -269,14 +270,15 @@ def _oracle_inserts(oracle_slices, g: int, dim_r: int, b: int, d: int) -> int:
     inserts: |N_(e-2)| * dim R for each eliminated degree e = b+1..d, where
     N_m holds the words of degree m that the oracle's degree-m slice does
     not lead (every word below degree 2).  Degree 2 is R itself and
-    eliminates nothing; past degree 3 a degree is eliminated only without
-    the certificate."""
-    top = min(d, 3) if _certified_by_oracle(oracle_slices, g) else d
+    eliminates nothing, and a certified presentation eliminates no
+    degree."""
+    if _certified_by_oracle(oracle_slices, g):
+        return 0
     return dim_r * sum(g ** (e - 2) - (oracle_slices[e - 2].rank if e > 3 else 0)
-                       for e in range(max(b + 1, 3), top + 1))
+                       for e in range(max(b + 1, 3), d + 1))
 
 
-# the presentations of PRESENTATIONS without the degree-3 PBW certificate
+# the presentations of PRESENTATIONS whose relations are not a Groebner basis
 UNCERTIFIED = {f"symplectic4.{v}" for v in VARIANTS} | {"fourparam_2_2_2_1.X",
                                                         "fourparam_2_2_2_1.Xi"}
 
@@ -286,7 +288,7 @@ def test_slices_grown_from_each_cached_lower_degree_match_the_oracle(name, monke
     # the rows u * r come only from normal words u: growing from any cached
     # degree below must give the slice that every w1 * r * w2 spans, after
     # one row per normal word of the eliminated degrees past it and
-    # relation; a certified presentation eliminates no degree past 3
+    # relation; a certified presentation eliminates no degree
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
     dim_r = relations.dim
@@ -385,15 +387,14 @@ def test_each_degree_inserts_one_row_per_normal_word_and_relation(name, monkeypa
     # an eliminated degree e inserts dim A_(e-2) * dim R rows, both from
     # scratch and from the cached slice one degree below, not
     # g^(e-2) * dim R; degree 2 is R and inserts no row, and with the
-    # certificate no degree past 3 is eliminated and none inserts a row
+    # certificate no degree is eliminated and none inserts a row
     alg = PRESENTATIONS[name]()
     g, dim_r = len(alg.gens), alg.relations.dim
     oracle = {e: dense.slice_from_scratch(g, alg.relations, e) for e in range(2, 5)}
     quotient = [1, g] + [g ** e - oracle[e].rank for e in range(2, 5)]
     certified = _certified_by_oracle(oracle, g)
     assert certified == (name not in UNCERTIFIED)
-    inserts = [quotient[e - 2] * dim_r if e == 3 or e > 3 and not certified else 0
-               for e in range(6)]
+    inserts = [quotient[e - 2] * dim_r if e > 2 and not certified else 0 for e in range(6)]
     calls = _count_inserts(monkeypatch)
     for d in range(2, 6):
         calls[0] = 0
@@ -418,8 +419,8 @@ def test_dimension_table_inserts_one_row_per_normal_word_and_relation(name, vari
     calls[0] = 0
     table = dimension_table(alg, 5)
     # degree 2 is R, echelonized once above and memoized, and a certified
-    # table eliminates degree 3 alone (hecke_minus)
-    top = 3 if name == "hecke_minus" else 5
+    # table builds no slice at all (hecke_minus)
+    top = 2 if name == "hecke_minus" else 5
     assert calls[0] == sum(table[e - 2] for e in range(3, top + 1)) * dim_r
 
 
@@ -486,19 +487,14 @@ def test_contains_rows_agrees_with_congruent_and_the_slice_oracle(name):
         alg = PRESENTATIONS[name]()
 
 
-def _certified_row(lead: int, d: int, g: int, two: dict, three: dict) -> dict:
+def _certified_row(lead: int, d: int, g: int, two: dict) -> dict:
     """The pivot row at a lead of degree d >= 3 of a certified slice, from
-    the oracle's pivot rows of degree 2 (two) and 3 (three).  The lead holds
-    a lead of degree 2 as a factor; for the first such factor l, at
-    position p, the row is w1 * r * w2, r being the row of l, when p >= 2,
-    and the degree-3 row at the lead's first three letters, shifted by the
-    rest, when p < 2."""
+    the oracle's pivot rows of degree 2 (two).  The lead holds a lead of
+    degree 2 as a factor; for the first such factor l, at position p, the
+    row is w1 * r * w2, r being the row of l and |w1| = p."""
     p = 0
     while lead // g ** (d - p - 2) % (g * g) not in two:
         p += 1
-    if p < 2:
-        size = g ** (d - 3)
-        return {pos * size + lead % size: c for pos, c in three[lead // size].items()}
     size = g ** (d - p - 2)
     left = lead // (size * g * g) * g * g
     return {(left + mid) * size + lead % size: c
@@ -510,14 +506,14 @@ def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
     # the echelon of a slice holds the rows of E_d and shifts a row of a
     # lower increment the first time a reduction reaches its lead; the
     # lead set, membership, the reduced rows and subspace() must be those
-    # of the builder that shifted every pivot row up each degree.  Up to
-    # degree 3, and at every degree without the certificate, so must each
-    # row; past degree 3 a certified slice eliminates nothing, and its row
-    # at a lead w1 * l * w2, l the first degree-2 lead the word holds at
-    # position 2 or later, is w1 * r * w2 for the row r of l
+    # of the builder that shifted every pivot row up each degree.  In
+    # degree 2, and at every degree without the certificate, so must each
+    # row; a certified slice eliminates nothing, and its row at a lead
+    # w1 * l * w2, l the first degree-2 lead the word holds, is w1 * r * w2
+    # for the row r of l
     base = PRESENTATIONS[name]()
     g, relations = len(base.gens), base.relations
-    two, three = (dense.eager_slice(g, relations, e).pivots for e in (2, 3))
+    two = dense.eager_slice(g, relations, 2).pivots
     certified = name not in UNCERTIFIED
     rng = random.Random(name)
     for d in range(2, 7):
@@ -530,9 +526,9 @@ def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
         ech = sl.echelon
         assert ech.leads == set(eager.pivots) and set(ech.pivots) == set(sl.increments[-1]), d
         assert [ech.contains(p) for p in probes] == [eager.contains(p) for p in probes], d
-        if certified and d > 3:
+        if certified and d > 2:
             for lead in sorted(ech.leads):
-                assert ech.pivots[lead] == _certified_row(lead, d, g, two, three), (d, lead)
+                assert ech.pivots[lead] == _certified_row(lead, d, g, two), (d, lead)
             assert ech.reduced_rows() == eager.reduced_rows(), d
         else:
             for lead in sorted(ech.pivots):
@@ -544,15 +540,19 @@ def test_rows_built_on_demand_equal_the_rows_the_eager_oracle_shifted(name):
 
 
 def _spy_on_slices(monkeypatch) -> tuple:
-    """Records every slice built and every lookup that builds a deeper
-    shifted row."""
-    built, deeper = [], []
+    """Records every slice built, and the number of letters by which each
+    lookup that builds a shifted row shifts it."""
+    built, shifts = [], []
     build, missing = ideals.build_slice_from_subspace, ideals._ShiftedRows.__missing__
+
+    def shifted(self, lead):
+        shifts.append(next(self.d - j for j, rows in enumerate(self.increments, 2)
+                           if lead // self.g ** (self.d - j) in rows))
+        return missing(self, lead)
     monkeypatch.setattr(ideals, "build_slice_from_subspace",
                         lambda *args: built.append(build(*args)) or built[-1])
-    monkeypatch.setattr(ideals._ShiftedRows, "__missing__",
-                        lambda self, lead: deeper.append(lead) or missing(self, lead))
-    return built, deeper
+    monkeypatch.setattr(ideals._ShiftedRows, "__missing__", shifted)
+    return built, shifts
 
 
 @pytest.mark.parametrize("E, variant, k, certified", [
@@ -562,23 +562,21 @@ def _spy_on_slices(monkeypatch) -> tuple:
     (idem.fourparam_idempotent(2, 2, 2, 1), "X", 6, False)])
 def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, certified,
                                                                 monkeypatch, cold_quadratic):
-    # a certified graded dimension builds the slice of degree 3 alone and
-    # counts normal words; an uncertified one grows the degree-k slice from
-    # its increments and reads its ranks.  No slice, not even the degree-k
-    # one read directly, builds its echelon or shifts a row by more than
-    # one generator
+    # a certified graded dimension builds no slice and counts normal words;
+    # an uncertified one builds the degree-k slice alone and reads the
+    # ranks of its increments.  No slice, not even the degree-k one read
+    # directly, builds its echelon, and no row is shifted by more than one
+    # generator: the overlap check that decides between the two shifts E_2
+    # into degree 3
     alg = QuadAlgebra(E, variant)
     want = [E.row_dim ** e - dense.slice_from_scratch(E.row_dim, alg.presentation().relations,
                                                      e).rank if e >= 2 else E.row_dim ** e
             for e in range(k + 1)]
-    built, deeper = _spy_on_slices(monkeypatch)
+    built, shifts = _spy_on_slices(monkeypatch)
     assert graded_dimension(alg, k) == want[k]
     cold_quadratic()
     assert dimension_table(alg, k) == want
-    if certified:
-        assert [s.degree for s in built] == [3, 3]
-    else:
-        assert [s.degree for s in built] == [3, k, 3, k]
+    assert [s.degree for s in built] == ([] if certified else [k, k])
     # warm, the memoized table builds no slice
     cold = list(built)
     built.clear()
@@ -588,21 +586,22 @@ def test_graded_dimensions_build_no_shift_deeper_than_one_letter(E, variant, k, 
     assert built[-1].degree == k
     for s in cold + built:
         assert "echelon" not in vars(s), s.degree
-    assert deeper == []
+    assert set(shifts) <= {1}
 
 
-# --- slices built from the degree-3 PBW certificate ---------------------------
-# Past degree 3 a certified slice is built with no elimination, from the
-# rows u * r alone.  Every catalog algebra in all four variants, and three
-# universal-relation ambients, is compared at each degree within reach with
-# the Fraction oracle that echelonizes every w1 * r * w2, and probed for
-# membership with hypothesis-drawn members and non-members.
+# --- certified slices --------------------------------------------------------
+# When the relations are a Groebner basis, decided from the overlaps of E_2,
+# a slice is built with no elimination, from the rows u * r alone.  Every
+# catalog algebra in all four variants, and three universal-relation
+# ambients, is compared at each degree within reach with the Fraction oracle
+# that echelonizes every w1 * r * w2, and probed for membership with
+# hypothesis-drawn members and non-members.
 
 # the catalog algebras are compared at each degree d <= 6 with g^d words at
 # most this many
 CATALOG_WORDS = 1024
 
-# the catalog algebras without the degree-3 PBW certificate
+# the catalog algebras whose relations are not a Groebner basis
 UNCERTIFIED_CATALOG = ({f"Btilde_4.{v}" for v in VARIANTS}
                        | {"FourParam.X", "FourParam.Xi", "Lie_sl2.Xi"})
 
@@ -684,16 +683,18 @@ def test_105_catalog_algebras_certify_and_7_do_not():
     assert set(_catalog()) - certified == UNCERTIFIED_CATALOG
     for name in _catalog():
         alg = _cached_presentation(name)
-        assert _pbw_certified(alg.slice(3).increments, len(alg.gens)) == (name in certified)
+        assert ideals._certified(len(alg.gens), alg.relations) == (name in certified), name
     for name in AMBIENTS:
         assert _oracle_certified(name), name
+        alg = _cached_presentation(name)
+        assert ideals._certified(len(alg.gens), alg.relations), name
 
 
 @pytest.mark.parametrize("name", sorted(_catalog()) + sorted(AMBIENTS))
 def test_slices_match_the_dense_oracle_at_each_degree(name, monkeypatch):
     # each degree grown from the cached one below and built from nothing,
     # after the inserts of the eliminated degrees: with the certificate
-    # degree 3 alone
+    # none
     alg = _fresh_presentation(name)
     g, dim_r = len(alg.gens), alg.relations.dim
     calls = _count_inserts(monkeypatch)
@@ -787,7 +788,7 @@ def test_dimensions_refuse_like_the_slice_before_building_any(monkeypatch):
     assert str(refused.value) == str(sliced.value)
     builds.clear()
     assert alg.dimensions(4) == [comb(k + 2, k) for k in range(5)]
-    assert builds == [3]  # certified: the normal words are counted
+    assert builds == []  # certified: the normal words are counted
     assert alg.dimensions(0) == [1] and alg.dimensions(1) == [1, 3]
     with pytest.raises(ValueError, match="max degree must be non-negative, got -1"):
         alg.dimensions(-1)
@@ -804,8 +805,8 @@ def test_dimensions_of_an_uncertified_algebra_read_the_top_slice():
     g = len(alg.gens)
     top = _top_degree(name, g)
     dims = alg.dimensions(top)
-    assert list(alg._slices) == [3, top]
-    assert not _pbw_certified(alg.slice(3).increments, g)
+    assert list(alg._slices) == [top]
+    assert not ideals._certified(g, alg.relations)
     assert dims == [g ** d - _oracle(name, d).rank if d > 1 else g ** d
                     for d in range(top + 1)]
 

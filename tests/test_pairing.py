@@ -15,8 +15,8 @@ from maninalg.linalg import QMatrix, Subspace
 from maninalg.manin import ManinPair, is_manin, transport, universal_relations
 from maninalg.minors import a_minor, minor_operator, s_minor
 from maninalg.pairing import (BraidRelationFailed, NotExists, PairingOperator,
-                              brauer_pairing, closed_form_multiparam, corrupt,
-                              fixes_subspaces, fourparam_A3, generic_pairing,
+                              braid_relation_holds, brauer_pairing, closed_form_multiparam,
+                              corrupt, fixes_subspaces, fourparam_A3, generic_pairing,
                               group_average, hecke_basis_change, hecke_pairing, q_factorial,
                               q_int, verify_axioms)
 from maninalg.permutations import Perm, all_perms, inv
@@ -889,3 +889,95 @@ def test_equal_pairings_from_different_routes_share_the_integer_form():
         assert a == b
         assert a.den == b.den and a.num == b.num and hash(a) == hash(b)
         assert a.is_zero() or a.den > 1   # the routes meet over a nontrivial denominator
+
+
+# --- weight gradings -----------------------------------------------------------
+# A grading of E is a map w of the letters with w_i + w_j = w_k + w_l wherever
+# E[(i,j),(k,l)] != 0.  The pairing operator is unique, so the torus of a
+# grading fixes it, and every route's operator is zero between words of
+# different weight.
+
+def _gradings(E: TensorOperator) -> list:
+    """A basis of the gradings of an arity-2 E, as rows {letter: weight}:
+    the annihilator of one equation w_i + w_j - w_k - w_l per nonzero
+    entry."""
+    n = E.row_dim
+    equations = []
+    for row, cols in E.num.items():
+        for col in cols:
+            equation = {}
+            for letter, c in ((row // n, 1), (row % n, 1), (col // n, -1), (col % n, -1)):
+                equation[letter] = equation.get(letter, 0) + c
+            equations.append(equation)
+    return list(Subspace.span(equations, n).annihilator().rows.values())
+
+
+def _cross_weight_entries(n: int, k: int, num: dict, gradings: list) -> list:
+    """The nonzero entries (row, col) of an operator's rows ``num`` on
+    words of length k between words of different weight."""
+    def weight(index):
+        letters = [index // n ** t % n for t in range(k)]
+        return tuple(sum(w.get(x, 0) for x in letters) for w in gradings)
+    return [(i, j) for i, row in num.items() for j in row if weight(i) != weight(j)]
+
+
+def _assert_every_route_respects_the_weights(E, k, operators, rank):
+    gradings = _gradings(E)
+    assert len(gradings) == rank
+    for route, op in operators:
+        assert op.operator.num, route
+        assert _cross_weight_entries(E.row_dim, k, op.operator.num, gradings) == [], route
+
+
+@settings(max_examples=15, deadline=None)
+@given(signed_parameter_matrices().filter(lambda q: len(q) in (2, 3)), st.data())
+def test_every_route_of_a_parameter_matrix_keeps_each_weight(qhat, data):
+    n = len(qhat)
+    k = data.draw(st.integers(2, 5 if n == 2 else 4))
+    E = idem.parameterized_antisymmetrizer(qhat)
+    assert braid_relation_holds(TensorOperator.identity(n, 2) - E.scale(2))
+    kinds = ("S", "A") if k <= n else ("S",)
+    operators = [(f"{route} {kind}", build(E, k, kind)) for kind in kinds for route, build in (
+        ("generic", generic_pairing), ("group", group_average),
+        ("closed", lambda E, k, kind: closed_form_multiparam(qhat, k, kind)))]
+    _assert_every_route_respects_the_weights(E, k, operators, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 3), st.fractions(-5, 5, max_denominator=5).filter(lambda q: q not in
+                                                                          (0, 1, -1)),
+       st.data())
+def test_every_route_of_rhat_minus_keeps_each_weight(n, q, data):
+    k = data.draw(st.integers(2, 5 if n == 2 else 4))
+    E = idem.hecke_minus(n, q)
+    kinds = ("S", "A") if k <= n else ("S",)
+    operators = [(f"{route} {kind}", build(kind)) for kind in kinds for route, build in (
+        ("generic", lambda kind: generic_pairing(E, k, kind)),
+        ("hecke", lambda kind: hecke_pairing(q, n, k, kind)))]
+    _assert_every_route_respects_the_weights(E, k, operators, n)
+
+
+@pytest.mark.parametrize("n, k, rank", [(3, 3, 2), (3, 4, 2), (4, 3, 3)])
+def test_every_route_of_the_orthogonal_family_keeps_each_weight(n, k, rank):
+    E = idem.orthogonal_idempotent(n)
+    operators = [("generic S", generic_pairing(E, k, "S")),
+                 ("brauer S", brauer_pairing("so", n, k))]
+    _assert_every_route_respects_the_weights(E, k, operators, rank)
+
+
+@pytest.mark.parametrize("E, k", [(idem.parameterized_antisymmetrizer(SIGNED_QHAT2), 3),
+                                  (idem.hecke_minus(3, F(2)), 3),
+                                  (idem.orthogonal_idempotent(3), 3)])
+def test_an_entry_moved_across_weight_classes_is_caught(E, k):
+    # move one nonzero entry of S_(k) to a column of another weight: the
+    # check must name exactly that entry
+    n, gradings = E.row_dim, _gradings(E)
+    num = {i: dict(row) for i, row in generic_pairing(E, k, "S").operator.num.items()}
+    assert _cross_weight_entries(n, k, num, gradings) == []
+    i = min(num)
+    j, c = next(iter(num[i].items()))
+    moved = next(col for col in range(n ** k)
+                 if col not in num[i] and _cross_weight_entries(n, k, {i: {col: 1}}, gradings))
+    del num[i][j]
+    num[i][moved] = c
+    assert _cross_weight_entries(n, k, num, gradings) == [(i, moved)]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maninalg import ideals, idempotents as idem
-from maninalg.quadratic import (VARIANTS, QuadAlgebra, component_subspaces,
-                                dimension_table, graded_dimension,
+from maninalg.quadratic import (VARIANTS, QuadAlgebra, _dimension_table,
+                                component_subspaces, dimension_table, graded_dimension,
                                 relation_space)
 from maninalg.freealg import Gen
 from maninalg.linalg import Subspace
@@ -172,14 +172,13 @@ def test_dimension_table_refuses_before_building_any_degree(monkeypatch, cold_qu
         dimension_table(alg, 5)
     assert builds == []
     assert dimension_table(alg, 4) == [comb(k + 2, k) for k in range(5)]
-    assert builds == [3]  # certified: the normal words are counted
-    # no PBW certificate: the degree-4 slice grows from the degree-3 slice
-    # that the certificate check built
+    assert builds == []  # certified: the normal words are counted
+    # not a Groebner basis: the degree-4 slice alone is built
     alg = QuadAlgebra(idem.fourparam_idempotent(2, 3, F(1, 2), 1), "X")
     want = [1, 3] + [3 ** k - alg.presentation().slice(k).dim for k in (2, 3, 4)]
     builds.clear()
     assert dimension_table(alg, 4) == want
-    assert builds == [3, 4]
+    assert builds == [4]
 
 
 def test_component_subspaces_miss_of_a_symmetric_idempotent_builds_one_slice(
@@ -246,14 +245,17 @@ SYMMETRIC = [(name, E) for name, E in catalog_instances() if E.transpose() == E]
 @pytest.mark.parametrize("name, E", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
 def test_starred_tables_of_a_symmetric_idempotent_build_no_slice(name, E, monkeypatch,
                                                                   cold_quadratic):
-    # A = A^T: Xstar has the relations of X and Xistar those of Xi
+    # A = A^T: Xstar has the relations of X and Xistar those of Xi, so the
+    # starred table is the memoized plain one
     builds = _count_slice_builds(monkeypatch)
     for plain, starred in (("X", "Xstar"), ("Xi", "Xistar")):
+        misses = _dimension_table.cache_info().misses
         want = dimension_table(QuadAlgebra(E, plain), 4)
-        assert builds, plain
+        assert _dimension_table.cache_info().misses == misses + 1, plain
         builds.clear()
         assert dimension_table(QuadAlgebra(E, starred), 4) == want, starred
         assert builds == [], starred
+        assert _dimension_table.cache_info().misses == misses + 1, starred
 
 
 def test_starred_table_with_other_relations_is_built(monkeypatch, cold_quadratic):
@@ -261,8 +263,10 @@ def test_starred_table_with_other_relations_is_built(monkeypatch, cold_quadratic
     assert relation_space(QuadAlgebra(E, "X")) != relation_space(QuadAlgebra(E, "Xstar"))
     want = dimension_table(QuadAlgebra(E, "X"), 4)
     builds = _count_slice_builds(monkeypatch)
+    misses = _dimension_table.cache_info().misses
     assert dimension_table(QuadAlgebra(E, "Xstar"), 4) == want  # both quantum planes
-    assert builds == [3]
+    assert _dimension_table.cache_info().misses == misses + 1
+    assert builds == []  # certified: the normal words are counted
 
 
 def test_dimension_table_returns_a_new_list(cold_quadratic):
@@ -316,16 +320,16 @@ def test_dimensions_equal_the_slice_dimensions(name, E, monkeypatch, cold_quadra
         assert dimension_table(alg, top) == want, variant
         assert [graded_dimension(alg, k) for k in range(top + 1)] == want, variant
         uncertified = (name, variant) in UNCERTIFIED
-        assert ideals._pbw_certified(presentation.slice(3).increments, n) != uncertified
+        assert ideals._certified(n, presentation.relations) != uncertified
         cold_quadratic()
         builds.clear()
         assert graded_dimension(alg, top) == want[top]
         if uncertified:
-            assert builds == [3, top], variant
+            assert builds == [top], variant
             # counted as normal words, degree 3 would read this
             assert _naive_count(presentation.relations, n, 3) > want[3], variant
         else:
-            assert builds == [3], variant
+            assert builds == [], variant
         assert alg.presentation().dimensions(top) == want, variant
         # the table is memoized by its relations: a warm call builds nothing
         builds.clear()
@@ -352,8 +356,8 @@ def relation_spaces(draw):
 @settings(max_examples=40, deadline=None)
 @given(relation_spaces())
 def test_dimensions_against_slices_from_scratch(case):
-    # a certified algebra counts normal words over the degree-3 slice
-    # alone; any other reads the increments of the top slice
+    # a certified algebra counts normal words and builds no slice; any
+    # other reads the increments of the top slice alone
     monomial, g, relations = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MANIN_BUDGET", "81")  # degree 6 on two generators, 4 on three
@@ -363,9 +367,22 @@ def test_dimensions_against_slices_from_scratch(case):
         want = [g ** d - dense.slice_from_scratch(g, relations, d).rank if d > 1 else g ** d
                 for d in range(top + 1)]
         assert alg.dimensions(top) == want
-        if ideals._pbw_certified(alg.slice(3).increments, g):
-            assert list(alg._slices) == [3]
+        if ideals._certified(g, relations):
+            assert alg._slices == {}
         else:
-            assert list(alg._slices) == [3, top]
+            assert list(alg._slices) == [top]
             assert not monomial
             assert _naive_count(relations, g, 3) > want[3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_spaces())
+def test_the_overlap_verdict_is_the_dense_oracle_count(case):
+    # the relations are a Groebner basis iff the Fraction oracle's I_3 has
+    # one dimension per degree-3 word holding a lead of degree 2, the words
+    # that a normal-word count leaves out
+    monomial, g, relations = case
+    held = g ** 3 - _naive_count(relations, g, 3)
+    certified = dense.slice_from_scratch(g, relations, 3).rank == held
+    assert ideals._certified(g, relations) == certified
+    assert certified or not monomial

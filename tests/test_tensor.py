@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dense_reference as dense
 from maninalg import idempotents as idem
-from maninalg.freealg import Gen, NCPoly, generator_matrix, poly_grid_product
+from maninalg.freealg import Gen, NCPoly, generator_matrix, poly_grid_product, word_budget
 from maninalg.idempotents import antisymmetrizer
 from maninalg.linalg import QMatrix
 from maninalg.permutations import Perm, all_perms
@@ -380,8 +380,7 @@ def test_constructors_check_the_budget_first(monkeypatch):
     (None, 2, 12, None), (None, 2, 13, "8192"), (None, 2, 14, "2^14"),
     (None, 3, 10 ** 9, "3^1000000000"), (None, 1, 13, None),
     (None, 1, 14, "1^14 (arity over 13)"), (None, 1, 10 ** 9, "1^1000000000 (arity over 13)"),
-    (None, 0, 10 ** 9, None), ("0", 1, 10 ** 9, "1^1000000000 (arity over 0)"),
-    ("-5", 2, 0, "1"), ("-5", 2, 4, "2^4"),
+    (None, 0, 10 ** 9, None), ("1", 1, 1, None), ("1", 2, 2, "2^2"),
     (str(2 ** 70), 3, 44, None), (str(2 ** 70), 3, 45, "at least 2^71"),
     (str(2 ** 70), 2, 71, "at least 2^71"), (str(2 ** 70), 2, 72, "2^72"),
 ])
@@ -400,6 +399,19 @@ def test_power_budget_refuses_from_n_and_k(budget, n, k, size, monkeypatch):
         _check_power(n, k)
     assert str(err.value) == (f"component of size {size} exceeds budget "
                               f"{budget or 4096} (override with MANIN_BUDGET)")
+
+
+@pytest.mark.parametrize("budget, n, k", [("0", 1, 10 ** 9), ("-5", 2, 0), ("-5", 2, 4)])
+def test_a_budget_below_one_is_refused_before_any_size(budget, n, k, monkeypatch):
+    # a budget is a positive integer: 0 and -5 are input errors, whatever
+    # the size (the smallest budget, 1, is in the table above)
+    monkeypatch.setenv("MANIN_BUDGET", budget)
+    with pytest.raises(ValueError) as err:
+        _check_power(n, k)
+    assert str(err.value) == f"MANIN_BUDGET must be a positive integer, got {budget!r}"
+    assert not isinstance(err.value, BudgetExceeded)
+    with pytest.raises(ValueError, match=f"got {budget!r}"):
+        word_budget()
 
 
 # --- integer numerators against the Fraction-row oracle -----------------------
